@@ -2,12 +2,12 @@
 
 from . import (concentration, distributions, estimation, experiments, glm,
                hypothesis, regression, rng, stochastic)
-from .rng import RandomStream, stream_split
+from .rng import RandomStream
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "RandomStream", "stream_split", "concentration", "distributions",
+    "RandomStream", "concentration", "distributions",
     "estimation", "experiments", "glm", "hypothesis", "regression", "rng",
     "stochastic",
 ]

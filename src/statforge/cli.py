@@ -20,7 +20,8 @@ from .distributions import (Bernoulli, Beta, Binomial, ChiSquared, Exponential,
                             Poisson, StudentT, Uniform01, dist_cdf, dist_pdf,
                             dist_quantile)
 from .errors import StatforgeError
-from .experiments import (experiment_tags, parse_config_file, run_experiment)
+from .experiments import (experiment_tags, parse_config_file, parse_scalar,
+                          run_experiment)
 
 _DIST_BUILDERS = {
     "normal": (Normal, ("mu", "sigma2")),
@@ -100,9 +101,7 @@ def _parse_assignment(text: str):
     if "=" not in text:
         raise StatforgeError(f"--set expects KEY=VALUE, got {text!r}")
     key, value = text.split("=", 1)
-    from .experiments import _parse_scalar
-
-    return key.strip(), _parse_scalar(value)
+    return key.strip(), parse_scalar(value)
 
 
 def _write_outputs(envelope, out_dir: str) -> None:

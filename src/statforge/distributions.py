@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -27,9 +26,6 @@ __all__ = [
     "Uniform01", "DistributionSpec", "Moments",
     "dist_moments", "dist_pdf", "dist_cdf", "dist_quantile", "dist_sample",
 ]
-
-_QUANTILE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Moments:
@@ -51,6 +47,9 @@ def _maybe_scalar(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
+_QUANTILE_DOMAIN = "quantile argument must lie strictly inside (0, 1)"
+
+
 class _Spec:
     """Common machinery; concrete families fill in the private hooks."""
 
@@ -68,14 +67,19 @@ class _Spec:
         return _maybe_scalar(self._cdf(arr), scalar)
 
     def quantile(self, u):
-        arr, scalar = _as_array(u)
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            raise DomainError("quantile argument must lie strictly inside (0, 1)")
+        # Scalars skip the array round trip: confidence intervals make one
+        # quantile call per replicate.
+        if np.isscalar(u) or np.ndim(u) == 0:
+            u = float(u)
+            if not 0.0 < u < 1.0:
+                raise DomainError(_QUANTILE_DOMAIN)
+            return float(self._discrete_quantile(u) if self.is_discrete else self._ppf(u))
+        arr = np.array(u, dtype=float)
+        if not np.all((0.0 < arr) & (arr < 1.0)):
+            raise DomainError(_QUANTILE_DOMAIN)
         if self.is_discrete:
-            values = np.array([self._discrete_quantile(ui) for ui in arr], dtype=float)
-        else:
-            values = np.array([self._invert_cdf(ui) for ui in arr], dtype=float)
-        return _maybe_scalar(values, scalar)
+            return np.array([self._discrete_quantile(ui) for ui in arr], dtype=float)
+        return self._ppf(arr)
 
     def sample(self, stream: RandomStream, count: int) -> np.ndarray:
         if count < 0:
@@ -97,45 +101,13 @@ class _Spec:
         """Open interval carrying all mass (continuous families)."""
         raise NotImplementedError
 
-    # generic continuous quantile: bracket, bisect, polish with Newton ----
-
-    def _invert_cdf(self, u: float) -> float:
-        lo, hi = self._bracket(u)
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if float(self._cdf(np.array([mid]))[0]) < u:
-                lo = mid
-            else:
-                hi = mid
-        q = 0.5 * (lo + hi)
-        for _ in range(4):
-            density = float(self._pdf(np.array([q]))[0])
-            if density <= 0.0 or not math.isfinite(density):
-                break
-            step = (u - float(self._cdf(np.array([q]))[0])) / density
-            candidate = q + step
-            if not lo <= candidate <= hi:
-                break
-            q = candidate
-            if abs(step) < _QUANTILE_TOL * (1.0 + abs(q)):
-                break
-        return q
-
-    def _bracket(self, u: float) -> tuple[float, float]:
-        lo, hi = self._support()
-        if math.isinf(lo):
-            lo = -1.0
-            while float(self._cdf(np.array([lo]))[0]) >= u:
-                lo *= 2.0
-        if math.isinf(hi):
-            hi = 1.0
-            while float(self._cdf(np.array([hi]))[0]) < u:
-                hi *= 2.0
-        return lo, hi
+    def _ppf(self, u):
+        """Inverse cdf of a continuous family at ``u`` in (0,1); elementwise
+        on arrays."""
+        raise NotImplementedError
 
     def _discrete_quantile(self, u: float) -> int:
+        """Smallest support point with cdf >= u."""
         lo = self._support_min() - 1  # cdf(lo) = 0 by convention
         hi = self._support_min()
         while float(self._cdf(np.array([float(hi)]))[0]) < u:
@@ -178,6 +150,9 @@ class Normal(_Spec):
     def _cdf(self, x):
         return sp.ndtr((x - self.mu) / math.sqrt(self.sigma2))
 
+    def _ppf(self, u):
+        return self.mu + math.sqrt(self.sigma2) * sp.ndtri(u)
+
     def _support(self):
         return (-math.inf, math.inf)
 
@@ -211,6 +186,9 @@ class LogNormal(_Spec):
         pos = x > 0.0
         out[pos] = sp.ndtr((np.log(x[pos]) - self.mu) / math.sqrt(self.sigma2))
         return out
+
+    def _ppf(self, u):
+        return np.exp(self.mu + math.sqrt(self.sigma2) * sp.ndtri(u))
 
     def _support(self):
         return (0.0, math.inf)
@@ -257,6 +235,9 @@ class Gamma(_Spec):
         out[pos] = sp.gammainc(self.lam, self.alpha * x[pos])
         return out
 
+    def _ppf(self, u):
+        return sp.gammaincinv(self.lam, u) / self.alpha
+
     def _support(self):
         return (0.0, math.inf)
 
@@ -283,6 +264,13 @@ class ChiSquared(_Spec):
 
     def _cdf(self, x):
         return self._as_gamma()._cdf(x)
+
+    def _ppf(self, u):
+        return self._as_gamma()._ppf(u)
+
+    def sf(self, x):
+        """Upper tail ``P(X > x)``, accurate where the cdf rounds to 1."""
+        return sp.gammaincc(self.k / 2.0, 0.5 * np.maximum(x, 0.0))
 
     def _support(self):
         return (0.0, math.inf)
@@ -315,6 +303,9 @@ class StudentT(_Spec):
         k = float(self.k)
         tail = 0.5 * sp.betainc(k / 2.0, 0.5, k / (k + x * x))
         return np.where(x >= 0.0, 1.0 - tail, tail)
+
+    def _ppf(self, u):
+        return sp.stdtrit(self.k, u)
 
     def _support(self):
         return (-math.inf, math.inf)
@@ -366,6 +357,14 @@ class FisherF(_Spec):
         out[pos] = sp.betainc(k1 / 2.0, k2 / 2.0, ratio / (ratio + k2))
         return out
 
+    def _ppf(self, u):
+        return sp.fdtri(self.k1, self.k2, u)
+
+    def sf(self, x):
+        """Upper tail ``P(X > x)``, accurate where the cdf rounds to 1."""
+        k1, k2 = float(self.k1), float(self.k2)
+        return sp.betainc(k2 / 2.0, k1 / 2.0, k2 / (k1 * np.maximum(x, 0.0) + k2))
+
     def _support(self):
         return (0.0, math.inf)
 
@@ -404,6 +403,9 @@ class Beta(_Spec):
         out[inside] = sp.betainc(self.alpha, self.beta, x[inside])
         return out
 
+    def _ppf(self, u):
+        return sp.betaincinv(self.alpha, self.beta, u)
+
     def _support(self):
         return (0.0, 1.0)
 
@@ -438,8 +440,8 @@ class Exponential(_Spec):
     def _support(self):
         return (0.0, math.inf)
 
-    def _invert_cdf(self, u):
-        return -math.log1p(-u) / self.lam
+    def _ppf(self, u):
+        return -np.log1p(-u) / self.lam
 
     def _sample(self, stream, count):
         return -np.log(stream.uniforms_open(count)) / self.lam
@@ -460,7 +462,7 @@ class Uniform01(_Spec):
     def _support(self):
         return (0.0, 1.0)
 
-    def _invert_cdf(self, u):
+    def _ppf(self, u):
         return u
 
     def _sample(self, stream, count):
@@ -704,19 +706,12 @@ def dist_cdf(spec: DistributionSpec, x) -> Union[float, np.ndarray]:
     return spec.cdf(x)
 
 
-@lru_cache(maxsize=4096)
-def _scalar_quantile(spec: DistributionSpec, u: float) -> float:
-    return spec.quantile(u)
-
-
 def dist_quantile(spec: DistributionSpec, u) -> Union[float, np.ndarray]:
-    """Inverse cdf at probability ``u`` in (0,1).
+    """Inverse cdf at probability ``u`` in (0,1), from the ``scipy.special``
+    inverse of each continuous family.
 
     For discrete tags this is the smallest support point with cdf >= u.
-    Scalar lookups are cached; the same quantile recurs across replicates.
     """
-    if np.isscalar(u) or (isinstance(u, np.ndarray) and u.ndim == 0):
-        return _scalar_quantile(spec, float(u))
     return spec.quantile(u)
 
 

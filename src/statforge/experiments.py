@@ -24,11 +24,11 @@ from . import hypothesis as hyp
 from . import regression as reg
 from . import stochastic as sto
 from .errors import DomainError
-from .rng import RandomStream, stream_split
+from .rng import RandomStream
 
 __all__ = ["ExperimentConfig", "Metric", "ReportEnvelope", "run_experiment",
-           "experiment_tags", "parse_config_text", "parse_config_file",
-           "EXPERIMENTS"]
+           "experiment_tags", "parse_scalar", "parse_config_text",
+           "parse_config_file", "EXPERIMENTS"]
 
 
 # -- config -------------------------------------------------------------------
@@ -40,7 +40,6 @@ class ExperimentConfig:
     seed: int
     params: dict
     replicates: Optional[int] = None
-    out: Optional[str] = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -62,10 +61,16 @@ class ExperimentConfig:
             if not isinstance(value, kind):
                 raise DomainError(
                     f"key {name!r} expects {kind.__name__}, got {value!r}")
+            # every int key is a count or a size
+            if kind is int and value < 1:
+                raise DomainError(f"key {name!r} must be at least 1, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise DomainError(f"key {name!r} must be finite, got {value!r}")
         return values
 
 
-def _parse_scalar(text: str):
+def parse_scalar(text: str):
+    """One config value: a quoted string, ``true``/``false``, an int or a float."""
     text = text.strip()
     if text.startswith('"') and text.endswith('"') and len(text) >= 2:
         return text[1:-1]
@@ -92,7 +97,7 @@ def parse_config_text(text: str, overrides: Optional[dict] = None) -> Experiment
         if "=" not in body:
             raise DomainError(f"line {lineno}: expected key = value")
         key, value = body.split("=", 1)
-        raw[key.strip()] = _parse_scalar(value)
+        raw[key.strip()] = parse_scalar(value)
     raw.update(overrides or {})
     if "experiment" not in raw:
         raise DomainError("config is missing the key 'experiment'")
@@ -105,9 +110,8 @@ def parse_config_text(text: str, overrides: Optional[dict] = None) -> Experiment
     replicates = raw.pop("replicates", None)
     if replicates is not None and not isinstance(replicates, int):
         raise DomainError("key 'replicates' must be an integer")
-    out = raw.pop("out", None)
     return ExperimentConfig(experiment=experiment, seed=seed, params=raw,
-                            replicates=replicates, out=out)
+                            replicates=replicates)
 
 
 def parse_config_file(path, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -185,19 +189,19 @@ def fan_out(task: Callable, n_replicates: int, root: RandomStream,
             workers: int = 1) -> list:
     """Run ``task(replicate_index, child_stream)`` for every replicate.
 
-    Replicate r always receives ``stream_split(root, r)`` and results come
+    Replicate r always receives ``root.split(r)`` and results come
     back in replicate order, so the output is identical for any worker
     count; ``workers > 1`` only distributes the labor.
     """
     if workers <= 1:
-        return [task(r, stream_split(root, r)) for r in range(n_replicates)]
+        return [task(r, root.split(r)) for r in range(n_replicates)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(partial(_fan_one, task, root), range(n_replicates),
                              chunksize=max(1, n_replicates // (8 * workers))))
 
 
 def _fan_one(task, root, r):
-    return task(r, stream_split(root, r))
+    return task(r, root.split(r))
 
 
 # -- individual experiments ---------------------------------------------------------
@@ -280,7 +284,7 @@ def _run_mle(p, root, workers):
     spec = d.Gamma(alpha, lam)
     standardized = np.empty((reps, 2))
     for r in range(reps):
-        fit = est.mle_fit("gamma", d.dist_sample(spec, stream_split(root, r), n))
+        fit = est.mle_fit("gamma", d.dist_sample(spec, root.split(r), n))
         se = fit.standard_errors()
         standardized[r] = (fit.estimate - np.array([alpha, lam])) / se
     law = d.Normal(0.0, 1.0)
@@ -303,7 +307,7 @@ def _run_regression(p, root, workers):
     covered = 0
     size_hits = 0
     for r in range(reps):
-        sub = stream_split(root, r)
+        sub = root.split(r)
         noise = sub.normals(n)
         y = design.matrix @ beta + noise
         fit = reg.ols_fit(design, y)
@@ -382,7 +386,7 @@ def _run_glm(p, root, workers):
     covered = 0
     worst_residual = 0.0
     for r in range(reps):
-        y = (stream_split(root, r).uniforms(n) < prob).astype(float)
+        y = (root.split(r).uniforms(n) < prob).astype(float)
         fit = glm.glm_fit(spec, design, y)
         residual = np.abs(design.matrix.T @ (y - fit.mu)).max()
         scale = 1.0 + np.abs(design.matrix.T @ y).max()
@@ -421,7 +425,7 @@ def _run_irt(p, root, workers):
     inside = 0
     usable = 0
     for r in range(p["examinees"]):
-        y = (stream_split(root, r).uniforms(p["items"]) < prob).astype(float)
+        y = (root.split(r).uniforms(p["items"]) < prob).astype(float)
         if y.min() == y.max():
             continue
         fit = glm.irt_ability_fit(bank, y)
@@ -437,7 +441,7 @@ def _run_test_size(p, root, workers):
                   ("f", 0.05): 0, ("f", 0.01): 0, ("anova", 0.05): 0, ("anova", 0.01): 0}
     n = p["n"]
     for r in range(reps):
-        sub = stream_split(root, r)
+        sub = root.split(r)
         x = sub.normals(n)
         y = sub.normals(n + 2)
         reports = {
@@ -478,7 +482,7 @@ def _run_brownian(p, root, workers):
     grid = sto.uniform_grid(p["horizon"], p["steps"])
     qv_gaps = []
     for r in range(p["paths"]):
-        path = sto.brownian_sample(grid, 1, stream_split(root, r))
+        path = sto.brownian_sample(grid, 1, root.split(r))
         qv_gaps.append(abs(sto.quadratic_variation(path) - p["horizon"]))
     terminal = sto.brownian_sample(sto.uniform_grid(p["horizon"], 2), 100_000,
                                    _aux(root, 1)).values[-1]
@@ -496,7 +500,7 @@ def _run_ito(p, root, workers):
     identity_gaps = []
     integrals = []
     for r in range(p["paths"]):
-        path = sto.brownian_sample(grid, 1, stream_split(root, r))
+        path = sto.brownian_sample(grid, 1, root.split(r))
         b = path.values[:, 0]
         value = sto.ito_integral(b[:-1], path)
         integrals.append(value)
@@ -590,7 +594,7 @@ def _run_bayes(p, root, workers):
     post_losses = np.empty(reps)
     mle_losses = np.empty(reps)
     for r in range(reps):
-        sub = stream_split(root, r)
+        sub = root.split(r)
         mu = sub.normals(1)[0]  # the prior really generates the target
         x = mu + sub.normals(n)
         post = est.conjugate_update(prior, sample_mean=float(x.mean()), n=n,

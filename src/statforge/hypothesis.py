@@ -13,7 +13,7 @@ import numpy as np
 from .distributions import ChiSquared, DistributionSpec, FisherF, dist_cdf
 from .errors import DegenerateSampleError, DomainError, NestingError
 from .results import TestReport
-from .rng import RandomStream, stream_split
+from .rng import RandomStream
 
 __all__ = [
     "TestReport", "ks_statistic", "lrt_mean", "f_test_variances",
@@ -51,10 +51,6 @@ def ks_statistic(sample, law: Union[DistributionSpec, Callable]) -> float:
     return float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
 
 
-def _upper_tail(null_law: DistributionSpec, statistic: float) -> float:
-    return float(1.0 - dist_cdf(null_law, statistic))
-
-
 def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport:
     """Two-sided test of a normal mean.
 
@@ -73,7 +69,7 @@ def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport
         z = (x.mean() - mu0) / (sigma_known / math.sqrt(n))
         stat = z * z
         null_law = ChiSquared(1)
-        return TestReport(stat, null_law, _upper_tail(null_law, stat),
+        return TestReport(stat, null_law, float(null_law.sf(stat)),
                           kind="mean_z_squared", extras={"z": float(z)})
     if n < 2:
         raise DegenerateSampleError("studentized test needs n >= 2")
@@ -84,7 +80,7 @@ def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport
     stat = t * t
     null_law = FisherF(1, n - 1)
     h = n * math.log1p(stat / (n - 1))
-    return TestReport(stat, null_law, _upper_tail(null_law, stat),
+    return TestReport(stat, null_law, float(null_law.sf(stat)),
                       kind="mean_t_squared", extras={"t": float(t), "h": h})
 
 
@@ -127,7 +123,7 @@ def anova_one_way(groups: Sequence) -> TestReport:
         raise DegenerateSampleError("no within-group variation")
     stat = (ss_between / (p - 1)) / (ss_within / (n - p))
     null_law = FisherF(p - 1, n - p)
-    return TestReport(stat, null_law, _upper_tail(null_law, stat),
+    return TestReport(stat, null_law, float(null_law.sf(stat)),
                       kind="anova_one_way",
                       extras={"ss_total": ss_total, "ss_within": ss_within,
                               "ss_between": float(ss_between)})
@@ -144,7 +140,7 @@ def lrt_generic(loglik_full: float, loglik_null: float, df_diff: int) -> TestRep
         )
     stat = max(0.0, 2.0 * gap)
     null_law = ChiSquared(df_diff)
-    return TestReport(stat, null_law, _upper_tail(null_law, stat),
+    return TestReport(stat, null_law, float(null_law.sf(stat)),
                       kind="likelihood_ratio")
 
 
@@ -197,7 +193,7 @@ def _simulate_z(n: int, replicates: int, stream: RandomStream) -> np.ndarray:
     chunk = max(1, (1 << 22) // n)
     for start in range(0, replicates, chunk):
         stop = min(start + chunk, replicates)
-        sub = stream_split(stream, start)
+        sub = stream.split(start)
         x = sub.normals((stop - start) * n).reshape(stop - start, n)
         stats[start:stop] = n * x.mean(axis=1) ** 2
     return stats
@@ -210,7 +206,7 @@ def _simulate_t(n: int, replicates: int, stream: RandomStream) -> np.ndarray:
     chunk = max(1, (1 << 22) // n)
     for start in range(0, replicates, chunk):
         stop = min(start + chunk, replicates)
-        sub = stream_split(stream, start)
+        sub = stream.split(start)
         x = sub.normals((stop - start) * n).reshape(stop - start, n)
         t2 = n * x.mean(axis=1) ** 2 / x.var(axis=1, ddof=1)
         stats[start:stop] = n * np.log1p(t2 / (n - 1))
@@ -225,7 +221,7 @@ def _simulate_logistic_gap(n: int, replicates: int, stream: RandomStream) -> np.
     spec = bernoulli_logit()
     stats = np.empty(replicates)
     for r in range(replicates):
-        sub = stream_split(stream, r)
+        sub = stream.split(r)
         covariates = sub.normals(n * 3).reshape(n, 3)
         design_full = design_matrix(covariates)
         eta = design_full.matrix @ beta_true

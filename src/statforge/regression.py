@@ -14,7 +14,7 @@ from .distributions import FisherF, StudentT, dist_quantile
 from .errors import (ConvergenceError, DegenerateSampleError, DomainError,
                      NestingError, SingularDesignError)
 from .results import ConfidenceInterval, TestReport
-from .rng import RandomStream, stream_split
+from .rng import RandomStream
 
 __all__ = [
     "DesignMatrix", "design_matrix", "LinearFit", "ols_fit",
@@ -215,10 +215,8 @@ def f_test_nested(fit_full: LinearFit, fit_null: LinearFit) -> TestReport:
                           extras={"df_diff": 0})
     stat = ((fit_null.ss_res - fit_full.ss_res) / df_diff) / (fit_full.ss_res / df_res)
     stat = max(0.0, float(stat))
-    from .distributions import dist_cdf
-
     law = FisherF(df_diff, df_res)
-    p = float(1.0 - dist_cdf(law, stat))
+    p = float(law.sf(stat))
     return TestReport(stat, law, p, kind="f_nested", extras={"df_diff": df_diff})
 
 
@@ -403,7 +401,7 @@ def prediction_error_experiment(true_beta, x: DesignMatrix, noise_sigma: float,
         raise DomainError(f"unknown estimator {estimator!r}")
     errors = np.empty(replicates)
     for r in range(replicates):
-        sub = stream_split(stream, r)
+        sub = stream.split(r)
         y = signal + noise_sigma * sub.normals(n)
         if estimator == "ols":
             beta_hat = ols_fit(x, y).beta

@@ -7,6 +7,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import DomainError
+
 if TYPE_CHECKING:  # pragma: no cover
     from .distributions import DistributionSpec
 
@@ -22,9 +24,9 @@ class ConfidenceInterval:
 
     def __post_init__(self):
         if not self.lo <= self.hi:
-            raise ValueError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
+            raise DomainError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
         if not 0.0 < self.level < 1.0:
-            raise ValueError(f"confidence level must be in (0,1), got {self.level}")
+            raise DomainError(f"confidence level must be in (0,1), got {self.level}")
 
     @property
     def center(self) -> float:
@@ -58,11 +60,11 @@ class TestReport:
 
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0 + 1e-12:
-            raise ValueError(f"p-value outside [0,1]: {self.p_value}")
+            raise DomainError(f"p-value outside [0,1]: {self.p_value}")
 
     def reject(self, alpha: float) -> bool:
         if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must be in (0,1)")
+            raise DomainError("alpha must be in (0,1)")
         return self.p_value <= alpha
 
     def to_dict(self) -> dict:

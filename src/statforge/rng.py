@@ -64,7 +64,7 @@ class RandomStream:
 
     Identical ``(root_seed, stream_id)`` yield bit-identical draw sequences.
     The object is cheap; treat it as owned by a single worker and use
-    :func:`stream_split` to hand independent streams to other workers.
+    :meth:`split` to hand independent streams to other workers.
     """
 
     root_seed: int
@@ -125,8 +125,3 @@ class RandomStream:
             _mix64_int(self.stream_id ^ _SPLIT_SALT) + ((child_id & _MASK64) * _GOLDEN & _MASK64)
         )
         return RandomStream(self.root_seed, derived)
-
-
-def stream_split(root: RandomStream, child_id: int) -> RandomStream:
-    """Functional form of :meth:`RandomStream.split`."""
-    return root.split(child_id)

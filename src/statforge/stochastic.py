@@ -12,7 +12,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError
-from .rng import RandomStream, stream_split
+from .rng import RandomStream
 
 __all__ = [
     "TimeGrid", "uniform_grid", "BrownianPath", "brownian_sample",
@@ -178,7 +178,7 @@ def feynman_kac_mc(potential: Callable, payoff: Callable, t: float, x0,
     The time integral uses the left-endpoint rule on the simulation grid,
     matching the adapted convention of the stochastic integral; its
     discretization bias is O(mesh). Paths are generated in fixed-size
-    chunks, chunk ``c`` from ``stream_split(stream, c)``, so the estimate
+    chunks, chunk ``c`` from ``stream.split(c)``, so the estimate
     is invariant to how chunks are distributed across workers.
     """
     if steps < 1:
@@ -190,14 +190,12 @@ def feynman_kac_mc(potential: Callable, payoff: Callable, t: float, x0,
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (dim,))
     dt = t / steps
     sqrt_dt = math.sqrt(dt)
-    total = 0.0
-    total_sq = 0.0
     sums = []
     sums_sq = []
     for chunk_index, start in enumerate(range(0, n_paths, PATH_CHUNK)):
         stop = min(start + PATH_CHUNK, n_paths)
         take = stop - start
-        sub = stream_split(stream, chunk_index)
+        sub = stream.split(chunk_index)
         z = sub.normals(take * steps * dim).reshape(take, steps, dim)
         paths = np.cumsum(z * sqrt_dt, axis=1) + x0
         # left endpoints: x0, then all but the final point
@@ -322,7 +320,7 @@ def bs_mc_price(params: BSParams, n_paths: int, stream: RandomStream) -> MCEstim
     sums_sq = []
     for chunk_index, start in enumerate(range(0, n_paths, PATH_CHUNK)):
         stop = min(start + PATH_CHUNK, n_paths)
-        sub = stream_split(stream, chunk_index)
+        sub = stream.split(chunk_index)
         terminal = params.spot * np.exp(drift + spread * sub.normals(stop - start))
         payoff = discount * np.maximum(terminal - params.strike, 0.0)
         sums.append(float(payoff.sum()))

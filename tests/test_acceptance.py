@@ -14,7 +14,7 @@ from statforge import concentration as con
 from statforge import distributions as d
 from statforge import experiments as xp
 from statforge import stochastic as sto
-from statforge.rng import RandomStream, stream_split
+from statforge.rng import RandomStream
 
 SEED = 20260810
 
@@ -66,7 +66,7 @@ def test_c03_cramer_rao_attainment():
     chunk = 2000
     spec = d.Bernoulli(p)
     for start in range(0, reps, chunk):
-        sub = stream_split(root, start)
+        sub = root.split(start)
         x = d.dist_sample(spec, sub, chunk * n).reshape(chunk, n)
         means[start:start + chunk] = x.mean(axis=1)
     bound = p * (1 - p) / n
@@ -102,14 +102,14 @@ def test_c08_tail_bound_domination():
     n = 1_000_000
     # standard normal against the sub-Gaussian bound
     grid = np.linspace(0.2, 4.0, 20)
-    res = con.empirical_tail(d.Normal(0.0, 1.0), 0.0, grid, n, stream_split(root, 1))
+    res = con.empirical_tail(d.Normal(0.0, 1.0), 0.0, grid, n, root.split(1))
     ok_normal = all(
         freq <= con.tail_bound(con.SubGaussian(1.0), t).clamped + 3.0 * se
         for freq, se, t in zip(res.frequency, res.standard_error, grid))
     # chi-squared relative deviation against its two-branch bound
     k = 8
     tau = np.linspace(0.1, 2.0, 20)
-    res2 = con.empirical_tail(d.ChiSquared(k), float(k), k * tau, n, stream_split(root, 2))
+    res2 = con.empirical_tail(d.ChiSquared(k), float(k), k * tau, n, root.split(2))
     ok_chi = all(
         freq <= con.tail_bound(con.ChiSquaredRelative(k), t).clamped + 3.0 * se
         for freq, se, t in zip(res2.frequency, res2.standard_error, tau))
@@ -154,7 +154,7 @@ def test_c14_ito_isometry_martingale():
     chunk_index = 0
     while done < n_paths:
         take = min(8192, n_paths - done)
-        values = sto.brownian_sample(grid, take, stream_split(root, chunk_index)).values
+        values = sto.brownian_sample(grid, take, root.split(chunk_index)).values
         integrals[done:done + take] = (values[:-1] * np.diff(values, axis=0)).sum(axis=0)
         done += take
         chunk_index += 1

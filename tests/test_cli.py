@@ -59,6 +59,10 @@ class TestConfigParsing:
         with pytest.raises(DomainError, match="expects int"):
             cfg.resolved_params()
 
+    def test_out_is_an_unknown_key(self):
+        with pytest.raises(DomainError, match="unknown key 'out'"):
+            xp.parse_config_text('experiment = "bayes"\nseed = 1\nout = "reports"\n')
+
 
 class TestEnvelope:
     def _small_config(self, seed=5):
@@ -175,6 +179,19 @@ class TestCLI:
         cfg = self._write_config(tmp_path, 'experiment = "alchemy"\nseed = 4\n')
         assert cli.main(["run", cfg]) == 1
         assert "unknown experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("assignment,message", [
+        ("replicates=0", "'replicates' must be at least 1"),
+        ("replicates=-3", "'replicates' must be at least 1"),
+        ("delta=nan", "'delta' must be finite"),
+        ("delta=1.5", "interval"),
+    ])
+    def test_out_of_domain_value_is_error(self, tmp_path, capsys, assignment, message):
+        cfg = self._write_config(
+            tmp_path, 'experiment = "ci-coverage"\nseed = 4\nreplicates = 50\n')
+        assert cli.main(["run", cfg, "--set", assignment]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_missing_file_is_error(self):
         assert cli.main(["run", "/nonexistent/path.cfg"]) == 1

@@ -8,7 +8,7 @@ import pytest
 from statforge import concentration as con
 from statforge import distributions as d
 from statforge.errors import DomainError
-from statforge.rng import RandomStream, stream_split
+from statforge.rng import RandomStream
 
 
 class TestTailBoundFormulas:
@@ -115,7 +115,7 @@ class TestJL:
         x[0, 0] = 1.0
         total = 0.0
         for r in range(trials):
-            y = con.jl_project(x, m, stream_split(root, r))
+            y = con.jl_project(x, m, root.split(r))
             total += float((y ** 2).sum())
         assert total / trials == pytest.approx(1.0, abs=0.05)
 
@@ -132,7 +132,7 @@ class TestJL:
     def test_success_rate_at_theorem_dimension(self):
         cfg = con.JLConfig(n_points=20, ambient_dim=100, epsilon=0.4, delta=0.1)
         root = RandomStream(11)
-        wins = sum(con.jl_trial(cfg, stream_split(root, r)).success for r in range(50))
+        wins = sum(con.jl_trial(cfg, root.split(r)).success for r in range(50))
         assert wins / 50 >= 0.9
 
 
@@ -147,7 +147,7 @@ class TestErdosRenyi:
         root = RandomStream(55)
         n, p, graphs = 100, 0.1, 10_000
         pairs = n * (n - 1) // 2
-        counts = [con.er_sample(n, p, stream_split(root, r)).edges.shape[0]
+        counts = [con.er_sample(n, p, root.split(r)).edges.shape[0]
                   for r in range(graphs)]
         se = math.sqrt(pairs * p * (1 - p) / graphs)
         assert np.mean(counts) == pytest.approx(pairs * p, abs=4.0 * se)
@@ -172,7 +172,7 @@ class TestErdosRenyi:
         # one vertex degree over many graphs behaves like Bin(p; N-1)
         root = RandomStream(77)
         n, p, graphs = 30, 0.2, 4000
-        degs = np.array([con.er_metrics(con.er_sample(n, p, stream_split(root, r))).degree_sequence[0]
+        degs = np.array([con.er_metrics(con.er_sample(n, p, root.split(r))).degree_sequence[0]
                          for r in range(graphs)])
         mean, var = (n - 1) * p, (n - 1) * p * (1 - p)
         assert degs.mean() == pytest.approx(mean, abs=4.0 * math.sqrt(var / graphs))
@@ -188,7 +188,7 @@ class TestErdosRenyi:
         hits = 0
         graphs = 100
         for r in range(graphs):
-            g = con.er_sample(n, p, stream_split(root, r))
+            g = con.er_sample(n, p, root.split(r))
             degs = con.er_metrics(g).degree_sequence
             hits += bool(np.all(np.abs(degs - d_target) <= eps * d_target))
         assert hits / graphs >= 1.0 - delta

@@ -141,9 +141,14 @@ class TestQuantile:
 
     @pytest.mark.parametrize("spec", CONTINUOUS_CASES)
     def test_roundtrip_on_percentile_grid(self, spec):
-        u = np.arange(1, 100) / 100.0
+        u = np.concatenate([[1e-12, 1e-6], np.arange(1, 100) / 100.0, [1.0 - 1e-6]])
         q = d.dist_quantile(spec, u)
-        assert np.max(np.abs(d.dist_cdf(spec, q) - u)) <= 1e-10
+        gap = np.abs(d.dist_cdf(spec, q) - u)
+        assert np.max(gap) <= 1e-10
+        lower = u < 0.5
+        assert np.all(gap[lower] <= 1e-9 * u[lower])
+        for i in range(u.size):
+            assert q[i] == d.dist_quantile(spec, float(u[i]))
 
     @pytest.mark.parametrize("spec", DISCRETE_CASES)
     def test_discrete_quantile_is_smallest_point(self, spec):
@@ -153,7 +158,7 @@ class TestQuantile:
             assert d.dist_cdf(spec, q - 1.0) < u
 
     def test_domain_errors(self):
-        for u in [0.0, 1.0, -0.2, 1.4]:
+        for u in [0.0, 1.0, -0.2, 1.4, math.nan]:
             with pytest.raises(DomainError):
                 d.dist_quantile(d.Normal(0.0, 1.0), u)
 

@@ -8,7 +8,7 @@ import pytest
 from statforge import distributions as d
 from statforge import estimation as est
 from statforge.errors import DegenerateSampleError, DomainError
-from statforge.rng import RandomStream, stream_split
+from statforge.rng import RandomStream
 
 from conftest import ks_distance
 
@@ -131,7 +131,7 @@ class TestFisherInformation:
         h = 1e-4
         hessians = np.empty((reps, dim, dim))
         for r in range(reps):
-            x = d.dist_sample(spec, stream_split(root, r), n)
+            x = d.dist_sample(spec, root.split(r), n)
             ll = _loglik_fn(family, x)
             hessians[r] = _fd_hessian(ll, theta, h)
         mean_h = hessians.mean(axis=0)
@@ -199,7 +199,7 @@ class TestConfidenceIntervals:
         n, reps = 5, 20_000
         covered = 0
         for r in range(reps):
-            x = stream_split(root, r).normals(n)
+            x = root.split(r).normals(n)
             covered += est.ci_mean_t(x, 0.05).covers(0.0)
         assert covered / reps == pytest.approx(0.95, abs=0.012)
 
@@ -242,7 +242,7 @@ class TestCramerRao:
         means = np.empty(reps)
         chunk = 1000
         for start in range(0, reps, chunk):
-            sub = stream_split(root, start)
+            sub = root.split(start)
             x = d.dist_sample(spec, sub, chunk * n).reshape(chunk, n)
             means[start:start + chunk] = x.mean(axis=1)
         bound = 1.0 / est.fisher_information(family, theta, n)[0, 0]
@@ -257,7 +257,7 @@ def test_mle_asymptotic_normality_exponential():
     stats = np.empty(reps)
     chunk = 500
     for start in range(0, reps, chunk):
-        sub = stream_split(root, start)
+        sub = root.split(start)
         x = d.dist_sample(d.Exponential(1.0), sub, chunk * n).reshape(chunk, n)
         lam_hat = 1.0 / x.mean(axis=1)
         stats[start:start + chunk] = math.sqrt(n) * (lam_hat - 1.0)

@@ -8,7 +8,7 @@ import pytest
 from statforge import glm
 from statforge import regression as reg
 from statforge.errors import DomainError, NoFiniteMLEError, SeparationError
-from statforge.rng import RandomStream, stream_split
+from statforge.rng import RandomStream
 
 
 class TestExpFamilyMoments:
@@ -85,7 +85,7 @@ class TestGLMFit:
         design = reg.design_matrix(covariates)
         beta = np.array([0.5, 0.3])
         mu = np.exp(design.matrix @ beta)
-        y = np.array([float(d.dist_sample(d.Poisson(float(m)), stream_split(root, i), 1)[0])
+        y = np.array([float(d.dist_sample(d.Poisson(float(m)), root.split(i), 1)[0])
                       for i, m in enumerate(mu[:200])])
         fit = glm.glm_fit(glm.poisson_log(), reg.DesignMatrix(design.matrix[:200]), y)
         cov = np.linalg.inv(fit.fisher_info)
@@ -168,7 +168,7 @@ class TestWald:
         prob = 1.0 / (1.0 + np.exp(-(design.matrix @ beta)))
         covered = 0
         for r in range(reps):
-            y = (stream_split(root, r).uniforms(n) < prob).astype(float)
+            y = (root.split(r).uniforms(n) < prob).astype(float)
             fit = glm.glm_fit(glm.bernoulli_logit(), design, y)
             covered += glm.glm_wald_ci(fit, 1, 0.05).covers(beta[1])
         assert covered / reps == pytest.approx(0.95, abs=0.03)
@@ -206,7 +206,7 @@ class TestIRT:
         examinees = 2000
         skipped = 0
         for r in range(examinees):
-            y = (stream_split(root, r).uniforms(40) < prob).astype(float)
+            y = (root.split(r).uniforms(40) < prob).astype(float)
             if y.min() == y.max():
                 skipped += 1
                 continue

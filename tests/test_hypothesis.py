@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from statforge import distributions as d
 from statforge import hypothesis as hyp
 from statforge.errors import DegenerateSampleError, DomainError, NestingError
-from statforge.rng import RandomStream, stream_split
+from statforge.rng import RandomStream
 
 
 class TestMeanTests:
@@ -31,7 +32,7 @@ class TestMeanTests:
         n, alpha = 12, 0.05
         t_crit = d.dist_quantile(d.StudentT(n - 1), 1.0 - alpha / 2.0)
         for r in range(200):
-            x = stream_split(stream, r).normals(n) + 0.3
+            x = stream.split(r).normals(n) + 0.3
             report = hyp.lrt_mean(x, mu0=0.0)
             assert report.reject(alpha) == (abs(report.extras["t"]) >= t_crit)
             # the log-ratio value is a monotone relabeling of the statistic
@@ -98,7 +99,7 @@ class TestAnova:
         reps = 5000
         stats = np.empty(reps)
         for r in range(reps):
-            sub = stream_split(root, r)
+            sub = root.split(r)
             groups = [sub.normals(10) for _ in range(4)]
             stats[r] = hyp.anova_one_way(groups).statistic
         ks = hyp.ks_statistic(stats, d.FisherF(3, 36))
@@ -137,13 +138,21 @@ class TestGenericLRT:
         with pytest.raises(DomainError):
             hyp.lrt_generic(-4.0, -5.0, 0)
 
+    def test_p_value_far_in_the_tail(self):
+        # 1 - cdf rounds to 0 here; the true tail is erfc(sqrt(50))
+        report = hyp.lrt_generic(50.0, 0.0, 1)
+        assert report.p_value == pytest.approx(special.chdtrc(1, 100.0), rel=1e-12)
+        assert report.p_value == pytest.approx(1.5240e-23, rel=1e-4)
+
 
 class TestPValueMonotonicity:
     @pytest.mark.parametrize("law", [d.ChiSquared(1), d.ChiSquared(3), d.FisherF(2, 17)])
     def test_upper_tail_decreasing(self, law):
         grid = np.linspace(0.01, 8.0, 50)
-        p = 1.0 - d.dist_cdf(law, grid)
+        p = law.sf(grid)
         assert np.all(np.diff(p) < 0)
+        assert np.allclose(p, 1.0 - d.dist_cdf(law, grid), rtol=0.0, atol=1e-14)
+        assert law.sf(0.0) == 1.0
 
 
 class TestSizeControl:
@@ -156,7 +165,7 @@ class TestSizeControl:
         root = RandomStream(1717)
         reports_z, reports_t, reports_f, reports_a = [], [], [], []
         for r in range(self.REPS):
-            sub = stream_split(root, r)
+            sub = root.split(r)
             x = sub.normals(10)
             y = sub.normals(12)
             reports_z.append(hyp.lrt_mean(x, 0.0, sigma_known=1.0))
@@ -177,7 +186,7 @@ def test_power_increases_with_sample_size():
     for n in (10, 40, 160):
         rejections = 0
         for r in range(reps):
-            x = stream_split(root, 1000 * n + r).normals(n) + shift
+            x = root.split(1000 * n + r).normals(n) + shift
             rejections += hyp.lrt_mean(x, 0.0).reject(alpha)
         rates.append(rejections / reps)
     assert rates[0] < rates[1] < rates[2]

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from statforge import distributions as d
 from statforge import regression as reg
 from statforge.errors import (ConvergenceError, DomainError, NestingError,
                               SingularDesignError)
-from statforge.rng import RandomStream, stream_split
+from statforge.rng import RandomStream
 
 from conftest import ks_distance
 
@@ -78,7 +79,7 @@ class TestOLS:
         reps = 3000
         estimates = np.empty((reps, 4))
         for r in range(reps):
-            y = design.matrix @ beta + stream_split(root, r).normals(50)
+            y = design.matrix @ beta + root.split(r).normals(50)
             estimates[r] = reg.ols_fit(design, y).beta
         se = estimates.std(axis=0, ddof=1) / math.sqrt(reps)
         assert np.all(np.abs(estimates.mean(axis=0) - beta) <= 4.0 * se)
@@ -91,7 +92,7 @@ class TestOLS:
         reps = 5000
         scaled = np.empty(reps)
         for r in range(reps):
-            y = design.matrix @ np.ones(p + 1) + math.sqrt(sigma2) * stream_split(root, r).normals(n)
+            y = design.matrix @ np.ones(p + 1) + math.sqrt(sigma2) * root.split(r).normals(n)
             scaled[r] = df * reg.ols_fit(design, y).sigma2_hat / sigma2
         assert ks_distance(scaled, lambda t: d.dist_cdf(d.ChiSquared(df), t)) <= 0.025
 
@@ -110,7 +111,7 @@ class TestCoefIntervals:
         beta = np.array([0.5, 1.0, -1.0])
         reps, covered = 3000, 0
         for r in range(reps):
-            y = design.matrix @ beta + stream_split(root, r).normals(n)
+            y = design.matrix @ beta + root.split(r).normals(n)
             fit = reg.ols_fit(design, y)
             covered += reg.coef_interval(fit, 1, 0.05).covers(beta[1])
         assert covered / reps == pytest.approx(0.95, abs=0.02)
@@ -177,6 +178,24 @@ class TestNestedF:
         expected = (full.r2 / (1.0 - full.r2)) * (n - p - 1) / p
         assert report.statistic == pytest.approx(expected, rel=1e-10)
 
+    def test_p_value_far_in_the_tail(self):
+        # intercept plus one slope on 48 points: F(1, 46), statistic 200
+        root = RandomStream(12)
+        n = 48
+        x = root.normals(n)
+        x -= x.mean()
+        design = reg.design_matrix(x)
+        noise = root.normals(n)
+        noise -= design.matrix @ reg.ols_fit(design, noise).beta
+        slope = math.sqrt(200.0 * (noise @ noise) / 46.0 / (x @ x))
+        y = 1.0 + slope * x + noise
+        report = reg.f_test_nested(reg.ols_fit(design, y),
+                                   reg.ols_fit(reg.design_matrix(np.empty((n, 0))), y))
+        assert report.statistic == pytest.approx(200.0, rel=1e-9)
+        assert report.p_value == pytest.approx(
+            special.fdtrc(1, 46, report.statistic), rel=1e-12)
+        assert report.p_value == pytest.approx(2.307e-18, rel=1e-3)
+
     def test_non_nested_rejected(self, simple_data):
         x, y = simple_data
         full = reg.ols_fit(reg.design_matrix(x), y)
@@ -192,7 +211,7 @@ class TestNestedF:
         design_null = reg.design_matrix(covariates[:, :1])
         reps, rejections = 4000, 0
         for r in range(reps):
-            y = 1.0 + 0.8 * covariates[:, 0] + stream_split(root, r).normals(n)
+            y = 1.0 + 0.8 * covariates[:, 0] + root.split(r).normals(n)
             report = reg.f_test_nested(reg.ols_fit(design_full, y),
                                        reg.ols_fit(design_null, y))
             rejections += report.reject(0.05)
@@ -240,7 +259,7 @@ class TestRidge:
         grid = [0.0, 0.05, 0.2, 1.0, 5.0]
         sq_err = {lam: 0.0 for lam in grid}
         for r in range(reps):
-            y = design.matrix @ beta + stream_split(root, r).normals(n)
+            y = design.matrix @ beta + root.split(r).normals(n)
             for lam in grid:
                 est = reg.ridge_fit(design, y, lam).beta
                 sq_err[lam] += float(((est - beta) ** 2).sum()) / reps

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statforge.rng import RandomStream, stream_split
+from statforge.rng import RandomStream
 
 
 def test_same_key_bit_identical():
@@ -37,8 +37,8 @@ def test_split_does_not_advance_parent():
 
 def test_nested_splits_do_not_collide_with_flat_splits():
     root = RandomStream(31)
-    flat = stream_split(root, 1).uniforms(64)
-    nested = stream_split(stream_split(root, 0), 1).uniforms(64)
+    flat = root.split(1).uniforms(64)
+    nested = root.split(0).split(1).uniforms(64)
     assert not np.array_equal(flat, nested)
 
 

@@ -10,7 +10,7 @@ from scipy import integrate
 from statforge import distributions as d
 from statforge import stochastic as sto
 from statforge.errors import DomainError
-from statforge.rng import RandomStream, stream_split
+from statforge.rng import RandomStream
 
 
 def _paths_matrix(grid, n_paths, stream):
@@ -161,7 +161,7 @@ class TestGBM:
         grid = sto.uniform_grid(1.0, 2)
         mu, s0, n = 0.05, 1.0, 2000
         terminals = np.array([
-            sto.gbm_sample(mu, 0.2, s0, grid, stream_split(root, r)).values[-1]
+            sto.gbm_sample(mu, 0.2, s0, grid, root.split(r)).values[-1]
             for r in range(n)
         ])
         se = terminals.std(ddof=1) / math.sqrt(n)
@@ -180,7 +180,7 @@ class TestGBM:
         for steps in (4, 8):
             terminal = np.array([
                 sto.gbm_sample(mu, 0.3, s0, sto.uniform_grid(1.0, steps),
-                               stream_split(root, 10 * steps + r), "euler").values[-1]
+                               root.split(10 * steps + r), "euler").values[-1]
                 for r in range(n)
             ])
             gaps.append(abs(terminal.mean() - target))
@@ -224,7 +224,7 @@ class TestFeynmanKac:
                                  lambda x: x[:, 0] ** 2, 4.0, 0.0, 1,
                                  n, 1, root)
         twin = monte_carlo_mean(lambda x: x ** 2, d.Normal(0.0, 4.0), n, 0.05,
-                                stream_split(root, 0))
+                                root.split(0))
         assert res.estimate == twin.estimate
 
     def test_multidimensional_start(self):
