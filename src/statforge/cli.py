@@ -81,7 +81,13 @@ def _parse_dist_tag(tag: str):
             f"{name} expects {len(fields)} parameters ({', '.join(fields)})")
     kwargs = {}
     for field, piece in zip(fields, pieces):
-        kwargs[field] = int(piece) if field in _INT_FIELDS else float(piece)
+        kind = int if field in _INT_FIELDS else float
+        try:
+            kwargs[field] = kind(piece)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise StatforgeError(
+                f"{name} parameter {field!r} must be {noun}, got {piece!r}") from None
     return builder(**kwargs)
 
 

@@ -247,16 +247,17 @@ def ci_mean_z(sample_mean: float, sigma: float, n: int, delta: float) -> Confide
 
 
 def ci_mean_t(sample, delta: float) -> ConfidenceInterval:
-    """Studentized small-sample interval for a normal mean."""
+    """Studentized small-sample interval for a normal mean; a 2-d ``sample``
+    gives one interval per row."""
     x = np.asarray(sample, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     if n < 2:
         raise DegenerateSampleError("studentized interval needs n >= 2")
     from .distributions import StudentT
 
     quantile = float(dist_quantile(StudentT(n - 1), 1.0 - delta / 2.0))
-    half = quantile * x.std(ddof=1) / math.sqrt(n)
-    center = x.mean()
+    half = quantile * x.std(axis=-1, ddof=1) / math.sqrt(n)
+    center = x.mean(axis=-1)
     return ConfidenceInterval(center - half, center + half, 1.0 - delta, "mean_t")
 
 
@@ -339,18 +340,19 @@ def ci_parametric(kind: str, delta: float, **inputs) -> ConfidenceInterval:
 
 
 def james_stein(x, sigma2: float, shrink_target=None) -> np.ndarray:
-    """Shrink a single observed normal mean vector toward a target."""
+    """Shrink an observed normal mean vector toward a target; a 2-d ``x``
+    holds one vector per row."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
+    if x.ndim < 1 or x.shape[-1] < 1:
         raise DomainError("expected a nonempty vector")
     if sigma2 <= 0:
         raise DomainError("sigma2 must be positive")
     target = np.zeros_like(x) if shrink_target is None else np.asarray(shrink_target, dtype=float)
     centered = x - target
-    norm2 = float((centered ** 2).sum())
-    if norm2 == 0.0:
+    norm2 = (centered ** 2).sum(axis=-1, keepdims=True)
+    if np.any(norm2 == 0.0):
         raise DomainError("observation equals the shrink target; factor is singular")
-    p = x.size
+    p = x.shape[-1]
     factor = 1.0 - (p - 2.0) * sigma2 / norm2
     return factor * centered + target
 
@@ -394,7 +396,8 @@ def conjugate_update(prior: PosteriorSpec, **data) -> PosteriorSpec:
     """Bayes update of a conjugate prior.
 
     Beta prior with Bernoulli counts: ``successes``, ``trials``.
-    Normal prior with a known-noise sample summary: ``sample_mean``, ``n``,
+    Normal prior with a known-noise sample summary: ``sample_mean`` (a
+    number, or an array of one sample mean per replicate), ``n``,
     ``noise_variance``.
     """
     if isinstance(prior, BetaPosterior):

@@ -28,10 +28,13 @@ from .rng import RandomStream
 
 __all__ = ["ExperimentConfig", "Metric", "ReportEnvelope", "run_experiment",
            "experiment_tags", "parse_scalar", "parse_config_text",
-           "parse_config_file", "EXPERIMENTS"]
+           "parse_config_file", "replicate", "EXPERIMENTS"]
 
 
 # -- config -------------------------------------------------------------------
+
+# float keys that are probabilities
+_PROBABILITY_KEYS = ("delta", "max_freq_low", "min_freq_high", "min_rate")
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,9 @@ class ExperimentConfig:
                 raise DomainError(f"key {name!r} must be at least 1, got {value!r}")
             if kind is float and not math.isfinite(value):
                 raise DomainError(f"key {name!r} must be finite, got {value!r}")
+            if name in _PROBABILITY_KEYS and not 0.0 < value < 1.0:
+                raise DomainError(
+                    f"key {name!r} must lie in the open interval (0, 1), got {value!r}")
         return values
 
 
@@ -182,26 +188,41 @@ def _at_least(name, value, floor, method, se=None) -> Metric:
                   passed=bool(value >= floor))
 
 
-# -- fan-out ----------------------------------------------------------------------
+# -- replicates -------------------------------------------------------------------
+
+# Replicates per block handed to a kernel; bounds the memory of one batch.
+_REPLICATE_BLOCK = 4096
 
 
-def fan_out(task: Callable, n_replicates: int, root: RandomStream,
-            workers: int = 1) -> list:
-    """Run ``task(replicate_index, child_stream)`` for every replicate.
+def replicate(kernel: Callable, n_replicates: int, root: RandomStream,
+              workers: int = 1) -> np.ndarray:
+    """Run ``kernel`` over the child streams ``root.split(r)`` of replicates
+    ``r = 0 .. n_replicates - 1``, one contiguous block at a time.
 
-    Replicate r always receives ``root.split(r)`` and results come
-    back in replicate order, so the output is identical for any worker
-    count; ``workers > 1`` only distributes the labor.
+    ``kernel(batch)`` receives the :class:`StreamBatch` of a block and
+    returns an array whose last axis indexes its rows; the blocks' results
+    are concatenated along that axis in replicate order. Rows draw exactly
+    what ``root.split(r)`` draws, so the result is identical for any worker
+    count; ``workers > 1`` maps the blocks over a process pool, cut small
+    enough that every worker gets one.
     """
+    if n_replicates < 1:
+        raise DomainError("need at least one replicate")
+    size = _REPLICATE_BLOCK
+    if workers > 1:
+        size = min(size, -(-n_replicates // workers))
+    block = partial(_replicate_block, kernel, root, n_replicates, size)
+    starts = range(0, n_replicates, size)
     if workers <= 1:
-        return [task(r, root.split(r)) for r in range(n_replicates)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(partial(_fan_one, task, root), range(n_replicates),
-                             chunksize=max(1, n_replicates // (8 * workers))))
+        parts = [block(start) for start in starts]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(block, starts))
+    return np.concatenate(parts, axis=-1)
 
 
-def _fan_one(task, root, r):
-    return task(r, root.split(r))
+def _replicate_block(kernel, root, n_replicates, size, start):
+    return kernel(root.batch(np.arange(start, min(start + size, n_replicates))))
 
 
 # -- individual experiments ---------------------------------------------------------
@@ -228,38 +249,39 @@ def _run_mse_variance(p, root, workers):
     return metrics
 
 
-def _task_ci_cover(n, delta, r, stream):
-    return est.ci_mean_t(stream.normals(n), delta).covers(0.0)
+def _kernel_ci_cover(n, delta, batch):
+    return est.ci_mean_t(batch.normals(n), delta).covers(0.0)
 
 
 def _run_ci_coverage(p, root, workers):
-    hits = fan_out(partial(_task_ci_cover, p["n"], p["delta"]),
-                   p["replicates"], root, workers)
+    hits = replicate(partial(_kernel_ci_cover, p["n"], p["delta"]),
+                     p["replicates"], root, workers)
     rate = float(np.mean(hits))
     return [_within("coverage", rate, 1.0 - p["delta"], p["tolerance"],
                     method="studentized_interval",
-                    se=math.sqrt(rate * (1 - rate) / len(hits)))]
+                    se=math.sqrt(rate * (1 - rate) / hits.size))]
 
 
-def _task_jl(cfg, r, stream):
-    return con.jl_trial(cfg, stream).success
+def _kernel_jl(cfg, batch):
+    return np.array([con.jl_trial(cfg, stream).success for stream in batch])
 
 
 def _run_jl(p, root, workers):
     cfg = con.JLConfig(n_points=p["n_points"], ambient_dim=p["ambient_dim"],
                        epsilon=p["epsilon"], delta=p["delta"])
-    wins = fan_out(partial(_task_jl, cfg), p["replicates"], root, workers)
+    wins = replicate(partial(_kernel_jl, cfg), p["replicates"], root, workers)
     rate = float(np.mean(wins))
     return [
         Metric(name="target_dim", value=float(cfg.m), method="distortion_dim_rule"),
         _at_least("success_rate", rate, 1.0 - cfg.delta,
                   method="all_pairs_distortion",
-                  se=math.sqrt(max(rate * (1 - rate), 1e-12) / len(wins))),
+                  se=math.sqrt(max(rate * (1 - rate), 1e-12) / wins.size)),
     ]
 
 
-def _task_er_connected(n_vertices, prob, r, stream):
-    return con.er_metrics(con.er_sample(n_vertices, prob, stream)).is_connected
+def _kernel_er_connected(n_vertices, prob, batch):
+    return np.array([con.er_metrics(con.er_sample(n_vertices, prob, stream)).is_connected
+                     for stream in batch])
 
 
 def _run_er(p, root, workers):
@@ -270,9 +292,9 @@ def _run_er(p, root, workers):
         ("supercritical", p["c_high"], _at_least, p["min_freq_high"]),
     ):
         prob = min(1.0, c * math.log(n) / n)
-        task = partial(_task_er_connected, n, prob)
+        kernel = partial(_kernel_er_connected, n, prob)
         sub_root = _aux(root, 1 if label == "subcritical" else 2)
-        hits = fan_out(task, p["graphs"], sub_root, workers)
+        hits = replicate(kernel, p["graphs"], sub_root, workers)
         freq = float(np.mean(hits))
         metrics.append(check(f"connectivity_{label}", freq, floor_or_ceil,
                              method="edge_threshold_scan"))
@@ -336,12 +358,16 @@ def _run_regression(p, root, workers):
     ]
 
 
-def _task_lasso_error(true_beta, matrix, penalty, r, stream):
+def _lasso_error(true_beta, matrix, penalty, stream):
     y = matrix @ true_beta + stream.normals(matrix.shape[0])
     design = reg.DesignMatrix(matrix, has_intercept=False)
     beta_hat = reg.lasso_fit(design, y, penalty, tol=1e-8).beta
     gap = matrix @ (beta_hat - true_beta)
     return float((gap ** 2).sum() / matrix.shape[0])
+
+
+def _kernel_lasso_error(true_beta, matrix, penalty, batch):
+    return np.array([_lasso_error(true_beta, matrix, penalty, stream) for stream in batch])
 
 
 def _run_lasso_bound(p, root, workers):
@@ -355,9 +381,9 @@ def _run_lasso_bound(p, root, workers):
     kappa = reg.estimate_restricted_eigenvalue(design, np.arange(sparsity),
                                                p["re_probes"], _aux(root, 2))
     bound = 9.0 * penalty ** 2 * sparsity / kappa
-    errors = fan_out(partial(_task_lasso_error, beta, m, penalty),
-                     p["replicates"], root, workers)
-    violation = float(np.mean(np.asarray(errors) > bound))
+    errors = replicate(partial(_kernel_lasso_error, beta, m, penalty),
+                       p["replicates"], root, workers)
+    violation = float(np.mean(errors > bound))
     ceiling = 2.0 * math.exp(-t * t / 2.0) + 3.0 * math.sqrt(
         0.25 / p["replicates"])
     q, _ = np.linalg.qr(_aux(root, 3).normals(40 * 4).reshape(40, 4))
@@ -435,27 +461,28 @@ def _run_irt(p, root, workers):
                       method="ability_newton_solve")]
 
 
+_TEST_SIZE_LEVELS = (0.05, 0.01)
+
+
+def _kernel_test_size(n, batch):
+    """Rejections of the four tests at each level, one row per (test, level)."""
+    x = batch.normals(n)
+    y = batch.normals(n + 2)
+    reports = (hyp.lrt_mean(x, 0.0, sigma_known=1.0), hyp.lrt_mean(x, 0.0),
+               hyp.f_test_variances(x, y),
+               hyp.anova_one_way([x[:, : n // 2], x[:, n // 2:], y]))
+    return np.array([report.reject(alpha) for report in reports
+                     for alpha in _TEST_SIZE_LEVELS])
+
+
 def _run_test_size(p, root, workers):
     reps = p["replicates"]
-    rejections = {("z", 0.05): 0, ("z", 0.01): 0, ("t", 0.05): 0, ("t", 0.01): 0,
-                  ("f", 0.05): 0, ("f", 0.01): 0, ("anova", 0.05): 0, ("anova", 0.01): 0}
-    n = p["n"]
-    for r in range(reps):
-        sub = root.split(r)
-        x = sub.normals(n)
-        y = sub.normals(n + 2)
-        reports = {
-            "z": hyp.lrt_mean(x, 0.0, sigma_known=1.0),
-            "t": hyp.lrt_mean(x, 0.0),
-            "f": hyp.f_test_variances(x, y),
-            "anova": hyp.anova_one_way([x[: n // 2], x[n // 2:], y]),
-        }
-        for name, report in reports.items():
-            for alpha in (0.05, 0.01):
-                rejections[(name, alpha)] += report.reject(alpha)
+    rejections = replicate(partial(_kernel_test_size, p["n"]), reps, root, workers)
+    names = [(name, alpha) for name in ("z", "t", "f", "anova")
+             for alpha in _TEST_SIZE_LEVELS]
     metrics = []
-    for (name, alpha), count in rejections.items():
-        rate = count / reps
+    for (name, alpha), hits in zip(names, rejections):
+        rate = int(hits.sum()) / reps
         se = math.sqrt(alpha * (1 - alpha) / reps)
         metrics.append(_within(f"size_{name}_{alpha}", rate, alpha, 3.0 * se,
                                method="null_rejection_rate", se=se))
@@ -570,19 +597,27 @@ def _run_gauss_conc(p, root, workers):
                      method="lipschitz_tail_bound")]
 
 
-def _task_js_loss(p_dim, r, stream):
-    x = stream.normals(p_dim)
-    return float((est.james_stein(x, 1.0) ** 2).sum())
+def _kernel_js_loss(dim, batch):
+    return (est.james_stein(batch.normals(dim), 1.0) ** 2).sum(axis=-1)
 
 
 def _run_james_stein(p, root, workers):
-    losses = fan_out(partial(_task_js_loss, p["dim"]), p["replicates"], root,
-                     workers)
+    losses = replicate(partial(_kernel_js_loss, p["dim"]), p["replicates"], root,
+                       workers)
     mse = float(np.mean(losses))
     # risk of the shrunk estimate at a zero mean: dim - (dim - 2) = 2
     return [_within("shrunk_mse", mse, p["dim"] - (p["dim"] - 2.0),
                     p["tolerance"], method="quadratic_risk",
-                    se=float(np.std(losses, ddof=1) / math.sqrt(len(losses))))]
+                    se=float(np.std(losses, ddof=1) / math.sqrt(losses.size)))]
+
+
+def _kernel_bayes_losses(n, prior, batch):
+    """Squared errors of the posterior mean and of the sample mean."""
+    mu = batch.normals(1)[:, 0]  # the prior really generates the target
+    x = mu[:, None] + batch.normals(n)
+    xbar = x.mean(axis=-1)
+    post = est.conjugate_update(prior, sample_mean=xbar, n=n, noise_variance=1.0)
+    return np.stack([(post.mean - mu) ** 2, (xbar - mu) ** 2])
 
 
 def _run_bayes(p, root, workers):
@@ -590,17 +625,8 @@ def _run_bayes(p, root, workers):
     succ = est.conjugate_update(est.BetaPosterior(1.0, 1.0), successes=n, trials=n)
     rule = succ.predictive_success
     prior = est.NormalPosterior(mean=0.0, variance=1.0)
-    reps = p["replicates"]
-    post_losses = np.empty(reps)
-    mle_losses = np.empty(reps)
-    for r in range(reps):
-        sub = root.split(r)
-        mu = sub.normals(1)[0]  # the prior really generates the target
-        x = mu + sub.normals(n)
-        post = est.conjugate_update(prior, sample_mean=float(x.mean()), n=n,
-                                    noise_variance=1.0)
-        post_losses[r] = (post.mean - mu) ** 2
-        mle_losses[r] = (x.mean() - mu) ** 2
+    post_losses, mle_losses = replicate(partial(_kernel_bayes_losses, n, prior),
+                                        p["replicates"], root, workers)
     return [
         _within("rule_of_succession", rule, (n + 1.0) / (n + 2.0), 1e-12,
                 method="conjugate_posterior_mean"),

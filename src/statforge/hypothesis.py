@@ -51,6 +51,11 @@ def ks_statistic(sample, law: Union[DistributionSpec, Callable]) -> float:
     return float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
 
 
+def _scalar_or_rows(value):
+    """A float for a single sample, the array for a batch of samples."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport:
     """Two-sided test of a normal mean.
 
@@ -58,75 +63,83 @@ def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport
     chi-squared with one degree of freedom (exactly, not asymptotically).
     Otherwise the squared studentized mean is referred to F(1, n-1); the
     equivalent monotone log-ratio value ``h`` is reported alongside.
+    A 2-d ``sample`` is tested row by row.
     """
     x = np.asarray(sample, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     if sigma_known is not None:
         if n < 1:
             raise DegenerateSampleError("need at least one observation")
         if sigma_known <= 0:
             raise DomainError("known sigma must be positive")
-        z = (x.mean() - mu0) / (sigma_known / math.sqrt(n))
+        z = (x.mean(axis=-1) - mu0) / (sigma_known / math.sqrt(n))
         stat = z * z
         null_law = ChiSquared(1)
-        return TestReport(stat, null_law, float(null_law.sf(stat)),
-                          kind="mean_z_squared", extras={"z": float(z)})
+        return TestReport(stat, null_law, _scalar_or_rows(null_law.sf(stat)),
+                          kind="mean_z_squared", extras={"z": _scalar_or_rows(z)})
     if n < 2:
         raise DegenerateSampleError("studentized test needs n >= 2")
-    sd = x.std(ddof=1)
-    if sd == 0.0:
+    sd = x.std(axis=-1, ddof=1)
+    if np.any(sd == 0.0):
         raise DegenerateSampleError("zero sample standard deviation")
-    t = (x.mean() - mu0) / (sd / math.sqrt(n))
+    t = (x.mean(axis=-1) - mu0) / (sd / math.sqrt(n))
     stat = t * t
     null_law = FisherF(1, n - 1)
-    h = n * math.log1p(stat / (n - 1))
-    return TestReport(stat, null_law, float(null_law.sf(stat)),
-                      kind="mean_t_squared", extras={"t": float(t), "h": h})
+    h = n * np.log1p(stat / (n - 1))
+    return TestReport(stat, null_law, _scalar_or_rows(null_law.sf(stat)),
+                      kind="mean_t_squared",
+                      extras={"t": _scalar_or_rows(t), "h": _scalar_or_rows(h)})
 
 
 def f_test_variances(sample_x, sample_y) -> TestReport:
-    """Equal-tailed two-sided test of equality of two normal variances."""
+    """Equal-tailed two-sided test of equality of two normal variances; 2-d
+    samples are tested row by row."""
     x = np.asarray(sample_x, dtype=float)
     y = np.asarray(sample_y, dtype=float)
-    if x.size < 2 or y.size < 2:
+    if x.shape[-1] < 2 or y.shape[-1] < 2:
         raise DegenerateSampleError("both samples need at least two points")
-    vx, vy = x.var(ddof=1), y.var(ddof=1)
-    if vx == 0.0 or vy == 0.0:
+    vx, vy = x.var(axis=-1, ddof=1), y.var(axis=-1, ddof=1)
+    if np.any(vx == 0.0) or np.any(vy == 0.0):
         raise DegenerateSampleError("zero sample variance")
     stat = vx / vy
-    null_law = FisherF(x.size - 1, y.size - 1)
-    lower = float(dist_cdf(null_law, stat))
-    p = min(1.0, 2.0 * min(lower, 1.0 - lower))
-    return TestReport(stat, null_law, p, kind="variance_ratio_two_sided")
+    null_law = FisherF(x.shape[-1] - 1, y.shape[-1] - 1)
+    lower = dist_cdf(null_law, stat)
+    p = np.minimum(1.0, 2.0 * np.minimum(lower, 1.0 - lower))
+    return TestReport(stat, null_law, _scalar_or_rows(p),
+                      kind="variance_ratio_two_sided")
 
 
 def anova_one_way(groups: Sequence) -> TestReport:
     """Equality of several normal means under a shared variance.
 
     Accepts two groups as well, where the statistic reduces to the square
-    of the pooled two-sample t statistic.
+    of the pooled two-sample t statistic. Groups of 2-d arrays with equal
+    row counts are tested row by row.
     """
     arrays = [np.asarray(g, dtype=float) for g in groups]
     p = len(arrays)
     if p < 2:
         raise DomainError("need at least two groups")
-    if any(a.size < 1 for a in arrays):
+    sizes = [a.shape[-1] for a in arrays]
+    if min(sizes) < 1:
         raise DegenerateSampleError("every group needs at least one observation")
-    n = sum(a.size for a in arrays)
+    n = sum(sizes)
     if n <= p:
         raise DegenerateSampleError("within-group degrees of freedom exhausted")
-    grand = sum(a.sum() for a in arrays) / n
-    ss_within = sum(float(((a - a.mean()) ** 2).sum()) for a in arrays)
-    ss_between = sum(a.size * (a.mean() - grand) ** 2 for a in arrays)
-    ss_total = sum(float(((a - grand) ** 2).sum()) for a in arrays)
-    if ss_within == 0.0:
+    means = [a.mean(axis=-1, keepdims=True) for a in arrays]
+    grand = sum(a.sum(axis=-1, keepdims=True) for a in arrays) / n
+    ss_within = sum(((a - m) ** 2).sum(axis=-1) for a, m in zip(arrays, means))
+    ss_between = sum(k * (m[..., 0] - grand[..., 0]) ** 2 for k, m in zip(sizes, means))
+    ss_total = sum(((a - grand) ** 2).sum(axis=-1) for a in arrays)
+    if np.any(ss_within == 0.0):
         raise DegenerateSampleError("no within-group variation")
     stat = (ss_between / (p - 1)) / (ss_within / (n - p))
     null_law = FisherF(p - 1, n - p)
-    return TestReport(stat, null_law, float(null_law.sf(stat)),
+    return TestReport(stat, null_law, _scalar_or_rows(null_law.sf(stat)),
                       kind="anova_one_way",
-                      extras={"ss_total": ss_total, "ss_within": ss_within,
-                              "ss_between": float(ss_between)})
+                      extras={"ss_total": _scalar_or_rows(ss_total),
+                              "ss_within": _scalar_or_rows(ss_within),
+                              "ss_between": _scalar_or_rows(ss_between)})
 
 
 def lrt_generic(loglik_full: float, loglik_null: float, df_diff: int) -> TestReport:

@@ -15,7 +15,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
-    """An interval estimate ``[lo, hi]`` at confidence level ``1 - delta``."""
+    """An interval estimate ``[lo, hi]`` at confidence level ``1 - delta``;
+    ``lo`` and ``hi`` may be arrays of one interval per replicate."""
 
     lo: float
     hi: float
@@ -23,7 +24,7 @@ class ConfidenceInterval:
     kind: str
 
     def __post_init__(self):
-        if not self.lo <= self.hi:
+        if not np.all(self.lo <= self.hi):
             raise DomainError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
         if not 0.0 < self.level < 1.0:
             raise DomainError(f"confidence level must be in (0,1), got {self.level}")
@@ -37,7 +38,7 @@ class ConfidenceInterval:
         return 0.5 * (self.hi - self.lo)
 
     def covers(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
+        return (self.lo <= value) & (value <= self.hi)
 
     def to_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "level": self.level, "kind": self.kind}
@@ -49,7 +50,8 @@ class TestReport:
 
     ``p_value`` is the null probability of a statistic at least as extreme
     as the observed one; two-sided conventions are baked in per test and
-    recorded in ``kind``.
+    recorded in ``kind``. ``statistic`` and ``p_value`` are arrays when a
+    test runs on a batch of samples.
     """
 
     statistic: float
@@ -59,7 +61,7 @@ class TestReport:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0.0 <= self.p_value <= 1.0 + 1e-12:
+        if not np.all((0.0 <= self.p_value) & (self.p_value <= 1.0 + 1e-12)):
             raise DomainError(f"p-value outside [0,1]: {self.p_value}")
 
     def reject(self, alpha: float) -> bool:

@@ -5,6 +5,9 @@ by hashing a 64-bit counter (SplitMix64 finalizer), so draws are a pure
 function of (seed, id, counter position). Splitting derives a child id in
 O(1) and never touches the parent state, which makes replicate-parallel
 Monte Carlo reproducible independently of worker count or execution order.
+Because word ``i`` depends only on the stream's base and ``i``, a batch of
+child streams is drawn as one ``(R, k)`` array whose rows are bit-identical
+to the children drawn one by one (the Random123 / SplitMix idea).
 """
 
 from __future__ import annotations
@@ -19,47 +22,110 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _SPLIT_SALT = 0xC2B2AE3D27D4EB4F
 
-# Bound on temporary arrays when generating very long outputs.
-_DRAW_CHUNK = 1 << 22
+# Bound on temporary arrays when generating long outputs; cache-sized.
+_DRAW_CHUNK = 1 << 15
 
-_IOTA = np.arange(_DRAW_CHUNK, dtype=np.uint64)
-
-
-def _iota(n: int) -> np.ndarray:
-    return _IOTA[:n] if n <= _DRAW_CHUNK else np.arange(n, dtype=np.uint64)
+# golden * i for the counter offsets i of one chunk
+_STEPS = np.arange(_DRAW_CHUNK, dtype=np.uint64) * np.uint64(_GOLDEN)
 
 
-def _mix64_int(z: int) -> int:
-    """SplitMix64 finalizer on a Python int (mod 2**64)."""
-    z &= _MASK64
+def _mix64(z):
+    """SplitMix64 finalizer on a Python int or a uint64 array (mod 2**64)."""
+    z = z & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_UMIX1, _UMIX2 = np.uint64(_MIX1), np.uint64(_MIX2)
+_U11, _U1, _ULP53 = np.uint64(11), np.uint64(1), np.float64(2.0 ** -53)
+
+
+def _mix64_array(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer, mutating ``z`` (and ``scratch``) in place."""
-    if scratch is None or scratch.shape != z.shape:
-        scratch = np.empty_like(z)
-    np.right_shift(z, np.uint64(30), out=scratch)
+    np.right_shift(z, _U30, out=scratch)
     z ^= scratch
-    z *= np.uint64(_MIX1)
-    np.right_shift(z, np.uint64(27), out=scratch)
+    z *= _UMIX1
+    np.right_shift(z, _U27, out=scratch)
     z ^= scratch
-    z *= np.uint64(_MIX2)
-    np.right_shift(z, np.uint64(31), out=scratch)
+    z *= _UMIX2
+    np.right_shift(z, _U31, out=scratch)
     z ^= scratch
     return z
 
 
-def _stream_base(root_seed: int, stream_id: int) -> int:
-    a = _mix64_int((root_seed & _MASK64) + _GOLDEN)
-    b = _mix64_int((stream_id & _MASK64) ^ _SPLIT_SALT)
-    return _mix64_int(a ^ (b * _GOLDEN & _MASK64))
+def _stream_base(root_seed: int, stream_id):
+    """Base word of stream ``(root_seed, stream_id)``; ``stream_id`` may be
+    a uint64 array of ids."""
+    a = _mix64((root_seed & _MASK64) + _GOLDEN)
+    b = _mix64((stream_id & _MASK64) ^ _SPLIT_SALT)
+    return _mix64(a ^ (b * _GOLDEN & _MASK64))
+
+
+def _child_id(stream_id: int, child_id):
+    """Id of child ``child_id`` (an int or a uint64 array) of ``stream_id``."""
+    return _mix64(_mix64(stream_id ^ _SPLIT_SALT) + ((child_id & _MASK64) * _GOLDEN & _MASK64))
+
+
+def _words(bases: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Words ``start .. start + count - 1`` of the streams with the given
+    bases, shape ``(bases.size, count)``: word ``i`` of a stream is
+    ``mix64(base + golden * i)``."""
+    out = np.empty((bases.size, count), dtype=np.uint64)
+    rows = max(1, _DRAW_CHUNK // max(count, 1))
+    scratch = np.empty(min(out.size, _DRAW_CHUNK), dtype=np.uint64)
+    for col in range(0, count, _DRAW_CHUNK):
+        stop = min(col + _DRAW_CHUNK, count)
+        offsets = bases + np.uint64(_GOLDEN * (start + col) & _MASK64)
+        for row in range(0, bases.size, rows):
+            block = out[row:row + rows, col:stop]
+            np.add(offsets[row:row + rows, None], _STEPS[: stop - col], out=block)
+            _mix64_array(block, scratch[: block.size].reshape(block.shape))
+    return out
+
+
+class _Draws:
+    """Draw methods shared by one stream and a batch of streams. Each call
+    takes the next ``count`` words of every stream from one counter and
+    works along the last axis of the words."""
+
+    counter: int
+    _bases: np.ndarray
+
+    def _raw_rows(self, count: int) -> np.ndarray:
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        out = _words(self._bases, self.counter, count)
+        self.counter += count
+        return out
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """i.i.d. uniforms on [0, 1)."""
+        bits = self.raw(count)
+        bits >>= _U11
+        return bits * _ULP53
+
+    def uniforms_open(self, count: int) -> np.ndarray:
+        """i.i.d. uniforms on (0, 1], safe as log arguments."""
+        bits = self.raw(count)
+        bits >>= _U11
+        bits += _U1
+        return bits * _ULP53
+
+    def normals(self, count: int) -> np.ndarray:
+        """i.i.d. standard normals via the Box-Muller transform."""
+        pairs = (count + 1) // 2
+        u1 = self.uniforms_open(pairs)
+        u2 = self.uniforms(pairs)
+        radius = np.sqrt(-2.0 * np.log(u1))
+        angle = (2.0 * np.pi) * u2
+        out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+        return out[..., :count]
 
 
 @dataclass
-class RandomStream:
+class RandomStream(_Draws):
     """Counter-based PRNG state.
 
     Identical ``(root_seed, stream_id)`` yield bit-identical draw sequences.
@@ -70,58 +136,54 @@ class RandomStream:
     root_seed: int
     stream_id: int = 0
     counter: int = 0
-    _base: int = field(init=False, repr=False)
+    _bases: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.root_seed &= _MASK64
         self.stream_id &= _MASK64
-        self._base = _stream_base(self.root_seed, self.stream_id)
+        self._bases = np.array([_stream_base(self.root_seed, self.stream_id)],
+                               dtype=np.uint64)
 
     def raw(self, count: int) -> np.ndarray:
         """Next ``count`` raw uint64 words."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        out = np.empty(count, dtype=np.uint64)
-        golden = np.uint64(_GOLDEN)
-        scratch = np.empty(min(count, _DRAW_CHUNK), dtype=np.uint64)
-        for start in range(0, count, _DRAW_CHUNK):
-            stop = min(start + _DRAW_CHUNK, count)
-            block = out[start:stop]
-            np.copyto(block, _iota(stop - start))
-            block *= golden
-            block += np.uint64((self._base + _GOLDEN * (self.counter + start)) & _MASK64)
-            _mix64_array(block, scratch[: stop - start])
-        self.counter += count
-        return out
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """i.i.d. uniforms on [0, 1)."""
-        bits = self.raw(count)
-        bits >>= np.uint64(11)
-        return bits * np.float64(2.0 ** -53)
-
-    def uniforms_open(self, count: int) -> np.ndarray:
-        """i.i.d. uniforms on (0, 1], safe as log arguments."""
-        bits = self.raw(count)
-        bits >>= np.uint64(11)
-        bits += np.uint64(1)
-        return bits * np.float64(2.0 ** -53)
-
-    def normals(self, count: int) -> np.ndarray:
-        """i.i.d. standard normals via the Box-Muller transform."""
-        if count == 0:
-            return np.empty(0)
-        pairs = (count + 1) // 2
-        u1 = self.uniforms_open(pairs)
-        u2 = self.uniforms(pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = (2.0 * np.pi) * u2
-        out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-        return out[:count]
+        return self._raw_rows(count)[0]
 
     def split(self, child_id: int) -> "RandomStream":
         """Child stream keyed by this stream's identity and ``child_id``."""
-        derived = _mix64_int(
-            _mix64_int(self.stream_id ^ _SPLIT_SALT) + ((child_id & _MASK64) * _GOLDEN & _MASK64)
-        )
-        return RandomStream(self.root_seed, derived)
+        return RandomStream(self.root_seed, _child_id(self.stream_id, child_id))
+
+    def batch(self, ids) -> "StreamBatch":
+        """The child streams ``self.split(i)`` for every ``i`` in ``ids``,
+        drawn together: see :class:`StreamBatch`."""
+        ids = np.asarray(ids)
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ValueError("ids must be a one-dimensional array of integers")
+        return StreamBatch(self.root_seed, _child_id(self.stream_id, ids.astype(np.uint64)))
+
+
+class StreamBatch(_Draws):
+    """Several streams of one root seed drawn as one array.
+
+    ``raw``, ``uniforms``, ``uniforms_open`` and ``normals`` return
+    ``(R, count)`` arrays whose row ``i`` is bit-identical to the same
+    sequence of calls on the stream ``(root_seed, stream_ids[i])``; one
+    counter serves every row. Iterating yields those streams as
+    :class:`RandomStream` objects at the batch's counter.
+    """
+
+    def __init__(self, root_seed: int, stream_ids: np.ndarray):
+        self.root_seed = root_seed
+        self.stream_ids = stream_ids
+        self.counter = 0
+        self._bases = _stream_base(root_seed, stream_ids)
+
+    def __len__(self) -> int:
+        return self.stream_ids.size
+
+    def __iter__(self):
+        for stream_id in self.stream_ids.tolist():
+            yield RandomStream(self.root_seed, stream_id, self.counter)
+
+    def raw(self, count: int) -> np.ndarray:
+        """Next ``count`` raw uint64 words of every stream, ``(R, count)``."""
+        return self._raw_rows(count)

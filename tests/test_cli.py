@@ -1,6 +1,8 @@
 """Config parsing, experiment envelopes, CLI behavior, determinism."""
 
+import hashlib
 import json
+from functools import partial
 
 import pytest
 
@@ -108,18 +110,39 @@ class TestEnvelope:
             assert metric.method
 
 
-def _scaled_uniform_sum(scale, r, stream):
-    return scale * float(stream.uniforms(3).sum())
+    @pytest.mark.parametrize("tag,params", [
+        ("bayes", {"replicates": 300}),
+        ("test-size", {"replicates": 300}),
+    ])
+    def test_report_digest_invariant_to_workers(self, tag, params):
+        digests = []
+        for workers in (1, 2):
+            report = xp.run_experiment(xp.ExperimentConfig(
+                experiment=tag, seed=9, params=params), workers=workers).to_dict()
+            report.pop("wall_time_s")
+            digests.append(hashlib.sha256(
+                json.dumps(report, sort_keys=True).encode()).hexdigest())
+        assert digests[0] == digests[1]
 
 
-class TestFanOut:
+def _scaled_uniform_sums(scale, batch):
+    return scale * batch.uniforms(3).sum(axis=-1)
+
+
+class TestReplicate:
     def test_matches_serial(self):
-        from functools import partial
-
         root = RandomStream(77)
-        serial = xp.fan_out(partial(_scaled_uniform_sum, 2.0), 20, root, workers=1)
-        spread = xp.fan_out(partial(_scaled_uniform_sum, 2.0), 20, root, workers=4)
-        assert serial == spread
+        serial = xp.replicate(partial(_scaled_uniform_sums, 2.0), 20, root, workers=1)
+        spread = xp.replicate(partial(_scaled_uniform_sums, 2.0), 20, root, workers=4)
+        assert serial.tobytes() == spread.tobytes()
+
+    def test_rows_are_split_streams_across_blocks(self):
+        root = RandomStream(78)
+        n = xp._REPLICATE_BLOCK + 3
+        sums = xp.replicate(partial(_scaled_uniform_sums, 1.0), n, root)
+        assert sums.shape == (n,)
+        for r in (0, xp._REPLICATE_BLOCK - 1, xp._REPLICATE_BLOCK, n - 1):
+            assert sums[r] == root.split(r).uniforms(3).sum()
 
 
 class TestCLI:
@@ -185,6 +208,8 @@ class TestCLI:
         ("replicates=-3", "'replicates' must be at least 1"),
         ("delta=nan", "'delta' must be finite"),
         ("delta=1.5", "interval"),
+        ("delta=1.5", "key 'delta' must lie in the open interval (0, 1), got 1.5"),
+        ("delta=0.0", "key 'delta' must lie in the open interval (0, 1), got 0.0"),
     ])
     def test_out_of_domain_value_is_error(self, tmp_path, capsys, assignment, message):
         cfg = self._write_config(
@@ -214,6 +239,15 @@ class TestCLI:
     def test_dist_bad_tag(self, capsys):
         assert cli.main(["dist", "weibull:1,2", "--pdf", "0.5"]) == 1
         assert cli.main(["dist", "normal:0", "--pdf", "0.5"]) == 1
+
+    @pytest.mark.parametrize("tag,message", [
+        ("normal:a,1", "normal parameter 'mu' must be a number, got 'a'"),
+        ("chisquared:2.5", "chisquared parameter 'k' must be an integer, got '2.5'"),
+    ])
+    def test_dist_bad_parameter(self, capsys, tag, message):
+        assert cli.main(["dist", tag, "--pdf", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
 
 class TestSmallRunsOfHeavyExperiments:

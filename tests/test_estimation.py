@@ -231,6 +231,14 @@ class TestConfidenceIntervals:
             est.ci_parametric("bootstrap", 0.05)
 
 
+    def test_t_interval_rows_match_single_samples(self):
+        x = RandomStream(616).batch(range(5)).normals(6)
+        batched = est.ci_mean_t(x, 0.1)
+        for i in range(x.shape[0]):
+            single = est.ci_mean_t(x[i], 0.1)
+            assert (batched.lo[i], batched.hi[i]) == (single.lo, single.hi)
+            assert batched.covers(0.0)[i] == single.covers(0.0)
+
 class TestCramerRao:
     @pytest.mark.parametrize("spec,family,theta", [
         (d.Bernoulli(0.3), "bernoulli", [0.3]),
@@ -283,6 +291,18 @@ class TestJamesStein:
         with pytest.raises(DomainError):
             est.james_stein(np.zeros(3), 1.0)
 
+    def test_rows_match_single_vectors(self):
+        x = RandomStream(717).batch(range(4)).normals(5)
+        batched = est.james_stein(x, 1.0)
+        for i in range(x.shape[0]):
+            assert batched[i].tobytes() == est.james_stein(x[i], 1.0).tobytes()
+
+    def test_one_row_at_target_raises(self):
+        x = RandomStream(718).batch(range(4)).normals(5)
+        x[2] = 0.0
+        with pytest.raises(DomainError, match="shrink target"):
+            est.james_stein(x, 1.0)
+
     def test_risk_improvement_at_origin(self):
         p, reps = 10, 20_000
         x = RandomStream(1234).normals(p * reps).reshape(reps, p)
@@ -308,6 +328,15 @@ class TestConjugateBayes:
         prior = est.NormalPosterior(mean=-3.0, variance=1e9 * 2.0 / 4.0)
         post = est.conjugate_update(prior, sample_mean=6.0, n=4, noise_variance=2.0)
         assert abs(post.mean - 6.0) < 1e-6
+
+    def test_normal_update_of_many_sample_means(self):
+        prior = est.NormalPosterior(mean=2.0, variance=0.5)
+        means = np.array([6.0, -1.0, 0.25])
+        post = est.conjugate_update(prior, sample_mean=means, n=4, noise_variance=2.0)
+        for i, xbar in enumerate(means):
+            one = est.conjugate_update(prior, sample_mean=float(xbar), n=4,
+                                       noise_variance=2.0)
+            assert post.mean[i] == one.mean and post.variance == one.variance
 
     def test_impossible_counts(self):
         with pytest.raises(DomainError):

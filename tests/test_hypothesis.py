@@ -112,6 +112,38 @@ class TestAnova:
             hyp.anova_one_way([np.array([1.0, 1.0]), np.array([2.0, 2.0])])
 
 
+class TestBatchedRows:
+    """A 2-d sample is tested row by row, with the 1-d results bit for bit."""
+
+    def _rows(self):
+        batch = RandomStream(515).batch(range(6))
+        return batch.normals(7), batch.normals(9)
+
+    def test_rows_match_single_samples(self):
+        x, y = self._rows()
+        batched = [hyp.lrt_mean(x, 0.1, sigma_known=1.0), hyp.lrt_mean(x, 0.1),
+                   hyp.f_test_variances(x, y),
+                   hyp.anova_one_way([x[:, :3], x[:, 3:], y])]
+        for i in range(x.shape[0]):
+            single = [hyp.lrt_mean(x[i], 0.1, sigma_known=1.0), hyp.lrt_mean(x[i], 0.1),
+                      hyp.f_test_variances(x[i], y[i]),
+                      hyp.anova_one_way([x[i, :3], x[i, 3:], y[i]])]
+            for many, one in zip(batched, single):
+                assert many.statistic[i] == one.statistic
+                assert many.p_value[i] == one.p_value
+                assert many.reject(0.05)[i] == one.reject(0.05)
+
+    def test_one_degenerate_row_raises(self):
+        x, y = self._rows()
+        x[4] = 2.0
+        with pytest.raises(DegenerateSampleError, match="standard deviation"):
+            hyp.lrt_mean(x, 0.0)
+        with pytest.raises(DegenerateSampleError, match="variance"):
+            hyp.f_test_variances(y, x)
+        with pytest.raises(DegenerateSampleError, match="within-group"):
+            hyp.anova_one_way([x[:, :3], x[:, 3:]])
+
+
 class TestGenericLRT:
     def test_equal_likelihoods(self):
         report = hyp.lrt_generic(-10.0, -10.0, 1)

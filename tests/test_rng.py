@@ -80,3 +80,38 @@ def test_raw_draws_negative_count_rejected():
 def test_odd_normal_count():
     z = RandomStream(4).normals(7)
     assert z.shape == (7,)
+
+
+_DRAW_METHODS = ("raw", "uniforms", "uniforms_open", "normals")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), sid=st.integers(0, 2**64 - 1),
+       ids=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=12),
+       calls=st.lists(st.tuples(st.sampled_from(_DRAW_METHODS),
+                                st.sampled_from([0, 1, 2, 5, 8, 13])),
+                      max_size=6))
+def test_batch_rows_equal_split_streams(seed, sid, ids, calls):
+    root = RandomStream(seed, sid)
+    batch = root.batch(ids)
+    children = [root.split(i) for i in ids]
+    for method, count in calls:
+        rows = getattr(batch, method)(count)
+        assert rows.shape == (len(ids), count)
+        for row, child in zip(rows, children):
+            assert getattr(child, method)(count).tobytes() == row.tobytes()
+    assert [(s.stream_id, s.counter) for s in batch] == \
+        [(c.stream_id, c.counter) for c in children]
+
+
+def test_batch_spans_draw_chunks():
+    root = RandomStream(8)
+    big = root.batch([3, 4]).raw(70_001)
+    assert np.array_equal(big[1], root.split(4).raw(70_001))
+    many = root.batch(np.arange(5000)).normals(9)
+    assert np.array_equal(many[4321], root.split(4321).normals(9))
+
+
+def test_batch_rejects_non_integer_ids():
+    with pytest.raises(ValueError):
+        RandomStream(1).batch([0.5, 1.5])
