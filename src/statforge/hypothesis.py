@@ -103,8 +103,7 @@ def f_test_variances(sample_x, sample_y) -> TestReport:
         raise DegenerateSampleError("zero sample variance")
     stat = vx / vy
     null_law = FisherF(x.shape[-1] - 1, y.shape[-1] - 1)
-    lower = dist_cdf(null_law, stat)
-    p = np.minimum(1.0, 2.0 * np.minimum(lower, 1.0 - lower))
+    p = np.minimum(1.0, 2.0 * np.minimum(dist_cdf(null_law, stat), null_law.sf(stat)))
     return TestReport(stat, null_law, _scalar_or_rows(p),
                       kind="variance_ratio_two_sided")
 

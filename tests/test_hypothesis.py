@@ -70,6 +70,14 @@ class TestVarianceRatio:
         with pytest.raises(DegenerateSampleError):
             hyp.f_test_variances([1.0, 1.0, 1.0], [0.5, 0.7, 0.2])
 
+    def test_p_value_far_in_the_upper_tail(self):
+        x = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0]) * 1e4
+        y = np.array([-1.0, 1.0, 0.0, 0.0])
+        report = hyp.f_test_variances(x, y)
+        expected = 2.0 * special.fdtrc(5, 3, report.statistic)
+        assert report.statistic > 1e8
+        assert report.p_value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 
 class TestAnova:
     def test_no_between_variation(self):
@@ -173,8 +181,8 @@ class TestGenericLRT:
     def test_p_value_far_in_the_tail(self):
         # 1 - cdf rounds to 0 here; the true tail is erfc(sqrt(50))
         report = hyp.lrt_generic(50.0, 0.0, 1)
-        assert report.p_value == pytest.approx(special.chdtrc(1, 100.0), rel=1e-12)
-        assert report.p_value == pytest.approx(1.5240e-23, rel=1e-4)
+        assert report.p_value == pytest.approx(special.chdtrc(1, 100.0), rel=1e-12, abs=0.0)
+        assert report.p_value == pytest.approx(1.5240e-23, rel=1e-4, abs=0.0)
 
 
 class TestPValueMonotonicity:
