@@ -128,7 +128,7 @@ def anova_one_way(groups: Sequence) -> TestReport:
     means = [a.mean(axis=-1, keepdims=True) for a in arrays]
     grand = sum(a.sum(axis=-1, keepdims=True) for a in arrays) / n
     ss_within = sum(((a - m) ** 2).sum(axis=-1) for a, m in zip(arrays, means))
-    ss_between = sum(k * (m[..., 0] - grand[..., 0]) ** 2 for k, m in zip(sizes, means))
+    ss_between = sum(k * (m - grand) ** 2 for k, m in zip(sizes, means))[..., 0]
     ss_total = sum(((a - grand) ** 2).sum(axis=-1) for a in arrays)
     if np.any(ss_within == 0.0):
         raise DegenerateSampleError("no within-group variation")

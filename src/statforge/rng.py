@@ -28,6 +28,11 @@ _DRAW_CHUNK = 1 << 15
 # golden * i for the counter offsets i of one chunk
 _STEPS = np.arange(_DRAW_CHUNK, dtype=np.uint64) * np.uint64(_GOLDEN)
 
+# numpy scalars of the array hot path, built once
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_UMIX1, _UMIX2 = np.uint64(_MIX1), np.uint64(_MIX2)
+_U11, _U1, _ULP53 = np.uint64(11), np.uint64(1), np.float64(2.0 ** -53)
+
 
 def _mix64(z):
     """SplitMix64 finalizer on a Python int or a uint64 array (mod 2**64)."""
@@ -35,11 +40,6 @@ def _mix64(z):
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
-
-
-_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
-_UMIX1, _UMIX2 = np.uint64(_MIX1), np.uint64(_MIX2)
-_U11, _U1, _ULP53 = np.uint64(11), np.uint64(1), np.float64(2.0 ** -53)
 
 
 def _mix64_array(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -176,9 +176,6 @@ class StreamBatch(_Draws):
         self.stream_ids = stream_ids
         self.counter = 0
         self._bases = _stream_base(root_seed, stream_ids)
-
-    def __len__(self) -> int:
-        return self.stream_ids.size
 
     def __iter__(self):
         for stream_id in self.stream_ids.tolist():

@@ -109,7 +109,6 @@ class TestEnvelope:
         for metric in env.metrics:
             assert metric.method
 
-
     @pytest.mark.parametrize("tag,params", [
         ("bayes", {"replicates": 300}),
         ("test-size", {"replicates": 300}),
