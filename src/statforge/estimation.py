@@ -249,7 +249,7 @@ def ci_mean_z(sample_mean: float, sigma: float, n: int, delta: float) -> Confide
 def ci_mean_t(sample, delta: float) -> ConfidenceInterval:
     """Studentized small-sample interval for a normal mean; a 2-d ``sample``
     gives one interval per row."""
-    x = np.asarray(sample, dtype=float)
+    x = np.atleast_1d(np.asarray(sample, dtype=float))
     n = x.shape[-1]
     if n < 2:
         raise DegenerateSampleError("studentized interval needs n >= 2")

@@ -225,6 +225,11 @@ def _replicate_block(kernel, root, n_replicates, size, start):
     return kernel(root.batch(np.arange(start, min(start + size, n_replicates))))
 
 
+def _each_row(task: Callable, batch) -> np.ndarray:
+    """A kernel that runs ``task(stream)`` on each row of a block."""
+    return np.array([task(stream) for stream in batch])
+
+
 # -- individual experiments ---------------------------------------------------------
 
 
@@ -262,14 +267,15 @@ def _run_ci_coverage(p, root, workers):
                     se=math.sqrt(rate * (1 - rate) / hits.size))]
 
 
-def _kernel_jl(cfg, batch):
-    return np.array([con.jl_trial(cfg, stream).success for stream in batch])
+def _jl_success(cfg, stream):
+    return con.jl_trial(cfg, stream).success
 
 
 def _run_jl(p, root, workers):
     cfg = con.JLConfig(n_points=p["n_points"], ambient_dim=p["ambient_dim"],
                        epsilon=p["epsilon"], delta=p["delta"])
-    wins = replicate(partial(_kernel_jl, cfg), p["replicates"], root, workers)
+    wins = replicate(partial(_each_row, partial(_jl_success, cfg)),
+                     p["replicates"], root, workers)
     rate = float(np.mean(wins))
     return [
         Metric(name="target_dim", value=float(cfg.m), method="distortion_dim_rule"),
@@ -279,9 +285,8 @@ def _run_jl(p, root, workers):
     ]
 
 
-def _kernel_er_connected(n_vertices, prob, batch):
-    return np.array([con.er_metrics(con.er_sample(n_vertices, prob, stream)).is_connected
-                     for stream in batch])
+def _er_connected(n_vertices, prob, stream):
+    return con.er_metrics(con.er_sample(n_vertices, prob, stream)).is_connected
 
 
 def _run_er(p, root, workers):
@@ -292,7 +297,7 @@ def _run_er(p, root, workers):
         ("supercritical", p["c_high"], _at_least, p["min_freq_high"]),
     ):
         prob = min(1.0, c * math.log(n) / n)
-        kernel = partial(_kernel_er_connected, n, prob)
+        kernel = partial(_each_row, partial(_er_connected, n, prob))
         sub_root = _aux(root, 1 if label == "subcritical" else 2)
         hits = replicate(kernel, p["graphs"], sub_root, workers)
         freq = float(np.mean(hits))
@@ -366,10 +371,6 @@ def _lasso_error(true_beta, matrix, penalty, stream):
     return float((gap ** 2).sum() / matrix.shape[0])
 
 
-def _kernel_lasso_error(true_beta, matrix, penalty, batch):
-    return np.array([_lasso_error(true_beta, matrix, penalty, stream) for stream in batch])
-
-
 def _run_lasso_bound(p, root, workers):
     n, n_regressors, sparsity, t = p["n"], p["p"], p["s"], p["t"]
     m = _aux(root, 1).normals(n * n_regressors).reshape(n, n_regressors)
@@ -381,7 +382,7 @@ def _run_lasso_bound(p, root, workers):
     kappa = reg.estimate_restricted_eigenvalue(design, np.arange(sparsity),
                                                p["re_probes"], _aux(root, 2))
     bound = 9.0 * penalty ** 2 * sparsity / kappa
-    errors = replicate(partial(_kernel_lasso_error, beta, m, penalty),
+    errors = replicate(partial(_each_row, partial(_lasso_error, beta, m, penalty)),
                        p["replicates"], root, workers)
     violation = float(np.mean(errors > bound))
     ceiling = 2.0 * math.exp(-t * t / 2.0) + 3.0 * math.sqrt(

@@ -65,7 +65,7 @@ def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport
     equivalent monotone log-ratio value ``h`` is reported alongside.
     A 2-d ``sample`` is tested row by row.
     """
-    x = np.asarray(sample, dtype=float)
+    x = np.atleast_1d(np.asarray(sample, dtype=float))
     n = x.shape[-1]
     if sigma_known is not None:
         if n < 1:
@@ -94,8 +94,8 @@ def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport
 def f_test_variances(sample_x, sample_y) -> TestReport:
     """Equal-tailed two-sided test of equality of two normal variances; 2-d
     samples are tested row by row."""
-    x = np.asarray(sample_x, dtype=float)
-    y = np.asarray(sample_y, dtype=float)
+    x = np.atleast_1d(np.asarray(sample_x, dtype=float))
+    y = np.atleast_1d(np.asarray(sample_y, dtype=float))
     if x.shape[-1] < 2 or y.shape[-1] < 2:
         raise DegenerateSampleError("both samples need at least two points")
     vx, vy = x.var(axis=-1, ddof=1), y.var(axis=-1, ddof=1)
@@ -115,7 +115,7 @@ def anova_one_way(groups: Sequence) -> TestReport:
     of the pooled two-sample t statistic. Groups of 2-d arrays with equal
     row counts are tested row by row.
     """
-    arrays = [np.asarray(g, dtype=float) for g in groups]
+    arrays = [np.atleast_1d(np.asarray(g, dtype=float)) for g in groups]
     p = len(arrays)
     if p < 2:
         raise DomainError("need at least two groups")

@@ -28,11 +28,6 @@ _DRAW_CHUNK = 1 << 15
 # golden * i for the counter offsets i of one chunk
 _STEPS = np.arange(_DRAW_CHUNK, dtype=np.uint64) * np.uint64(_GOLDEN)
 
-# numpy scalars of the array hot path, built once
-_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
-_UMIX1, _UMIX2 = np.uint64(_MIX1), np.uint64(_MIX2)
-_U11, _U1, _ULP53 = np.uint64(11), np.uint64(1), np.float64(2.0 ** -53)
-
 
 def _mix64(z):
     """SplitMix64 finalizer on a Python int or a uint64 array (mod 2**64)."""
@@ -44,13 +39,13 @@ def _mix64(z):
 
 def _mix64_array(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer, mutating ``z`` (and ``scratch``) in place."""
-    np.right_shift(z, _U30, out=scratch)
+    np.right_shift(z, np.uint64(30), out=scratch)
     z ^= scratch
-    z *= _UMIX1
-    np.right_shift(z, _U27, out=scratch)
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=scratch)
     z ^= scratch
-    z *= _UMIX2
-    np.right_shift(z, _U31, out=scratch)
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, np.uint64(31), out=scratch)
     z ^= scratch
     return z
 
@@ -103,15 +98,15 @@ class _Draws:
     def uniforms(self, count: int) -> np.ndarray:
         """i.i.d. uniforms on [0, 1)."""
         bits = self.raw(count)
-        bits >>= _U11
-        return bits * _ULP53
+        bits >>= np.uint64(11)
+        return bits * np.float64(2.0 ** -53)
 
     def uniforms_open(self, count: int) -> np.ndarray:
         """i.i.d. uniforms on (0, 1], safe as log arguments."""
         bits = self.raw(count)
-        bits >>= _U11
-        bits += _U1
-        return bits * _ULP53
+        bits >>= np.uint64(11)
+        bits += np.uint64(1)
+        return bits * np.float64(2.0 ** -53)
 
     def normals(self, count: int) -> np.ndarray:
         """i.i.d. standard normals via the Box-Muller transform."""
@@ -158,28 +153,31 @@ class RandomStream(_Draws):
         ids = np.asarray(ids)
         if ids.ndim != 1 or ids.dtype.kind not in "iu":
             raise ValueError("ids must be a one-dimensional array of integers")
-        return StreamBatch(self.root_seed, _child_id(self.stream_id, ids.astype(np.uint64)))
+        return StreamBatch(self, ids)
 
 
 class StreamBatch(_Draws):
-    """Several streams of one root seed drawn as one array.
+    """The child streams ``parent.split(i)``, ``i`` in ``ids``, drawn as one
+    array.
 
     ``raw``, ``uniforms``, ``uniforms_open`` and ``normals`` return
     ``(R, count)`` arrays whose row ``i`` is bit-identical to the same
-    sequence of calls on the stream ``(root_seed, stream_ids[i])``; one
-    counter serves every row. Iterating yields those streams as
-    :class:`RandomStream` objects at the batch's counter.
+    sequence of calls on ``parent.split(ids[i])``; one counter serves every
+    row. Iterating yields those child streams at the batch's counter.
     """
 
-    def __init__(self, root_seed: int, stream_ids: np.ndarray):
-        self.root_seed = root_seed
-        self.stream_ids = stream_ids
+    def __init__(self, parent: RandomStream, ids: np.ndarray):
+        self.parent = parent
+        self.ids = ids
         self.counter = 0
-        self._bases = _stream_base(root_seed, stream_ids)
+        self._bases = _stream_base(parent.root_seed,
+                                   _child_id(parent.stream_id, ids.astype(np.uint64)))
 
     def __iter__(self):
-        for stream_id in self.stream_ids.tolist():
-            yield RandomStream(self.root_seed, stream_id, self.counter)
+        for i in self.ids.tolist():
+            child = self.parent.split(i)
+            child.counter = self.counter
+            yield child
 
     def raw(self, count: int) -> np.ndarray:
         """Next ``count`` raw uint64 words of every stream, ``(R, count)``."""

@@ -193,6 +193,8 @@ class TestConfidenceIntervals:
     def test_single_point_rejected(self):
         with pytest.raises(DegenerateSampleError):
             est.ci_mean_t([1.0], 0.05)
+        with pytest.raises(DegenerateSampleError):
+            est.ci_mean_t(1.0, 0.05)
 
     def test_t_coverage(self):
         root = RandomStream(4242)

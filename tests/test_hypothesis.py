@@ -43,6 +43,8 @@ class TestMeanTests:
         with pytest.raises(DegenerateSampleError):
             hyp.lrt_mean([1.0], 0.0)
         with pytest.raises(DegenerateSampleError):
+            hyp.lrt_mean(1.0, 0.0)
+        with pytest.raises(DegenerateSampleError):
             hyp.lrt_mean([2.0, 2.0, 2.0], 0.0)
 
 
@@ -69,6 +71,8 @@ class TestVarianceRatio:
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateSampleError):
             hyp.f_test_variances([1.0, 1.0, 1.0], [0.5, 0.7, 0.2])
+        with pytest.raises(DegenerateSampleError):
+            hyp.f_test_variances(1.0, [0.5, 0.7, 0.2])
 
     def test_p_value_far_in_the_upper_tail(self):
         x = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0]) * 1e4
@@ -118,6 +122,15 @@ class TestAnova:
             hyp.anova_one_way([np.array([1.0, 2.0])])
         with pytest.raises(DegenerateSampleError):
             hyp.anova_one_way([np.array([1.0, 1.0]), np.array([2.0, 2.0])])
+        with pytest.raises(DegenerateSampleError):
+            hyp.anova_one_way([1.0, 2.0])
+
+    def test_scalar_group_is_one_observation(self):
+        groups = [np.array([0.0, 1.0, 2.0]), np.array([3.0, 5.0])]
+        scalar = hyp.anova_one_way(groups + [4.0])
+        listed = hyp.anova_one_way(groups + [[4.0]])
+        assert scalar.statistic == listed.statistic
+        assert scalar.p_value == listed.p_value
 
 
 class TestBatchedRows:
