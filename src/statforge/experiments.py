@@ -1,8 +1,10 @@
 """Configuration-driven experiment runners.
 
-Every experiment draws exclusively from replicate-indexed child streams of
-one root seed, so a report is a pure function of (config, seed) and is
-invariant to how replicates are distributed across workers.
+Every experiment draws only from child streams of one root seed, so a
+report is a pure function of (config, seed). Replicated experiments run
+through :func:`replicate` and are invariant to how replicates are spread
+over workers; ``mse-variance``, ``gauss-conc``, ``wilks``, ``feynman-kac``
+and ``bs-price`` draw one long or per-chunk streams in one process.
 """
 
 from __future__ import annotations
@@ -59,9 +61,14 @@ class ExperimentConfig:
         values.update(self.params)
         if self.replicates is not None and "replicates" in schema:
             values["replicates"] = self.replicates
-        for name, value in values.items():
-            kind, _ = schema[name]
-            if not isinstance(value, kind):
+        for name, (kind, _) in schema.items():
+            value = values[name]
+            if kind is float and type(value) is int:
+                try:
+                    value = values[name] = float(value)
+                except OverflowError:
+                    raise DomainError(f"key {name!r} must be finite, got {value!r}") from None
+            if isinstance(value, bool) or not isinstance(value, kind):
                 raise DomainError(
                     f"key {name!r} expects {kind.__name__}, got {value!r}")
             # every int key is a count or a size
@@ -72,6 +79,8 @@ class ExperimentConfig:
             if name in _PROBABILITY_KEYS and not 0.0 < value < 1.0:
                 raise DomainError(
                     f"key {name!r} must lie in the open interval (0, 1), got {value!r}")
+            if (name == "tolerance" or name.endswith("_tol")) and value < 0.0:
+                raise DomainError(f"key {name!r} must be at least 0, got {value!r}")
         return values
 
 
@@ -111,10 +120,10 @@ def parse_config_text(text: str, overrides: Optional[dict] = None) -> Experiment
         raise DomainError("config is missing the key 'seed' (no wall-clock default)")
     experiment = raw.pop("experiment")
     seed = raw.pop("seed")
-    if not isinstance(seed, int):
+    if type(seed) is not int:  # a bool is no seed
         raise DomainError("key 'seed' must be an integer")
     replicates = raw.pop("replicates", None)
-    if replicates is not None and not isinstance(replicates, int):
+    if replicates is not None and type(replicates) is not int:
         raise DomainError("key 'replicates' must be an integer")
     return ExperimentConfig(experiment=experiment, seed=seed, params=raw,
                             replicates=replicates)
@@ -226,8 +235,9 @@ def _replicate_block(kernel, root, n_replicates, size, start):
 
 
 def _each_row(task: Callable, batch) -> np.ndarray:
-    """A kernel that runs ``task(stream)`` on each row of a block."""
-    return np.array([task(stream) for stream in batch])
+    """A kernel that runs ``task(stream)`` on each row of a block; a task
+    returning ``k`` numbers gives a ``(k, R)`` result."""
+    return np.stack([task(stream) for stream in batch], axis=-1)
 
 
 # -- individual experiments ---------------------------------------------------------
@@ -306,21 +316,28 @@ def _run_er(p, root, workers):
     return metrics
 
 
+def _mle_standardized(alpha, lam, n, stream):
+    fit = est.mle_fit("gamma", d.dist_sample(d.Gamma(alpha, lam), stream, n))
+    return (fit.estimate - np.array([alpha, lam])) / fit.standard_errors()
+
+
 def _run_mle(p, root, workers):
-    alpha, lam, n, reps = p["alpha"], p["lam"], p["n"], p["replicates"]
-    spec = d.Gamma(alpha, lam)
-    standardized = np.empty((reps, 2))
-    for r in range(reps):
-        fit = est.mle_fit("gamma", d.dist_sample(spec, root.split(r), n))
-        se = fit.standard_errors()
-        standardized[r] = (fit.estimate - np.array([alpha, lam])) / se
-    law = d.Normal(0.0, 1.0)
-    ks_alpha = hyp.ks_statistic(standardized[:, 0], law)
-    ks_lam = hyp.ks_statistic(standardized[:, 1], law)
-    return [
-        _at_most("ks_rate_component", ks_alpha, p["ks_tol"], method="standardized_mle_ks"),
-        _at_most("ks_shape_component", ks_lam, p["ks_tol"], method="standardized_mle_ks"),
-    ]
+    task = partial(_mle_standardized, p["alpha"], p["lam"], p["n"])
+    standardized = replicate(partial(_each_row, task), p["replicates"], root, workers)
+    return [_at_most(f"ks_{name}_component", hyp.ks_statistic(row, d.Normal(0.0, 1.0)),
+                     p["ks_tol"], method="standardized_mle_ks")
+            for name, row in zip(("rate", "shape"), standardized)]
+
+
+def _regression_fits(design, null_design, beta, stream):
+    """Coefficients, scaled residual variance, slope coverage, F-test rejection."""
+    n = design.matrix.shape[0]
+    fit = reg.ols_fit(design, design.matrix @ beta + stream.normals(n))
+    covered = reg.coef_interval(fit, 1, 0.05).covers(beta[1])
+    y0 = 1.0 + 0.7 * design.matrix[:, 1] + stream.normals(n)
+    report = reg.f_test_nested(reg.ols_fit(design, y0), reg.ols_fit(null_design, y0))
+    return np.append(fit.beta, (fit.df_residual * fit.sigma2_hat, covered,
+                                report.reject(0.05)))
 
 
 def _run_regression(p, root, workers):
@@ -329,27 +346,14 @@ def _run_regression(p, root, workers):
     beta = np.concatenate([[1.0], np.linspace(0.5, 1.5, n_slopes)])
     null_design = reg.design_matrix(design.matrix[:, 1:2], intercept=True)
     df = n - n_slopes - 1
-    estimates = np.empty((reps, n_slopes + 1))
-    scaled_var = np.empty(reps)
-    covered = 0
-    size_hits = 0
-    for r in range(reps):
-        sub = root.split(r)
-        noise = sub.normals(n)
-        y = design.matrix @ beta + noise
-        fit = reg.ols_fit(design, y)
-        estimates[r] = fit.beta
-        scaled_var[r] = df * fit.sigma2_hat
-        covered += reg.coef_interval(fit, 1, 0.05).covers(beta[1])
-        y0 = 1.0 + 0.7 * design.matrix[:, 1] + sub.normals(n)
-        report = reg.f_test_nested(reg.ols_fit(design, y0),
-                                   reg.ols_fit(null_design, y0))
-        size_hits += report.reject(0.05)
+    *coefs, scaled_var, covered, size_hits = replicate(
+        partial(_each_row, partial(_regression_fits, design, null_design, beta)),
+        reps, root, workers)
+    estimates = np.column_stack(coefs)  # (R, k) in C order: sums run over replicates
     se_beta = estimates.std(axis=0, ddof=1) / math.sqrt(reps)
     bias = np.abs(estimates.mean(axis=0) - beta)
     ks = hyp.ks_statistic(scaled_var, d.ChiSquared(df))
-    coverage = covered / reps
-    size = size_hits / reps
+    coverage, size = covered.mean(), size_hits.mean()
     return [
         _at_most("max_beta_bias_in_se", float((bias / se_beta).max()), 4.0,
                  method="unbiasedness_check"),
@@ -403,6 +407,15 @@ def _run_lasso_bound(p, root, workers):
     ]
 
 
+def _glm_fit_checks(spec, design, beta, prob, stream):
+    """The fit's relative score residual and its slope interval's coverage."""
+    y = (stream.uniforms(prob.size) < prob).astype(float)
+    fit = glm.glm_fit(spec, design, y)
+    residual = np.abs(design.matrix.T @ (y - fit.mu)).max()
+    scale = 1.0 + np.abs(design.matrix.T @ y).max()
+    return residual / scale, glm.glm_wald_ci(fit, 1, 0.05).covers(beta[1])
+
+
 def _run_glm(p, root, workers):
     n, n_slopes, reps = p["n"], p["n_slopes"], p["replicates"]
     covariates = _aux(root, 1).normals(n * n_slopes).reshape(n, n_slopes)
@@ -410,16 +423,10 @@ def _run_glm(p, root, workers):
     beta = np.concatenate([[0.3], np.linspace(-0.5, 0.8, n_slopes)])
     prob = 1.0 / (1.0 + np.exp(-(design.matrix @ beta)))
     spec = glm.bernoulli_logit()
-    covered = 0
-    worst_residual = 0.0
-    for r in range(reps):
-        y = (root.split(r).uniforms(n) < prob).astype(float)
-        fit = glm.glm_fit(spec, design, y)
-        residual = np.abs(design.matrix.T @ (y - fit.mu)).max()
-        scale = 1.0 + np.abs(design.matrix.T @ y).max()
-        worst_residual = max(worst_residual, residual / scale)
-        covered += glm.glm_wald_ci(fit, 1, 0.05).covers(beta[1])
-    coverage = covered / reps
+    residuals, covered = replicate(
+        partial(_each_row, partial(_glm_fit_checks, spec, design, beta, prob)),
+        reps, root, workers)
+    coverage = covered.mean()
     y = (_aux(root, 2).uniforms(n) < prob).astype(float)
     fit = glm.glm_fit(spec, design, y)
     h = 1e-5
@@ -434,7 +441,7 @@ def _run_glm(p, root, workers):
                           - loglik(fit.beta - ei + ej) + loglik(fit.beta - ei - ej)) / (4 * h * h)
     info_gap = float((np.abs(-hess - fit.fisher_info) / np.abs(fit.fisher_info)).max())
     return [
-        _at_most("max_score_residual", worst_residual, 1e-8,
+        _at_most("max_score_residual", residuals.max(), 1e-8,
                  method="canonical_score"),
         _within("wald_coverage", coverage, 0.95, p["coverage_tol"],
                 method="wald_interval",
@@ -444,22 +451,22 @@ def _run_glm(p, root, workers):
     ]
 
 
+def _irt_capture(bank, gamma_true, prob, stream):
+    """Whether the responses are usable (not all equal) and capture the truth."""
+    y = (stream.uniforms(prob.size) < prob).astype(float)
+    if y.min() == y.max():
+        return False, False
+    fit = glm.irt_ability_fit(bank, y)
+    return True, abs(fit.gamma_hat - gamma_true) <= 3.0 * fit.se
+
+
 def _run_irt(p, root, workers):
     bank = glm.IRTItemBank(a=0.5 + _aux(root, 1).uniforms(p["items"]) * 1.5,
                            b=_aux(root, 2).normals(p["items"]))
-    gamma_true = p["ability"]
-    prob = bank.success_probability(gamma_true)
-    inside = 0
-    usable = 0
-    for r in range(p["examinees"]):
-        y = (root.split(r).uniforms(p["items"]) < prob).astype(float)
-        if y.min() == y.max():
-            continue
-        fit = glm.irt_ability_fit(bank, y)
-        usable += 1
-        inside += abs(fit.gamma_hat - gamma_true) <= 3.0 * fit.se
-    return [_at_least("three_se_capture_rate", inside / usable, p["min_rate"],
-                      method="ability_newton_solve")]
+    task = partial(_irt_capture, bank, p["ability"], bank.success_probability(p["ability"]))
+    usable, inside = replicate(partial(_each_row, task), p["examinees"], root, workers)
+    return [_at_least("three_se_capture_rate", inside.sum() / usable.sum(),
+                      p["min_rate"], method="ability_newton_solve")]
 
 
 _TEST_SIZE_LEVELS = (0.05, 0.01)
@@ -491,27 +498,23 @@ def _run_test_size(p, root, workers):
 
 
 def _run_wilks(p, root, workers):
-    res_z = hyp.wilks_null_simulation("z", p["n_z"], p["replicates_z"],
-                                      _aux(root, 1))
-    res_t = hyp.wilks_null_simulation("t", p["n_t"], p["replicates_t"],
-                                      _aux(root, 2))
-    res_l = hyp.wilks_null_simulation("logistic", p["n_logistic"],
-                                      p["replicates_logistic"],
-                                      _aux(root, 3))
-    return [
-        _at_most("ks_z", res_z.ks_distance, p["ks_z_tol"], method="exact_chi2_law"),
-        _at_most("ks_t", res_t.ks_distance, p["ks_t_tol"], method="large_sample_chi2"),
-        _at_most("ks_logistic", res_l.ks_distance, p["ks_logistic_tol"],
-                 method="large_sample_chi2"),
-    ]
+    metrics = []
+    for k, (scenario, method) in enumerate((("z", "exact_chi2_law"), ("t", "large_sample_chi2"),
+                                            ("logistic", "large_sample_chi2")), start=1):
+        res = hyp.wilks_null_simulation(scenario, p[f"n_{scenario}"],
+                                        p[f"replicates_{scenario}"], _aux(root, k))
+        metrics.append(_at_most(f"ks_{scenario}", res.ks_distance, p[f"ks_{scenario}_tol"],
+                                method=method))
+    return metrics
+
+
+def _qv_gap(grid, horizon, stream):
+    return abs(sto.quadratic_variation(sto.brownian_sample(grid, 1, stream)) - horizon)
 
 
 def _run_brownian(p, root, workers):
-    grid = sto.uniform_grid(p["horizon"], p["steps"])
-    qv_gaps = []
-    for r in range(p["paths"]):
-        path = sto.brownian_sample(grid, 1, root.split(r))
-        qv_gaps.append(abs(sto.quadratic_variation(path) - p["horizon"]))
+    task = partial(_qv_gap, sto.uniform_grid(p["horizon"], p["steps"]), p["horizon"])
+    qv_gaps = replicate(partial(_each_row, task), p["paths"], root, workers)
     terminal = sto.brownian_sample(sto.uniform_grid(p["horizon"], 2), 100_000,
                                    _aux(root, 1)).values[-1]
     var_tol = 4.0 * math.sqrt(2.0) * p["horizon"] / math.sqrt(terminal.size)
@@ -523,17 +526,18 @@ def _run_brownian(p, root, workers):
     ]
 
 
+def _ito_integral_gap(grid, stream):
+    """The integral of B dB over [0, 1] and its gap to (B_1^2 - 1) / 2."""
+    path = sto.brownian_sample(grid, 1, stream)
+    b = path.values[:, 0]
+    value = sto.ito_integral(b[:-1], path)
+    return value, abs(value - (0.5 * b[-1] ** 2 - 0.5))
+
+
 def _run_ito(p, root, workers):
-    grid = sto.uniform_grid(1.0, p["steps"])
-    identity_gaps = []
-    integrals = []
-    for r in range(p["paths"]):
-        path = sto.brownian_sample(grid, 1, root.split(r))
-        b = path.values[:, 0]
-        value = sto.ito_integral(b[:-1], path)
-        integrals.append(value)
-        identity_gaps.append(abs(value - (0.5 * b[-1] ** 2 - 0.5)))
-    integrals = np.asarray(integrals)
+    integrals, identity_gaps = replicate(
+        partial(_each_row, partial(_ito_integral_gap, sto.uniform_grid(1.0, p["steps"]))),
+        p["paths"], root, workers)
     se_mean = integrals.std(ddof=1) / math.sqrt(integrals.size)
     second = integrals ** 2
     se_second = second.std(ddof=1) / math.sqrt(second.size)
@@ -548,15 +552,12 @@ def _run_ito(p, root, workers):
 
 
 def _run_feynman_kac(p, root, workers):
-    res = sto.feynman_kac_mc(lambda x: np.zeros(len(x)),
-                             lambda x: (np.abs(x[:, 0]) <= 1.0).astype(float),
-                             1.0, 0.0, 1, p["paths"], p["steps"],
-                             _aux(root, 1))
+    inside = lambda x: (np.abs(x[:, 0]) <= 1.0).astype(float)
+    res = sto.feynman_kac_mc(lambda x: np.zeros(len(x)), inside, 1.0, 0.0, 1,
+                             p["paths"], p["steps"], _aux(root, 1))
     target = float(d.dist_cdf(d.Normal(0.0, 1.0), 1.0) - d.dist_cdf(d.Normal(0.0, 1.0), -1.0))
-    controlled = sto.feynman_kac_mc(lambda x: np.full(len(x), 0.5),
-                                    lambda x: (np.abs(x[:, 0]) <= 1.0).astype(float),
-                                    1.0, 0.0, 1, p["paths_control"], p["steps"],
-                                    _aux(root, 2))
+    controlled = sto.feynman_kac_mc(lambda x: np.full(len(x), 0.5), inside, 1.0, 0.0, 1,
+                                    p["paths_control"], p["steps"], _aux(root, 2))
     ceiling = math.exp(-0.5) + 4.0 * controlled.standard_error
     return [
         _within("interval_mass", res.estimate, target,

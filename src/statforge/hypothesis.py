@@ -177,11 +177,11 @@ def wilks_null_simulation(scenario: str, n: int, replicates: int,
     """
     if replicates < 100:
         raise DomainError("need at least 100 replicates")
-    if scenario == "z":
-        stats = _simulate_z(n, replicates, stream)
-        df = 1
-    elif scenario == "t":
-        stats = _simulate_t(n, replicates, stream)
+    if scenario in _NORMAL_LRTS:
+        min_n, statistic = _NORMAL_LRTS[scenario]
+        if n < min_n:
+            raise DomainError(f"n must be >= {min_n}")
+        stats = _simulate_normal(n, replicates, stream, statistic)
         df = 1
     elif scenario == "logistic":
         stats = _simulate_logistic_gap(n, replicates, stream)
@@ -198,31 +198,31 @@ def wilks_null_simulation(scenario: str, n: int, replicates: int,
     return WilksSimulation(ks_distance=ks, qq_table=table, df=df)
 
 
-def _simulate_z(n: int, replicates: int, stream: RandomStream) -> np.ndarray:
-    if n < 1:
-        raise DomainError("n must be >= 1")
+def _simulate_normal(n: int, replicates: int, stream: RandomStream,
+                     statistic: Callable) -> np.ndarray:
+    """``statistic`` of standard normal samples, one per row; the chunk of
+    replicates from ``start`` on comes from ``stream.split(start)``."""
     stats = np.empty(replicates)
     chunk = max(1, (1 << 22) // n)
     for start in range(0, replicates, chunk):
         stop = min(start + chunk, replicates)
-        sub = stream.split(start)
-        x = sub.normals((stop - start) * n).reshape(stop - start, n)
-        stats[start:stop] = n * x.mean(axis=1) ** 2
+        x = stream.split(start).normals((stop - start) * n).reshape(stop - start, n)
+        stats[start:stop] = statistic(x)
     return stats
 
 
-def _simulate_t(n: int, replicates: int, stream: RandomStream) -> np.ndarray:
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    stats = np.empty(replicates)
-    chunk = max(1, (1 << 22) // n)
-    for start in range(0, replicates, chunk):
-        stop = min(start + chunk, replicates)
-        sub = stream.split(start)
-        x = sub.normals((stop - start) * n).reshape(stop - start, n)
-        t2 = n * x.mean(axis=1) ** 2 / x.var(axis=1, ddof=1)
-        stats[start:stop] = n * np.log1p(t2 / (n - 1))
-    return stats
+def _z_lrt(x):
+    return x.shape[1] * x.mean(axis=1) ** 2
+
+
+def _t_lrt(x):
+    n = x.shape[1]
+    t2 = n * x.mean(axis=1) ** 2 / x.var(axis=1, ddof=1)
+    return n * np.log1p(t2 / (n - 1))
+
+
+# normal-mean scenarios: smallest sample size and the statistic of a sample
+_NORMAL_LRTS = {"z": (1, _z_lrt), "t": (2, _t_lrt)}
 
 
 def _simulate_logistic_gap(n: int, replicates: int, stream: RandomStream) -> np.ndarray:

@@ -190,12 +190,8 @@ def feynman_kac_mc(potential: Callable, payoff: Callable, t: float, x0,
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (dim,))
     dt = t / steps
     sqrt_dt = math.sqrt(dt)
-    sums = []
-    sums_sq = []
-    for chunk_index, start in enumerate(range(0, n_paths, PATH_CHUNK)):
-        stop = min(start + PATH_CHUNK, n_paths)
-        take = stop - start
-        sub = stream.split(chunk_index)
+
+    def discounted_payoffs(sub, take):
         z = sub.normals(take * steps * dim).reshape(take, steps, dim)
         paths = np.cumsum(z * sqrt_dt, axis=1) + x0
         # left endpoints: x0, then all but the final point
@@ -203,14 +199,22 @@ def feynman_kac_mc(potential: Callable, payoff: Callable, t: float, x0,
         for j in range(steps - 1):
             integral += np.asarray(potential(paths[:, j, :]), dtype=float)
         integral *= dt
-        values = np.exp(-integral) * np.asarray(payoff(paths[:, -1, :]), dtype=float)
+        return np.exp(-integral) * np.asarray(payoff(paths[:, -1, :]), dtype=float)
+
+    return _chunked_mean(discounted_payoffs, n_paths, stream)
+
+
+def _chunked_mean(sample: Callable, n_paths: int, stream: RandomStream) -> MCEstimate:
+    """Mean and standard error of ``n_paths`` values drawn in chunks of
+    ``PATH_CHUNK``, chunk ``c`` as ``sample(stream.split(c), chunk_size)``."""
+    sums, sums_sq = [], []
+    for chunk_index, start in enumerate(range(0, n_paths, PATH_CHUNK)):
+        values = sample(stream.split(chunk_index), min(PATH_CHUNK, n_paths - start))
         sums.append(float(values.sum()))
         sums_sq.append(float((values ** 2).sum()))
-    total = math.fsum(sums)
-    total_sq = math.fsum(sums_sq)
-    mean = total / n_paths
+    mean = math.fsum(sums) / n_paths
     if n_paths > 1:
-        var = max(0.0, (total_sq - n_paths * mean * mean) / (n_paths - 1))
+        var = max(0.0, (math.fsum(sums_sq) - n_paths * mean * mean) / (n_paths - 1))
         se = math.sqrt(var / n_paths)
     else:
         se = math.inf
@@ -316,19 +320,12 @@ def bs_mc_price(params: BSParams, n_paths: int, stream: RandomStream) -> MCEstim
     if spread == 0.0:
         payoff = discount * max(params.spot * math.exp(drift) - params.strike, 0.0)
         return MCEstimate(estimate=payoff, standard_error=0.0, n_paths=n_paths)
-    sums = []
-    sums_sq = []
-    for chunk_index, start in enumerate(range(0, n_paths, PATH_CHUNK)):
-        stop = min(start + PATH_CHUNK, n_paths)
-        sub = stream.split(chunk_index)
-        terminal = params.spot * np.exp(drift + spread * sub.normals(stop - start))
-        payoff = discount * np.maximum(terminal - params.strike, 0.0)
-        sums.append(float(payoff.sum()))
-        sums_sq.append(float((payoff ** 2).sum()))
-    mean = math.fsum(sums) / n_paths
-    var = max(0.0, (math.fsum(sums_sq) - n_paths * mean * mean) / (n_paths - 1))
-    return MCEstimate(estimate=mean, standard_error=math.sqrt(var / n_paths),
-                      n_paths=n_paths)
+
+    def discounted_payoffs(sub, take):
+        terminal = params.spot * np.exp(drift + spread * sub.normals(take))
+        return discount * np.maximum(terminal - params.strike, 0.0)
+
+    return _chunked_mean(discounted_payoffs, n_paths, stream)
 
 
 def bs_pde_residual(params: BSParams, step: float = 1e-4) -> float:

@@ -61,6 +61,17 @@ class TestConfigParsing:
         with pytest.raises(DomainError, match="expects int"):
             cfg.resolved_params()
 
+    @pytest.mark.parametrize("text,message", [
+        ('"bayes"\nseed = 1\nn = false\n', "key 'n' expects int, got False"),
+        ('"mle"\nseed = 1\nks_tol = -0.01\n', "key 'ks_tol' must be at least 0, got -0.01"),
+        ('"ci-coverage"\nseed = 1\ntolerance = 1' + "0" * 400 + "\n",
+         "key 'tolerance' must be finite"),
+    ])
+    def test_value_out_of_domain(self, text, message):
+        cfg = xp.parse_config_text("experiment = " + text)
+        with pytest.raises(DomainError, match=message):
+            cfg.resolved_params()
+
     def test_out_is_an_unknown_key(self):
         with pytest.raises(DomainError, match="unknown key 'out'"):
             xp.parse_config_text('experiment = "bayes"\nseed = 1\nout = "reports"\n')
@@ -112,6 +123,12 @@ class TestEnvelope:
     @pytest.mark.parametrize("tag,params", [
         ("bayes", {"replicates": 300}),
         ("test-size", {"replicates": 300}),
+        ("mle", {"replicates": 40, "n": 800}),
+        ("regression", {"replicates": 200}),
+        ("glm", {"replicates": 40, "n": 400}),
+        ("irt", {"examinees": 200}),
+        ("brownian", {"paths": 40, "steps": 1000}),
+        ("ito", {"paths": 40, "steps": 1000}),
     ])
     def test_report_digest_invariant_to_workers(self, tag, params):
         digests = []
@@ -128,6 +145,10 @@ def _scaled_uniform_sums(scale, batch):
     return scale * batch.uniforms(3).sum(axis=-1)
 
 
+def _sum_and_normal(stream):
+    return stream.uniforms(3).sum(), stream.normals(1)[0]
+
+
 class TestReplicate:
     def test_matches_serial(self):
         root = RandomStream(77)
@@ -142,6 +163,16 @@ class TestReplicate:
         assert sums.shape == (n,)
         for r in (0, xp._REPLICATE_BLOCK - 1, xp._REPLICATE_BLOCK, n - 1):
             assert sums[r] == root.split(r).uniforms(3).sum()
+
+    def test_row_task_with_two_outputs(self):
+        root = RandomStream(79)
+        n = xp._REPLICATE_BLOCK + 3
+        kernel = partial(xp._each_row, _sum_and_normal)
+        out = xp.replicate(kernel, n, root, workers=1)
+        assert out.shape == (2, n)
+        for r in (0, xp._REPLICATE_BLOCK - 1, xp._REPLICATE_BLOCK, n - 1):
+            assert tuple(out[:, r]) == _sum_and_normal(root.split(r))
+        assert xp.replicate(kernel, n, root, workers=2).tobytes() == out.tobytes()
 
 
 class TestCLI:
@@ -209,6 +240,9 @@ class TestCLI:
         ("delta=1.5", "interval"),
         ("delta=1.5", "key 'delta' must lie in the open interval (0, 1), got 1.5"),
         ("delta=0.0", "key 'delta' must lie in the open interval (0, 1), got 0.0"),
+        ("tolerance=-1.0", "key 'tolerance' must be at least 0, got -1.0"),
+        ("replicates=true", "key 'replicates' must be an integer"),
+        ("seed=true", "key 'seed' must be an integer"),
     ])
     def test_out_of_domain_value_is_error(self, tmp_path, capsys, assignment, message):
         cfg = self._write_config(
@@ -216,6 +250,13 @@ class TestCLI:
         assert cli.main(["run", cfg, "--set", assignment]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_int_for_float_key_is_echoed_as_float(self, tmp_path, capsys):
+        cfg = self._write_config(
+            tmp_path, 'experiment = "ci-coverage"\nseed = 4\nreplicates = 50\n')
+        cli.main(["run", cfg, "--set", "tolerance=1"])
+        tolerance = json.loads(capsys.readouterr().out)["params"]["tolerance"]
+        assert tolerance == 1.0 and type(tolerance) is float
 
     def test_missing_file_is_error(self):
         assert cli.main(["run", "/nonexistent/path.cfg"]) == 1
