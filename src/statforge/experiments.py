@@ -4,7 +4,9 @@ Every experiment draws only from child streams of one root seed, so a
 report is a pure function of (config, seed). Replicated experiments run
 through :func:`replicate` and are invariant to how replicates are spread
 over workers; ``mse-variance``, ``gauss-conc``, ``wilks``, ``feynman-kac``
-and ``bs-price`` draw one long or per-chunk streams in one process.
+and ``bs-price`` draw one long or per-chunk streams in one process. The
+``glm`` kernel and the logistic scenario of ``wilks`` fit whole chunks of
+replicates as stacks through :func:`statforge.glm.glm_fit_stack`.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ _REPLICATE_BLOCK = 4096
 
 
 def replicate(kernel: Callable, n_replicates: int, root: RandomStream,
-              workers: int = 1) -> np.ndarray:
+              workers: int = 1, block: int = _REPLICATE_BLOCK) -> np.ndarray:
     """Run ``kernel`` over the child streams ``root.split(r)`` of replicates
     ``r = 0 .. n_replicates - 1``, one contiguous block at a time.
 
@@ -213,11 +215,12 @@ def replicate(kernel: Callable, n_replicates: int, root: RandomStream,
     are concatenated along that axis in replicate order. Rows draw exactly
     what ``root.split(r)`` draws, so the result is identical for any worker
     count; ``workers > 1`` maps the blocks over a process pool, cut small
-    enough that every worker gets one.
+    enough that every worker gets one. A block holds at most ``block``
+    replicates.
     """
     if n_replicates < 1:
         raise DomainError("need at least one replicate")
-    size = _REPLICATE_BLOCK
+    size = block
     if workers > 1:
         size = min(size, -(-n_replicates // workers))
     block = partial(_replicate_block, kernel, root, n_replicates, size)
@@ -407,13 +410,15 @@ def _run_lasso_bound(p, root, workers):
     ]
 
 
-def _glm_fit_checks(spec, design, beta, prob, stream):
-    """The fit's relative score residual and its slope interval's coverage."""
-    y = (stream.uniforms(prob.size) < prob).astype(float)
-    fit = glm.glm_fit(spec, design, y)
-    residual = np.abs(design.matrix.T @ (y - fit.mu)).max()
-    scale = 1.0 + np.abs(design.matrix.T @ y).max()
-    return residual / scale, glm.glm_wald_ci(fit, 1, 0.05).covers(beta[1])
+def _kernel_glm(spec, design, beta, prob, batch):
+    """Each row's relative score residual and its slope interval's coverage,
+    from one stacked fit of the block against the shared design."""
+    y = (batch.uniforms(prob.size) < prob).astype(float)
+    fit = glm.glm_fit_stack(spec, design, y)
+    mt = design.matrix.T
+    residual = np.abs(mt @ (y - fit.mu)[..., None]).max(axis=(-2, -1))
+    scale = 1.0 + np.abs(mt @ y[..., None]).max(axis=(-2, -1))
+    return np.array([residual / scale, glm.glm_wald_ci(fit, 1, 0.05).covers(beta[1])])
 
 
 def _run_glm(p, root, workers):
@@ -423,9 +428,9 @@ def _run_glm(p, root, workers):
     beta = np.concatenate([[0.3], np.linspace(-0.5, 0.8, n_slopes)])
     prob = 1.0 / (1.0 + np.exp(-(design.matrix @ beta)))
     spec = glm.bernoulli_logit()
-    residuals, covered = replicate(
-        partial(_each_row, partial(_glm_fit_checks, spec, design, beta, prob)),
-        reps, root, workers)
+    # one block per stacked chunk keeps the (block, n) arrays small
+    residuals, covered = replicate(partial(_kernel_glm, spec, design, beta, prob),
+                                   reps, root, workers, block=glm.stack_chunk_rows(n))
     coverage = covered.mean()
     y = (_aux(root, 2).uniforms(n) < prob).astype(float)
     fit = glm.glm_fit(spec, design, y)

@@ -11,12 +11,13 @@ from scipy import special as sp
 from .distributions import Moments, Normal, dist_quantile
 from .errors import (ConvergenceError, DomainError, NoFiniteMLEError,
                      SeparationError)
-from .regression import DesignMatrix
+from .regression import DesignMatrix, require_full_rank
 from .results import ConfidenceInterval
 
 __all__ = [
     "ExpFamilySpec", "bernoulli_logit", "poisson_log", "normal_identity",
-    "gamma_neglog", "expfam_moments", "GLMFit", "glm_fit", "glm_wald_ci",
+    "gamma_neglog", "expfam_moments", "GLMFit", "GLMStackFit", "glm_fit",
+    "glm_fit_stack", "stack_chunk_rows", "glm_wald_ci",
     "IRTItemBank", "IRTAbilityFit", "irt_ability_fit",
     "load_item_bank_csv", "load_responses_csv",
 ]
@@ -30,7 +31,8 @@ class ExpFamilySpec:
 
     ``mean``/``mean_slope`` are the first two derivatives of the cumulant
     with respect to the natural parameter; the response variance is
-    ``dispersion * mean_slope``.
+    ``dispersion * mean_slope``. ``natural_ok`` and ``loglik`` reduce along
+    the last axis, so a stack of rows gives one value per row.
     """
 
     name: str
@@ -42,8 +44,8 @@ class ExpFamilySpec:
 
     # natural-parameter side -------------------------------------------------
 
-    def natural_ok(self, xi: np.ndarray) -> bool:
-        return bool(np.all(np.isfinite(xi)))
+    def natural_ok(self, xi: np.ndarray) -> np.ndarray:
+        return np.all(np.isfinite(xi), axis=-1)
 
     def mean(self, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -59,7 +61,7 @@ class ExpFamilySpec:
     def validate_y(self, y: np.ndarray) -> None:
         raise NotImplementedError
 
-    def loglik(self, y: np.ndarray, xi: np.ndarray) -> float:
+    def loglik(self, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -81,7 +83,7 @@ class _BernoulliLogit(ExpFamilySpec):
 
     def loglik(self, y, xi):
         # y*xi - log(1 + e^xi), stable through logaddexp
-        return float(np.sum(y * xi - np.logaddexp(0.0, xi)))
+        return np.sum(y * xi - np.logaddexp(0.0, xi), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ class _PoissonLog(ExpFamilySpec):
             raise DomainError("count family needs nonnegative integer responses")
 
     def loglik(self, y, xi):
-        return float(np.sum(y * xi - np.exp(xi) - sp.gammaln(y + 1.0)))
+        return np.sum(y * xi - np.exp(xi) - sp.gammaln(y + 1.0), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,8 @@ class _NormalIdentity(ExpFamilySpec):
 
     def loglik(self, y, xi):
         s2 = self.dispersion
-        return float(np.sum(-0.5 * np.log(2.0 * math.pi * s2)
-                            - (y - xi) ** 2 / (2.0 * s2)))
+        return np.sum(-0.5 * np.log(2.0 * math.pi * s2) - (y - xi) ** 2 / (2.0 * s2),
+                      axis=-1)
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ class _GammaNegLog(ExpFamilySpec):
             raise DomainError("gamma shape must be positive")
 
     def natural_ok(self, xi):
-        return bool(np.all(np.isfinite(xi)) and np.all(xi < 0.0))
+        return np.all(np.isfinite(xi) & (xi < 0.0), axis=-1)
 
     def mean(self, xi):
         return -self.shape / xi
@@ -152,8 +154,8 @@ class _GammaNegLog(ExpFamilySpec):
     def loglik(self, y, xi):
         lam = self.shape
         alpha = -xi  # rate implied by the natural parameter
-        return float(np.sum(lam * np.log(alpha) - sp.gammaln(lam)
-                            + (lam - 1.0) * np.log(y) - alpha * y))
+        return np.sum(lam * np.log(alpha) - sp.gammaln(lam)
+                      + (lam - 1.0) * np.log(y) - alpha * y, axis=-1)
 
 
 def bernoulli_logit() -> ExpFamilySpec:
@@ -201,18 +203,53 @@ class GLMFit:
     loglik_trace: np.ndarray
 
 
+@dataclass(frozen=True)
+class GLMStackFit:
+    """Fits of a stack of responses, one per row: row ``r`` of every array
+    is what :func:`glm_fit` gives for row ``r``, and row ``r`` of the
+    log-likelihood trace is ``loglik_trace[r, :iterations[r]]``. A stack
+    that returns has converged in every row; a failing row raises."""
+
+    family: str
+    beta: np.ndarray            # (R, k)
+    mu: np.ndarray              # (R, n)
+    fisher_info: np.ndarray     # (R, k, k)
+    iterations: np.ndarray      # (R,)
+    log_likelihood: np.ndarray  # (R,)
+    loglik_trace: np.ndarray    # (R, max iterations)
+    converged: bool = True
+
+
 _MAX_ITER = 200
 _MAX_HALVINGS = 30
 _SEPARATION_NORM = 1e3
+# Bound on the (rows, n) temporaries of one scoring pass.
+_STACK_CHUNK = 1 << 16
 
 
-def _working_weights(spec: ExpFamilySpec, eta: np.ndarray) -> np.ndarray:
-    slope = spec.mean_slope(eta)
+def stack_chunk_rows(n: int) -> int:
+    """Rows of ``n`` observations that :func:`glm_fit_stack` fits together."""
+    return max(1, _STACK_CHUNK // n)
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` row by row; the stacked product gives the same bits as the
+    2-d product of each row."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _norms(beta: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit-identical to ``np.linalg.norm`` of
+    the row (``np.linalg.norm(beta, axis=-1)`` is not)."""
+    return np.sqrt((beta[..., None, :] @ beta[..., :, None])[..., 0, 0])
+
+
+def _working_weights(spec: ExpFamilySpec, eta: np.ndarray, mu: np.ndarray) -> np.ndarray:
     if spec.name == "bernoulli_logit":
         # clamp only inside the weights; reported means are untouched
-        mu = np.clip(spec.mean(eta), _PROB_CLAMP, 1.0 - _PROB_CLAMP)
-        slope = mu * (1.0 - mu)
-    return slope / spec.dispersion
+        mu = np.clip(mu, _PROB_CLAMP, 1.0 - _PROB_CLAMP)
+        return mu * (1.0 - mu) / spec.dispersion
+    return spec.mean_slope(eta) / spec.dispersion
 
 
 def glm_fit(spec: ExpFamilySpec, x: DesignMatrix, y) -> GLMFit:
@@ -221,92 +258,157 @@ def glm_fit(spec: ExpFamilySpec, x: DesignMatrix, y) -> GLMFit:
     y = np.asarray(y, dtype=float)
     if y.shape != (x.n,):
         raise DomainError("response length must match the design")
+    fit = glm_fit_stack(spec, x, y[None])
+    iterations = int(fit.iterations[0])
+    return GLMFit(family=spec.name, design=x, y=y, beta=fit.beta[0],
+                  mu=fit.mu[0], fisher_info=fit.fisher_info[0],
+                  iterations=iterations, converged=True,
+                  log_likelihood=float(fit.log_likelihood[0]),
+                  loglik_trace=fit.loglik_trace[0, :iterations])
+
+
+def glm_fit_stack(spec: ExpFamilySpec, design, y) -> GLMStackFit:
+    """:func:`glm_fit` on each row of ``y`` ``(R, n)``, against one shared
+    :class:`DesignMatrix` or one design per row, an ``(R, n, k)`` array
+    whose rows count as intercept designs when every column 0 is all ones.
+
+    Each row follows the single fit's iterations, checks and errors exactly,
+    and its results are bit-identical to it."""
+    y = np.asarray(y, dtype=float)
+    if isinstance(design, DesignMatrix):
+        m, has_intercept = design.matrix, design.has_intercept
+    else:
+        m = np.ascontiguousarray(design, dtype=float)
+        if m.ndim != 3:
+            raise DomainError("per-row designs must form an (R, n, k) array")
+        has_intercept = bool(np.all(m[..., 0] == 1.0))
+    if y.ndim != 2 or y.shape[0] < 1 or y.shape[1:] != m.shape[-2:-1] \
+            or (m.ndim == 3 and len(m) != len(y)):
+        raise DomainError("response length must match the design")
     spec.validate_y(y)
-    x.require_full_rank()
-    m = x.matrix
-    beta = _initial_beta(spec, x, y)
-    eta = m @ beta
+    require_full_rank(m)
+    beta = _initial_beta(spec, m, y, has_intercept)
+    rows = stack_chunk_rows(y.shape[1])
+    parts = [_scoring(spec, m if m.ndim == 2 else m[s:s + rows], y[s:s + rows],
+                      beta[s:s + rows])
+             for s in range(0, len(y), rows)]
+    beta, mu, info, iterations, ll, traces = zip(*parts)
+    width = max(t.shape[1] for t in traces)
+    trace = np.concatenate([np.pad(t, ((0, 0), (0, width - t.shape[1])), mode="edge")
+                            for t in traces])
+    return GLMStackFit(family=spec.name, beta=np.concatenate(beta),
+                       mu=np.concatenate(mu), fisher_info=np.concatenate(info),
+                       iterations=np.concatenate(iterations),
+                       log_likelihood=np.concatenate(ll), loglik_trace=trace)
+
+
+def _scoring(spec, m, y, beta):
+    """Scoring iterations on one chunk of rows from the starts ``beta``.
+
+    Every pass evaluates all rows; rows that have converged are frozen, as
+    only the rows still iterating are written."""
+    mt = np.swapaxes(m, -1, -2)
+    eta = _matvec(m, beta)
     ll = spec.loglik(y, eta)
     trace = [ll]
-    tol = 1e-10 * (1.0 + np.abs(m.T @ y).max() / spec.dispersion)
-    converged = False
-    iterations = 0
+    tol = 1e-10 * (1.0 + np.abs(_matvec(mt, y)).max(axis=-1) / spec.dispersion)
+    active = np.ones(len(y), dtype=bool)
+    iterations = np.zeros(len(y), dtype=int)
     for _ in range(_MAX_ITER):
-        iterations += 1
+        iterations += active
         mu = spec.mean(eta)
-        score = m.T @ (y - mu) / spec.dispersion
-        if np.abs(score).max() <= tol:
-            if spec.name == "bernoulli_logit" and np.abs(y - mu).max() < 1e-6:
-                # the score only vanishes with all cases classified exactly
-                # when the likelihood has no finite maximizer
-                raise SeparationError(
-                    "separation detected: responses perfectly classified, "
-                    "coefficients diverge")
-            converged = True
+        residual = y - mu
+        score = _matvec(mt, residual) / spec.dispersion
+        info = mt @ (m * _working_weights(spec, eta, mu)[..., None])
+        done = active & (np.abs(score).max(axis=-1) <= tol)
+        if spec.name == "bernoulli_logit" and done.any() and np.any(
+                done & (np.abs(residual).max(axis=-1) < 1e-6)):
+            # the score only vanishes with all cases classified exactly
+            # when the likelihood has no finite maximizer
+            raise SeparationError(
+                "separation detected: responses perfectly classified, "
+                "coefficients diverge")
+        active &= ~done
+        if not active.any():
             break
-        info = m.T @ (m * _working_weights(spec, eta)[:, None])
-        step = np.linalg.solve(info, score)
-        new_beta, new_eta, new_ll = _halved_step(spec, m, y, beta, step, ll)
-        if new_ll is None:
-            if float(np.linalg.norm(beta)) > _SEPARATION_NORM:
+        # frozen rows solve against the identity, so only iterating rows can fail
+        step = np.linalg.solve(np.where(active[:, None, None], info, np.eye(beta.shape[1])),
+                               score[..., None])[..., 0]
+        beta, eta, ll, stalled = _halved_steps(spec, m, y, beta, eta, ll, step, active)
+        if stalled.any():
+            last = beta[np.argmax(stalled)]
+            if _norms(last) > _SEPARATION_NORM:
                 raise SeparationError(
                     "separation detected: coefficients diverge while the "
                     "score stalls")
-            raise ConvergenceError("no ascent direction found", last_iterate=beta)
-        beta, eta, ll = new_beta, new_eta, new_ll
+            raise ConvergenceError("no ascent direction found", last_iterate=last)
         trace.append(ll)
-        if np.linalg.norm(beta) > _SEPARATION_NORM and spec.name == "bernoulli_logit":
+        if spec.name == "bernoulli_logit" and np.any(
+                active & (_norms(beta) > _SEPARATION_NORM)):
             raise SeparationError(
                 "separation detected: coefficient norm exceeded "
                 f"{_SEPARATION_NORM:g} before the score vanished")
     else:
-        raise ConvergenceError("scoring iterations exhausted", last_iterate=beta)
-    info = m.T @ (m * _working_weights(spec, eta)[:, None])
-    return GLMFit(family=spec.name, design=x, y=y, beta=beta,
-                  mu=np.asarray(spec.mean(eta)), fisher_info=info,
-                  iterations=iterations, converged=converged,
-                  log_likelihood=ll, loglik_trace=np.array(trace))
+        raise ConvergenceError("scoring iterations exhausted",
+                               last_iterate=beta[np.argmax(active)])
+    return beta, mu, info, iterations, ll, np.stack(trace, axis=-1)
 
 
-def _initial_beta(spec: ExpFamilySpec, x: DesignMatrix, y: np.ndarray) -> np.ndarray:
-    if spec.name == "gamma_neglog":
-        # start from a response-driven predictor to keep eta negative
-        eta0 = spec.link(np.maximum(y, np.percentile(y, 5)))
-        beta, *_ = np.linalg.lstsq(x.matrix, eta0, rcond=None)
-        if spec.natural_ok(x.matrix @ beta):
-            return beta
-        # fall back to a constant negative predictor
-        beta = np.zeros(x.n_columns)
-        if x.has_intercept:
-            beta[0] = float(spec.link(np.array([y.mean()]))[0])
+def _initial_beta(spec, m, y, has_intercept):
+    """Starting coefficients, one row per response row."""
+    beta = np.zeros((len(y), m.shape[-1]))
+    if spec.name != "gamma_neglog":
         return beta
-    return np.zeros(x.n_columns)
+    for r, row in enumerate(y):
+        design = m if m.ndim == 2 else m[r]
+        # start from a response-driven predictor to keep eta negative
+        eta0 = spec.link(np.maximum(row, np.percentile(row, 5)))
+        start, *_ = np.linalg.lstsq(design, eta0, rcond=None)
+        if spec.natural_ok(design @ start):
+            beta[r] = start
+        elif has_intercept:
+            # fall back to a constant negative predictor
+            beta[r, 0] = float(spec.link(np.array([row.mean()]))[0])
+    return beta
 
 
-def _halved_step(spec, m, y, beta, step, ll_old):
+def _halved_steps(spec, m, y, beta, eta, ll, step, pending):
+    """Move each ``pending`` row by the first of ``step``, ``step / 2``, ...
+    that stays in the natural domain and does not lower its log-likelihood;
+    returns the new ``beta``, ``eta``, ``ll`` and the rows that found none."""
+    new_beta, new_eta, new_ll = beta.copy(), eta.copy(), ll.copy()
+    pending = pending.copy()
+    floor = ll - 1e-13 * (1.0 + np.abs(ll))
     scale = 1.0
     for _ in range(_MAX_HALVINGS):
         candidate = beta + scale * step
-        eta = m @ candidate
-        if spec.natural_ok(eta):
-            ll = spec.loglik(y, eta)
-            if ll >= ll_old - 1e-13 * (1.0 + abs(ll_old)):
-                return candidate, eta, ll
+        candidate_eta = _matvec(m, candidate)
+        with np.errstate(all="ignore"):  # rows outside the domain are discarded
+            candidate_ll = spec.loglik(y, candidate_eta)
+        accept = pending & spec.natural_ok(candidate_eta) & (candidate_ll >= floor)
+        new_beta[accept] = candidate[accept]
+        new_eta[accept] = candidate_eta[accept]
+        new_ll[accept] = candidate_ll[accept]
+        pending &= ~accept
+        if not pending.any():
+            break
         scale *= 0.5
-    return None, None, None
+    return new_beta, new_eta, new_ll, pending
 
 
-def glm_wald_ci(fit: GLMFit, j: int, delta: float) -> ConfidenceInterval:
-    """Large-sample interval from the inverse information at the fit."""
+def glm_wald_ci(fit, j: int, delta: float) -> ConfidenceInterval:
+    """Large-sample interval from the inverse information at the fit; a
+    :class:`GLMStackFit` gives one interval per row."""
     if not fit.converged:
         raise DomainError("Wald interval needs a converged fit")
-    if not 0 <= j < fit.beta.size:
+    if not 0 <= j < fit.beta.shape[-1]:
         raise DomainError("coefficient index out of range")
     cov = np.linalg.inv(fit.fisher_info)
-    half = float(dist_quantile(Normal(0.0, 1.0), 1.0 - delta / 2.0)) * math.sqrt(cov[j, j])
-    center = float(fit.beta[j])
-    return ConfidenceInterval(center - half, center + half, 1.0 - delta,
-                              "glm_wald")
+    half = float(dist_quantile(Normal(0.0, 1.0), 1.0 - delta / 2.0)) * np.sqrt(cov[..., j, j])
+    lo, hi = fit.beta[..., j] - half, fit.beta[..., j] + half
+    if np.ndim(lo) == 0:
+        lo, hi = float(lo), float(hi)
+    return ConfidenceInterval(lo, hi, 1.0 - delta, "glm_wald")
 
 
 # -- two-parameter logistic ability scoring ------------------------------------

@@ -141,18 +141,19 @@ def anova_one_way(groups: Sequence) -> TestReport:
                               "ss_between": _scalar_or_rows(ss_between)})
 
 
-def lrt_generic(loglik_full: float, loglik_null: float, df_diff: int) -> TestReport:
-    """Twice the log-likelihood gap of nested fits against chi-squared."""
+def lrt_generic(loglik_full, loglik_null, df_diff: int) -> TestReport:
+    """Twice the log-likelihood gap of nested fits against chi-squared;
+    arrays of log-likelihoods are tested pair by pair."""
     if df_diff < 1:
         raise DomainError("degrees-of-freedom difference must be >= 1")
-    gap = loglik_full - loglik_null
-    if gap < -1e-8:
+    gap = np.asarray(loglik_full, dtype=float) - np.asarray(loglik_null, dtype=float)
+    if np.any(gap < -1e-8):
         raise NestingError(
-            f"full log-likelihood below null by {-gap:.3e}; models are not nested"
+            f"full log-likelihood below null by {-np.min(gap):.3e}; models are not nested"
         )
-    stat = max(0.0, 2.0 * gap)
+    stat = np.fmax(0.0, 2.0 * gap)
     null_law = ChiSquared(df_diff)
-    return TestReport(stat, null_law, float(null_law.sf(stat)),
+    return TestReport(_scalar_or_rows(stat), null_law, _scalar_or_rows(null_law.sf(stat)),
                       kind="likelihood_ratio")
 
 
@@ -173,7 +174,9 @@ def wilks_null_simulation(scenario: str, n: int, replicates: int,
 
     Scenarios: ``"z"`` (normal mean, variance known; the statistic is
     exactly chi-squared), ``"t"`` (normal mean, variance unknown), and
-    ``"logistic"`` (two true-zero slopes dropped from a logistic fit).
+    ``"logistic"`` (two true-zero slopes dropped from a logistic fit; the
+    replicates' full and null fits run as stacks of rows through
+    :func:`statforge.glm.glm_fit_stack`).
     """
     if replicates < 100:
         raise DomainError("need at least 100 replicates")
@@ -226,20 +229,22 @@ _NORMAL_LRTS = {"z": (1, _z_lrt), "t": (2, _t_lrt)}
 
 
 def _simulate_logistic_gap(n: int, replicates: int, stream: RandomStream) -> np.ndarray:
-    from .glm import bernoulli_logit, glm_fit
-    from .regression import design_matrix
+    """Log-likelihood-ratio statistics of two true-zero slopes, replicate
+    ``r`` drawn from ``stream.split(r)``; chunks of replicates are drawn as
+    one batch and fitted as stacks."""
+    from .glm import bernoulli_logit, glm_fit_stack, stack_chunk_rows
 
     beta_true = np.array([0.3, 0.5, 0.0, 0.0])
     spec = bernoulli_logit()
-    stats = np.empty(replicates)
-    for r in range(replicates):
-        sub = stream.split(r)
-        covariates = sub.normals(n * 3).reshape(n, 3)
-        design_full = design_matrix(covariates)
-        eta = design_full.matrix @ beta_true
-        prob = 1.0 / (1.0 + np.exp(-eta))
-        y = (sub.uniforms(n) < prob).astype(float)
-        full = glm_fit(spec, design_full, y)
-        null = glm_fit(spec, design_matrix(covariates[:, :1]), y)
-        stats[r] = lrt_generic(full.log_likelihood, null.log_likelihood, 2).statistic
-    return stats
+    full, null = np.empty(replicates), np.empty(replicates)
+    chunk = stack_chunk_rows(n)
+    for start in range(0, replicates, chunk):
+        rows = slice(start, min(start + chunk, replicates))
+        batch = stream.batch(np.arange(rows.start, rows.stop))
+        covariates = batch.normals(n * 3).reshape(-1, n, 3)
+        design = np.concatenate([np.ones((len(covariates), n, 1)), covariates], axis=-1)
+        prob = 1.0 / (1.0 + np.exp(-(design @ beta_true)))
+        y = (batch.uniforms(n) < prob).astype(float)
+        full[rows] = glm_fit_stack(spec, design, y).log_likelihood
+        null[rows] = glm_fit_stack(spec, design[..., :2], y).log_likelihood
+    return lrt_generic(full, null, 2).statistic

@@ -17,7 +17,7 @@ from .results import ConfidenceInterval, TestReport
 from .rng import RandomStream
 
 __all__ = [
-    "DesignMatrix", "design_matrix", "LinearFit", "ols_fit",
+    "DesignMatrix", "design_matrix", "require_full_rank", "LinearFit", "ols_fit",
     "coef_interval", "response_band", "f_test_nested",
     "RidgeFit", "ridge_fit", "LassoFit", "lasso_fit", "soft_threshold",
     "estimate_restricted_eigenvalue", "lasso_penalty_rule",
@@ -52,14 +52,22 @@ class DesignMatrix:
         return self.matrix.shape[1]
 
     def require_full_rank(self) -> None:
-        sv = np.linalg.svd(self.matrix, compute_uv=False)
-        if sv[-1] <= _RANK_RTOL * sv[0]:
-            _, _, vt = np.linalg.svd(self.matrix)
-            null = np.abs(vt[-1])
-            involved = np.flatnonzero(null > 0.1 * null.max())
-            raise SingularDesignError(
-                f"singular design: columns {involved.tolist()} are linearly dependent"
-            )
+        require_full_rank(self.matrix)
+
+
+def require_full_rank(matrix: np.ndarray) -> None:
+    """Raise :class:`SingularDesignError` naming the dependent columns of the
+    first rank-deficient design in ``matrix``, one ``(n, k)`` design or a
+    stack ``(R, n, k)`` checked with one batched SVD."""
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    deficient = np.flatnonzero(sv[..., -1] <= _RANK_RTOL * sv[..., 0])
+    if deficient.size:
+        _, _, vt = np.linalg.svd(matrix.reshape(-1, *matrix.shape[-2:])[deficient[0]])
+        null = np.abs(vt[-1])
+        involved = np.flatnonzero(null > 0.1 * null.max())
+        raise SingularDesignError(
+            f"singular design: columns {involved.tolist()} are linearly dependent"
+        )
 
 
 def design_matrix(x, intercept: bool = True) -> DesignMatrix:

@@ -111,11 +111,16 @@ class _Draws:
     def normals(self, count: int) -> np.ndarray:
         """i.i.d. standard normals via the Box-Muller transform."""
         pairs = (count + 1) // 2
-        u1 = self.uniforms_open(pairs)
-        u2 = self.uniforms(pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = (2.0 * np.pi) * u2
-        out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+        radius = np.log(self.uniforms_open(pairs))
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = self.uniforms(pairs)
+        angle *= 2.0 * np.pi
+        # radius * cos and radius * sin fill the two halves of one array
+        out = np.empty(angle.shape[:-1] + (2 * pairs,))
+        for half, wave in ((out[..., :pairs], np.cos), (out[..., pairs:], np.sin)):
+            wave(angle, out=half)
+            half *= radius
         return out[..., :count]
 
 

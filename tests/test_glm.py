@@ -1,13 +1,16 @@
 """Exponential-family moments, scoring fits, Wald inference, ability scoring."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from statforge import distributions as d
 from statforge import glm
 from statforge import regression as reg
-from statforge.errors import DomainError, NoFiniteMLEError, SeparationError
+from statforge.errors import (DomainError, NoFiniteMLEError, SeparationError,
+                              SingularDesignError)
 from statforge.rng import RandomStream
 
 
@@ -144,6 +147,120 @@ class TestGLMFit:
                 hess[i, j] = (ll(fit.beta + ei + ej) - ll(fit.beta + ei - ej)
                               - ll(fit.beta - ei + ej) + ll(fit.beta - ei - ej)) / (4 * h * h)
         assert np.all(np.abs(-hess - fit.fisher_info) <= 1e-4 * np.abs(fit.fisher_info))
+
+
+def _family_rows(family, n, rows, root, shared=False):
+    """A family, per-row designs (all equal when ``shared``) and responses
+    whose rows differ in their true coefficients, so they converge after
+    different iteration counts."""
+    designs = np.stack([reg.design_matrix(root.split(0 if shared else r).normals(n * 2)
+                                          .reshape(n, 2)).matrix for r in range(rows)])
+    strength = np.linspace(0.0, 1.0, rows)[:, None]
+    if family == "bernoulli":
+        xi = 3.0 * strength * (designs @ np.array([0.2, 1.5, -0.7]))
+        u = root.uniforms(n * rows).reshape(rows, n)
+        return glm.bernoulli_logit(), designs, (u < 1.0 / (1.0 + np.exp(-xi))).astype(float)
+    if family == "poisson":
+        # large counts: the first full step from zero overshoots and is halved
+        xi = 1.0 + 3.0 * strength + designs @ np.array([0.0, 0.4, -0.3])
+        u = root.uniforms(n * rows).reshape(rows, n)
+        return glm.poisson_log(), designs, np.floor(2.0 * np.exp(xi) * u)
+    if family == "normal":
+        xi = designs @ np.array([1.0, 2.0, 3.0])
+        return glm.normal_identity(1.7), designs, xi + root.normals(n * rows).reshape(rows, n)
+    xi = -(1.0 + strength + np.abs(designs @ np.array([0.5, 0.3, -0.2])))
+    raw = d.dist_sample(d.Gamma(1.0, 2.0), root, n * rows).reshape(rows, n)
+    return glm.gamma_neglog(2.0), designs, raw / -xi
+
+
+def _assert_row_equals_single(stack, r, single):
+    assert stack.beta[r].tobytes() == single.beta.tobytes()
+    assert stack.mu[r].tobytes() == single.mu.tobytes()
+    assert stack.fisher_info[r].tobytes() == single.fisher_info.tobytes()
+    assert stack.log_likelihood[r] == single.log_likelihood
+    assert stack.iterations[r] == single.iterations
+    trace = stack.loglik_trace[r, :stack.iterations[r]]
+    assert trace.tobytes() == single.loglik_trace.tobytes()
+
+
+class TestGLMFitStack:
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson", "normal", "gamma"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_rows_equal_single_fits(self, family, shared, monkeypatch):
+        n, rows = 200, 11
+        monkeypatch.setattr(glm, "_STACK_CHUNK", 4 * n)  # chunks of 4, 4 and 3 rows
+        assert glm.stack_chunk_rows(n) < rows
+        spec, designs, y = _family_rows(family, n, rows, RandomStream(500), shared)
+        if shared:
+            design = reg.DesignMatrix(designs[0])
+            stack = glm.glm_fit_stack(spec, design, y)
+            singles = [glm.glm_fit(spec, design, row) for row in y]
+        else:
+            stack = glm.glm_fit_stack(spec, designs, y)
+            singles = [glm.glm_fit(spec, reg.DesignMatrix(m), row)
+                       for m, row in zip(designs, y)]
+        assert stack.beta.shape == (rows, 3) and stack.fisher_info.shape == (rows, 3, 3)
+        for r, single in enumerate(singles):
+            _assert_row_equals_single(stack, r, single)
+        if family != "normal":
+            assert len(set(stack.iterations.tolist())) > 1
+
+    def test_rows_needing_step_halving(self):
+        spec, designs, y = _family_rows("poisson", 200, 5, RandomStream(510), shared=True)
+        design = reg.DesignMatrix(designs[0])
+        m = design.matrix
+        # the full first Newton step from zero lowers the log-likelihood
+        full_step = np.linalg.solve(m.T @ m, m.T @ (y[-1] - 1.0))
+        with np.errstate(over="ignore"):
+            assert not spec.loglik(y[-1], m @ full_step) >= spec.loglik(y[-1], np.zeros(200))
+        stack = glm.glm_fit_stack(spec, design, y)
+        for r, row in enumerate(y):
+            _assert_row_equals_single(stack, r, glm.glm_fit(spec, design, row))
+
+    def test_stack_at_the_default_chunk(self):
+        n = 2000
+        rows = glm.stack_chunk_rows(n) + 3
+        spec, designs, y = _family_rows("bernoulli", n, rows, RandomStream(511))
+        stack = glm.glm_fit_stack(spec, designs, y)
+        for r in (0, rows - 4, rows - 3, rows - 1):
+            _assert_row_equals_single(stack, r, glm.glm_fit(spec, reg.DesignMatrix(designs[r]), y[r]))
+
+    def test_one_separated_row_raises(self):
+        x = np.linspace(-1.0, 1.0, 40)
+        design = reg.design_matrix(x)
+        y = (RandomStream(512).uniforms(40 * 4).reshape(4, 40) < 0.5).astype(float)
+        y[2] = x > 0
+        with pytest.raises(SeparationError):
+            glm.glm_fit(glm.bernoulli_logit(), design, y[2])
+        with pytest.raises(SeparationError):
+            glm.glm_fit_stack(glm.bernoulli_logit(), design, y)
+
+    def test_one_rank_deficient_row_raises(self):
+        spec, designs, y = _family_rows("normal", 50, 4, RandomStream(513))
+        designs[1, :, 2] = 2.0 * designs[1, :, 1]
+        with pytest.raises(SingularDesignError) as single:
+            glm.glm_fit(spec, reg.DesignMatrix(designs[1]), y[1])
+        assert "columns [1, 2]" in str(single.value)
+        with pytest.raises(SingularDesignError, match=re.escape(str(single.value))):
+            glm.glm_fit_stack(spec, designs, y)
+
+    def test_bad_responses_and_shapes(self):
+        spec, designs, y = _family_rows("bernoulli", 30, 3, RandomStream(514))
+        y[1, 4] = 0.5
+        with pytest.raises(DomainError, match="0/1"):
+            glm.glm_fit_stack(spec, designs, y)
+        with pytest.raises(DomainError):
+            glm.glm_fit_stack(spec, designs, y[:2])
+        with pytest.raises(DomainError):
+            glm.glm_fit_stack(spec, designs[0], y)
+
+    def test_wald_intervals_per_row(self):
+        spec, designs, y = _family_rows("bernoulli", 300, 5, RandomStream(515), shared=True)
+        design = reg.DesignMatrix(designs[0])
+        stack = glm.glm_wald_ci(glm.glm_fit_stack(spec, design, y), 1, 0.05)
+        for r, row in enumerate(y):
+            single = glm.glm_wald_ci(glm.glm_fit(spec, design, row), 1, 0.05)
+            assert (stack.lo[r], stack.hi[r]) == (single.lo, single.hi)
 
 
 class TestWald:

@@ -7,7 +7,9 @@ import pytest
 from scipy import special
 
 from statforge import distributions as d
+from statforge import glm
 from statforge import hypothesis as hyp
+from statforge import regression as reg
 from statforge.errors import DegenerateSampleError, DomainError, NestingError
 from statforge.rng import RandomStream
 
@@ -191,6 +193,17 @@ class TestGenericLRT:
         with pytest.raises(DomainError):
             hyp.lrt_generic(-4.0, -5.0, 0)
 
+    def test_arrays_tested_pair_by_pair(self):
+        full = np.array([-10.0, -5.0 - 1e-10, -3.0, 50.0])
+        null = np.array([-10.0, -5.0, -4.5, 0.0])
+        report = hyp.lrt_generic(full, null, 2)
+        for r in range(full.size):
+            single = hyp.lrt_generic(float(full[r]), float(null[r]), 2)
+            assert (report.statistic[r], report.p_value[r]) == (single.statistic, single.p_value)
+        null[2] = -2.0
+        with pytest.raises(NestingError, match="below null by 1.000e"):
+            hyp.lrt_generic(full, null, 2)
+
     def test_p_value_far_in_the_tail(self):
         # 1 - cdf rounds to 0 here; the true tail is erfc(sqrt(50))
         report = hyp.lrt_generic(50.0, 0.0, 1)
@@ -274,6 +287,29 @@ class TestWilksSimulation:
                                         stream=RandomStream(15))
         assert res.df == 2
         assert res.ks_distance <= 0.08
+
+    @pytest.mark.parametrize("chunk_rows", [None, 64])
+    def test_logistic_statistics_equal_single_fits(self, chunk_rows, monkeypatch):
+        n, reps = 200, 150
+        if chunk_rows is not None:  # three stacked chunks instead of one
+            monkeypatch.setattr(glm, "_STACK_CHUNK", chunk_rows * n)
+        stream = RandomStream(18)
+        beta_true = np.array([0.3, 0.5, 0.0, 0.0])
+        spec = glm.bernoulli_logit()
+        expected = np.empty(reps)
+        for r in range(reps):
+            sub = stream.split(r)
+            covariates = sub.normals(n * 3).reshape(n, 3)
+            design_full = reg.design_matrix(covariates)
+            prob = 1.0 / (1.0 + np.exp(-(design_full.matrix @ beta_true)))
+            y = (sub.uniforms(n) < prob).astype(float)
+            full = glm.glm_fit(spec, design_full, y)
+            null = glm.glm_fit(spec, reg.design_matrix(covariates[:, :1]), y)
+            expected[r] = hyp.lrt_generic(full.log_likelihood, null.log_likelihood, 2).statistic
+        assert hyp._simulate_logistic_gap(n, reps, stream).tobytes() == expected.tobytes()
+        res = hyp.wilks_null_simulation("logistic", n=n, replicates=reps, stream=stream)
+        assert res.ks_distance == hyp.ks_statistic(expected, d.ChiSquared(2))
+        assert res.qq_table[:, 1].tobytes() == np.quantile(expected, res.qq_table[:, 0]).tobytes()
 
     def test_replicate_floor(self):
         with pytest.raises(DomainError):

@@ -82,6 +82,18 @@ def test_odd_normal_count():
     assert z.shape == (7,)
 
 
+@pytest.mark.parametrize("count", [7, 2 * 40_000 + 1])
+def test_odd_normal_count_on_batch_rows(count):
+    root = RandomStream(41)
+    batch = root.batch([0, 3, 17])
+    rows, after = batch.normals(count), batch.normals(3)
+    assert rows.shape == (3, count)
+    for i, row, tail in zip([0, 3, 17], rows, after):
+        child = root.split(i)
+        assert child.normals(count).tobytes() == row.tobytes()
+        assert child.normals(3).tobytes() == tail.tobytes()
+
+
 _DRAW_METHODS = ("raw", "uniforms", "uniforms_open", "normals")
 
 
