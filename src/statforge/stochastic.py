@@ -121,7 +121,8 @@ def ito_integral(integrand, path: BrownianPath, coordinate: int = 0) -> float:
     if f.shape != (path.grid.n_steps,):
         raise DomainError("integrand needs one value per increment")
     steps = np.diff(path.values[:, coordinate])
-    return float(f @ steps)
+    # a numpy reduction, not a BLAS dot, whose rounding follows the thread count
+    return float((f * steps).sum())
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +143,25 @@ class TestEnvelope:
             digests.append(hashlib.sha256(
                 json.dumps(report, sort_keys=True).encode()).hexdigest())
         assert digests[0] == digests[1]
+
+
+def test_ito_report_invariant_to_blas_threads(tmp_path):
+    # 100,000 steps per path: long enough that OpenBLAS splits a dot product
+    config = tmp_path / "ito.txt"
+    config.write_text('experiment = "ito"\nseed = 9\npaths = 12\nsteps = 100000\n')
+    src = str(Path(xp.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-m", "statforge.cli", "run", str(config),
+                               "--out", str(out)], env=env, capture_output=True, check=False)
+        assert done.returncode == 0, done.stderr
+        report = json.loads((out / "report.json").read_text())
+        report.pop("wall_time_s")
+        digests.append(hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def _scaled_uniform_sums(scale, batch):
