@@ -207,8 +207,8 @@ class GLMFit:
 class GLMStackFit:
     """Fits of a stack of responses, one per row: row ``r`` of every array
     is what :func:`glm_fit` gives for row ``r``, and row ``r`` of the
-    log-likelihood trace is ``loglik_trace[r, :iterations[r]]``. A stack
-    that returns has converged in every row; a failing row raises."""
+    log-likelihood trace is ``loglik_trace[r, :iterations[r]]``. A failing
+    row raises."""
 
     family: str
     beta: np.ndarray            # (R, k)
@@ -217,7 +217,11 @@ class GLMStackFit:
     iterations: np.ndarray      # (R,)
     log_likelihood: np.ndarray  # (R,)
     loglik_trace: np.ndarray    # (R, max iterations)
-    converged: bool = True
+
+    @property
+    def converged(self) -> bool:
+        """Always true: a stack returns only when every row has converged."""
+        return True
 
 
 _MAX_ITER = 200
@@ -256,8 +260,6 @@ def glm_fit(spec: ExpFamilySpec, x: DesignMatrix, y) -> GLMFit:
     """Newton/Fisher scoring on the canonical score equations, with
     step-halving whenever a full step would lower the log-likelihood."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (x.n,):
-        raise DomainError("response length must match the design")
     fit = glm_fit_stack(spec, x, y[None])
     iterations = int(fit.iterations[0])
     return GLMFit(family=spec.name, design=x, y=y, beta=fit.beta[0],
