@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -293,17 +293,30 @@ def er_sample(n_vertices: int, p: float, stream: RandomStream) -> ErdosRenyiGrap
     if not 0.0 <= p <= 1.0:
         raise DomainError("edge probability must lie in [0, 1]")
     rows, cols = _potential_edges(n_vertices)
-    keep = stream.uniforms(rows.size) < p
+    words = stream.raw(rows.size)
+    # uniforms(N) < p on the words: (w >> 11) < p 2^53 iff w < ceil(p 2^53) 2^11,
+    # a threshold that overflows only at p = 1
+    if p < 1.0:
+        keep = words < np.uint64(math.ceil(math.ldexp(p, 53)) << 11)
+    else:
+        keep = np.ones(rows.size, dtype=bool)
     edges = np.column_stack([rows[keep], cols[keep]])
     return ErdosRenyiGraph(n_vertices=n_vertices, p=p, edges=edges)
 
 
 @dataclass(frozen=True)
 class ErMetrics:
+    """Degree statistics of one graph; connectivity is worked out on first
+    read of ``is_connected``."""
+
     edge_count: int
     degree_sequence: np.ndarray
     mean_degree: float
-    is_connected: bool
+    graph: ErdosRenyiGraph = field(repr=False, compare=False)
+
+    @cached_property
+    def is_connected(self) -> bool:
+        return _connected(self.graph.n_vertices, self.graph.edges)
 
 
 def er_metrics(graph: ErdosRenyiGraph) -> ErMetrics:
@@ -314,7 +327,7 @@ def er_metrics(graph: ErdosRenyiGraph) -> ErMetrics:
         edge_count=int(edges.shape[0]),
         degree_sequence=degrees,
         mean_degree=float(degrees.mean()),
-        is_connected=_connected(n, edges),
+        graph=graph,
     )
 
 
@@ -323,23 +336,13 @@ def _connected(n: int, edges: np.ndarray) -> bool:
         return True
     if edges.shape[0] < n - 1:
         return False
-    # breadth-first traversal, expanding whole frontiers at once
-    heads = np.concatenate([edges[:, 0], edges[:, 1]])
-    tails = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.argsort(heads, kind="stable")
-    tails = tails[order]
-    starts = np.searchsorted(heads[order], np.arange(n + 1))
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    frontier = np.array([0])
-    seen = 1
-    while frontier.size and seen < n:
-        neighbors = np.concatenate([tails[starts[v]:starts[v + 1]] for v in frontier])
-        fresh = np.unique(neighbors[~visited[neighbors]])
-        visited[fresh] = True
-        seen += fresh.size
-        frontier = fresh
-    return seen == n
+    # imported on use: loading scipy.sparse would slow every start-up
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    adjacency = coo_array((np.ones(edges.shape[0], dtype=np.int8), (edges[:, 0], edges[:, 1])),
+                          shape=(n, n))
+    return connected_components(adjacency, directed=False, return_labels=False) == 1
 
 
 def regular_degree_constant(epsilon: float, delta: float) -> float:

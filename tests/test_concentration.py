@@ -152,6 +152,42 @@ class TestErdosRenyi:
         se = math.sqrt(pairs * p * (1 - p) / graphs)
         assert np.mean(counts) == pytest.approx(pairs * p, abs=4.0 * se)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0, 0.5, 2.0 ** -53, 0.7 * math.log(300) / 300,
+                                   1.0 - 2.0 ** -53])
+    def test_edges_are_those_of_uniforms_below_p(self, p):
+        n = 300
+        rows, cols = np.triu_indices(n, k=1)
+        for r in range(3):
+            reference = RandomStream(404).split(r)
+            keep = reference.uniforms(rows.size) < p
+            stream = RandomStream(404).split(r)
+            g = con.er_sample(n, p, stream)
+            assert np.array_equal(g.edges, np.column_stack([rows[keep], cols[keep]]))
+            assert stream.counter == reference.counter
+
+    def test_threshold_at_the_word_boundary(self, monkeypatch):
+        # words on each side of the cut for p = 2^-53 and p = 0.5
+        words = np.array([0, 2047, 2048, 2049, (1 << 63) - 1, 1 << 63, (1 << 64) - 1],
+                         dtype=np.uint64)
+        stream = RandomStream(1)
+        monkeypatch.setattr(stream, "raw", lambda count: words[:count].copy())
+        monkeypatch.setattr(con, "_potential_edges",
+                            lambda n: (np.zeros(7, np.int64), np.arange(1, 8)))
+        for p in (2.0 ** -53, 0.5):
+            uniforms = (words >> np.uint64(11)) * np.float64(2.0 ** -53)
+            kept = con.er_sample(8, p, stream).edges[:, 1] - 1
+            assert np.array_equal(kept, np.flatnonzero(uniforms < p))
+
+    def test_connectivity_computed_only_when_read(self, stream, monkeypatch):
+        calls = []
+        original = con._connected
+        monkeypatch.setattr(con, "_connected",
+                            lambda n, edges: calls.append(n) or original(n, edges))
+        m = con.er_metrics(con.er_sample(30, 0.5, stream))
+        assert m.degree_sequence.sum() == 2 * m.edge_count and calls == []
+        assert m.is_connected and m.is_connected
+        assert calls == [30]
+
     def test_metrics_on_complete_graph(self, stream):
         g = con.er_sample(12, 1.0, stream)
         m = con.er_metrics(g)
@@ -167,6 +203,16 @@ class TestErdosRenyi:
     def test_two_components_detected(self):
         g = con.ErdosRenyiGraph(4, 0.5, np.array([[0, 1], [2, 3]]))
         assert not con.er_metrics(g).is_connected
+
+    @pytest.mark.parametrize("edges,connected", [
+        ([[0, 1], [1, 2], [2, 3], [3, 4]], True),             # a path
+        ([[0, 4], [1, 4], [2, 4], [3, 4]], True),             # a star on the last vertex
+        ([[0, 1], [0, 2], [1, 2], [3, 4]], False),            # enough edges, two parts
+        ([[0, 1], [1, 2], [0, 2], [2, 3]], False),            # vertex 4 isolated
+    ])
+    def test_connectivity_of_small_graphs(self, edges, connected):
+        g = con.ErdosRenyiGraph(5, 0.5, np.array(edges))
+        assert con.er_metrics(g).is_connected is connected
 
     def test_degree_law_binomial(self):
         # one vertex degree over many graphs behaves like Bin(p; N-1)
