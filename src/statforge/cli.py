@@ -131,8 +131,10 @@ def _cmd_run(args) -> int:
         overrides["seed"] = secrets.randbits(63)
     if args.seed is not None:
         overrides["seed"] = args.seed
+    if args.workers < 1:
+        raise StatforgeError(f"--workers must be at least 1, got {args.workers}")
     config = parse_config_file(args.config, overrides)
-    envelope = run_experiment(config, workers=max(1, args.workers))
+    envelope = run_experiment(config, workers=args.workers)
     if args.out:
         _write_outputs(envelope, args.out)
     if args.format == "json":

@@ -215,8 +215,8 @@ def replicate(kernel: Callable, n_replicates: int, root: RandomStream,
     are concatenated along that axis in replicate order. Rows draw exactly
     what ``root.split(r)`` draws, so the result is identical for any worker
     count; ``workers > 1`` maps the blocks over a process pool, cut small
-    enough that every worker gets one. A block holds at most ``block``
-    replicates.
+    enough that every worker gets one, with no more workers than blocks. A
+    block holds at most ``block`` replicates.
     """
     if n_replicates < 1:
         raise DomainError("need at least one replicate")
@@ -228,7 +228,7 @@ def replicate(kernel: Callable, n_replicates: int, root: RandomStream,
     if workers <= 1:
         parts = [block(start) for start in starts]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             parts = list(pool.map(block, starts))
     return np.concatenate(parts, axis=-1)
 

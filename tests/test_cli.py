@@ -172,7 +172,42 @@ def _sum_and_normal(stream):
     return stream.uniforms(3).sum(), stream.normals(1)[0]
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for
+    and maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
 class TestReplicate:
+    @pytest.mark.parametrize("n,workers,block,pool", [
+        (3, 8, xp._REPLICATE_BLOCK, 3),   # one replicate per block
+        (9, 4, xp._REPLICATE_BLOCK, 3),   # blocks of 3
+        (20, 4, xp._REPLICATE_BLOCK, 4),
+        (20, 4, 2, 4),
+    ])
+    def test_pool_has_no_more_workers_than_blocks(self, monkeypatch, n, workers, block, pool):
+        monkeypatch.setattr(xp, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        root = RandomStream(76)
+        out = xp.replicate(partial(_scaled_uniform_sums, 1.0), n, root, workers=workers,
+                           block=block)
+        assert _SerialPool.sizes == [pool]
+        assert out.tobytes() == xp.replicate(partial(_scaled_uniform_sums, 1.0), n,
+                                             root).tobytes()
+
     def test_matches_serial(self):
         root = RandomStream(77)
         serial = xp.replicate(partial(_scaled_uniform_sums, 2.0), 20, root, workers=1)
@@ -273,6 +308,15 @@ class TestCLI:
         assert cli.main(["run", cfg, "--set", assignment]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_workers_is_error(self, tmp_path, capsys, workers):
+        cfg = self._write_config(
+            tmp_path, 'experiment = "ci-coverage"\nseed = 4\nreplicates = 50\n')
+        assert cli.main(["run", cfg, "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --workers must be at least 1, got {workers}\n"
+        assert captured.out == ""
 
     def test_int_for_float_key_is_echoed_as_float(self, tmp_path, capsys):
         cfg = self._write_config(
