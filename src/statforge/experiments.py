@@ -6,7 +6,9 @@ through :func:`replicate` and are invariant to how replicates are spread
 over workers; ``mse-variance``, ``gauss-conc``, ``wilks``, ``feynman-kac``
 and ``bs-price`` draw one long or per-chunk streams in one process. The
 ``glm`` kernel and the logistic scenario of ``wilks`` fit whole chunks of
-replicates as stacks through :func:`statforge.glm.glm_fit_stack`.
+replicates as stacks through :func:`statforge.glm.glm_fit_stack`, and the
+``regression`` kernel fits whole blocks through
+:func:`statforge.regression.ols_fit_stack`.
 """
 
 from __future__ import annotations
@@ -332,15 +334,17 @@ def _run_mle(p, root, workers):
             for name, row in zip(("rate", "shape"), standardized)]
 
 
-def _regression_fits(design, null_design, beta, stream):
-    """Coefficients, scaled residual variance, slope coverage, F-test rejection."""
-    n = design.matrix.shape[0]
-    fit = reg.ols_fit(design, design.matrix @ beta + stream.normals(n))
+def _kernel_regression(design, null_design, beta, batch):
+    """Each row's coefficients, scaled residual variance, slope coverage and
+    F-test rejection, from three stacked fits of the block."""
+    n = design.n
+    fit = reg.ols_fit_stack(design, design.matrix @ beta + batch.normals(n))
     covered = reg.coef_interval(fit, 1, 0.05).covers(beta[1])
-    y0 = 1.0 + 0.7 * design.matrix[:, 1] + stream.normals(n)
-    report = reg.f_test_nested(reg.ols_fit(design, y0), reg.ols_fit(null_design, y0))
-    return np.append(fit.beta, (fit.df_residual * fit.sigma2_hat, covered,
-                                report.reject(0.05)))
+    y0 = 1.0 + 0.7 * design.matrix[:, 1] + batch.normals(n)
+    report = reg.f_test_nested(reg.ols_fit_stack(design, y0),
+                               reg.ols_fit_stack(null_design, y0))
+    return np.vstack([fit.beta.T, fit.df_residual * fit.sigma2_hat, covered,
+                      report.reject(0.05)])
 
 
 def _run_regression(p, root, workers):
@@ -350,8 +354,7 @@ def _run_regression(p, root, workers):
     null_design = reg.design_matrix(design.matrix[:, 1:2], intercept=True)
     df = n - n_slopes - 1
     *coefs, scaled_var, covered, size_hits = replicate(
-        partial(_each_row, partial(_regression_fits, design, null_design, beta)),
-        reps, root, workers)
+        partial(_kernel_regression, design, null_design, beta), reps, root, workers)
     estimates = np.column_stack(coefs)  # (R, k) in C order: sums run over replicates
     se_beta = estimates.std(axis=0, ddof=1) / math.sqrt(reps)
     bias = np.abs(estimates.mean(axis=0) - beta)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .distributions import ChiSquared, DistributionSpec, FisherF, dist_cdf
 from .errors import DegenerateSampleError, DomainError, NestingError
-from .results import TestReport
+from .results import TestReport, scalar_or_rows
 from .rng import RandomStream
 
 __all__ = [
@@ -51,11 +51,6 @@ def ks_statistic(sample, law: Union[DistributionSpec, Callable]) -> float:
     return float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
 
 
-def _scalar_or_rows(value):
-    """A float for a single sample, the array for a batch of samples."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport:
     """Two-sided test of a normal mean.
 
@@ -75,8 +70,8 @@ def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport
         z = (x.mean(axis=-1) - mu0) / (sigma_known / math.sqrt(n))
         stat = z * z
         null_law = ChiSquared(1)
-        return TestReport(stat, null_law, _scalar_or_rows(null_law.sf(stat)),
-                          kind="mean_z_squared", extras={"z": _scalar_or_rows(z)})
+        return TestReport(stat, null_law, scalar_or_rows(null_law.sf(stat)),
+                          kind="mean_z_squared", extras={"z": scalar_or_rows(z)})
     if n < 2:
         raise DegenerateSampleError("studentized test needs n >= 2")
     sd = x.std(axis=-1, ddof=1)
@@ -86,9 +81,9 @@ def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport
     stat = t * t
     null_law = FisherF(1, n - 1)
     h = n * np.log1p(stat / (n - 1))
-    return TestReport(stat, null_law, _scalar_or_rows(null_law.sf(stat)),
+    return TestReport(stat, null_law, scalar_or_rows(null_law.sf(stat)),
                       kind="mean_t_squared",
-                      extras={"t": _scalar_or_rows(t), "h": _scalar_or_rows(h)})
+                      extras={"t": scalar_or_rows(t), "h": scalar_or_rows(h)})
 
 
 def f_test_variances(sample_x, sample_y) -> TestReport:
@@ -104,7 +99,7 @@ def f_test_variances(sample_x, sample_y) -> TestReport:
     stat = vx / vy
     null_law = FisherF(x.shape[-1] - 1, y.shape[-1] - 1)
     p = np.minimum(1.0, 2.0 * np.minimum(dist_cdf(null_law, stat), null_law.sf(stat)))
-    return TestReport(stat, null_law, _scalar_or_rows(p),
+    return TestReport(stat, null_law, scalar_or_rows(p),
                       kind="variance_ratio_two_sided")
 
 
@@ -134,11 +129,11 @@ def anova_one_way(groups: Sequence) -> TestReport:
         raise DegenerateSampleError("no within-group variation")
     stat = (ss_between / (p - 1)) / (ss_within / (n - p))
     null_law = FisherF(p - 1, n - p)
-    return TestReport(stat, null_law, _scalar_or_rows(null_law.sf(stat)),
+    return TestReport(stat, null_law, scalar_or_rows(null_law.sf(stat)),
                       kind="anova_one_way",
-                      extras={"ss_total": _scalar_or_rows(ss_total),
-                              "ss_within": _scalar_or_rows(ss_within),
-                              "ss_between": _scalar_or_rows(ss_between)})
+                      extras={"ss_total": scalar_or_rows(ss_total),
+                              "ss_within": scalar_or_rows(ss_within),
+                              "ss_between": scalar_or_rows(ss_between)})
 
 
 def lrt_generic(loglik_full, loglik_null, df_diff: int) -> TestReport:
@@ -153,7 +148,7 @@ def lrt_generic(loglik_full, loglik_null, df_diff: int) -> TestReport:
         )
     stat = np.fmax(0.0, 2.0 * gap)
     null_law = ChiSquared(df_diff)
-    return TestReport(_scalar_or_rows(stat), null_law, _scalar_or_rows(null_law.sf(stat)),
+    return TestReport(scalar_or_rows(stat), null_law, scalar_or_rows(null_law.sf(stat)),
                       kind="likelihood_ratio")
 
 

@@ -1,27 +1,26 @@
-"""Ordinary least squares with full inference, ridge, LASSO, and
-prediction-error bound experiments."""
+"""Ordinary least squares with full inference, one fit or a stack of
+responses against one design, ridge, and LASSO."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .distributions import FisherF, StudentT, dist_quantile
 from .errors import (ConvergenceError, DegenerateSampleError, DomainError,
                      NestingError, SingularDesignError)
-from .results import ConfidenceInterval, TestReport
+from .results import ConfidenceInterval, TestReport, scalar_or_rows
 from .rng import RandomStream
 
 __all__ = [
     "DesignMatrix", "design_matrix", "require_full_rank", "LinearFit", "ols_fit",
-    "coef_interval", "response_band", "f_test_nested",
+    "LinearStackFit", "ols_fit_stack", "coef_interval", "response_band", "f_test_nested",
     "RidgeFit", "ridge_fit", "LassoFit", "lasso_fit", "soft_threshold",
     "estimate_restricted_eigenvalue", "lasso_penalty_rule",
-    "PredictionErrorResult", "prediction_error_experiment",
     "load_regression_csv",
 ]
 
@@ -117,6 +116,31 @@ class LinearFit:
         }
 
 
+@dataclass(frozen=True)
+class LinearStackFit:
+    """Fits of a stack of responses against one design: row ``r`` of every
+    per-row array is what :func:`ols_fit` gives for row ``r``; the Gram
+    inverse and the hat diagonal belong to the design and are shared."""
+
+    design: DesignMatrix
+    y: np.ndarray                     # (R, n)
+    beta: np.ndarray                  # (R, k)
+    fitted: np.ndarray                # (R, n)
+    residuals: np.ndarray             # (R, n)
+    gram_inverse: np.ndarray          # (k, k)
+    hat_diagonal: np.ndarray          # (n,)
+    ss_total: np.ndarray              # (R,)
+    ss_reg: np.ndarray                # (R,)
+    ss_res: np.ndarray                # (R,)
+    r2: np.ndarray                    # (R,)
+    r2_adj: np.ndarray                # (R,)
+    sigma2_hat: Optional[np.ndarray]  # (R,), None without residual df
+
+    @property
+    def df_residual(self) -> int:
+        return self.design.n - self.design.n_columns
+
+
 def ols_fit(x: DesignMatrix, y) -> LinearFit:
     """Least squares through a Householder QR factorization.
 
@@ -124,54 +148,74 @@ def ols_fit(x: DesignMatrix, y) -> LinearFit:
     forming and inverting the normal equations.
     """
     y = np.asarray(y, dtype=float)
-    if y.shape != (x.n,):
+    fit = ols_fit_stack(x, y[None])
+    sigma2 = None if fit.sigma2_hat is None else float(fit.sigma2_hat[0])
+    return LinearFit(design=x, y=y, beta=fit.beta[0], fitted=fit.fitted[0],
+                     residuals=fit.residuals[0], gram_inverse=fit.gram_inverse,
+                     hat_diagonal=fit.hat_diagonal, ss_total=float(fit.ss_total[0]),
+                     ss_reg=float(fit.ss_reg[0]), ss_res=float(fit.ss_res[0]),
+                     r2=float(fit.r2[0]), r2_adj=float(fit.r2_adj[0]), sigma2_hat=sigma2,
+                     cov_beta=None if sigma2 is None else sigma2 * fit.gram_inverse)
+
+
+def ols_fit_stack(x: DesignMatrix, y) -> LinearStackFit:
+    """:func:`ols_fit` on each row of ``y`` ``(R, n)`` against one design:
+    one rank check, one QR, one Gram inverse and one hat diagonal serve
+    every row, and each row's results are bit-identical to the single fit."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] != x.n:
         raise DomainError("response length must match the design")
+    if not np.all(np.isfinite(y)):
+        raise DomainError("responses must be finite")
     x.require_full_rank()
     q, r = np.linalg.qr(x.matrix)
-    beta = solve_triangular(r, q.T @ y)
-    fitted = x.matrix @ beta
+    # the stacked products give each row the bits of its 2-d product, and
+    # trtrs is the LAPACK call solve_triangular(r, v) makes, minus its checks
+    qty = (q.T @ y[..., None])[..., 0]
+    trtrs, = get_lapack_funcs(("trtrs",), (r,))
+    a, flip = (r, 0) if r.flags.f_contiguous else (r.T, 1)
+    beta = np.array([trtrs(a, v, lower=flip, trans=flip)[0] for v in qty])
+    fitted = (x.matrix @ beta[..., None])[..., 0]
     residuals = y - fitted
     r_inv = solve_triangular(r, np.eye(x.n_columns))
-    gram_inverse = r_inv @ r_inv.T
-    hat_diagonal = (q ** 2).sum(axis=1)
-    center = y.mean() if x.has_intercept else 0.0
-    ss_total = float(((y - center) ** 2).sum())
-    ss_res = float((residuals ** 2).sum())
-    ss_reg = float(((fitted - center) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_total if ss_total > 0 else 1.0
+    center = y.mean(axis=-1, keepdims=True) if x.has_intercept else 0.0
+    ss_total = ((y - center) ** 2).sum(axis=-1)
+    ss_res = (residuals ** 2).sum(axis=-1)
+    ss_reg = ((fitted - center) ** 2).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(ss_total > 0, 1.0 - ss_res / ss_total, 1.0)
     df = x.n - x.n_columns
     if df >= 1:
         sigma2 = ss_res / df
         r2_adj = 1.0 - (x.n - 1) / df * (1.0 - r2)
-        cov_beta = sigma2 * gram_inverse
     else:
         sigma2 = None
-        r2_adj = float("nan")
-        cov_beta = None
-    return LinearFit(design=x, y=y, beta=beta, fitted=fitted, residuals=residuals,
-                     gram_inverse=gram_inverse, hat_diagonal=hat_diagonal,
-                     ss_total=ss_total, ss_reg=ss_reg, ss_res=ss_res,
-                     r2=r2, r2_adj=r2_adj, sigma2_hat=sigma2, cov_beta=cov_beta)
+        r2_adj = np.full(len(y), np.nan)
+    return LinearStackFit(design=x, y=y, beta=beta, fitted=fitted, residuals=residuals,
+                          gram_inverse=r_inv @ r_inv.T, hat_diagonal=(q ** 2).sum(axis=1),
+                          ss_total=ss_total, ss_reg=ss_reg, ss_res=ss_res, r2=r2,
+                          r2_adj=r2_adj, sigma2_hat=sigma2)
 
 
-def _require_inference(fit: LinearFit) -> float:
+def _require_inference(fit) -> float:
     if fit.sigma2_hat is None:
         raise DegenerateSampleError(
             "no residual degrees of freedom: inference needs n >= columns + 1")
     return fit.sigma2_hat
 
 
-def coef_interval(fit: LinearFit, j: int, delta: float) -> ConfidenceInterval:
-    """Studentized interval for one coefficient."""
+def coef_interval(fit, j: int, delta: float) -> ConfidenceInterval:
+    """Studentized interval for one coefficient; a :class:`LinearStackFit`
+    gives one interval per row."""
     sigma2 = _require_inference(fit)
-    if not 0 <= j < fit.beta.size:
+    if not 0 <= j < fit.beta.shape[-1]:
         raise DomainError("coefficient index out of range")
-    scale = math.sqrt(sigma2 * fit.gram_inverse[j, j])
+    scale = np.sqrt(sigma2 * fit.gram_inverse[j, j])
     quantile = float(dist_quantile(StudentT(fit.df_residual), 1.0 - delta / 2.0))
-    center = float(fit.beta[j])
+    center = fit.beta[..., j]
     half = quantile * scale
-    return ConfidenceInterval(center - half, center + half, 1.0 - delta,
-                              "coef_t")
+    return ConfidenceInterval(scalar_or_rows(center - half),
+                              scalar_or_rows(center + half), 1.0 - delta, "coef_t")
 
 
 def response_band(fit: LinearFit, x0, kind: str, delta: float) -> ConfidenceInterval:
@@ -203,8 +247,9 @@ def response_band(fit: LinearFit, x0, kind: str, delta: float) -> ConfidenceInte
                               f"response_{kind}")
 
 
-def f_test_nested(fit_full: LinearFit, fit_null: LinearFit) -> TestReport:
-    """Compare nested least-squares fits on the same response."""
+def f_test_nested(fit_full, fit_null) -> TestReport:
+    """Compare nested least-squares fits on the same response; two
+    :class:`LinearStackFit` give one test per row."""
     if not np.array_equal(fit_full.y, fit_null.y):
         raise NestingError("fits must share the response vector")
     full_cols = fit_full.design.matrix
@@ -219,13 +264,16 @@ def f_test_nested(fit_full: LinearFit, fit_null: LinearFit) -> TestReport:
     if df_res < 1:
         raise DegenerateSampleError("full fit has no residual degrees of freedom")
     if df_diff == 0:
-        return TestReport(0.0, FisherF(1, df_res), 1.0, kind="f_nested",
+        zero = np.zeros_like(fit_full.ss_res)
+        return TestReport(scalar_or_rows(zero), FisherF(1, df_res),
+                          scalar_or_rows(zero + 1.0), kind="f_nested",
                           extras={"df_diff": 0})
     stat = ((fit_null.ss_res - fit_full.ss_res) / df_diff) / (fit_full.ss_res / df_res)
-    stat = max(0.0, float(stat))
+    # fmax, like max(0.0, .), maps a nan statistic to 0
+    stat = scalar_or_rows(np.fmax(0.0, stat))
     law = FisherF(df_diff, df_res)
-    p = float(law.sf(stat))
-    return TestReport(stat, law, p, kind="f_nested", extras={"df_diff": df_diff})
+    return TestReport(stat, law, scalar_or_rows(law.sf(stat)), kind="f_nested",
+                      extras={"df_diff": df_diff})
 
 
 # -- ridge ------------------------------------------------------------------------
@@ -360,71 +408,6 @@ def estimate_restricted_eigenvalue(x: DesignMatrix, support, n_probes: int,
         ratio = float((m @ v) @ (m @ v) / (n * (v @ v)))
         best = min(best, ratio)
     return best
-
-
-# -- prediction error experiments ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PredictionErrorResult:
-    mean_error: float
-    bound_value: float
-    violation_rate: float
-    errors: np.ndarray
-    penalty: Optional[float] = None
-    restricted_eigenvalue: Optional[float] = None
-
-
-def prediction_error_experiment(true_beta, x: DesignMatrix, noise_sigma: float,
-                                estimator: str, replicates: int,
-                                stream: RandomStream, *, t: float = 2.0,
-                                column_bound: float = 1.0,
-                                re_probes: int = 2000) -> PredictionErrorResult:
-    """In-sample prediction risk of a fitted surface against its bound.
-
-    OLS is compared with the exact expected risk ``sigma^2 d / n``. The
-    LASSO path draws its penalty from :func:`lasso_penalty_rule` and is
-    compared with the sparse oracle bound ``9 penalty^2 s / kappa`` with
-    ``kappa`` estimated by randomized cone search.
-    """
-    if replicates < 1:
-        raise DomainError("need at least one replicate")
-    true_beta = np.asarray(true_beta, dtype=float)
-    n, d = x.matrix.shape
-    signal = x.matrix @ true_beta
-    penalty = None
-    kappa = None
-    if estimator == "ols":
-        bound = noise_sigma ** 2 * d / n
-    elif estimator == "lasso":
-        slopes = true_beta[1:] if x.has_intercept else true_beta
-        support = np.flatnonzero(slopes)
-        sparsity = max(1, support.size)
-        p = slopes.size
-        penalty = lasso_penalty_rule(n, p, noise_sigma, t, column_bound)
-        kappa = estimate_restricted_eigenvalue(x, support, re_probes,
-                                               stream.split(0xE16E))
-        bound = 9.0 * penalty ** 2 * sparsity / kappa
-    else:
-        raise DomainError(f"unknown estimator {estimator!r}")
-    errors = np.empty(replicates)
-    for r in range(replicates):
-        sub = stream.split(r)
-        y = signal + noise_sigma * sub.normals(n)
-        if estimator == "ols":
-            beta_hat = ols_fit(x, y).beta
-        else:
-            beta_hat = lasso_fit(x, y, penalty, tol=1e-8).beta
-        gap = x.matrix @ (beta_hat - true_beta)
-        errors[r] = float((gap ** 2).sum() / n)
-    return PredictionErrorResult(
-        mean_error=float(errors.mean()),
-        bound_value=float(bound),
-        violation_rate=float(np.mean(errors > bound)),
-        errors=errors,
-        penalty=penalty,
-        restricted_eigenvalue=kappa,
-    )
 
 
 # -- CSV ingestion -------------------------------------------------------------------

@@ -13,6 +13,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .distributions import DistributionSpec
 
 
+def scalar_or_rows(value):
+    """A float for a single sample or fit, the array for a batch of them."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 @dataclass(frozen=True)
 class ConfidenceInterval:
     """An interval estimate ``[lo, hi]`` at confidence level ``1 - delta``;

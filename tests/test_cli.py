@@ -145,10 +145,11 @@ class TestEnvelope:
         assert digests[0] == digests[1]
 
 
-def test_ito_report_invariant_to_blas_threads(tmp_path):
-    # 100,000 steps per path: long enough that OpenBLAS splits a dot product
-    config = tmp_path / "ito.txt"
-    config.write_text('experiment = "ito"\nseed = 9\npaths = 12\nsteps = 100000\n')
+def _digests_under_blas_threads(tmp_path, text):
+    """Report digests of one config run in fresh processes with one and with
+    two OpenBLAS threads."""
+    config = tmp_path / "config.txt"
+    config.write_text(text)
     src = str(Path(xp.__file__).resolve().parents[1])
     path = os.pathsep.join([src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
     digests = []
@@ -161,7 +162,21 @@ def test_ito_report_invariant_to_blas_threads(tmp_path):
         report = json.loads((out / "report.json").read_text())
         report.pop("wall_time_s")
         digests.append(hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
-    assert digests[0] == digests[1]
+    return digests
+
+
+def test_ito_report_invariant_to_blas_threads(tmp_path):
+    # 100,000 steps per path: long enough that OpenBLAS splits a dot product
+    one, two = _digests_under_blas_threads(
+        tmp_path, 'experiment = "ito"\nseed = 9\npaths = 12\nsteps = 100000\n')
+    assert one == two
+
+
+def test_regression_report_invariant_to_blas_threads(tmp_path):
+    one, two = _digests_under_blas_threads(
+        tmp_path, 'experiment = "regression"\nseed = 9\nreplicates = 5000\n'
+        'ks_tol = 0.1\ncoverage_tol = 0.05\nsize_tol = 0.05\n')
+    assert one == two
 
 
 def _scaled_uniform_sums(scale, batch):

@@ -1,12 +1,15 @@
 """Least squares, inference, ridge, LASSO."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import special
+from scipy.linalg import solve_triangular
 
 from statforge import distributions as d
+from statforge import experiments as xp
 from statforge import regression as reg
 from statforge.errors import (ConvergenceError, DomainError, NestingError,
                               SingularDesignError)
@@ -333,35 +336,150 @@ class TestLasso:
         assert err.value.last_iterate.shape == (2,)
 
 
+def _stack_rows(design, batch):
+    """Every per-row array of one stacked fit of a block, one column per row."""
+    fit = reg.ols_fit_stack(design, design.matrix @ np.arange(1.0, design.n_columns + 1)
+                            + batch.normals(design.n))
+    return np.vstack([fit.beta.T, fit.fitted.T, fit.residuals.T, fit.ss_total,
+                      fit.ss_reg, fit.ss_res, fit.r2, fit.r2_adj, fit.sigma2_hat])
+
+
+def _single_row(fit):
+    return np.concatenate([fit.beta, fit.fitted, fit.residuals,
+                           [fit.ss_total, fit.ss_reg, fit.ss_res, fit.r2, fit.r2_adj,
+                            fit.sigma2_hat]])
+
+
+class TestOLSFitStack:
+    def test_rows_equal_single_fits_across_a_block_boundary(self):
+        root = RandomStream(501)
+        design = reg.design_matrix(root.split(1 << 40).normals(50 * 3).reshape(50, 3))
+        beta = np.arange(1.0, 5.0)
+        n = xp._REPLICATE_BLOCK + 3
+        out = xp.replicate(partial(_stack_rows, design), n, root)
+        assert out.shape == (4 + 2 * 50 + 6, n)
+        for r in (0, 1, xp._REPLICATE_BLOCK - 1, xp._REPLICATE_BLOCK, n - 1):
+            single = reg.ols_fit(design, design.matrix @ beta + root.split(r).normals(50))
+            assert out[:, r].tobytes() == _single_row(single).tobytes()
+
+    @pytest.mark.parametrize("n,k,intercept", [(50, 3, True), (40, 0, True),
+                                               (30, 2, False), (300, 5, True)])
+    def test_every_row_equals_its_single_fit(self, n, k, intercept):
+        root = RandomStream(502)
+        design = reg.design_matrix(root.normals(n * k).reshape(n, k), intercept=intercept)
+        y = root.normals(60 * n).reshape(60, n) * np.linspace(0.1, 50.0, 60)[:, None]
+        stack = reg.ols_fit_stack(design, y)
+        assert stack.gram_inverse.shape == (design.n_columns,) * 2
+        q, tri = np.linalg.qr(design.matrix)
+        for r, row in enumerate(y):
+            # the textbook per-row solve gives the same bits
+            beta = solve_triangular(tri, q.T @ row)
+            assert stack.beta[r].tobytes() == beta.tobytes()
+            assert stack.fitted[r].tobytes() == (design.matrix @ beta).tobytes()
+            single = reg.ols_fit(design, row)
+            assert stack.gram_inverse.tobytes() == single.gram_inverse.tobytes()
+            assert stack.hat_diagonal.tobytes() == single.hat_diagonal.tobytes()
+            for name in ("beta", "fitted", "residuals", "ss_total", "ss_reg", "ss_res",
+                         "r2", "r2_adj", "sigma2_hat"):
+                assert getattr(stack, name)[r].tobytes() == \
+                    np.float64(getattr(single, name)).tobytes(), name
+
+    def test_saturated_stack_has_no_inference(self):
+        design = reg.DesignMatrix(np.array([[1.0, 2.0], [1.0, 3.0]]))
+        stack = reg.ols_fit_stack(design, np.array([[1.0, 2.0], [0.0, 5.0]]))
+        assert stack.sigma2_hat is None
+        assert np.all(np.isnan(stack.r2_adj))
+        assert stack.beta[1].tobytes() == reg.ols_fit(design, [0.0, 5.0]).beta.tobytes()
+
+    def test_intervals_and_f_tests_per_row(self):
+        root = RandomStream(503)
+        n = 30
+        covariates = root.normals(n * 3).reshape(n, 3)
+        full, null = reg.design_matrix(covariates), reg.design_matrix(covariates[:, :1])
+        y = 1.0 + 0.8 * covariates[:, 0] + root.normals(200 * n).reshape(200, n)
+        stack_full, stack_null = reg.ols_fit_stack(full, y), reg.ols_fit_stack(null, y)
+        ci = reg.coef_interval(stack_full, 1, 0.05)
+        report = reg.f_test_nested(stack_full, stack_null)
+        same = reg.f_test_nested(stack_full, stack_full)
+        assert ci.lo.shape == report.p_value.shape == same.p_value.shape == (200,)
+        assert np.all(same.statistic == 0.0) and np.all(same.p_value == 1.0)
+        for r, row in enumerate(y):
+            single_full, single_null = reg.ols_fit(full, row), reg.ols_fit(null, row)
+            single_ci = reg.coef_interval(single_full, 1, 0.05)
+            assert (ci.lo[r], ci.hi[r]) == (single_ci.lo, single_ci.hi)
+            single = reg.f_test_nested(single_full, single_null)
+            assert (report.statistic[r], report.p_value[r]) == \
+                (single.statistic, single.p_value)
+
+    def test_rank_deficient_design_names_columns(self):
+        x = np.column_stack([np.arange(6.0), 2.0 * np.arange(6.0)])
+        design = reg.design_matrix(x)
+        with pytest.raises(SingularDesignError) as single:
+            reg.ols_fit(design, np.arange(6.0))
+        with pytest.raises(SingularDesignError) as stacked:
+            reg.ols_fit_stack(design, np.ones((3, 6)))
+        assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 7), (0, 6), (2, 3, 6)])
+    def test_wrong_response_shape(self, shape):
+        design = reg.design_matrix(np.arange(6.0))
+        with pytest.raises(DomainError, match="response length"):
+            reg.ols_fit_stack(design, np.zeros(shape))
+
+    def test_non_finite_response(self):
+        y = np.ones((2, 6))
+        y[1, 3] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            reg.ols_fit_stack(reg.design_matrix(np.arange(6.0)), y)
+
+    def test_nesting_checked_for_stacks(self):
+        root = RandomStream(504)
+        x = root.normals(20)
+        y = root.normals(40).reshape(2, 20)
+        full = reg.ols_fit_stack(reg.design_matrix(x), y)
+        with pytest.raises(NestingError, match="column"):
+            reg.f_test_nested(full, reg.ols_fit_stack(reg.design_matrix(x + 1.0), y))
+        with pytest.raises(NestingError, match="response"):
+            reg.f_test_nested(full, reg.ols_fit_stack(reg.design_matrix(np.empty((20, 0))),
+                                                      y[::-1]))
+
+
 class TestPredictionError:
+    """In-sample prediction risk of OLS against its exact value, and of the
+    LASSO against its sparse oracle bound."""
+
     def test_ols_matches_exact_risk(self):
         root = RandomStream(66)
         n, p = 50, 3
         design = reg.design_matrix(root.normals(n * p).reshape(n, p))
-        res = reg.prediction_error_experiment(np.array([1.0, 2.0, -1.0, 0.5]),
-                                              design, 1.0, "ols", 2000, root)
-        se = res.errors.std(ddof=1) / math.sqrt(res.errors.size)
-        assert res.mean_error == pytest.approx((p + 1) / n, abs=3.0 * se)
+        signal = design.matrix @ np.array([1.0, 2.0, -1.0, 0.5])
+        fit = reg.ols_fit_stack(design, signal + root.batch(np.arange(2000)).normals(n))
+        errors = ((fit.fitted - signal) ** 2).sum(axis=-1) / n
+        se = errors.std(ddof=1) / math.sqrt(errors.size)
+        assert errors.mean() == pytest.approx((p + 1) / n, abs=3.0 * se)
 
     def test_zero_noise_zero_error(self):
         root = RandomStream(67)
         design = reg.design_matrix(root.normals(40).reshape(20, 2))
-        res = reg.prediction_error_experiment(np.array([1.0, 1.0, 1.0]),
-                                              design, 0.0, "ols", 5, root)
-        assert res.mean_error == pytest.approx(0.0, abs=1e-20)
+        signal = design.matrix @ np.ones(3)
+        fit = reg.ols_fit_stack(design, np.tile(signal, (5, 1)))
+        assert ((fit.fitted - signal) ** 2).sum(axis=-1).max() / 20 == \
+            pytest.approx(0.0, abs=1e-20)
 
     def test_lasso_bound_rarely_violated(self):
         root = RandomStream(68)
         n, p, s = 60, 40, 3
         m = root.normals(n * p).reshape(n, p)
         m /= np.sqrt((m ** 2).sum(axis=0) / n)  # normalized columns
-        design = reg.DesignMatrix(m, has_intercept=False)
         beta = np.zeros(p)
         beta[:s] = [1.5, -1.0, 0.8]
-        res = reg.prediction_error_experiment(beta, design, 1.0, "lasso", 30,
-                                              root, t=2.0)
-        assert res.restricted_eigenvalue > 0.0
-        assert res.violation_rate <= 2.0 * math.exp(-2.0) + 3.0 * math.sqrt(0.27 * 0.73 / 30)
+        penalty = reg.lasso_penalty_rule(n, p, 1.0, 2.0)
+        kappa = reg.estimate_restricted_eigenvalue(reg.DesignMatrix(m, has_intercept=False),
+                                                   np.arange(s), 2000, root.split(0xE16E))
+        assert kappa > 0.0
+        errors = np.array([xp._lasso_error(beta, m, penalty, root.split(r)) for r in range(30)])
+        violation = np.mean(errors > 9.0 * penalty ** 2 * s / kappa)
+        assert violation <= 2.0 * math.exp(-2.0) + 3.0 * math.sqrt(0.27 * 0.73 / 30)
 
 
 def test_csv_round_trip(tmp_path):
