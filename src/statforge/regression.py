@@ -58,6 +58,10 @@ def require_full_rank(matrix: np.ndarray) -> None:
     """Raise :class:`SingularDesignError` naming the dependent columns of the
     first rank-deficient design in ``matrix``, one ``(n, k)`` design or a
     stack ``(R, n, k)`` checked with one batched SVD."""
+    n, k = matrix.shape[-2:]
+    if not 1 <= k <= n:
+        raise SingularDesignError(
+            f"singular design: {k} columns on {n} rows; a fit needs 1 to {n} columns")
     sv = np.linalg.svd(matrix, compute_uv=False)
     deficient = np.flatnonzero(sv[..., -1] <= _RANK_RTOL * sv[..., 0])
     if deficient.size:

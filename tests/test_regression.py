@@ -70,6 +70,12 @@ class TestOLS:
         with pytest.raises(SingularDesignError, match="columns"):
             reg.ols_fit(reg.design_matrix(x), np.arange(6.0))
 
+    @pytest.mark.parametrize("shape", [(4, 0), (3, 4)])
+    def test_design_without_enough_rows_named(self, shape):
+        design = reg.DesignMatrix(np.ones(shape), has_intercept=False)
+        with pytest.raises(SingularDesignError, match=f"{shape[1]} columns on {shape[0]} rows"):
+            reg.ols_fit(design, np.ones(shape[0]))
+
     def test_no_inference_fields_when_saturated(self):
         x = np.array([[1.0, 2.0], [1.0, 3.0]])
         fit = reg.ols_fit(reg.DesignMatrix(x), np.array([1.0, 2.0]))
