@@ -165,6 +165,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -236,26 +236,65 @@ class JLTrialResult:
     skipped_pairs: int
 
 
+# Pairs whose squared distance is at most this share of the largest squared
+# norm of the centred cloud lose digits to cancellation in the Gram
+# differences. Equal rows come out within rounding of zero, about 1e-16 of it.
+_NEAR_PAIR = 1e-6
+
+
+def _pair_distances(gram: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Squared distances ``g_ii + g_jj - 2 g_ij`` of the pairs ``(i, j)``."""
+    sq_norms = np.diag(gram)
+    return sq_norms[i] + sq_norms[j] - 2.0 * gram[i, j]
+
+
 def jl_trial(config: JLConfig, stream: RandomStream, points: np.ndarray | None = None) -> JLTrialResult:
     """One projection of a point cloud; success iff every pairwise squared
-    distance ratio lies in [1 - eps, 1 + eps]. Coincident pairs carry no
-    constraint and are skipped (counted in ``skipped_pairs``)."""
+    distance ratio lies in [1 - eps, 1 + eps]. Coincident pairs (exactly
+    equal rows) carry no constraint and are skipped (counted in
+    ``skipped_pairs``).
+
+    The projected cloud is drawn from its law, not through the map of
+    :func:`jl_project`. For a Gaussian map ``A`` every column of ``P_c A^T``
+    is ``N(0, P_c P_c^T)``, ``P_c`` being the centred points, so for any
+    factor ``F F^T = P_c P_c^T`` with ``k`` columns the cloud ``F Z / sqrt(m)``,
+    ``Z`` a ``(k, m)`` block of standard normals drawn after the points, has
+    the projection's law, and translation moves no distance. ``F`` is the
+    ``(n, n)`` triangle of a QR of ``P_c^T`` when ``n <= d``, else ``P_c``."""
+    n, m = config.n_points, config.m
     if points is None:
-        points = stream.normals(config.n_points * config.ambient_dim)
-        points = points.reshape(config.n_points, config.ambient_dim)
+        points = stream.normals(n * config.ambient_dim).reshape(n, config.ambient_dim)
     else:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[0] != config.n_points:
-            raise DomainError("point count does not match the configuration")
-    projected = jl_project(points, config.m, stream)
-    iu = np.triu_indices(config.n_points, k=1)
-    before = ((points[iu[0]] - points[iu[1]]) ** 2).sum(axis=1)
-    after = ((projected[iu[0]] - projected[iu[1]]) ** 2).sum(axis=1)
-    nonzero = before > 0.0
-    skipped = int(np.size(before) - np.count_nonzero(nonzero))
-    if not np.any(nonzero):
+        if points.shape != (n, config.ambient_dim):
+            raise DomainError(f"points must have shape ({n}, {config.ambient_dim}), "
+                              f"got {points.shape}")
+        if not np.all(np.isfinite(points)):
+            raise DomainError("points must be finite")
+    # differences of nearby doubles are exact, so a common offset of the
+    # points leaves the centred cloud as it is
+    shifted = points - points[0]
+    centred = shifted - shifted.mean(axis=0)
+    factor = np.linalg.qr(centred.T, mode="r").T if n <= config.ambient_dim else centred
+    z = stream.normals(factor.shape[1] * m).reshape(factor.shape[1], m)
+    # (F Z)^T: in this orientation OpenBLAS gives the same bits for one
+    # thread and for two at the default sizes, where F Z does not
+    images = z.T @ factor.T
+    i, j = np.triu_indices(n, k=1)
+    gram = factor @ factor.T
+    before = _pair_distances(gram, i, j)
+    after = _pair_distances(images.T @ images, i, j) / m
+    near = np.flatnonzero(before <= _NEAR_PAIR * np.max(np.diag(gram)))
+    # near pairs from row differences; the ratio's law holds for any direction
+    diff = factor[i[near]] - factor[j[near]]
+    before[near] = (diff ** 2).sum(axis=1)
+    after[near] = ((diff @ z) ** 2).sum(axis=1) / m
+    # equal rows sit far inside the near band
+    coincident = near[np.all(points[i[near]] == points[j[near]], axis=1)]
+    skipped = int(coincident.size)
+    if skipped == before.size:
         return JLTrialResult(max_distortion=0.0, success=True, skipped_pairs=skipped)
-    ratio = after[nonzero] / before[nonzero]
+    ratio = np.delete(after, coincident) / np.delete(before, coincident)
     max_distortion = float(np.max(np.abs(ratio - 1.0)))
     return JLTrialResult(
         max_distortion=max_distortion,

@@ -355,6 +355,10 @@ class FisherF(_Spec):
         pos = x > 0.0
         ratio = k1 * x[pos]
         out[pos] = sp.betainc(k1 / 2.0, k2 / 2.0, ratio / (ratio + k2))
+        # past the median the betainc argument rounds towards 1 and the
+        # upper tail loses its digits; take it from the complement
+        upper = out > 0.5
+        out[upper] = 1.0 - self.sf(x[upper])
         return out
 
     def _ppf(self, u):

@@ -9,7 +9,10 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import FAMILIES, PROPERTY
 from statforge import cli
 from statforge import experiments as xp
 from statforge.errors import DomainError
@@ -76,9 +79,48 @@ class TestConfigParsing:
         with pytest.raises(DomainError, match=message):
             cfg.resolved_params()
 
+    @PROPERTY
+    @given(data=st.data(), tag=st.sampled_from(sorted(xp.EXPERIMENTS)),
+           seed=st.integers(0, 2 ** 63 - 1))
+    def test_config_text_round_trip(self, data, tag, seed):
+        schema = xp.EXPERIMENTS[tag].schema
+        keys = data.draw(st.lists(st.sampled_from(sorted(schema)), unique=True))
+        params = {key: data.draw(_config_values(key, schema[key][0])) for key in keys}
+        text = f'experiment = "{tag}"\nseed = {seed}\n'
+        text += "".join(f"{key} = {value!r}\n" for key, value in params.items())
+        assert all(cli._parse_assignment(f"{key}={value!r}") == (key, value)
+                   for key, value in params.items())
+        replicates = params.pop("replicates", None)
+        cfg = xp.parse_config_text(text)
+        assert cfg == xp.ExperimentConfig(experiment=tag, seed=seed, params=params,
+                                          replicates=replicates)
+        resolved = cfg.resolved_params()
+        assert all(type(resolved[key]) is type(value) and resolved[key] == value
+                   for key, value in params.items())
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @PROPERTY
+    @given(data=st.data())
+    def test_dist_tag_round_trip(self, family, data):
+        spec = data.draw(FAMILIES[family])
+        fields = cli._DIST_BUILDERS[family][1]
+        tag = f"{family}:" + ",".join(repr(getattr(spec, field)) for field in fields)
+        assert cli._parse_dist_tag(tag) == spec
+
     def test_out_is_an_unknown_key(self):
         with pytest.raises(DomainError, match="unknown key 'out'"):
             xp.parse_config_text('experiment = "bayes"\nseed = 1\nout = "reports"\n')
+
+
+def _config_values(key, kind):
+    """Values that pass the range checks of a config key of type ``kind``."""
+    if kind is int:
+        return st.integers(1, 10 ** 9)
+    if key in xp._PROBABILITY_KEYS:
+        return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    if key == "tolerance" or key.endswith("_tol"):
+        return st.floats(0.0, 1e6)
+    return st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestEnvelope:
@@ -176,6 +218,13 @@ def test_regression_report_invariant_to_blas_threads(tmp_path):
     one, two = _digests_under_blas_threads(
         tmp_path, 'experiment = "regression"\nseed = 9\nreplicates = 5000\n'
         'ks_tol = 0.1\ncoverage_tol = 0.05\nsize_tol = 0.05\n')
+    assert one == two
+
+
+def test_jl_report_invariant_to_blas_threads(tmp_path):
+    # 50 points in 1000 dimensions: the QR and products split over threads
+    one, two = _digests_under_blas_threads(
+        tmp_path, 'experiment = "jl"\nseed = 9\nreplicates = 20\n')
     assert one == two
 
 
@@ -332,6 +381,25 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.err == f"error: --workers must be at least 1, got {workers}\n"
         assert captured.out == ""
+
+    def test_out_of_memory_is_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(config, workers):
+            raise MemoryError("Unable to allocate 33.5 GiB for an array")
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        cfg = self._write_config(tmp_path, 'experiment = "jl"\nseed = 4\n')
+        assert cli.main(["run", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory: Unable to allocate 33.5 GiB for an array\n"
+        assert captured.out == ""
+
+    def test_jl_with_thousands_of_points_runs(self, tmp_path, capsys):
+        # 4.5 million pairs: arrays of pairwise differences would not fit
+        cfg = self._write_config(
+            tmp_path, 'experiment = "jl"\nseed = 4\nn_points = 3000\nambient_dim = 5\n'
+            'replicates = 2\nepsilon = 0.5\ndelta = 0.2\n')
+        assert cli.main(["run", cfg]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert {m["name"]: m["value"] for m in metrics}["success_rate"] == 1.0
 
     def test_int_for_float_key_is_echoed_as_float(self, tmp_path, capsys):
         cfg = self._write_config(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from statforge import concentration as con
 from statforge import distributions as d
@@ -75,6 +76,16 @@ class TestEmpiricalTail:
             assert freq <= con.tail_bound(kind, t).clamped + 3.0 * se
 
 
+def _matrix_path_distortion(cfg, stream):
+    """Max distortion of one trial through the explicit map of ``jl_project``."""
+    points = stream.normals(cfg.n_points * cfg.ambient_dim).reshape(cfg.n_points, cfg.ambient_dim)
+    projected = con.jl_project(points, cfg.m, stream)
+    i, j = np.triu_indices(cfg.n_points, k=1)
+    before = ((points[i] - points[j]) ** 2).sum(axis=1)
+    after = ((projected[i] - projected[j]) ** 2).sum(axis=1)
+    return float(np.max(np.abs(after / before - 1.0)))
+
+
 class TestJL:
     def test_target_dim_examples(self):
         assert con.jl_target_dim(2, 0.5, 2.0 / math.e) == 32
@@ -124,6 +135,49 @@ class TestJL:
         pts = np.ones((2, 4))
         res = con.jl_trial(cfg, stream, points=pts)
         assert res.success and res.skipped_pairs == 1
+
+    @pytest.mark.parametrize("n,dim", [(10, 60), (20, 5)])
+    def test_trial_has_the_law_of_the_matrix_path(self, n, dim):
+        # (20, 5) takes the branch with more points than dimensions
+        cfg = con.JLConfig(n_points=n, ambient_dim=dim, epsilon=0.5, delta=0.2)
+        law = [con.jl_trial(cfg, RandomStream(61).split(r)).max_distortion
+               for r in range(2000)]
+        matrix = [_matrix_path_distortion(cfg, RandomStream(62).split(r))
+                  for r in range(2000)]
+        assert stats.ks_2samp(law, matrix).pvalue > 0.01
+
+    def test_common_offset_leaves_distortion(self):
+        # points on a grid of 2^-20, so adding 1e8 rounds nothing
+        cfg = con.JLConfig(n_points=10, ambient_dim=60, epsilon=0.5, delta=0.2)
+        pts = np.round(RandomStream(63).normals(600).reshape(10, 60) * 2 ** 20) / 2 ** 20
+        base = con.jl_trial(cfg, RandomStream(64), points=pts)
+        moved = con.jl_trial(cfg, RandomStream(64), points=pts + 1e8)
+        assert moved.max_distortion == pytest.approx(base.max_distortion, rel=1e-9)
+
+    @pytest.mark.parametrize("n,dim", [(10, 60), (20, 5)])
+    def test_coincident_pairs_skipped_among_distinct_points(self, n, dim):
+        cfg = con.JLConfig(n_points=n, ambient_dim=dim, epsilon=0.5, delta=0.2)
+        pts = RandomStream(65).normals(n * dim).reshape(n, dim)
+        pts[3] = pts[7] = pts[1]            # three equal rows: three pairs
+        pts[0], pts[2] = 0.0, -0.0          # equal under ==
+        res = con.jl_trial(cfg, RandomStream(66), points=pts)
+        assert res.skipped_pairs == 4
+        assert 0.0 < res.max_distortion < 1.0
+
+    def test_near_pair_is_not_lost_to_cancellation(self):
+        # 1e-9 apart in a unit cloud: the Gram differences alone would be noise
+        cfg = con.JLConfig(n_points=10, ambient_dim=60, epsilon=0.5, delta=0.2)
+        pts = RandomStream(67).normals(600).reshape(10, 60)
+        pts[1] = pts[0] + 1e-9 * RandomStream(68).normals(60)
+        res = con.jl_trial(cfg, RandomStream(69), points=pts)
+        assert res.skipped_pairs == 0 and res.max_distortion < 1.0
+
+    @pytest.mark.parametrize("bad", [np.zeros((4, 31)), np.zeros((3, 32)),
+                                     np.full((4, 32), np.nan), np.full((4, 32), np.inf)])
+    def test_trial_rejects_points_of_wrong_shape_or_not_finite(self, stream, bad):
+        cfg = con.JLConfig(n_points=4, ambient_dim=32, epsilon=0.5, delta=0.1)
+        with pytest.raises(DomainError):
+            con.jl_trial(cfg, stream, points=bad)
 
     def test_loose_distortion_with_large_m_succeeds(self, stream):
         cfg = con.JLConfig(n_points=4, ambient_dim=32, epsilon=0.99, delta=1e-6)

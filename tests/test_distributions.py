@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from statforge import distributions as d
 from statforge.errors import DomainError, UndefinedMomentError
 from statforge.rng import RandomStream
 
-from conftest import ks_distance
+from conftest import FAMILIES, PROPERTY, ks_distance
 
 
 CONTINUOUS_CASES = [
@@ -156,6 +158,26 @@ class TestQuantile:
             q = d.dist_quantile(spec, u)
             assert d.dist_cdf(spec, q) >= u
             assert d.dist_cdf(spec, q - 1.0) < u
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @PROPERTY
+    @given(data=st.data(), u=st.floats(1e-12, 1.0 - 1e-12))
+    def test_cdf_inverts_quantile(self, family, data, u):
+        spec = data.draw(FAMILIES[family])
+        q = d.dist_quantile(spec, u)
+        if spec.is_discrete:
+            assert d.dist_cdf(spec, q) >= u > d.dist_cdf(spec, q - 1.0)
+        else:
+            # u is crossed within 16 ulps of q, up to a relative 1e-9 of its
+            # tail and the rounding of u
+            step = 16.0 * np.spacing(abs(q))
+            slack = 1e-9 * min(u, 1.0 - u) + 2.0 * np.spacing(u)
+            assert d.dist_cdf(spec, q - step) - slack <= u <= d.dist_cdf(spec, q + step) + slack
+
+    def test_f_cdf_keeps_its_upper_tail(self):
+        # the betainc argument of F(1, 1) rounds to 1 here, where the tail is 1e-12
+        law, x = d.FisherF(1, 1), 4.05e23
+        assert 1.0 - d.dist_cdf(law, x) == pytest.approx(law.sf(x), rel=1e-3)
 
     def test_domain_errors(self):
         for u in [0.0, 1.0, -0.2, 1.4, math.nan]:
