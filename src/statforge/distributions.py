@@ -300,9 +300,7 @@ class StudentT(_Spec):
         return np.exp(log_c - 0.5 * (k + 1.0) * np.log1p(x * x / k))
 
     def _cdf(self, x):
-        k = float(self.k)
-        tail = 0.5 * sp.betainc(k / 2.0, 0.5, k / (k + x * x))
-        return np.where(x >= 0.0, 1.0 - tail, tail)
+        return sp.stdtr(self.k, x)
 
     def _ppf(self, u):
         return sp.stdtrit(self.k, u)

@@ -25,6 +25,21 @@ _SPLIT_SALT = 0xC2B2AE3D27D4EB4F
 # Bound on temporary arrays when generating long outputs; cache-sized.
 _DRAW_CHUNK = 1 << 15
 
+# Elements per block of Box-Muller temporaries (120 KiB of float64): each
+# stays below glibc's initial 128 KiB mmap threshold, so it is reused from
+# the heap instead of being mapped and faulted in afresh.
+_NORMAL_BLOCK = 15 << 10
+
+# Fewest pairs per block: a block of a batch is a (rows, pairs) slab of
+# strided rows, and a slab narrower than this costs more in per-row loop
+# overhead than its smaller temporaries save.
+_NORMAL_MIN_PAIRS = 64
+
+# uniforms from the top 53 bits of a word
+_SHIFT = np.uint64(11)
+_ONE = np.uint64(1)
+_ULP = np.float64(2.0 ** -53)
+
 # golden * i for the counter offsets i of one chunk
 _STEPS = np.arange(_DRAW_CHUNK, dtype=np.uint64) * np.uint64(_GOLDEN)
 
@@ -87,6 +102,7 @@ class _Draws:
 
     counter: int
     _bases: np.ndarray
+    _lead: tuple  # shape before the word axis: () for one stream, (R,) for a batch
 
     def _raw_rows(self, count: int) -> np.ndarray:
         if count < 0:
@@ -98,29 +114,43 @@ class _Draws:
     def uniforms(self, count: int) -> np.ndarray:
         """i.i.d. uniforms on [0, 1)."""
         bits = self.raw(count)
-        bits >>= np.uint64(11)
-        return bits * np.float64(2.0 ** -53)
+        bits >>= _SHIFT
+        return bits * _ULP
 
     def uniforms_open(self, count: int) -> np.ndarray:
         """i.i.d. uniforms on (0, 1], safe as log arguments."""
         bits = self.raw(count)
-        bits >>= np.uint64(11)
-        bits += np.uint64(1)
-        return bits * np.float64(2.0 ** -53)
+        bits >>= _SHIFT
+        bits += _ONE
+        return bits * _ULP
 
     def normals(self, count: int) -> np.ndarray:
-        """i.i.d. standard normals via the Box-Muller transform."""
+        """i.i.d. standard normals via the Box-Muller transform: the first
+        ``pairs`` words give the radii and the next ``pairs`` the angles;
+        ``radius * cos`` and ``radius * sin`` fill the two halves of one
+        array. Both passes run over blocks of pairs, so their temporaries
+        stay small (see ``_NORMAL_BLOCK``)."""
+        if count < 0:
+            raise ValueError("count must be nonnegative")
         pairs = (count + 1) // 2
-        radius = np.log(self.uniforms_open(pairs))
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        angle = self.uniforms(pairs)
-        angle *= 2.0 * np.pi
-        # radius * cos and radius * sin fill the two halves of one array
-        out = np.empty(angle.shape[:-1] + (2 * pairs,))
-        for half, wave in ((out[..., :pairs], np.cos), (out[..., pairs:], np.sin)):
-            wave(angle, out=half)
-            half *= radius
+        out = np.empty(self._lead + (2 * pairs,))
+        cos_half, sin_half = out[..., :pairs], out[..., pairs:]
+        step = max(_NORMAL_MIN_PAIRS, _NORMAL_BLOCK // self._bases.size)
+        # pass 1: the radii sqrt(-2 log u), parked in the sin half
+        for start in range(0, pairs, step):
+            radius = self.uniforms_open(min(step, pairs - start))
+            np.log(radius, out=radius)
+            radius *= -2.0
+            np.sqrt(radius, out=sin_half[..., start:start + step])
+        # pass 2: the angles; radius * cos, and radius * sin in place
+        for start in range(0, pairs, step):
+            angle = self.uniforms(min(step, pairs - start))
+            angle *= 2.0 * np.pi
+            cos_block = cos_half[..., start:start + step]
+            radius = sin_half[..., start:start + step]
+            np.cos(angle, out=cos_block)
+            cos_block *= radius
+            radius *= np.sin(angle, out=angle)
         return out[..., :count]
 
 
@@ -137,6 +167,7 @@ class RandomStream(_Draws):
     stream_id: int = 0
     counter: int = 0
     _bases: np.ndarray = field(init=False, repr=False, compare=False)
+    _lead = ()
 
     def __post_init__(self):
         self.root_seed &= _MASK64
@@ -175,6 +206,7 @@ class StreamBatch(_Draws):
         self.parent = parent
         self.ids = ids
         self.counter = 0
+        self._lead = ids.shape
         self._bases = _stream_base(parent.root_seed,
                                    _child_id(parent.stream_id, ids.astype(np.uint64)))
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -36,6 +37,8 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise DomainError("grid needs at least two time points")
+        if not np.all(np.isfinite(t)):
+            raise DomainError("grid times must be finite")
         if t[0] != 0.0:
             raise DomainError("grid must start at time 0")
         if np.any(np.diff(t) <= 0.0):
@@ -54,6 +57,13 @@ class TimeGrid:
     def increments(self) -> np.ndarray:
         return np.diff(self.times)
 
+    @cached_property
+    def root_increments(self) -> np.ndarray:
+        """Square roots of the step lengths, computed once per grid."""
+        roots = np.sqrt(self.increments)
+        roots.flags.writeable = False
+        return roots
+
     @property
     def mesh(self) -> float:
         return float(self.increments.max())
@@ -65,8 +75,8 @@ class TimeGrid:
 
 
 def uniform_grid(horizon: float, n_steps: int) -> TimeGrid:
-    if horizon <= 0 or n_steps < 1:
-        raise DomainError("need horizon > 0 and at least one step")
+    if not 0 < horizon < math.inf or n_steps < 1:
+        raise DomainError("need a finite horizon > 0 and at least one step")
     return TimeGrid(np.linspace(0.0, horizon, n_steps + 1))
 
 
@@ -94,9 +104,11 @@ def brownian_sample(grid: TimeGrid, dim: int, stream: RandomStream) -> BrownianP
     if dim < 1:
         raise DomainError("dimension must be >= 1")
     k = grid.n_steps
-    z = stream.normals(k * dim).reshape(k, dim)
-    increments = z * np.sqrt(grid.increments)[:, None]
-    values = np.vstack([np.zeros((1, dim)), np.cumsum(increments, axis=0)])
+    increments = stream.normals(k * dim).reshape(k, dim)
+    increments *= grid.root_increments[:, None]
+    values = np.empty((k + 1, dim))
+    values[0] = 0.0
+    np.cumsum(increments, axis=0, out=values[1:])
     return BrownianPath(grid=grid, values=values)
 
 
@@ -193,8 +205,10 @@ def feynman_kac_mc(potential: Callable, payoff: Callable, t: float, x0,
     sqrt_dt = math.sqrt(dt)
 
     def discounted_payoffs(sub, take):
-        z = sub.normals(take * steps * dim).reshape(take, steps, dim)
-        paths = np.cumsum(z * sqrt_dt, axis=1) + x0
+        paths = sub.normals(take * steps * dim).reshape(take, steps, dim)
+        paths *= sqrt_dt
+        np.cumsum(paths, axis=1, out=paths)
+        paths += x0
         # left endpoints: x0, then all but the final point
         integral = np.asarray(potential(np.broadcast_to(x0, (take, dim))), dtype=float).copy()
         for j in range(steps - 1):

@@ -1,10 +1,12 @@
 """Config parsing, experiment envelopes, CLI behavior, determinism."""
 
+import ctypes
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -160,6 +162,12 @@ class TestEnvelope:
         two = xp.run_experiment(self._small_config(seed=6))
         assert one.metrics[0].value != two.metrics[0].value
 
+    def test_gauss_conc_metrics_depend_on_the_draws(self):
+        values = [[m.value for m in xp.run_experiment(xp.ExperimentConfig(
+            experiment="gauss-conc", seed=seed, params={"samples": 2000, "k": 10})).metrics]
+            for seed in (5, 6)]
+        assert values[0] != values[1]
+
     def test_every_metric_carries_method_tag(self):
         env = xp.run_experiment(xp.ExperimentConfig(
             experiment="bayes", seed=2, params={"replicates": 100}))
@@ -237,13 +245,15 @@ def _sum_and_normal(stream):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records the pool size asked for
-    and maps in this process."""
+    """Stands in for ProcessPoolExecutor: records the pool size and worker
+    initializer asked for and maps in this process."""
 
     sizes: list = []
+    initializers: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
+        self.initializers.append(initializer)
 
     def __enter__(self):
         return self
@@ -253,6 +263,23 @@ class _SerialPool:
 
     def map(self, fn, items):
         return map(fn, items)
+
+
+def _blas_thread_counts():
+    """Thread counts of the OpenBLAS libraries bundled with numpy and scipy."""
+    counts = []
+    for package, pattern, symbol in xp._OPENBLAS:
+        for path in Path(package.__file__).parents[1].glob(pattern):
+            counts.append(getattr(ctypes.CDLL(str(path)), symbol.replace("_set_", "_get_"))())
+    return counts
+
+
+def test_pool_initializer_leaves_one_blas_thread():
+    if not _blas_thread_counts():
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    with ProcessPoolExecutor(max_workers=1, initializer=xp._one_blas_thread) as pool:
+        counts = pool.submit(_blas_thread_counts).result()
+    assert counts == [1] * len(_blas_thread_counts())
 
 
 class TestReplicate:
@@ -265,10 +292,12 @@ class TestReplicate:
     def test_pool_has_no_more_workers_than_blocks(self, monkeypatch, n, workers, block, pool):
         monkeypatch.setattr(xp, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(_SerialPool, "sizes", [])
+        monkeypatch.setattr(_SerialPool, "initializers", [])
         root = RandomStream(76)
         out = xp.replicate(partial(_scaled_uniform_sums, 1.0), n, root, workers=workers,
                            block=block)
         assert _SerialPool.sizes == [pool]
+        assert _SerialPool.initializers == [xp._one_blas_thread]
         assert out.tobytes() == xp.replicate(partial(_scaled_uniform_sums, 1.0), n,
                                              root).tobytes()
 

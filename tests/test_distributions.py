@@ -174,6 +174,18 @@ class TestQuantile:
             slack = 1e-9 * min(u, 1.0 - u) + 2.0 * np.spacing(u)
             assert d.dist_cdf(spec, q - step) - slack <= u <= d.dist_cdf(spec, q + step) + slack
 
+    @pytest.mark.parametrize("k", [148, 10_000, 1_000_000])
+    def test_t_cdf_keeps_its_digits_near_the_median(self, k):
+        law = d.StudentT(k)
+        # cdf(x) = 1/2 + x pdf(0) + O(x^3) near zero, where k / (k + x^2)
+        # rounds to 1
+        x = np.array([-1e-9, -1e-12, 1e-12, 1e-9]) * math.sqrt(k)
+        linear = 0.5 + x * d.dist_pdf(law, 0.0)
+        assert np.all(np.abs(law.cdf(x) - linear) <= 2.0 * np.spacing(0.5))
+        for u in (0.4999999, 0.49999839058883955, 0.5 + 1e-9):
+            q = d.dist_quantile(law, u)
+            assert abs(d.dist_cdf(law, q) - u) <= 4.0 * np.spacing(u)
+
     def test_f_cdf_keeps_its_upper_tail(self):
         # the betainc argument of F(1, 1) rounds to 1 here, where the tail is 1e-12
         law, x = d.FisherF(1, 1), 4.05e23

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statforge import rng
 from statforge.rng import RandomStream
 
 
@@ -92,6 +93,54 @@ def test_odd_normal_count_on_batch_rows(count):
         child = root.split(i)
         assert child.normals(count).tobytes() == row.tobytes()
         assert child.normals(3).tobytes() == tail.tobytes()
+
+
+def _box_muller_reference(draws, count):
+    """Box-Muller as one pass over whole arrays: the radii from the first
+    ``pairs`` words, the angles from the next ``pairs``, cos then sin."""
+    pairs = (count + 1) // 2
+    radius = np.log(draws.uniforms_open(pairs))
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = draws.uniforms(pairs)
+    angle *= 2.0 * np.pi
+    out = np.empty(angle.shape[:-1] + (2 * pairs,))
+    for half, wave in ((out[..., :pairs], np.cos), (out[..., pairs:], np.sin)):
+        wave(angle, out=half)
+        half *= radius
+    return out[..., :count]
+
+
+def _normal_counts(rows):
+    """Counts 1, 2 and odd, one below, at and one above the edge of a
+    Box-Muller block of ``rows`` rows, and counts spanning several blocks."""
+    edge = 2 * max(rng._NORMAL_MIN_PAIRS, rng._NORMAL_BLOCK // rows)
+    return sorted({1, 2, 3, 7, edge - 1, edge, edge + 1, edge + 2,
+                   3 * edge - 1, 3 * edge + 4})
+
+
+@pytest.mark.parametrize("rows", [None, 1, 32, 4096])
+def test_normals_equal_one_pass_reference_bitwise(rows):
+    def fresh():
+        root = RandomStream(2026, 10)
+        return root.split(3) if rows is None else root.batch(np.arange(rows) * 7)
+
+    for count in _normal_counts(1 if rows is None else rows):
+        blocked, reference = fresh(), fresh()
+        # start mid-stream, so blocks do not line up with the counter
+        blocked.uniforms(3)
+        reference.uniforms(3)
+        z = blocked.normals(count)
+        expected = _box_muller_reference(reference, count)
+        assert z.shape == expected.shape
+        assert z.tobytes() == expected.tobytes(), count
+        assert blocked.counter == reference.counter == 3 + 2 * ((count + 1) // 2)
+        assert blocked.raw(4).tobytes() == reference.raw(4).tobytes()
+
+
+def test_normals_reject_negative_count():
+    with pytest.raises(ValueError):
+        RandomStream(1).normals(-1)
 
 
 _DRAW_METHODS = ("raw", "uniforms", "uniforms_open", "normals")

@@ -33,6 +33,23 @@ class TestGrids:
         with pytest.raises(DomainError):
             sto.uniform_grid(0.0, 3)
 
+    @pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [0.0, 0.5, math.inf],
+                                       [0.0, 0.5, math.nan], [math.nan, 1.0]])
+    def test_non_finite_times_rejected(self, times):
+        with pytest.raises(DomainError):
+            sto.TimeGrid(np.array(times))
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(DomainError):
+            sto.uniform_grid(horizon, 4)
+
+    def test_root_increments_are_computed_once(self):
+        grid = sto.TimeGrid(np.array([0.0, 0.25, 1.0, 3.0]))
+        assert np.array_equal(grid.root_increments, np.sqrt(np.diff(grid.times)))
+        assert grid.root_increments is grid.root_increments
+        assert not grid.root_increments.flags.writeable
+
 
 class TestBrownianSampling:
     def test_starts_at_origin(self, stream):
@@ -70,6 +87,19 @@ class TestBrownianSampling:
         a = sto.brownian_sample(grid, 2, RandomStream(5, 9)).values
         b = sto.brownian_sample(grid, 2, RandomStream(5, 9)).values
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dim,grid", [
+        (1, sto.uniform_grid(1.0, 100_000)),
+        (3, sto.TimeGrid(np.array([0.0, 0.1, 0.25, 0.7, 1.3, 2.0]))),
+        (100_000, sto.uniform_grid(1.0, 2)),
+    ])
+    def test_equals_stacked_cumsum_bitwise(self, dim, grid):
+        path = sto.brownian_sample(grid, dim, RandomStream(12, 1))
+        stream = RandomStream(12, 1)
+        z = stream.normals(grid.n_steps * dim).reshape(grid.n_steps, dim)
+        increments = z * np.sqrt(np.diff(grid.times))[:, None]
+        expected = np.vstack([np.zeros((1, dim)), np.cumsum(increments, axis=0)])
+        assert path.values.tobytes() == expected.tobytes()
 
 
 class TestQuadraticVariation:
@@ -226,6 +256,33 @@ class TestFeynmanKac:
         twin = monte_carlo_mean(lambda x: x ** 2, d.Normal(0.0, 4.0), n, 0.05,
                                 root.split(0))
         assert res.estimate == twin.estimate
+
+    @pytest.mark.parametrize("dim,n_paths,steps", [(1, 1001, 3), (2, sto.PATH_CHUNK + 7, 5)])
+    def test_equals_out_of_place_paths_bitwise(self, dim, n_paths, steps):
+        x0 = np.array([0.3, -0.2])[:dim]
+        potential = lambda x: (x ** 2).sum(axis=1)
+        payoff = lambda x: np.cos(x[:, 0])
+        root = RandomStream(13)
+        res = sto.feynman_kac_mc(potential, payoff, 0.8, x0, dim, n_paths, steps, root)
+        # chunk c of the paths from root.split(c), each path from scaled,
+        # summed and shifted copies of its normals
+        dt = 0.8 / steps
+        sums, sums_sq = [], []
+        for c, start in enumerate(range(0, n_paths, sto.PATH_CHUNK)):
+            take = min(sto.PATH_CHUNK, n_paths - start)
+            z = root.split(c).normals(take * steps * dim).reshape(take, steps, dim)
+            paths = np.cumsum(z * math.sqrt(dt), axis=1) + x0
+            integral = potential(np.broadcast_to(x0, (take, dim))).copy()
+            for j in range(steps - 1):
+                integral += potential(paths[:, j, :])
+            integral *= dt
+            values = np.exp(-integral) * payoff(paths[:, -1, :])
+            sums.append(float(values.sum()))
+            sums_sq.append(float((values ** 2).sum()))
+        mean = math.fsum(sums) / n_paths
+        var = (math.fsum(sums_sq) - n_paths * mean * mean) / (n_paths - 1)
+        assert res.estimate == mean
+        assert res.standard_error == math.sqrt(var / n_paths)
 
     def test_multidimensional_start(self):
         res = sto.feynman_kac_mc(lambda x: np.zeros(len(x)),
