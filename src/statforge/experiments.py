@@ -255,6 +255,7 @@ def _one_blas_thread():
                 setter = getattr(ctypes.CDLL(str(path)), symbol)
             except (OSError, AttributeError):
                 continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
             setter(1)
 
 

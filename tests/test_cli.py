@@ -270,7 +270,9 @@ def _blas_thread_counts():
     counts = []
     for package, pattern, symbol in xp._OPENBLAS:
         for path in Path(package.__file__).parents[1].glob(pattern):
-            counts.append(getattr(ctypes.CDLL(str(path)), symbol.replace("_set_", "_get_"))())
+            getter = getattr(ctypes.CDLL(str(path)), symbol.replace("_set_", "_get_"))
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            counts.append(getter())
     return counts
 
 
