@@ -135,7 +135,7 @@ class _Draws:
         pairs = (count + 1) // 2
         out = np.empty(self._lead + (2 * pairs,))
         cos_half, sin_half = out[..., :pairs], out[..., pairs:]
-        step = max(_NORMAL_MIN_PAIRS, _NORMAL_BLOCK // self._bases.size)
+        step = max(_NORMAL_MIN_PAIRS, _NORMAL_BLOCK // max(1, self._bases.size))
         # pass 1: the radii sqrt(-2 log u), parked in the sin half
         for start in range(0, pairs, step):
             radius = self.uniforms_open(min(step, pairs - start))

@@ -138,6 +138,12 @@ def test_normals_equal_one_pass_reference_bitwise(rows):
         assert blocked.raw(4).tobytes() == reference.raw(4).tobytes()
 
 
+def test_empty_batch_draws_empty_rows():
+    batch = RandomStream(1).batch(np.array([], dtype=np.int64))
+    assert batch.normals(5).shape == (0, 5)
+    assert batch.counter == 6
+
+
 def test_normals_reject_negative_count():
     with pytest.raises(ValueError):
         RandomStream(1).normals(-1)
