@@ -300,6 +300,8 @@ class StudentT(_Spec):
         return np.exp(log_c - 0.5 * (k + 1.0) * np.log1p(x * x / k))
 
     def _cdf(self, x):
+        if self.k == 1:  # the Cauchy cdf; stdtr(1, x) loses digits near 0
+            return np.arctan2(1.0, -x) / np.pi
         return sp.stdtr(self.k, x)
 
     def _ppf(self, u):

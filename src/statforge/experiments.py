@@ -2,28 +2,26 @@
 
 Every experiment draws only from child streams of one root seed, so a
 report is a pure function of (config, seed). Replicated experiments run
-through :func:`replicate` and are invariant to how replicates are spread
-over workers; ``mse-variance``, ``gauss-conc``, ``wilks``, ``feynman-kac``
-and ``bs-price`` draw one long or per-chunk streams in one process. The
-``glm`` kernel and the logistic scenario of ``wilks`` fit whole chunks of
-replicates as stacks through :func:`statforge.glm.glm_fit_stack`, and the
+through :func:`statforge.rng.replicate` and are invariant to how replicates
+are spread over workers; so does the logistic scenario of ``wilks``, through
+:func:`statforge.hypothesis.wilks_null_simulation`. ``mse-variance``,
+``gauss-conc``, ``feynman-kac``, ``bs-price`` and the ``z`` and ``t``
+scenarios of ``wilks`` draw one long or per-chunk streams in one process.
+The ``glm`` kernel and the logistic scenario of ``wilks`` fit whole blocks
+of replicates as stacks through :func:`statforge.glm.glm_fit_stack`, and the
 ``regression`` kernel fits whole blocks through
 :func:`statforge.regression.ols_fit_stack`.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-import scipy
 
 from . import concentration as con
 from . import distributions as d
@@ -33,11 +31,11 @@ from . import hypothesis as hyp
 from . import regression as reg
 from . import stochastic as sto
 from .errors import DomainError
-from .rng import RandomStream
+from .rng import RandomStream, _each_row, replicate
 
 __all__ = ["ExperimentConfig", "Metric", "ReportEnvelope", "run_experiment",
            "experiment_tags", "parse_scalar", "parse_config_text",
-           "parse_config_file", "replicate", "EXPERIMENTS"]
+           "parse_config_file", "EXPERIMENTS"]
 
 
 # -- config -------------------------------------------------------------------
@@ -202,71 +200,6 @@ def _at_least(name, value, floor, method, se=None) -> Metric:
     return Metric(name=name, value=float(value), target=float(floor),
                   tolerance=0.0, se=se, method=method,
                   passed=bool(value >= floor))
-
-
-# -- replicates -------------------------------------------------------------------
-
-# Replicates per block handed to a kernel; bounds the memory of one batch.
-_REPLICATE_BLOCK = 4096
-
-
-def replicate(kernel: Callable, n_replicates: int, root: RandomStream,
-              workers: int = 1, block: int = _REPLICATE_BLOCK) -> np.ndarray:
-    """Run ``kernel`` over the child streams ``root.split(r)`` of replicates
-    ``r = 0 .. n_replicates - 1``, one contiguous block at a time.
-
-    ``kernel(batch)`` receives the :class:`StreamBatch` of a block and
-    returns an array whose last axis indexes its rows; the blocks' results
-    are concatenated along that axis in replicate order. Rows draw exactly
-    what ``root.split(r)`` draws, so the result is identical for any worker
-    count; ``workers > 1`` maps the blocks over a process pool, cut small
-    enough that every worker gets one, with no more workers than blocks. A
-    block holds at most ``block`` replicates.
-    """
-    if n_replicates < 1:
-        raise DomainError("need at least one replicate")
-    size = block
-    if workers > 1:
-        size = min(size, -(-n_replicates // workers))
-    block = partial(_replicate_block, kernel, root, n_replicates, size)
-    starts = range(0, n_replicates, size)
-    if workers <= 1:
-        parts = [block(start) for start in starts]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(starts)),
-                                 initializer=_one_blas_thread) as pool:
-            parts = list(pool.map(block, starts))
-    return np.concatenate(parts, axis=-1)
-
-
-# The OpenBLAS builds bundled with numpy and scipy, and the call that sets
-# each one's thread count.
-_OPENBLAS = ((np, "numpy.libs/libscipy_openblas64_*", "scipy_openblas_set_num_threads64_"),
-             (scipy, "scipy.libs/libscipy_openblas-*", "scipy_openblas_set_num_threads"))
-
-
-def _one_blas_thread():
-    """Pool initializer: one OpenBLAS thread per worker, so that workers do
-    not each start a thread on every core. A library or symbol that is not
-    there is skipped."""
-    for package, pattern, symbol in _OPENBLAS:
-        for path in Path(package.__file__).parents[1].glob(pattern):
-            try:
-                setter = getattr(ctypes.CDLL(str(path)), symbol)
-            except (OSError, AttributeError):
-                continue
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-
-
-def _replicate_block(kernel, root, n_replicates, size, start):
-    return kernel(root.batch(np.arange(start, min(start + size, n_replicates))))
-
-
-def _each_row(task: Callable, batch) -> np.ndarray:
-    """A kernel that runs ``task(stream)`` on each row of a block; a task
-    returning ``k`` numbers gives a ``(k, R)`` result."""
-    return np.stack([task(stream) for stream in batch], axis=-1)
 
 
 # -- individual experiments ---------------------------------------------------------
@@ -455,7 +388,7 @@ def _run_glm(p, root, workers):
     beta = np.concatenate([[0.3], np.linspace(-0.5, 0.8, n_slopes)])
     prob = 1.0 / (1.0 + np.exp(-(design.matrix @ beta)))
     spec = glm.bernoulli_logit()
-    # one block per stacked chunk keeps the (block, n) arrays small
+    # blocks of stack_chunk_rows(n) replicates keep the (block, n) arrays small
     residuals, covered = replicate(partial(_kernel_glm, spec, design, beta, prob),
                                    reps, root, workers, block=glm.stack_chunk_rows(n))
     coverage = covered.mean()
@@ -534,7 +467,7 @@ def _run_wilks(p, root, workers):
     for k, (scenario, method) in enumerate((("z", "exact_chi2_law"), ("t", "large_sample_chi2"),
                                             ("logistic", "large_sample_chi2")), start=1):
         res = hyp.wilks_null_simulation(scenario, p[f"n_{scenario}"],
-                                        p[f"replicates_{scenario}"], _aux(root, k))
+                                        p[f"replicates_{scenario}"], _aux(root, k), workers)
         metrics.append(_at_most(f"ks_{scenario}", res.ks_distance, p[f"ks_{scenario}_tol"],
                                 method=method))
     return metrics

@@ -232,7 +232,8 @@ _STACK_CHUNK = 1 << 16
 
 
 def stack_chunk_rows(n: int) -> int:
-    """Rows of ``n`` observations that :func:`glm_fit_stack` fits together."""
+    """Rows of ``n`` observations to hand :func:`glm_fit_stack` at once, so
+    that the temporaries of one scoring pass stay small."""
     return max(1, _STACK_CHUNK // n)
 
 
@@ -289,23 +290,14 @@ def glm_fit_stack(spec: ExpFamilySpec, design, y) -> GLMStackFit:
         raise DomainError("response length must match the design")
     spec.validate_y(y)
     require_full_rank(m)
-    beta = _initial_beta(spec, m, y, has_intercept)
-    rows = stack_chunk_rows(y.shape[1])
-    parts = [_scoring(spec, m if m.ndim == 2 else m[s:s + rows], y[s:s + rows],
-                      beta[s:s + rows])
-             for s in range(0, len(y), rows)]
-    beta, mu, info, iterations, ll, traces = zip(*parts)
-    width = max(t.shape[1] for t in traces)
-    trace = np.concatenate([np.pad(t, ((0, 0), (0, width - t.shape[1])), mode="edge")
-                            for t in traces])
-    return GLMStackFit(family=spec.name, beta=np.concatenate(beta),
-                       mu=np.concatenate(mu), fisher_info=np.concatenate(info),
-                       iterations=np.concatenate(iterations),
-                       log_likelihood=np.concatenate(ll), loglik_trace=trace)
+    beta, mu, info, iterations, ll, trace = _scoring(
+        spec, m, y, _initial_beta(spec, m, y, has_intercept))
+    return GLMStackFit(family=spec.name, beta=beta, mu=mu, fisher_info=info,
+                       iterations=iterations, log_likelihood=ll, loglik_trace=trace)
 
 
 def _scoring(spec, m, y, beta):
-    """Scoring iterations on one chunk of rows from the starts ``beta``.
+    """Scoring iterations on a stack of rows from the starts ``beta``.
 
     Every pass evaluates all rows; rows that have converged are frozen, as
     only the rows still iterating are written."""

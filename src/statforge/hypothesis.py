@@ -6,14 +6,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .distributions import ChiSquared, DistributionSpec, FisherF, dist_cdf
+from .distributions import ChiSquared, DistributionSpec, FisherF, dist_cdf, dist_quantile
 from .errors import DegenerateSampleError, DomainError, NestingError
+from .glm import bernoulli_logit, glm_fit_stack, stack_chunk_rows
 from .results import TestReport, scalar_or_rows
-from .rng import RandomStream
+from .rng import RandomStream, replicate
 
 __all__ = [
     "TestReport", "ks_statistic", "lrt_mean", "f_test_variances",
@@ -163,15 +165,18 @@ _QQ_LEVELS = np.arange(1, 20) / 20.0
 
 
 def wilks_null_simulation(scenario: str, n: int, replicates: int,
-                          stream: RandomStream) -> WilksSimulation:
+                          stream: RandomStream, workers: int = 1) -> WilksSimulation:
     """Distribution of the log-likelihood-ratio statistic under a simulated
     null, compared with its limiting chi-squared law.
 
     Scenarios: ``"z"`` (normal mean, variance known; the statistic is
     exactly chi-squared), ``"t"`` (normal mean, variance unknown), and
-    ``"logistic"`` (two true-zero slopes dropped from a logistic fit; the
-    replicates' full and null fits run as stacks of rows through
-    :func:`statforge.glm.glm_fit_stack`).
+    ``"logistic"`` (two true-zero slopes dropped from a logistic fit).
+    The logistic scenario runs through :func:`statforge.rng.replicate`,
+    replicate ``r`` drawn from ``stream.split(r)`` and spread over
+    ``workers`` processes, and fits each block's full and null models as
+    stacks through :func:`statforge.glm.glm_fit_stack`; ``z`` and ``t``
+    run in one process.
     """
     if replicates < 100:
         raise DomainError("need at least 100 replicates")
@@ -182,16 +187,15 @@ def wilks_null_simulation(scenario: str, n: int, replicates: int,
         stats = _simulate_normal(n, replicates, stream, statistic)
         df = 1
     elif scenario == "logistic":
-        stats = _simulate_logistic_gap(n, replicates, stream)
+        stats = replicate(partial(_logistic_gaps, n), replicates, stream, workers,
+                          block=stack_chunk_rows(n))
         df = 2
     else:
         raise DomainError(f"unknown scenario {scenario!r}")
     law = ChiSquared(df)
     ks = ks_statistic(stats, law)
-    from .distributions import dist_quantile
-
     empirical = np.quantile(stats, _QQ_LEVELS)
-    reference = np.array([dist_quantile(law, u) for u in _QQ_LEVELS])
+    reference = dist_quantile(law, _QQ_LEVELS)
     table = np.column_stack([_QQ_LEVELS, empirical, reference])
     return WilksSimulation(ks_distance=ks, qq_table=table, df=df)
 
@@ -223,23 +227,15 @@ def _t_lrt(x):
 _NORMAL_LRTS = {"z": (1, _z_lrt), "t": (2, _t_lrt)}
 
 
-def _simulate_logistic_gap(n: int, replicates: int, stream: RandomStream) -> np.ndarray:
-    """Log-likelihood-ratio statistics of two true-zero slopes, replicate
-    ``r`` drawn from ``stream.split(r)``; chunks of replicates are drawn as
-    one batch and fitted as stacks."""
-    from .glm import bernoulli_logit, glm_fit_stack, stack_chunk_rows
-
+def _logistic_gaps(n: int, batch) -> np.ndarray:
+    """Log-likelihood-ratio statistics of two true-zero slopes, one per row
+    of ``batch``; the block's full and null fits run as stacks."""
     beta_true = np.array([0.3, 0.5, 0.0, 0.0])
     spec = bernoulli_logit()
-    full, null = np.empty(replicates), np.empty(replicates)
-    chunk = stack_chunk_rows(n)
-    for start in range(0, replicates, chunk):
-        rows = slice(start, min(start + chunk, replicates))
-        batch = stream.batch(np.arange(rows.start, rows.stop))
-        covariates = batch.normals(n * 3).reshape(-1, n, 3)
-        design = np.concatenate([np.ones((len(covariates), n, 1)), covariates], axis=-1)
-        prob = 1.0 / (1.0 + np.exp(-(design @ beta_true)))
-        y = (batch.uniforms(n) < prob).astype(float)
-        full[rows] = glm_fit_stack(spec, design, y).log_likelihood
-        null[rows] = glm_fit_stack(spec, design[..., :2], y).log_likelihood
+    covariates = batch.normals(n * 3).reshape(-1, n, 3)
+    design = np.concatenate([np.ones((len(covariates), n, 1)), covariates], axis=-1)
+    prob = 1.0 / (1.0 + np.exp(-(design @ beta_true)))
+    y = (batch.uniforms(n) < prob).astype(float)
+    full = glm_fit_stack(spec, design, y).log_likelihood
+    null = glm_fit_stack(spec, design[..., :2], y).log_likelihood
     return lrt_generic(full, null, 2).statistic

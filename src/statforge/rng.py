@@ -8,13 +8,24 @@ Monte Carlo reproducible independently of worker count or execution order.
 Because word ``i`` depends only on the stream's base and ``i``, a batch of
 child streams is drawn as one ``(R, k)`` array whose rows are bit-identical
 to the children drawn one by one (the Random123 / SplitMix idea).
+:func:`replicate` runs Monte Carlo replicates on that rule: replicate ``r``
+draws from ``root.split(r)``, in blocks drawn as batches, optionally over a
+process pool.
 """
 
 from __future__ import annotations
 
+import ctypes
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
+import scipy
+
+from .errors import DomainError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -219,3 +230,68 @@ class StreamBatch(_Draws):
     def raw(self, count: int) -> np.ndarray:
         """Next ``count`` raw uint64 words of every stream, ``(R, count)``."""
         return self._raw_rows(count)
+
+
+# -- replicates -------------------------------------------------------------------
+
+# Replicates per block handed to a kernel; bounds the memory of one batch.
+_REPLICATE_BLOCK = 4096
+
+
+def replicate(kernel: Callable, n_replicates: int, root: RandomStream,
+              workers: int = 1, block: int = _REPLICATE_BLOCK) -> np.ndarray:
+    """Run ``kernel`` over the child streams ``root.split(r)`` of replicates
+    ``r = 0 .. n_replicates - 1``, one contiguous block at a time.
+
+    ``kernel(batch)`` receives the :class:`StreamBatch` of a block and
+    returns an array whose last axis indexes its rows; the blocks' results
+    are concatenated along that axis in replicate order. Rows draw exactly
+    what ``root.split(r)`` draws, so the result is identical for any worker
+    count; ``workers > 1`` maps the blocks over a process pool, cut small
+    enough that every worker gets one, with no more workers than blocks. A
+    block holds at most ``block`` replicates.
+    """
+    if n_replicates < 1:
+        raise DomainError("need at least one replicate")
+    size = block
+    if workers > 1:
+        size = min(size, -(-n_replicates // workers))
+    block = partial(_replicate_block, kernel, root, n_replicates, size)
+    starts = range(0, n_replicates, size)
+    if workers <= 1:
+        parts = [block(start) for start in starts]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts)),
+                                 initializer=_one_blas_thread) as pool:
+            parts = list(pool.map(block, starts))
+    return np.concatenate(parts, axis=-1)
+
+
+# The OpenBLAS builds bundled with numpy and scipy, and the call that sets
+# each one's thread count.
+_OPENBLAS = ((np, "numpy.libs/libscipy_openblas64_*", "scipy_openblas_set_num_threads64_"),
+             (scipy, "scipy.libs/libscipy_openblas-*", "scipy_openblas_set_num_threads"))
+
+
+def _one_blas_thread():
+    """Pool initializer: one OpenBLAS thread per worker, so that workers do
+    not each start a thread on every core. A library or symbol that is not
+    there is skipped."""
+    for package, pattern, symbol in _OPENBLAS:
+        for path in Path(package.__file__).parents[1].glob(pattern):
+            try:
+                setter = getattr(ctypes.CDLL(str(path)), symbol)
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+def _replicate_block(kernel, root, n_replicates, size, start):
+    return kernel(root.batch(np.arange(start, min(start + size, n_replicates))))
+
+
+def _each_row(task: Callable, batch) -> np.ndarray:
+    """A kernel that runs ``task(stream)`` on each row of a block; a task
+    returning ``k`` numbers gives a ``(k, R)`` result."""
+    return np.stack([task(stream) for stream in batch], axis=-1)

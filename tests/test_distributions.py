@@ -129,6 +129,12 @@ class TestCdf:
             mass, _ = integrate.quad(lambda t: d.dist_pdf(spec, t), lo, probe, limit=200)
             assert d.dist_cdf(spec, probe) == pytest.approx(mass, abs=1e-9)
 
+    def test_cauchy_cdf_near_the_median_and_in_the_lower_tail(self):
+        law = d.StudentT(1)
+        x = np.array([-1e-8, -1e-9, 1e-9, 1e-8])
+        assert np.all(np.abs(law.cdf(x) - 0.5 - np.arctan(x) / math.pi) <= 1.2e-16)
+        assert law.cdf(-1e10) == pytest.approx(1.0 / (math.pi * 1e10), rel=1e-12)
+
 
 class TestQuantile:
     def test_normal_two_sided_975(self):

@@ -186,10 +186,8 @@ def _assert_row_equals_single(stack, r, single):
 class TestGLMFitStack:
     @pytest.mark.parametrize("family", ["bernoulli", "poisson", "normal", "gamma"])
     @pytest.mark.parametrize("shared", [True, False])
-    def test_rows_equal_single_fits(self, family, shared, monkeypatch):
+    def test_rows_equal_single_fits(self, family, shared):
         n, rows = 200, 11
-        monkeypatch.setattr(glm, "_STACK_CHUNK", 4 * n)  # chunks of 4, 4 and 3 rows
-        assert glm.stack_chunk_rows(n) < rows
         spec, designs, y = _family_rows(family, n, rows, RandomStream(500), shared)
         if shared:
             design = reg.DesignMatrix(designs[0])

@@ -1,6 +1,7 @@
 """Likelihood-ratio tests, ANOVA, variance ratios, chi-squared asymptotics."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from statforge import glm
 from statforge import hypothesis as hyp
 from statforge import regression as reg
 from statforge.errors import DegenerateSampleError, DomainError, NestingError
-from statforge.rng import RandomStream
+from statforge.rng import RandomStream, replicate
 
 
 class TestMeanTests:
@@ -288,10 +289,13 @@ class TestWilksSimulation:
         assert res.df == 2
         assert res.ks_distance <= 0.08
 
-    @pytest.mark.parametrize("chunk_rows", [None, 64])
-    def test_logistic_statistics_equal_single_fits(self, chunk_rows, monkeypatch):
-        n, reps = 200, 150
-        if chunk_rows is not None:  # three stacked chunks instead of one
+    @pytest.mark.parametrize("n,reps,chunk_rows", [
+        (200, 150, None),   # one block
+        (200, 150, 64),     # three blocks
+        (2000, 161, None),  # blocks of 32; the last holds one row
+    ], ids=["None", "64", "161"])
+    def test_logistic_statistics_equal_single_fits(self, n, reps, chunk_rows, monkeypatch):
+        if chunk_rows is not None:
             monkeypatch.setattr(glm, "_STACK_CHUNK", chunk_rows * n)
         stream = RandomStream(18)
         beta_true = np.array([0.3, 0.5, 0.0, 0.0])
@@ -306,7 +310,9 @@ class TestWilksSimulation:
             full = glm.glm_fit(spec, design_full, y)
             null = glm.glm_fit(spec, reg.design_matrix(covariates[:, :1]), y)
             expected[r] = hyp.lrt_generic(full.log_likelihood, null.log_likelihood, 2).statistic
-        assert hyp._simulate_logistic_gap(n, reps, stream).tobytes() == expected.tobytes()
+        gaps = replicate(partial(hyp._logistic_gaps, n), reps, stream,
+                         block=glm.stack_chunk_rows(n))
+        assert gaps.tobytes() == expected.tobytes()
         res = hyp.wilks_null_simulation("logistic", n=n, replicates=reps, stream=stream)
         assert res.ks_distance == hyp.ks_statistic(expected, d.ChiSquared(2))
         assert res.qq_table[:, 1].tobytes() == np.quantile(expected, res.qq_table[:, 0]).tobytes()

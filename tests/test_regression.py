@@ -13,7 +13,7 @@ from statforge import experiments as xp
 from statforge import regression as reg
 from statforge.errors import (ConvergenceError, DomainError, NestingError,
                               SingularDesignError)
-from statforge.rng import RandomStream
+from statforge.rng import _REPLICATE_BLOCK, RandomStream, replicate
 
 from conftest import ks_distance
 
@@ -361,10 +361,10 @@ class TestOLSFitStack:
         root = RandomStream(501)
         design = reg.design_matrix(root.split(1 << 40).normals(50 * 3).reshape(50, 3))
         beta = np.arange(1.0, 5.0)
-        n = xp._REPLICATE_BLOCK + 3
-        out = xp.replicate(partial(_stack_rows, design), n, root)
+        n = _REPLICATE_BLOCK + 3
+        out = replicate(partial(_stack_rows, design), n, root)
         assert out.shape == (4 + 2 * 50 + 6, n)
-        for r in (0, 1, xp._REPLICATE_BLOCK - 1, xp._REPLICATE_BLOCK, n - 1):
+        for r in (0, 1, _REPLICATE_BLOCK - 1, _REPLICATE_BLOCK, n - 1):
             single = reg.ols_fit(design, design.matrix @ beta + root.split(r).normals(50))
             assert out[:, r].tobytes() == _single_row(single).tobytes()
 
