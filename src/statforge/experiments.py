@@ -394,7 +394,9 @@ def _run_glm(p, root, workers):
     coverage = covered.mean()
     y = (_aux(root, 2).uniforms(n) < prob).astype(float)
     fit = glm.glm_fit(spec, design, y)
-    h = 1e-5
+    # the rounding error of these second differences is about eps*|loglik|/h^2,
+    # and |loglik| is about 1e3 here: a smaller step leaves mostly noise
+    h = 1e-4
     dim = fit.beta.size
     hess = np.empty((dim, dim))
     loglik = lambda b: spec.loglik(y, design.matrix @ b)

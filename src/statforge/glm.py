@@ -82,8 +82,18 @@ class _BernoulliLogit(ExpFamilySpec):
             raise DomainError("binary family needs 0/1 responses")
 
     def loglik(self, y, xi):
-        # y*xi - log(1 + e^xi), stable through logaddexp
-        return np.sum(y * xi - np.logaddexp(0.0, xi), axis=-1)
+        # y*xi - log(1 + e^xi), with the softplus as max(xi, 0) + log1p(e^-|xi|):
+        # numpy's vector exp, full relative accuracy where e^-|xi| is tiny,
+        # and two (R, n) temporaries
+        out = np.multiply(y, xi)
+        soft = np.maximum(xi, 0.0)
+        out -= soft
+        np.abs(xi, out=soft)
+        np.negative(soft, out=soft)
+        np.exp(soft, out=soft)
+        np.log1p(soft, out=soft)
+        out -= soft
+        return np.sum(out, axis=-1)
 
 
 @dataclass(frozen=True)

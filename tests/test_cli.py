@@ -191,19 +191,32 @@ class TestEnvelope:
         assert digests[0] == digests[1]
 
 
+def _src_env(**extra):
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(xp.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_module_entry_point_reports_errors(tmp_path):
+    # `python -m statforge` runs the same main as the `statforge` script
+    done = subprocess.run([sys.executable, "-m", "statforge", "run", str(tmp_path / "missing.cfg")],
+                          env=_src_env(), capture_output=True, text=True, check=False)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ")
+
+
 def _digests_under_blas_threads(tmp_path, text):
     """Report digests of one config run in fresh processes with one and with
     two OpenBLAS threads."""
     config = tmp_path / "config.txt"
     config.write_text(text)
-    src = str(Path(xp.__file__).resolve().parents[1])
-    path = os.pathsep.join([src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
     digests = []
     for threads in ("1", "2"):
         out = tmp_path / f"out{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
         done = subprocess.run([sys.executable, "-m", "statforge.cli", "run", str(config),
-                               "--out", str(out)], env=env, capture_output=True, check=False)
+                               "--out", str(out)], env=_src_env(OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, check=False)
         assert done.returncode == 0, done.stderr
         report = json.loads((out / "report.json").read_text())
         report.pop("wall_time_s")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from statforge import distributions as d
+from statforge import experiments as xp
 from statforge import glm
 from statforge import regression as reg
 from statforge.errors import (DomainError, NoFiniteMLEError, SeparationError,
@@ -147,6 +148,40 @@ class TestGLMFit:
                 hess[i, j] = (ll(fit.beta + ei + ej) - ll(fit.beta + ei - ej)
                               - ll(fit.beta - ei + ej) + ll(fit.beta - ei - ej)) / (4 * h * h)
         assert np.all(np.abs(-hess - fit.fisher_info) <= 1e-4 * np.abs(fit.fisher_info))
+
+
+_TAIL_XS = [0.0, -0.0, 1e-300, -1e-300, 1e-8, -1e-8, 36.0, -36.0, 40.0, -40.0,
+            745.0, -745.0, 800.0, -800.0, 1e308]
+
+
+def test_bernoulli_loglik_in_the_tails():
+    # y*x - softplus(x) summed exactly from its three terms; at x = 36 with
+    # y = 1 the value is -e^-36, which y*x - logaddexp(0, x) rounds to 0
+    cases = [(y, x) for x in _TAIL_XS for y in (0.0, 1.0)]
+    y, x = (np.array(col)[:, None] for col in zip(*cases))
+    got = glm.bernoulli_logit().loglik(y, x)
+    for (yi, xi), value in zip(cases, got):
+        want = math.fsum([yi * xi, -max(xi, 0.0), -math.log1p(math.exp(-abs(xi)))])
+        assert abs(value - want) <= 4 * math.ulp(want), (yi, xi, value, want)
+
+
+def test_bernoulli_loglik_matches_logaddexp_on_stacks():
+    root = RandomStream(17)
+    xi = 4.0 * root.normals(32 * 2000).reshape(32, 2000)
+    y = (root.uniforms(32 * 2000).reshape(32, 2000) < 0.5).astype(float)
+    want = np.sum(y * xi - np.logaddexp(0.0, xi), axis=-1)
+    got = glm.bernoulli_logit().loglik(y, xi)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_experiment_information_gap_passes(seed):
+    # the gap compares the information with second differences of the
+    # log-likelihood, whose step must keep rounding noise well under 1e-4
+    report = xp.run_experiment(xp.ExperimentConfig(experiment="glm", seed=seed,
+                                                   params={}, replicates=20))
+    gap = {m.name: m for m in report.metrics}["information_fd_gap"]
+    assert gap.passed, gap.value
 
 
 def _family_rows(family, n, rows, root, shared=False):
