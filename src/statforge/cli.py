@@ -159,10 +159,7 @@ def main(argv=None) -> int:
         if args.command == "dist":
             return _cmd_dist(args)
         raise AssertionError(args.command)
-    except StatforgeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (StatforgeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except MemoryError as err:

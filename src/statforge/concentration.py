@@ -410,11 +410,18 @@ def write_graph_csv(graph: ErdosRenyiGraph, path) -> None:
 
 
 def read_graph_csv(path) -> ErdosRenyiGraph:
+    """A graph as :func:`write_graph_csv` writes it; a malformed line raises
+    :class:`DomainError` naming the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip().split(",")
-        n_vertices, p = int(first[0]), float(first[1])
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    edges = np.array([[int(a), int(b)] for a, b in rows], dtype=np.int64)
-    if edges.size == 0:
-        edges = edges.reshape(0, 2)
-    return ErdosRenyiGraph(n_vertices=n_vertices, p=p, edges=edges)
+        lines = fh.read().splitlines() or [""]
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            if lineno == 1 or line.strip():
+                a, b = line.split(",")
+                rows.append((int(a), float(b) if lineno == 1 else int(b)))
+        except ValueError:
+            raise DomainError(f"{path}, line {lineno}: expected two comma-separated numbers, "
+                              f"got {line!r}") from None
+    edges = np.array(rows[1:], dtype=np.int64).reshape(-1, 2)
+    return ErdosRenyiGraph(n_vertices=rows[0][0], p=rows[0][1], edges=edges)

@@ -50,12 +50,6 @@ class VarianceFamilyEstimate:
     n: int
     c: float
 
-    def theoretical_bias(self, sigma2: float) -> float:
-        return variance_bias(self.n, self.c, sigma2)
-
-    def theoretical_mse(self, sigma2: float) -> float:
-        return variance_mse(self.n, self.c, sigma2)
-
 
 def variance_family(sample, c: float) -> VarianceFamilyEstimate:
     """Scaled sum of squared deviations around the sample mean."""

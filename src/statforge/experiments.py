@@ -1,12 +1,11 @@
 """Configuration-driven experiment runners.
 
 Every experiment draws only from child streams of one root seed, so a
-report is a pure function of (config, seed). Replicated experiments run
-through :func:`statforge.rng.replicate` and are invariant to how replicates
-are spread over workers; so does the logistic scenario of ``wilks``, through
-:func:`statforge.hypothesis.wilks_null_simulation`. ``mse-variance``,
-``gauss-conc``, ``feynman-kac``, ``bs-price`` and the ``z`` and ``t``
-scenarios of ``wilks`` draw one long or per-chunk streams in one process.
+report is a pure function of (config, seed). Every experiment but
+``mse-variance``, which draws one stream in one process, runs through
+:func:`statforge.rng.replicate` and is invariant to how its rows are spread
+over workers; ``feynman-kac``, ``bs-price``, ``gauss-conc`` and the ``z`` and
+``t`` scenarios of ``wilks`` take one row per chunk of samples.
 The ``glm`` kernel and the logistic scenario of ``wilks`` fit whole blocks
 of replicates as stacks through :func:`statforge.glm.glm_fit_stack`, and the
 ``regression`` kernel fits whole blocks through
@@ -518,13 +517,20 @@ def _run_ito(p, root, workers):
     ]
 
 
+def _constant_potential(level, x):
+    return np.full(len(x), level)
+
+
+def _inside_unit_interval(x):
+    return (np.abs(x[:, 0]) <= 1.0).astype(float)
+
+
 def _run_feynman_kac(p, root, workers):
-    inside = lambda x: (np.abs(x[:, 0]) <= 1.0).astype(float)
-    res = sto.feynman_kac_mc(lambda x: np.zeros(len(x)), inside, 1.0, 0.0, 1,
-                             p["paths"], p["steps"], _aux(root, 1))
+    res, controlled = (
+        sto.feynman_kac_mc(partial(_constant_potential, level), _inside_unit_interval, 1.0,
+                           0.0, 1, p[paths], p["steps"], _aux(root, k), workers)
+        for k, level, paths in ((1, 0.0, "paths"), (2, 0.5, "paths_control")))
     target = float(d.dist_cdf(d.Normal(0.0, 1.0), 1.0) - d.dist_cdf(d.Normal(0.0, 1.0), -1.0))
-    controlled = sto.feynman_kac_mc(lambda x: np.full(len(x), 0.5), inside, 1.0, 0.0, 1,
-                                    p["paths_control"], p["steps"], _aux(root, 2))
     ceiling = math.exp(-0.5) + 4.0 * controlled.standard_error
     return [
         _within("interval_mass", res.estimate, target,
@@ -539,7 +545,7 @@ def _run_bs_price(p, root, workers):
     params = sto.BSParams(spot=p["spot"], strike=p["strike"], rate=p["rate"],
                           volatility=p["volatility"], maturity=p["maturity"])
     closed = sto.black_scholes_price(params)
-    mc = sto.bs_mc_price(params, p["paths"], _aux(root, 1))
+    mc = sto.bs_mc_price(params, p["paths"], _aux(root, 1), workers)
     residuals = [
         abs(sto.bs_pde_residual(sto.BSParams(
             spot=x, strike=1.0, rate=p["rate"], volatility=p["volatility"],
@@ -560,7 +566,7 @@ def _run_bs_price(p, root, workers):
 def _run_gauss_conc(p, root, workers):
     grid = np.linspace(0.0, 4.0, p["grid_points"])
     res = sto.gaussian_concentration_experiment("norm", p["k"], p["samples"],
-                                                grid, _aux(root, 1))
+                                                grid, _aux(root, 1), workers)
     excess = res.empirical - (res.bound + 3.0 * res.standard_error)
     # The excess peaks at the last grid point at every seed (-2 exp(-8) at
     # tau = 4); the centre is a function of every draw.

@@ -208,7 +208,6 @@ class GLMFit:
     mu: np.ndarray
     fisher_info: np.ndarray
     iterations: int
-    converged: bool
     log_likelihood: float
     loglik_trace: np.ndarray
 
@@ -227,11 +226,6 @@ class GLMStackFit:
     iterations: np.ndarray      # (R,)
     log_likelihood: np.ndarray  # (R,)
     loglik_trace: np.ndarray    # (R, max iterations)
-
-    @property
-    def converged(self) -> bool:
-        """Always true: a stack returns only when every row has converged."""
-        return True
 
 
 _MAX_ITER = 200
@@ -269,13 +263,14 @@ def _working_weights(spec: ExpFamilySpec, eta: np.ndarray, mu: np.ndarray) -> np
 
 def glm_fit(spec: ExpFamilySpec, x: DesignMatrix, y) -> GLMFit:
     """Newton/Fisher scoring on the canonical score equations, with
-    step-halving whenever a full step would lower the log-likelihood."""
+    step-halving whenever a full step would lower the log-likelihood. A fit
+    that does not converge raises."""
     y = np.asarray(y, dtype=float)
     fit = glm_fit_stack(spec, x, y[None])
     iterations = int(fit.iterations[0])
     return GLMFit(family=spec.name, design=x, y=y, beta=fit.beta[0],
                   mu=fit.mu[0], fisher_info=fit.fisher_info[0],
-                  iterations=iterations, converged=True,
+                  iterations=iterations,
                   log_likelihood=float(fit.log_likelihood[0]),
                   loglik_trace=fit.loglik_trace[0, :iterations])
 
@@ -403,8 +398,6 @@ def _halved_steps(spec, m, y, beta, eta, ll, step, pending):
 def glm_wald_ci(fit, j: int, delta: float) -> ConfidenceInterval:
     """Large-sample interval from the inverse information at the fit; a
     :class:`GLMStackFit` gives one interval per row."""
-    if not fit.converged:
-        raise DomainError("Wald interval needs a converged fit")
     if not 0 <= j < fit.beta.shape[-1]:
         raise DomainError("coefficient index out of range")
     cov = np.linalg.inv(fit.fisher_info)
@@ -424,7 +417,6 @@ class IRTItemBank:
 
     a: np.ndarray
     b: np.ndarray
-    calibrated: bool = True
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)

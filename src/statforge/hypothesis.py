@@ -15,7 +15,7 @@ from .distributions import ChiSquared, DistributionSpec, FisherF, dist_cdf, dist
 from .errors import DegenerateSampleError, DomainError, NestingError
 from .glm import bernoulli_logit, glm_fit_stack, stack_chunk_rows
 from .results import TestReport, scalar_or_rows
-from .rng import RandomStream, replicate
+from .rng import RandomStream, replicate, replicate_chunks
 
 __all__ = [
     "TestReport", "ks_statistic", "lrt_mean", "f_test_variances",
@@ -26,18 +26,23 @@ __all__ = [
 
 def load_groups_csv(path) -> list:
     """Observations as ``group,value`` rows with a header line; returns one
-    array per group, ordered by first appearance."""
+    array per group, ordered by first appearance. A malformed line raises
+    :class:`DomainError` naming the file and the line."""
     groups: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header[0] != "group":
             raise DomainError("first CSV column must be named 'group'")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            label, value = line.split(",", 1)
-            groups.setdefault(label, []).append(float(value))
+            label, _, value = line.partition(",")
+            try:
+                groups.setdefault(label, []).append(float(value))
+            except ValueError:
+                raise DomainError(f"{path}, line {lineno}: expected group,value, "
+                                  f"got {line!r}") from None
     return [np.asarray(v) for v in groups.values()]
 
 
@@ -172,11 +177,11 @@ def wilks_null_simulation(scenario: str, n: int, replicates: int,
     Scenarios: ``"z"`` (normal mean, variance known; the statistic is
     exactly chi-squared), ``"t"`` (normal mean, variance unknown), and
     ``"logistic"`` (two true-zero slopes dropped from a logistic fit).
-    The logistic scenario runs through :func:`statforge.rng.replicate`,
-    replicate ``r`` drawn from ``stream.split(r)`` and spread over
-    ``workers`` processes, and fits each block's full and null models as
-    stacks through :func:`statforge.glm.glm_fit_stack`; ``z`` and ``t``
-    run in one process.
+    Every scenario runs through :func:`statforge.rng.replicate`, with the
+    same result for any number of ``workers``. The logistic scenario draws
+    replicate ``r`` from ``stream.split(r)`` and fits each block's full and
+    null models as stacks through :func:`statforge.glm.glm_fit_stack`; ``z``
+    and ``t`` draw chunk ``c`` of ``2**22 // n`` samples from ``stream.split(c)``.
     """
     if replicates < 100:
         raise DomainError("need at least 100 replicates")
@@ -184,7 +189,8 @@ def wilks_null_simulation(scenario: str, n: int, replicates: int,
         min_n, statistic = _NORMAL_LRTS[scenario]
         if n < min_n:
             raise DomainError(f"n must be >= {min_n}")
-        stats = _simulate_normal(n, replicates, stream, statistic)
+        stats = replicate_chunks(partial(statistic, n), replicates, max(1, (1 << 22) // n),
+                                 stream, workers)
         df = 1
     elif scenario == "logistic":
         stats = replicate(partial(_logistic_gaps, n), replicates, stream, workers,
@@ -200,30 +206,18 @@ def wilks_null_simulation(scenario: str, n: int, replicates: int,
     return WilksSimulation(ks_distance=ks, qq_table=table, df=df)
 
 
-def _simulate_normal(n: int, replicates: int, stream: RandomStream,
-                     statistic: Callable) -> np.ndarray:
-    """``statistic`` of standard normal samples, one per row; the chunk of
-    replicates from ``start`` on comes from ``stream.split(start)``."""
-    stats = np.empty(replicates)
-    chunk = max(1, (1 << 22) // n)
-    for start in range(0, replicates, chunk):
-        stop = min(start + chunk, replicates)
-        x = stream.split(start).normals((stop - start) * n).reshape(stop - start, n)
-        stats[start:stop] = statistic(x)
-    return stats
+def _z_lrt(n, stream, take):
+    x = stream.normals(take * n).reshape(take, n)
+    return n * x.mean(axis=1) ** 2
 
 
-def _z_lrt(x):
-    return x.shape[1] * x.mean(axis=1) ** 2
-
-
-def _t_lrt(x):
-    n = x.shape[1]
+def _t_lrt(n, stream, take):
+    x = stream.normals(take * n).reshape(take, n)
     t2 = n * x.mean(axis=1) ** 2 / x.var(axis=1, ddof=1)
     return n * np.log1p(t2 / (n - 1))
 
 
-# normal-mean scenarios: smallest sample size and the statistic of a sample
+# normal-mean scenarios: smallest n, and the statistics of ``take`` samples of n normals
 _NORMAL_LRTS = {"z": (1, _z_lrt), "t": (2, _t_lrt)}
 
 

@@ -50,9 +50,6 @@ class DesignMatrix:
     def n_columns(self) -> int:
         return self.matrix.shape[1]
 
-    def require_full_rank(self) -> None:
-        require_full_rank(self.matrix)
-
 
 def require_full_rank(matrix: np.ndarray) -> None:
     """Raise :class:`SingularDesignError` naming the dependent columns of the
@@ -101,7 +98,6 @@ class LinearFit:
     r2: float
     r2_adj: float
     sigma2_hat: Optional[float]
-    cov_beta: Optional[np.ndarray]
 
     @property
     def df_residual(self) -> int:
@@ -158,8 +154,7 @@ def ols_fit(x: DesignMatrix, y) -> LinearFit:
                      residuals=fit.residuals[0], gram_inverse=fit.gram_inverse,
                      hat_diagonal=fit.hat_diagonal, ss_total=float(fit.ss_total[0]),
                      ss_reg=float(fit.ss_reg[0]), ss_res=float(fit.ss_res[0]),
-                     r2=float(fit.r2[0]), r2_adj=float(fit.r2_adj[0]), sigma2_hat=sigma2,
-                     cov_beta=None if sigma2 is None else sigma2 * fit.gram_inverse)
+                     r2=float(fit.r2[0]), r2_adj=float(fit.r2_adj[0]), sigma2_hat=sigma2)
 
 
 def ols_fit_stack(x: DesignMatrix, y) -> LinearStackFit:
@@ -171,7 +166,7 @@ def ols_fit_stack(x: DesignMatrix, y) -> LinearStackFit:
         raise DomainError("response length must match the design")
     if not np.all(np.isfinite(y)):
         raise DomainError("responses must be finite")
-    x.require_full_rank()
+    require_full_rank(x.matrix)
     q, r = np.linalg.qr(x.matrix)
     # the stacked products give each row the bits of its 2-d product, and
     # trtrs is the LAPACK call solve_triangular(r, v) makes, minus its checks
@@ -303,7 +298,7 @@ def ridge_fit(x: DesignMatrix, y, penalty: float) -> RidgeFit:
         raise DomainError("penalty must be nonnegative")
     y = np.asarray(y, dtype=float)
     if penalty == 0.0:
-        x.require_full_rank()
+        require_full_rank(x.matrix)
     gram = x.matrix.T @ x.matrix + 2.0 * penalty * np.eye(x.n_columns)
     beta = np.linalg.solve(gram, x.matrix.T @ y)
     fitted = x.matrix @ beta
@@ -326,7 +321,6 @@ class LassoFit:
     beta: np.ndarray
     active_set: np.ndarray
     iterations: int
-    objective: float
     objective_trace: np.ndarray
 
 
@@ -348,7 +342,7 @@ def lasso_fit(x: DesignMatrix, y, penalty: float, tol: float = 1e-10,
     if penalty < 0:
         raise DomainError("penalty must be nonnegative")
     if penalty == 0.0:
-        x.require_full_rank()
+        require_full_rank(x.matrix)
     m = x.matrix
     n, d = m.shape
     col_ms = (m ** 2).sum(axis=0) / n
@@ -374,8 +368,7 @@ def lasso_fit(x: DesignMatrix, y, penalty: float, tol: float = 1e-10,
         trace.append(lasso_objective(x, y, beta, penalty))
         if max_change <= tol * (1.0 + np.abs(beta).max()):
             return LassoFit(beta=beta, active_set=np.flatnonzero(beta),
-                            iterations=sweep, objective=trace[-1],
-                            objective_trace=np.array(trace))
+                            iterations=sweep, objective_trace=np.array(trace))
     raise ConvergenceError("coordinate descent did not converge",
                            last_iterate=beta)
 

@@ -10,7 +10,7 @@ child streams is drawn as one ``(R, k)`` array whose rows are bit-identical
 to the children drawn one by one (the Random123 / SplitMix idea).
 :func:`replicate` runs Monte Carlo replicates on that rule: replicate ``r``
 draws from ``root.split(r)``, in blocks drawn as batches, optionally over a
-process pool.
+process pool; :func:`replicate_chunks` makes each replicate one chunk of a long sample.
 """
 
 from __future__ import annotations
@@ -295,3 +295,16 @@ def _each_row(task: Callable, batch) -> np.ndarray:
     """A kernel that runs ``task(stream)`` on each row of a block; a task
     returning ``k`` numbers gives a ``(k, R)`` result."""
     return np.stack([task(stream) for stream in batch], axis=-1)
+
+
+def replicate_chunks(task: Callable, total: int, chunk: int, root: RandomStream,
+                     workers: int = 1) -> np.ndarray:
+    """:func:`replicate` with one row per chunk of ``total`` items: row ``c`` runs
+    ``task(root.split(c), min(chunk, total - c * chunk))``; results join along the last axis."""
+    return replicate(partial(_each_chunk, task, total, chunk), -(-total // chunk), root,
+                     workers)
+
+
+def _each_chunk(task: Callable, total: int, chunk: int, batch) -> np.ndarray:
+    return np.concatenate([task(stream, min(chunk, total - c * chunk))
+                           for c, stream in zip(batch.ids.tolist(), batch)], axis=-1)

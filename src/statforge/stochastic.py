@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError
-from .rng import RandomStream
+from .rng import RandomStream, replicate_chunks
 
 __all__ = [
     "TimeGrid", "uniform_grid", "BrownianPath", "brownian_sample",
@@ -184,15 +184,16 @@ class MCEstimate:
 
 def feynman_kac_mc(potential: Callable, payoff: Callable, t: float, x0,
                    dim: int, n_paths: int, steps: int,
-                   stream: RandomStream) -> MCEstimate:
+                   stream: RandomStream, workers: int = 1) -> MCEstimate:
     """Average of ``exp(-time integral of potential) * payoff(endpoint)``
     over Brownian paths started at ``x0``.
 
     The time integral uses the left-endpoint rule on the simulation grid,
     matching the adapted convention of the stochastic integral; its
     discretization bias is O(mesh). Paths are generated in fixed-size
-    chunks, chunk ``c`` from ``stream.split(c)``, so the estimate
-    is invariant to how chunks are distributed across workers.
+    chunks, chunk ``c`` from ``stream.split(c)``, so the estimate is the
+    same for any number of ``workers``; with more than one, ``potential``
+    and ``payoff`` must pickle (module-level functions, not lambdas).
     """
     if steps < 1:
         raise DomainError("need at least one step")
@@ -201,32 +202,29 @@ def feynman_kac_mc(potential: Callable, payoff: Callable, t: float, x0,
     if t <= 0:
         raise DomainError("time horizon must be positive")
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (dim,))
+    sample = partial(_feynman_kac_values, potential, payoff, t, x0, dim, steps)
+    return _chunked_mean(sample, n_paths, stream, workers)
+
+
+def _feynman_kac_values(potential, payoff, t, x0, dim, steps, stream, take):
     dt = t / steps
-    sqrt_dt = math.sqrt(dt)
-
-    def discounted_payoffs(sub, take):
-        paths = sub.normals(take * steps * dim).reshape(take, steps, dim)
-        paths *= sqrt_dt
-        np.cumsum(paths, axis=1, out=paths)
-        paths += x0
-        # left endpoints: x0, then all but the final point
-        integral = np.asarray(potential(np.broadcast_to(x0, (take, dim))), dtype=float).copy()
-        for j in range(steps - 1):
-            integral += np.asarray(potential(paths[:, j, :]), dtype=float)
-        integral *= dt
-        return np.exp(-integral) * np.asarray(payoff(paths[:, -1, :]), dtype=float)
-
-    return _chunked_mean(discounted_payoffs, n_paths, stream)
+    paths = stream.normals(take * steps * dim).reshape(take, steps, dim)
+    paths *= math.sqrt(dt)
+    np.cumsum(paths, axis=1, out=paths)
+    paths += x0
+    # left endpoints: x0, then all but the final point
+    integral = np.asarray(potential(np.broadcast_to(x0, (take, dim))), dtype=float).copy()
+    for j in range(steps - 1):
+        integral += np.asarray(potential(paths[:, j, :]), dtype=float)
+    integral *= dt
+    return np.exp(-integral) * np.asarray(payoff(paths[:, -1, :]), dtype=float)
 
 
-def _chunked_mean(sample: Callable, n_paths: int, stream: RandomStream) -> MCEstimate:
+def _chunked_mean(sample: Callable, n_paths: int, stream: RandomStream, workers: int) -> MCEstimate:
     """Mean and standard error of ``n_paths`` values drawn in chunks of
     ``PATH_CHUNK``, chunk ``c`` as ``sample(stream.split(c), chunk_size)``."""
-    sums, sums_sq = [], []
-    for chunk_index, start in enumerate(range(0, n_paths, PATH_CHUNK)):
-        values = sample(stream.split(chunk_index), min(PATH_CHUNK, n_paths - start))
-        sums.append(float(values.sum()))
-        sums_sq.append(float((values ** 2).sum()))
+    sums, sums_sq = replicate_chunks(partial(_chunk_sums, sample), n_paths, PATH_CHUNK,
+                                     stream, workers)
     mean = math.fsum(sums) / n_paths
     if n_paths > 1:
         var = max(0.0, (math.fsum(sums_sq) - n_paths * mean * mean) / (n_paths - 1))
@@ -234,6 +232,11 @@ def _chunked_mean(sample: Callable, n_paths: int, stream: RandomStream) -> MCEst
     else:
         se = math.inf
     return MCEstimate(estimate=mean, standard_error=se, n_paths=n_paths)
+
+
+def _chunk_sums(sample: Callable, stream: RandomStream, take: int) -> np.ndarray:
+    values = sample(stream, take)
+    return np.array([[values.sum()], [(values ** 2).sum()]])
 
 
 # -- option pricing -----------------------------------------------------------------
@@ -282,10 +285,6 @@ class BSPrice:
     delta: float
     bond_position: float
 
-    def to_dict(self) -> dict:
-        return {"price": self.price, "delta": self.delta,
-                "bond_position": self.bond_position}
-
 
 def _phi(x: float) -> float:
     return float(sp.ndtr(x))
@@ -322,10 +321,11 @@ def black_scholes_price(params: BSParams) -> BSPrice:
     return BSPrice(price=price, delta=delta, bond_position=bond_position)
 
 
-def bs_mc_price(params: BSParams, n_paths: int, stream: RandomStream) -> MCEstimate:
+def bs_mc_price(params: BSParams, n_paths: int, stream: RandomStream,
+                workers: int = 1) -> MCEstimate:
     """Discounted expected payoff under growth at the risk-free rate,
     sampling the terminal asset value exactly (one lognormal draw per
-    path)."""
+    path); paths are chunked as in :func:`feynman_kac_mc`."""
     if n_paths < 2:
         raise DomainError("need at least two paths")
     tau = params.time_left
@@ -335,12 +335,13 @@ def bs_mc_price(params: BSParams, n_paths: int, stream: RandomStream) -> MCEstim
     if spread == 0.0:
         payoff = discount * max(params.spot * math.exp(drift) - params.strike, 0.0)
         return MCEstimate(estimate=payoff, standard_error=0.0, n_paths=n_paths)
+    sample = partial(_call_values, params.spot, params.strike, drift, spread, discount)
+    return _chunked_mean(sample, n_paths, stream, workers)
 
-    def discounted_payoffs(sub, take):
-        terminal = params.spot * np.exp(drift + spread * sub.normals(take))
-        return discount * np.maximum(terminal - params.strike, 0.0)
 
-    return _chunked_mean(discounted_payoffs, n_paths, stream)
+def _call_values(spot, strike, drift, spread, discount, stream, take):
+    terminal = spot * np.exp(drift + spread * stream.normals(take))
+    return discount * np.maximum(terminal - strike, 0.0)
 
 
 def bs_pde_residual(params: BSParams, step: float = 1e-4) -> float:
@@ -373,6 +374,11 @@ _FUNCTIONALS = {
 }
 
 
+def _functional_values(func_tag: str, k: int, stream: RandomStream, take: int) -> np.ndarray:
+    # looked up by tag, so that no lambda is sent to a worker
+    return _FUNCTIONALS[func_tag][0](stream.normals(take * k).reshape(take, k))
+
+
 @dataclass(frozen=True)
 class GaussianConcentrationResult:
     tau_grid: np.ndarray
@@ -384,11 +390,12 @@ class GaussianConcentrationResult:
 
 
 def gaussian_concentration_experiment(func_tag: str, k: int, n_samples: int,
-                                      tau_grid, stream: RandomStream
+                                      tau_grid, stream: RandomStream, workers: int = 1
                                       ) -> GaussianConcentrationResult:
     """Tail frequency of a Lipschitz functional of a standard normal vector
     against the dimension-free bound ``2 exp(-tau^2 / (2 L^2))``.
 
+    Chunk ``c`` of ``2**23 // k`` vectors comes from ``stream.split(c)``.
     Centering uses the empirical mean of the functional values; the exact
     mean is generally unavailable and the centering error is far below the
     Monte Carlo resolution at these sample sizes.
@@ -397,16 +404,10 @@ def gaussian_concentration_experiment(func_tag: str, k: int, n_samples: int,
         raise DomainError(f"unknown functional {func_tag!r}")
     if k < 1 or n_samples < 1:
         raise DomainError("need k >= 1 and n_samples >= 1")
-    func, lipschitz = _FUNCTIONALS[func_tag]
+    lipschitz = _FUNCTIONALS[func_tag][1]
     tau_grid = np.sort(np.asarray(tau_grid, dtype=float))
-    values = np.empty(n_samples)
-    chunk = max(1, (1 << 23) // k)
-    done = 0
-    while done < n_samples:
-        take = min(chunk, n_samples - done)
-        x = stream.normals(take * k).reshape(take, k)
-        values[done:done + take] = func(x)
-        done += take
+    values = replicate_chunks(partial(_functional_values, func_tag, k), n_samples,
+                              max(1, (1 << 23) // k), stream, workers)
     center = float(values.mean())
     deviations = np.sort(np.abs(values - center))
     counts = n_samples - np.searchsorted(deviations, tau_grid, side="right")

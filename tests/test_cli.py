@@ -18,6 +18,7 @@ from conftest import FAMILIES, PROPERTY
 from statforge import cli
 from statforge import experiments as xp
 from statforge import rng
+from statforge import stochastic as sto
 from statforge.errors import DomainError
 from statforge.rng import RandomStream
 
@@ -126,6 +127,36 @@ def _config_values(key, kind):
     return st.floats(allow_nan=False, allow_infinity=False)
 
 
+# every experiment that spreads its work over ``--workers``, with small sizes
+_WORKER_CASES = [
+    ("bayes", {"replicates": 300}),
+    ("test-size", {"replicates": 300}),
+    ("mle", {"replicates": 40, "n": 800}),
+    ("regression", {"replicates": 200}),
+    ("glm", {"replicates": 40, "n": 400}),
+    ("irt", {"examinees": 200}),
+    ("brownian", {"paths": 40, "steps": 1000}),
+    ("ito", {"paths": 40, "steps": 1000}),
+    ("wilks", {"replicates_z": 100, "replicates_t": 100, "n_logistic": 300,
+               "replicates_logistic": 100}),
+    ("ci-coverage", {"replicates": 300}),
+    ("james-stein", {"replicates": 500, "tolerance": 1.0}),
+    ("jl", {"replicates": 6, "n_points": 8, "ambient_dim": 30,
+            "epsilon": 0.5, "delta": 0.2}),
+    ("er", {"n_vertices": 60, "graphs": 8, "c_low": 0.3, "c_high": 3.0}),
+    ("lasso-bound", {"replicates": 8, "re_probes": 100}),
+    # two chunks each, the second partial, so that it lands on the second worker
+    ("feynman-kac", {"paths": sto.PATH_CHUNK + 7, "paths_control": 500, "steps": 3}),
+    ("bs-price", {"paths": sto.PATH_CHUNK + 7}),
+    ("gauss-conc", {"k": 100, "samples": (1 << 23) // 100 + 5}),
+]
+
+
+def test_worker_cases_cover_every_replicated_experiment():
+    # only mse-variance draws one stream in one process
+    assert {tag for tag, _ in _WORKER_CASES} == set(xp.EXPERIMENTS) - {"mse-variance"}
+
+
 class TestEnvelope:
     def _small_config(self, seed=5):
         return xp.ExperimentConfig(experiment="ci-coverage", seed=seed,
@@ -162,24 +193,7 @@ class TestEnvelope:
         for metric in env.metrics:
             assert metric.method
 
-    @pytest.mark.parametrize("tag,params", [
-        ("bayes", {"replicates": 300}),
-        ("test-size", {"replicates": 300}),
-        ("mle", {"replicates": 40, "n": 800}),
-        ("regression", {"replicates": 200}),
-        ("glm", {"replicates": 40, "n": 400}),
-        ("irt", {"examinees": 200}),
-        ("brownian", {"paths": 40, "steps": 1000}),
-        ("ito", {"paths": 40, "steps": 1000}),
-        ("wilks", {"replicates_z": 100, "replicates_t": 100, "n_logistic": 300,
-                   "replicates_logistic": 100}),
-        ("ci-coverage", {"replicates": 300}),
-        ("james-stein", {"replicates": 500, "tolerance": 1.0}),
-        ("jl", {"replicates": 6, "n_points": 8, "ambient_dim": 30,
-                "epsilon": 0.5, "delta": 0.2}),
-        ("er", {"n_vertices": 60, "graphs": 8, "c_low": 0.3, "c_high": 3.0}),
-        ("lasso-bound", {"replicates": 8, "re_probes": 100}),
-    ])
+    @pytest.mark.parametrize("tag,params", _WORKER_CASES)
     def test_report_digest_invariant_to_workers(self, tag, params):
         digests = []
         for workers in (1, 2):

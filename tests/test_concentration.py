@@ -302,6 +302,22 @@ class TestErdosRenyi:
         assert back.p == g.p
         assert np.array_equal(back.edges, g.edges)
 
+    @pytest.mark.parametrize("text,line", [
+        ("", 1),
+        ("5.5,0.2\n0,1\n", 1),
+        ("5,p\n0,1\n", 1),
+        ("5\n0,1\n", 1),
+        ("5,0.2\n0,1\n1,x\n", 3),
+        ("5,0.2\n0,1\n\n1,2,3\n", 4),
+        ("5,0.2\n0\n", 2),
+    ], ids=["empty", "vertex-count", "probability", "no-p", "edge-end", "three-fields",
+            "one-field"])
+    def test_csv_names_the_bad_line(self, tmp_path, text, line):
+        path = tmp_path / "graph.csv"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=f"graph.csv, line {line}:"):
+            con.read_graph_csv(path)
+
     def test_validation(self, stream):
         with pytest.raises(DomainError):
             con.er_sample(1, 0.5, stream)

@@ -283,6 +283,20 @@ class TestWilksSimulation:
         assert res.qq_table.shape == (19, 3)
         assert np.all(np.diff(res.qq_table[:, 2]) > 0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_t_chunks_come_from_split_streams(self, workers):
+        # 25,000 replicates of n = 200 make two chunks of 2**22 // 200 = 20,971
+        n, reps, chunk = 200, 25_000, (1 << 22) // 200
+        stream = RandomStream(19)
+        x = np.concatenate([stream.split(c).normals(take * n).reshape(take, n)
+                            for c, take in enumerate((chunk, reps - chunk))])
+        t2 = n * x.mean(axis=1) ** 2 / x.var(axis=1, ddof=1)
+        expected = n * np.log1p(t2 / (n - 1))
+        res = hyp.wilks_null_simulation("t", n=n, replicates=reps, stream=stream,
+                                        workers=workers)
+        assert res.ks_distance == hyp.ks_statistic(expected, d.ChiSquared(1))
+        assert res.qq_table[:, 1].tobytes() == np.quantile(expected, res.qq_table[:, 0]).tobytes()
+
     def test_logistic_gap_against_chi2(self):
         res = hyp.wilks_null_simulation("logistic", n=500, replicates=400,
                                         stream=RandomStream(15))
@@ -337,3 +351,15 @@ def test_grouped_csv_loader(tmp_path):
     assert np.allclose(groups[1], [2.0, 4.5])
     report = hyp.anova_one_way(groups[:2])
     assert 0.0 <= report.p_value <= 1.0
+
+
+@pytest.mark.parametrize("text,line", [
+    ("group,value\na,1.0\nb\n", 3),
+    ("group,value\na,1.0\na,x\n", 3),
+    ("group,value\n\na,1.0,2.0\n", 3),
+], ids=["no-comma", "not-a-number", "two-values"])
+def test_grouped_csv_loader_names_the_bad_line(tmp_path, text, line):
+    path = tmp_path / "groups.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=f"groups.csv, line {line}:"):
+        hyp.load_groups_csv(path)

@@ -393,6 +393,20 @@ class TestGaussianConcentration:
         res = sto.gaussian_concentration_experiment(tag, 50, 200_000, grid, stream)
         assert np.all(res.empirical <= res.bound + 3.0 * res.standard_error)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_come_from_split_streams(self, workers):
+        # 100,000 samples of k = 100 make two chunks of 2**23 // 100 = 83,886
+        k, n, chunk = 100, 100_000, (1 << 23) // 100
+        root = RandomStream(21)
+        values = np.concatenate([
+            np.sqrt((root.split(c).normals(take * k).reshape(take, k) ** 2).sum(axis=1))
+            for c, take in enumerate((chunk, n - chunk))])
+        grid = np.linspace(0.0, 4.0, 9)
+        res = sto.gaussian_concentration_experiment("norm", k, n, grid, root, workers)
+        assert res.center == values.mean()
+        deviations = np.abs(values - values.mean())
+        assert np.array_equal(res.empirical, (deviations[:, None] > grid).sum(axis=0) / n)
+
     def test_unknown_tag(self, stream):
         with pytest.raises(DomainError):
             sto.gaussian_concentration_experiment("median", 5, 100, [1.0], stream)
