@@ -12,6 +12,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, dist_sample
 from .errors import DomainError
+from .results import _read_csv
 from .rng import RandomStream
 
 __all__ = [
@@ -20,7 +21,7 @@ __all__ = [
     "EmpiricalTail", "empirical_tail",
     "JLConfig", "jl_target_dim", "jl_project", "JLTrialResult", "jl_trial",
     "ErdosRenyiGraph", "er_sample", "ErMetrics", "er_metrics",
-    "regular_degree_constant", "load_points_csv", "write_graph_csv",
+    "regular_degree_constant", "load_points_csv", "write_graph_csv", "read_graph_csv",
 ]
 
 
@@ -398,30 +399,16 @@ def regular_degree_constant(epsilon: float, delta: float) -> float:
 
 def load_points_csv(path) -> np.ndarray:
     """Point cloud with one row per point, comma separated."""
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    return np.array(_read_csv(path))
 
 
 def write_graph_csv(graph: ErdosRenyiGraph, path) -> None:
     """Edge list preceded by a single ``N,p`` header line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{graph.n_vertices},{graph.p}\n")
-        for i, j in graph.edges:
-            fh.write(f"{i},{j}\n")
+    np.savetxt(path, graph.edges, fmt="%d", delimiter=",",
+               header=f"{graph.n_vertices},{graph.p}", comments="")
 
 
 def read_graph_csv(path) -> ErdosRenyiGraph:
-    """A graph as :func:`write_graph_csv` writes it; a malformed line raises
-    :class:`DomainError` naming the file and the line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines() or [""]
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            if lineno == 1 or line.strip():
-                a, b = line.split(",")
-                rows.append((int(a), float(b) if lineno == 1 else int(b)))
-        except ValueError:
-            raise DomainError(f"{path}, line {lineno}: expected two comma-separated numbers, "
-                              f"got {line!r}") from None
-    edges = np.array(rows[1:], dtype=np.int64).reshape(-1, 2)
-    return ErdosRenyiGraph(n_vertices=rows[0][0], p=rows[0][1], edges=edges)
+    """A graph as :func:`write_graph_csv` writes it."""
+    (n_vertices, p), *edges = _read_csv(path, kinds=(int, int), width=2, first=(int, float))
+    return ErdosRenyiGraph(n_vertices, p, np.array(edges, dtype=np.int64).reshape(-1, 2))

@@ -12,7 +12,7 @@ from scipy import special as sp
 
 from .distributions import DistributionSpec, Normal, dist_quantile, dist_sample
 from .errors import ConvergenceError, DegenerateSampleError, DomainError
-from .results import ConfidenceInterval
+from .results import ConfidenceInterval, _read_csv
 from .rng import RandomStream
 
 __all__ = [
@@ -21,7 +21,7 @@ __all__ = [
     "ci_parametric", "ci_mean_z", "ci_mean_t", "ci_variance_asymptotic",
     "ci_mle_asymptotic", "ci_two_sample_t", "ci_delta_method",
     "james_stein", "BetaPosterior", "NormalPosterior", "conjugate_update",
-    "MonteCarloMean", "monte_carlo_mean",
+    "MonteCarloMean", "monte_carlo_mean", "load_sample_csv",
 ]
 
 _STD_NORMAL = Normal(0.0, 1.0)
@@ -29,10 +29,7 @@ _STD_NORMAL = Normal(0.0, 1.0)
 
 def load_sample_csv(path) -> np.ndarray:
     """Single-column CSV of observations, no header."""
-    data = np.loadtxt(path, delimiter=",", dtype=float)
-    if data.ndim != 1:
-        raise DomainError("expected a single-column sample file")
-    return data
+    return np.array(_read_csv(path, width=1))[:, 0]
 
 
 def _z_quantile(delta: float) -> float:

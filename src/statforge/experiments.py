@@ -30,6 +30,7 @@ from . import hypothesis as hyp
 from . import regression as reg
 from . import stochastic as sto
 from .errors import DomainError
+from .results import _read_text
 from .rng import RandomStream, _each_row, replicate
 
 __all__ = ["ExperimentConfig", "Metric", "ReportEnvelope", "run_experiment",
@@ -48,7 +49,6 @@ class ExperimentConfig:
     experiment: str
     seed: int
     params: dict
-    replicates: Optional[int] = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -63,8 +63,6 @@ class ExperimentConfig:
         schema = EXPERIMENTS[self.experiment].schema
         values = {name: default for name, (_, default) in schema.items()}
         values.update(self.params)
-        if self.replicates is not None and "replicates" in schema:
-            values["replicates"] = self.replicates
         for name, (kind, _) in schema.items():
             value = values[name]
             if kind is float and type(value) is int:
@@ -126,16 +124,11 @@ def parse_config_text(text: str, overrides: Optional[dict] = None) -> Experiment
     seed = raw.pop("seed")
     if type(seed) is not int:  # a bool is no seed
         raise DomainError("key 'seed' must be an integer")
-    replicates = raw.pop("replicates", None)
-    if replicates is not None and type(replicates) is not int:
-        raise DomainError("key 'replicates' must be an integer")
-    return ExperimentConfig(experiment=experiment, seed=seed, params=raw,
-                            replicates=replicates)
+    return ExperimentConfig(experiment=experiment, seed=seed, params=raw)
 
 
 def parse_config_file(path, overrides: Optional[dict] = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), overrides)
+    return parse_config_text(_read_text(path), overrides)
 
 
 # -- reports --------------------------------------------------------------------

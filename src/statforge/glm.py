@@ -12,7 +12,7 @@ from .distributions import Moments, Normal, dist_quantile
 from .errors import (ConvergenceError, DomainError, NoFiniteMLEError,
                      SeparationError)
 from .regression import DesignMatrix, require_full_rank
-from .results import ConfidenceInterval
+from .results import ConfidenceInterval, _read_csv
 
 __all__ = [
     "ExpFamilySpec", "bernoulli_logit", "poisson_log", "normal_identity",
@@ -472,17 +472,13 @@ def irt_ability_fit(bank: IRTItemBank, responses) -> IRTAbilityFit:
 
 def load_item_bank_csv(path) -> IRTItemBank:
     """Items as rows of an ``a,b`` CSV with header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-    if header[:2] != ["a", "b"]:
-        raise DomainError("item bank CSV must start with columns a,b")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = np.array(_read_csv(path, header=("a", "b"))[1:])
     return IRTItemBank(a=data[:, 0], b=data[:, 1])
 
 
 def load_responses_csv(path) -> np.ndarray:
     """0/1 response matrix, one row per examinee."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    data = np.array(_read_csv(path))
     if not np.all((data == 0.0) | (data == 1.0)):
         raise DomainError("responses must be 0/1")
     return data

@@ -14,7 +14,7 @@ import numpy as np
 from .distributions import ChiSquared, DistributionSpec, FisherF, dist_cdf, dist_quantile
 from .errors import DegenerateSampleError, DomainError, NestingError
 from .glm import bernoulli_logit, glm_fit_stack, stack_chunk_rows
-from .results import TestReport, scalar_or_rows
+from .results import TestReport, _read_csv, scalar_or_rows
 from .rng import RandomStream, replicate, replicate_chunks
 
 __all__ = [
@@ -26,23 +26,10 @@ __all__ = [
 
 def load_groups_csv(path) -> list:
     """Observations as ``group,value`` rows with a header line; returns one
-    array per group, ordered by first appearance. A malformed line raises
-    :class:`DomainError` naming the file and the line."""
+    array per group, ordered by first appearance."""
     groups: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "group":
-            raise DomainError("first CSV column must be named 'group'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            label, _, value = line.partition(",")
-            try:
-                groups.setdefault(label, []).append(float(value))
-            except ValueError:
-                raise DomainError(f"{path}, line {lineno}: expected group,value, "
-                                  f"got {line!r}") from None
+    for label, value in _read_csv(path, header=("group",), kinds=(str,), width=2)[1:]:
+        groups.setdefault(label, []).append(value)
     return [np.asarray(v) for v in groups.values()]
 
 

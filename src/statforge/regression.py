@@ -13,7 +13,7 @@ from scipy.linalg import get_lapack_funcs, solve_triangular
 from .distributions import FisherF, StudentT, dist_quantile
 from .errors import (ConvergenceError, DegenerateSampleError, DomainError,
                      NestingError, SingularDesignError)
-from .results import ConfidenceInterval, TestReport, scalar_or_rows
+from .results import ConfidenceInterval, TestReport, _read_csv, scalar_or_rows
 from .rng import RandomStream
 
 __all__ = [
@@ -413,11 +413,6 @@ def estimate_restricted_eigenvalue(x: DesignMatrix, support, n_probes: int,
 def load_regression_csv(path, intercept: bool = True):
     """Header CSV whose first column is named ``y``; remaining columns are
     regressors. Returns ``(DesignMatrix, y, names)``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-    if not header or header[0] != "y":
-        raise DomainError("first CSV column must be named 'y'")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
-    y = data[:, 0]
-    x = data[:, 1:]
-    return design_matrix(x, intercept=intercept), y, header[1:]
+    header, *rows = _read_csv(path, header=("y",))
+    data = np.array(rows)
+    return design_matrix(data[:, 1:], intercept=intercept), data[:, 0], header[1:]

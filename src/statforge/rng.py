@@ -248,21 +248,19 @@ def replicate(kernel: Callable, n_replicates: int, root: RandomStream,
     are concatenated along that axis in replicate order. Rows draw exactly
     what ``root.split(r)`` draws, so the result is identical for any worker
     count; ``workers > 1`` maps the blocks over a process pool, cut small
-    enough that every worker gets one, with no more workers than blocks. A
-    block holds at most ``block`` replicates.
+    enough that every worker gets one, with no more workers than blocks, and
+    runs a single block in-process. A block holds at most ``block`` replicates.
     """
     if n_replicates < 1:
         raise DomainError("need at least one replicate")
-    size = block
-    if workers > 1:
-        size = min(size, -(-n_replicates // workers))
+    size = min(block, -(-n_replicates // max(workers, 1)))
     block = partial(_replicate_block, kernel, root, n_replicates, size)
     starts = range(0, n_replicates, size)
+    workers = min(workers, len(starts))
     if workers <= 1:
         parts = [block(start) for start in starts]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(starts)),
-                                 initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             parts = list(pool.map(block, starts))
     return np.concatenate(parts, axis=-1)
 

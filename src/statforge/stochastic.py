@@ -424,9 +424,7 @@ def gaussian_concentration_experiment(func_tag: str, k: int, n_samples: int,
 
 def write_path_csv(path_obj, file) -> None:
     """Time column followed by one column per dimension."""
-    values = np.atleast_2d(path_obj.values)
-    if values.shape[0] == 1:
-        values = values.T
+    values = np.reshape(path_obj.values, (path_obj.grid.times.size, -1))
     table = np.column_stack([path_obj.grid.times, values])
     header = "t," + ",".join(f"x{i}" for i in range(values.shape[1]))
     np.savetxt(file, table, delimiter=",", header=header, comments="")

@@ -94,10 +94,8 @@ class TestConfigParsing:
         text += "".join(f"{key} = {value!r}\n" for key, value in params.items())
         assert all(cli._parse_assignment(f"{key}={value!r}") == (key, value)
                    for key, value in params.items())
-        replicates = params.pop("replicates", None)
         cfg = xp.parse_config_text(text)
-        assert cfg == xp.ExperimentConfig(experiment=tag, seed=seed, params=params,
-                                          replicates=replicates)
+        assert cfg == xp.ExperimentConfig(experiment=tag, seed=seed, params=params)
         resolved = cfg.resolved_params()
         assert all(type(resolved[key]) is type(value) and resolved[key] == value
                    for key, value in params.items())
@@ -326,6 +324,15 @@ class TestReplicate:
         assert out.tobytes() == rng.replicate(partial(_scaled_uniform_sums, 1.0), n,
                                              root).tobytes()
 
+    def test_single_block_runs_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single block started a process pool")
+        monkeypatch.setattr(rng, "ProcessPoolExecutor", no_pool)
+        root = RandomStream(80)
+        kernel = partial(_scaled_uniform_sums, 1.0)
+        assert (rng.replicate(kernel, 1, root, workers=2).tobytes()
+                == rng.replicate(kernel, 1, root, workers=1).tobytes())
+
     def test_matches_serial(self):
         root = RandomStream(77)
         serial = rng.replicate(partial(_scaled_uniform_sums, 2.0), 20, root, workers=1)
@@ -417,7 +424,7 @@ class TestCLI:
         ("delta=1.5", "key 'delta' must lie in the open interval (0, 1), got 1.5"),
         ("delta=0.0", "key 'delta' must lie in the open interval (0, 1), got 0.0"),
         ("tolerance=-1.0", "key 'tolerance' must be at least 0, got -1.0"),
-        ("replicates=true", "key 'replicates' must be an integer"),
+        ("replicates=true", "key 'replicates' expects int, got True"),
         ("seed=true", "key 'seed' must be an integer"),
     ])
     def test_out_of_domain_value_is_error(self, tmp_path, capsys, assignment, message):
@@ -426,6 +433,20 @@ class TestCLI:
         assert cli.main(["run", cfg, "--set", assignment]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_replicates_is_an_unknown_key_without_replicates(self, tmp_path, capsys):
+        cfg = self._write_config(
+            tmp_path, 'experiment = "er"\nseed = 4\ngraphs = 2\nreplicates = 5\n')
+        assert cli.main(["run", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown key 'replicates'")
+
+    def test_config_not_utf8_is_error(self, tmp_path, capsys):
+        path = tmp_path / "config.txt"
+        path.write_bytes(b'experiment = "bayes"\nseed = 4\n# caf\xe9\n')
+        assert cli.main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}, line 3: not UTF-8 text\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_workers_is_error(self, tmp_path, capsys, workers):

@@ -178,7 +178,7 @@ def test_experiment_information_gap_passes(seed):
     # the gap compares the information with second differences of the
     # log-likelihood, whose step must keep rounding noise well under 1e-4
     report = xp.run_experiment(xp.ExperimentConfig(experiment="glm", seed=seed,
-                                                   params={}, replicates=20))
+                                                   params={"replicates": 20}))
     gap = {m.name: m for m in report.metrics}["information_fd_gap"]
     assert gap.passed, gap.value
 
