@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import secrets
 import sys
+import typing
 
 from .distributions import (Bernoulli, Beta, Binomial, ChiSquared, Exponential,
                             FisherF, Gamma, Geometric, LogNormal, Normal,
@@ -23,23 +25,11 @@ from .errors import StatforgeError
 from .experiments import (experiment_tags, parse_config_file, parse_scalar,
                           run_experiment)
 
-_DIST_BUILDERS = {
-    "normal": (Normal, ("mu", "sigma2")),
-    "lognormal": (LogNormal, ("mu", "sigma2")),
-    "gamma": (Gamma, ("alpha", "lam")),
-    "chisquared": (ChiSquared, ("k",)),
-    "studentt": (StudentT, ("k",)),
-    "fisherf": (FisherF, ("k1", "k2")),
-    "beta": (Beta, ("alpha", "beta")),
-    "exponential": (Exponential, ("lam",)),
-    "bernoulli": (Bernoulli, ("p",)),
-    "binomial": (Binomial, ("p", "n")),
-    "poisson": (Poisson, ("lam",)),
-    "geometric": (Geometric, ("p",)),
-    "uniform01": (Uniform01, ()),
-}
-
-_INT_FIELDS = {"k", "k1", "k2", "n"}
+# a ``dist`` tag is the family's class name in lower case, its parameters
+# the class's fields in order
+_DISTRIBUTIONS = {cls.__name__.lower(): cls for cls in (
+    Normal, LogNormal, Gamma, ChiSquared, StudentT, FisherF, Beta, Exponential,
+    Bernoulli, Binomial, Poisson, Geometric, Uniform01)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,24 +61,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_dist_tag(tag: str):
     name, _, raw = tag.partition(":")
-    if name not in _DIST_BUILDERS:
+    if name not in _DISTRIBUTIONS:
         raise StatforgeError(
-            f"unknown distribution {name!r}; choose from {sorted(_DIST_BUILDERS)}")
-    builder, fields = _DIST_BUILDERS[name]
+            f"unknown distribution {name!r}; choose from {sorted(_DISTRIBUTIONS)}")
+    family = _DISTRIBUTIONS[name]
+    fields = [field.name for field in dataclasses.fields(family)]
+    types = typing.get_type_hints(family)
     pieces = [p for p in raw.split(",") if p != ""]
     if len(pieces) != len(fields):
         raise StatforgeError(
             f"{name} expects {len(fields)} parameters ({', '.join(fields)})")
     kwargs = {}
     for field, piece in zip(fields, pieces):
-        kind = int if field in _INT_FIELDS else float
+        kind = int if types[field] is int else float
         try:
             kwargs[field] = kind(piece)
         except ValueError:
             noun = "an integer" if kind is int else "a number"
             raise StatforgeError(
                 f"{name} parameter {field!r} must be {noun}, got {piece!r}") from None
-    return builder(**kwargs)
+    return family(**kwargs)
 
 
 def _cmd_dist(args) -> int:
@@ -110,6 +102,14 @@ def _parse_assignment(text: str):
     return key.strip(), parse_scalar(value)
 
 
+def _write_metrics(envelope, fh) -> None:
+    """The metrics table as CSV, a missing value as an empty field."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["name", "value", "target", "tolerance", "se", "passed", "method"])
+    writer.writerows([m.name, m.value, m.target, m.tolerance, m.se, m.passed, m.method]
+                     for m in envelope.metrics)
+
+
 def _write_outputs(envelope, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
@@ -117,12 +117,7 @@ def _write_outputs(envelope, out_dir: str) -> None:
         fh.write("\n")
     with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8",
               newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "value", "target", "tolerance", "se",
-                         "passed", "method"])
-        for m in envelope.metrics:
-            writer.writerow([m.name, m.value, m.target, m.tolerance, m.se,
-                             m.passed, m.method])
+        _write_metrics(envelope, fh)
 
 
 def _cmd_run(args) -> int:
@@ -140,10 +135,7 @@ def _cmd_run(args) -> int:
     if args.format == "json":
         print(json.dumps(envelope.to_dict(), indent=2, sort_keys=True))
     else:
-        print("name,value,target,tolerance,se,passed,method")
-        for m in envelope.metrics:
-            print(f"{m.name},{m.value},{m.target},{m.tolerance},{m.se},"
-                  f"{m.passed},{m.method}")
+        _write_metrics(envelope, sys.stdout)
     return 0 if envelope.passed else 2
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, dist_sample
 from .errors import DomainError
-from .results import _read_csv
+from .results import _read_csv, _require_rows
 from .rng import RandomStream
 
 __all__ = [
@@ -306,6 +306,13 @@ def jl_trial(config: JLConfig, stream: RandomStream, points: np.ndarray | None =
 
 # -- Erdos-Renyi graphs ---------------------------------------------------------
 
+_EDGE_ORDER = "edge list must hold ordered pairs of distinct vertices"
+
+
+def _ordered_pairs(edges: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Which rows ``(i, j)`` of ``edges`` have ``0 <= i < j < n_vertices``."""
+    return (0 <= edges[:, 0]) & (edges[:, 0] < edges[:, 1]) & (edges[:, 1] < n_vertices)
+
 
 @dataclass(frozen=True)
 class ErdosRenyiGraph:
@@ -314,9 +321,8 @@ class ErdosRenyiGraph:
     edges: np.ndarray  # (m, 2) int array, each row i < j
 
     def __post_init__(self):
-        e = self.edges
-        if e.size and (np.any(e[:, 0] >= e[:, 1]) or np.any(e < 0) or np.any(e >= self.n_vertices)):
-            raise DomainError("edge list must hold ordered pairs of distinct vertices")
+        if self.edges.size and not np.all(_ordered_pairs(self.edges, self.n_vertices)):
+            raise DomainError(_EDGE_ORDER)
 
 
 @lru_cache(maxsize=4)
@@ -411,4 +417,6 @@ def write_graph_csv(graph: ErdosRenyiGraph, path) -> None:
 def read_graph_csv(path) -> ErdosRenyiGraph:
     """A graph as :func:`write_graph_csv` writes it."""
     (n_vertices, p), *edges = _read_csv(path, kinds=(int, int), width=2, first=(int, float))
-    return ErdosRenyiGraph(n_vertices, p, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    _require_rows(path, _ordered_pairs(edges, n_vertices), _EDGE_ORDER, first=1)
+    return ErdosRenyiGraph(n_vertices, p, edges)

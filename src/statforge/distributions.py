@@ -67,19 +67,13 @@ class _Spec:
         return _maybe_scalar(self._cdf(arr), scalar)
 
     def quantile(self, u):
-        # Scalars skip the array round trip: confidence intervals make one
-        # quantile call per replicate.
-        if np.isscalar(u) or np.ndim(u) == 0:
-            u = float(u)
-            if not 0.0 < u < 1.0:
-                raise DomainError(_QUANTILE_DOMAIN)
-            return float(self._discrete_quantile(u) if self.is_discrete else self._ppf(u))
-        arr = np.array(u, dtype=float)
+        arr, scalar = _as_array(u)
         if not np.all((0.0 < arr) & (arr < 1.0)):
             raise DomainError(_QUANTILE_DOMAIN)
         if self.is_discrete:
-            return np.array([self._discrete_quantile(ui) for ui in arr], dtype=float)
-        return self._ppf(arr)
+            return _maybe_scalar(np.array([self._discrete_quantile(ui) for ui in arr],
+                                          dtype=float), scalar)
+        return _maybe_scalar(self._ppf(arr), scalar)
 
     def sample(self, stream: RandomStream, count: int) -> np.ndarray:
         if count < 0:
@@ -467,7 +461,7 @@ class Uniform01(_Spec):
         return (0.0, 1.0)
 
     def _ppf(self, u):
-        return u
+        return u.copy()  # a new array, never the caller's
 
     def _sample(self, stream, count):
         return stream.uniforms(count)

@@ -10,7 +10,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy import special as sp
 
-from .distributions import DistributionSpec, Normal, dist_quantile, dist_sample
+from .distributions import DistributionSpec, Normal, StudentT, dist_quantile, dist_sample
 from .errors import ConvergenceError, DegenerateSampleError, DomainError
 from .results import ConfidenceInterval, _read_csv
 from .rng import RandomStream
@@ -244,7 +244,6 @@ def ci_mean_t(sample, delta: float) -> ConfidenceInterval:
     n = x.shape[-1]
     if n < 2:
         raise DegenerateSampleError("studentized interval needs n >= 2")
-    from .distributions import StudentT
 
     quantile = float(dist_quantile(StudentT(n - 1), 1.0 - delta / 2.0))
     half = quantile * x.std(axis=-1, ddof=1) / math.sqrt(n)
@@ -285,7 +284,6 @@ def ci_two_sample_t(sample_x, sample_y, variance_ratio: float, delta: float) -> 
     eta = variance_ratio
     pooled = ((m - 1) * x.var(ddof=1) + (n - 1) * eta * y.var(ddof=1)) / (m + n - 2)
     scale = math.sqrt((1.0 / m + 1.0 / (n * eta)) * pooled)
-    from .distributions import StudentT
 
     quantile = float(dist_quantile(StudentT(m + n - 2), 1.0 - delta / 2.0))
     center = x.mean() - y.mean()

@@ -12,7 +12,7 @@ from .distributions import Moments, Normal, dist_quantile
 from .errors import (ConvergenceError, DomainError, NoFiniteMLEError,
                      SeparationError)
 from .regression import DesignMatrix, require_full_rank
-from .results import ConfidenceInterval, _read_csv
+from .results import ConfidenceInterval, _read_csv, _require_rows
 
 __all__ = [
     "ExpFamilySpec", "bernoulli_logit", "poisson_log", "normal_identity",
@@ -32,11 +32,13 @@ class ExpFamilySpec:
     ``mean``/``mean_slope`` are the first two derivatives of the cumulant
     with respect to the natural parameter; the response variance is
     ``dispersion * mean_slope``. ``natural_ok`` and ``loglik`` reduce along
-    the last axis, so a stack of rows gives one value per row.
+    the last axis, so a stack of rows gives one value per row. Each family
+    names itself in ``name`` and sets ``separable`` when its responses can
+    be classified perfectly, so that the maximum likelihood can diverge.
     """
 
-    name: str
     dispersion: float
+    separable = False
 
     def __post_init__(self):
         if self.dispersion <= 0:
@@ -64,9 +66,22 @@ class ExpFamilySpec:
     def loglik(self, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    # scoring ----------------------------------------------------------------
+
+    def weights(self, eta: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Working weights of the Fisher information at ``eta``, whose means are ``mu``."""
+        return self.mean_slope(eta) / self.dispersion
+
+    def start(self, m: np.ndarray, y: np.ndarray, has_intercept: bool) -> np.ndarray:
+        """Starting coefficients, one row per response row."""
+        return np.zeros((len(y), m.shape[-1]))
+
 
 @dataclass(frozen=True)
 class _BernoulliLogit(ExpFamilySpec):
+    name = "bernoulli_logit"
+    separable = True
+
     def mean(self, xi):
         return sp.expit(xi)
 
@@ -95,9 +110,16 @@ class _BernoulliLogit(ExpFamilySpec):
         out -= soft
         return np.sum(out, axis=-1)
 
+    def weights(self, eta, mu):
+        # clamp only inside the weights; reported means are untouched
+        mu = np.clip(mu, _PROB_CLAMP, 1.0 - _PROB_CLAMP)
+        return mu * (1.0 - mu) / self.dispersion
+
 
 @dataclass(frozen=True)
 class _PoissonLog(ExpFamilySpec):
+    name = "poisson_log"
+
     def mean(self, xi):
         return np.exp(xi)
 
@@ -117,6 +139,8 @@ class _PoissonLog(ExpFamilySpec):
 
 @dataclass(frozen=True)
 class _NormalIdentity(ExpFamilySpec):
+    name = "normal_identity"
+
     def mean(self, xi):
         return xi
 
@@ -138,6 +162,7 @@ class _NormalIdentity(ExpFamilySpec):
 
 @dataclass(frozen=True)
 class _GammaNegLog(ExpFamilySpec):
+    name = "gamma_neglog"
     shape: float = 1.0
 
     def __post_init__(self):
@@ -167,23 +192,37 @@ class _GammaNegLog(ExpFamilySpec):
         return np.sum(lam * np.log(alpha) - sp.gammaln(lam)
                       + (lam - 1.0) * np.log(y) - alpha * y, axis=-1)
 
+    def start(self, m, y, has_intercept):
+        beta = super().start(m, y, has_intercept)
+        for r, row in enumerate(y):
+            design = m if m.ndim == 2 else m[r]
+            # start from a response-driven predictor to keep eta negative
+            eta0 = self.link(np.maximum(row, np.percentile(row, 5)))
+            guess, *_ = np.linalg.lstsq(design, eta0, rcond=None)
+            if self.natural_ok(design @ guess):
+                beta[r] = guess
+            elif has_intercept:
+                # fall back to a constant negative predictor
+                beta[r, 0] = float(self.link(np.array([row.mean()]))[0])
+        return beta
+
 
 def bernoulli_logit() -> ExpFamilySpec:
-    return _BernoulliLogit(name="bernoulli_logit", dispersion=1.0)
+    return _BernoulliLogit(dispersion=1.0)
 
 
 def poisson_log() -> ExpFamilySpec:
-    return _PoissonLog(name="poisson_log", dispersion=1.0)
+    return _PoissonLog(dispersion=1.0)
 
 
 def normal_identity(dispersion: float = 1.0) -> ExpFamilySpec:
-    return _NormalIdentity(name="normal_identity", dispersion=dispersion)
+    return _NormalIdentity(dispersion=dispersion)
 
 
 def gamma_neglog(shape: float) -> ExpFamilySpec:
     """Gamma responses with known shape; the natural parameter is minus the
     rate, so linear predictors must stay negative."""
-    return _GammaNegLog(name="gamma_neglog", dispersion=1.0, shape=shape)
+    return _GammaNegLog(dispersion=1.0, shape=shape)
 
 
 def expfam_moments(spec: ExpFamilySpec, theta: float) -> Moments:
@@ -201,9 +240,6 @@ def expfam_moments(spec: ExpFamilySpec, theta: float) -> Moments:
 
 @dataclass(frozen=True)
 class GLMFit:
-    family: str
-    design: DesignMatrix
-    y: np.ndarray
     beta: np.ndarray
     mu: np.ndarray
     fisher_info: np.ndarray
@@ -219,7 +255,6 @@ class GLMStackFit:
     log-likelihood trace is ``loglik_trace[r, :iterations[r]]``. A failing
     row raises."""
 
-    family: str
     beta: np.ndarray            # (R, k)
     mu: np.ndarray              # (R, n)
     fisher_info: np.ndarray     # (R, k, k)
@@ -247,20 +282,6 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
-def _norms(beta: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit-identical to ``np.linalg.norm`` of
-    the row (``np.linalg.norm(beta, axis=-1)`` is not)."""
-    return np.sqrt((beta[..., None, :] @ beta[..., :, None])[..., 0, 0])
-
-
-def _working_weights(spec: ExpFamilySpec, eta: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    if spec.name == "bernoulli_logit":
-        # clamp only inside the weights; reported means are untouched
-        mu = np.clip(mu, _PROB_CLAMP, 1.0 - _PROB_CLAMP)
-        return mu * (1.0 - mu) / spec.dispersion
-    return spec.mean_slope(eta) / spec.dispersion
-
-
 def glm_fit(spec: ExpFamilySpec, x: DesignMatrix, y) -> GLMFit:
     """Newton/Fisher scoring on the canonical score equations, with
     step-halving whenever a full step would lower the log-likelihood. A fit
@@ -268,8 +289,7 @@ def glm_fit(spec: ExpFamilySpec, x: DesignMatrix, y) -> GLMFit:
     y = np.asarray(y, dtype=float)
     fit = glm_fit_stack(spec, x, y[None])
     iterations = int(fit.iterations[0])
-    return GLMFit(family=spec.name, design=x, y=y, beta=fit.beta[0],
-                  mu=fit.mu[0], fisher_info=fit.fisher_info[0],
+    return GLMFit(beta=fit.beta[0], mu=fit.mu[0], fisher_info=fit.fisher_info[0],
                   iterations=iterations,
                   log_likelihood=float(fit.log_likelihood[0]),
                   loglik_trace=fit.loglik_trace[0, :iterations])
@@ -296,8 +316,8 @@ def glm_fit_stack(spec: ExpFamilySpec, design, y) -> GLMStackFit:
     spec.validate_y(y)
     require_full_rank(m)
     beta, mu, info, iterations, ll, trace = _scoring(
-        spec, m, y, _initial_beta(spec, m, y, has_intercept))
-    return GLMStackFit(family=spec.name, beta=beta, mu=mu, fisher_info=info,
+        spec, m, y, spec.start(m, y, has_intercept))
+    return GLMStackFit(beta=beta, mu=mu, fisher_info=info,
                        iterations=iterations, log_likelihood=ll, loglik_trace=trace)
 
 
@@ -318,9 +338,9 @@ def _scoring(spec, m, y, beta):
         mu = spec.mean(eta)
         residual = y - mu
         score = _matvec(mt, residual) / spec.dispersion
-        info = mt @ (m * _working_weights(spec, eta, mu)[..., None])
+        info = mt @ (m * spec.weights(eta, mu)[..., None])
         done = active & (np.abs(score).max(axis=-1) <= tol)
-        if spec.name == "bernoulli_logit" and done.any() and np.any(
+        if spec.separable and done.any() and np.any(
                 done & (np.abs(residual).max(axis=-1) < 1e-6)):
             # the score only vanishes with all cases classified exactly
             # when the likelihood has no finite maximizer
@@ -336,14 +356,14 @@ def _scoring(spec, m, y, beta):
         beta, eta, ll, stalled = _halved_steps(spec, m, y, beta, eta, ll, step, active)
         if stalled.any():
             last = beta[np.argmax(stalled)]
-            if _norms(last) > _SEPARATION_NORM:
+            if np.linalg.norm(last, axis=-1) > _SEPARATION_NORM:
                 raise SeparationError(
                     "separation detected: coefficients diverge while the "
                     "score stalls")
             raise ConvergenceError("no ascent direction found", last_iterate=last)
         trace.append(ll)
-        if spec.name == "bernoulli_logit" and np.any(
-                active & (_norms(beta) > _SEPARATION_NORM)):
+        if spec.separable and np.any(
+                active & (np.linalg.norm(beta, axis=-1) > _SEPARATION_NORM)):
             raise SeparationError(
                 "separation detected: coefficient norm exceeded "
                 f"{_SEPARATION_NORM:g} before the score vanished")
@@ -351,24 +371,6 @@ def _scoring(spec, m, y, beta):
         raise ConvergenceError("scoring iterations exhausted",
                                last_iterate=beta[np.argmax(active)])
     return beta, mu, info, iterations, ll, np.stack(trace, axis=-1)
-
-
-def _initial_beta(spec, m, y, has_intercept):
-    """Starting coefficients, one row per response row."""
-    beta = np.zeros((len(y), m.shape[-1]))
-    if spec.name != "gamma_neglog":
-        return beta
-    for r, row in enumerate(y):
-        design = m if m.ndim == 2 else m[r]
-        # start from a response-driven predictor to keep eta negative
-        eta0 = spec.link(np.maximum(row, np.percentile(row, 5)))
-        start, *_ = np.linalg.lstsq(design, eta0, rcond=None)
-        if spec.natural_ok(design @ start):
-            beta[r] = start
-        elif has_intercept:
-            # fall back to a constant negative predictor
-            beta[r, 0] = float(spec.link(np.array([row.mean()]))[0])
-    return beta
 
 
 def _halved_steps(spec, m, y, beta, eta, ll, step, pending):
@@ -473,12 +475,12 @@ def irt_ability_fit(bank: IRTItemBank, responses) -> IRTAbilityFit:
 def load_item_bank_csv(path) -> IRTItemBank:
     """Items as rows of an ``a,b`` CSV with header."""
     data = np.array(_read_csv(path, header=("a", "b"))[1:])
+    _require_rows(path, data[:, 0] > 0, "discriminations must be positive", first=1)
     return IRTItemBank(a=data[:, 0], b=data[:, 1])
 
 
 def load_responses_csv(path) -> np.ndarray:
     """0/1 response matrix, one row per examinee."""
     data = np.array(_read_csv(path))
-    if not np.all((data == 0.0) | (data == 1.0)):
-        raise DomainError("responses must be 0/1")
+    _require_rows(path, np.all((data == 0.0) | (data == 1.0), axis=1), "responses must be 0/1")
     return data

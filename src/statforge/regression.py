@@ -103,18 +103,6 @@ class LinearFit:
     def df_residual(self) -> int:
         return self.design.n - self.design.n_columns
 
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta.tolist(),
-            "sigma2_hat": self.sigma2_hat,
-            "r2": self.r2,
-            "r2_adj": self.r2_adj,
-            "ss_total": self.ss_total,
-            "ss_reg": self.ss_reg,
-            "ss_res": self.ss_res,
-            "df_residual": self.df_residual,
-        }
-
 
 @dataclass(frozen=True)
 class LinearStackFit:

@@ -39,7 +39,7 @@ def _read_csv(path, header=None, kinds=(), width=None, first=None) -> list:
         headed = n == 1 and header is not None
         if headed and cells[:len(header)] != list(header):
             raise DomainError(f"{path}, line 1: expected a header starting {','.join(header)}")
-        if cells != [""] or headed:
+        if line.strip() or headed:
             width = width or len(cells)
             if len(cells) != width:
                 raise DomainError(f"{path}, line {n}: expected {width} fields, got {len(cells)}")
@@ -49,6 +49,16 @@ def _read_csv(path, header=None, kinds=(), width=None, first=None) -> list:
     if len(rows) <= (header is not None):
         raise DomainError(f"{path}, line {len(lines) + 1}: no data rows")
     return rows
+
+
+def _require_rows(path, ok, message: str, first: int = 0) -> None:
+    """Raise :class:`DomainError` ``"<path>, line <n>: <message>"`` at the
+    first false ``ok[i]``, the flag of row ``first + i`` of what
+    :func:`_read_csv` read from ``path``."""
+    if not np.all(ok):
+        lines = [n for n, line in enumerate(_read_text(path).splitlines(), start=1)
+                 if line.strip()]
+        raise DomainError(f"{path}, line {lines[first + int(np.argmin(ok))]}: {message}")
 
 
 def _cell(path, n: int, j: int, kind: type, cell: str):
@@ -122,12 +132,3 @@ class TestReport:
         if not 0.0 < alpha < 1.0:
             raise DomainError("alpha must be in (0,1)")
         return self.p_value <= alpha
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "null_law": repr(self.null_law),
-            "p_value": self.p_value,
-            "kind": self.kind,
-            **{k: v for k, v in self.extras.items() if np.isscalar(v)},
-        }

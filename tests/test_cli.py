@@ -1,6 +1,7 @@
 """Config parsing, experiment envelopes, CLI behavior, determinism."""
 
 import ctypes
+import dataclasses
 import hashlib
 import json
 import os
@@ -105,7 +106,7 @@ class TestConfigParsing:
     @given(data=st.data())
     def test_dist_tag_round_trip(self, family, data):
         spec = data.draw(FAMILIES[family])
-        fields = cli._DIST_BUILDERS[family][1]
+        fields = [field.name for field in dataclasses.fields(spec)]
         tag = f"{family}:" + ",".join(repr(getattr(spec, field)) for field in fields)
         assert cli._parse_dist_tag(tag) == spec
 
@@ -493,6 +494,15 @@ class TestCLI:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("name,")
 
+    def test_csv_format_prints_metrics_csv(self, tmp_path, capsys):
+        # bayes reports metrics without a standard error: an empty field in both
+        cfg = self._write_config(
+            tmp_path, 'experiment = "bayes"\nseed = 4\nreplicates = 100\n')
+        assert cli.main(["run", cfg, "--format", "csv", "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert out.encode() == (tmp_path / "out" / "metrics.csv").read_bytes()
+        assert "None" not in out
+
     def test_dist_subcommand(self, capsys):
         assert cli.main(["dist", "normal:0,1", "--cdf", "0"]) == 0
         assert float(capsys.readouterr().out) == 0.5
@@ -504,6 +514,10 @@ class TestCLI:
     def test_dist_bad_tag(self, capsys):
         assert cli.main(["dist", "weibull:1,2", "--pdf", "0.5"]) == 1
         assert cli.main(["dist", "normal:0", "--pdf", "0.5"]) == 1
+
+    def test_dist_tags_are_the_families(self, capsys):
+        assert cli.main(["dist", "weibull:1,2", "--pdf", "0.5"]) == 1
+        assert f"choose from {sorted(FAMILIES)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tag,message", [
         ("normal:a,1", "normal parameter 'mu' must be a number, got 'a'"),

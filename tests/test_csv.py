@@ -60,17 +60,20 @@ BAD_FILES = [
     ("graph", "narrower", "5\n", 1),
     ("graph", "empty", "", 1),
     ("graph", "huge-vertex", "5,0.2\n0,9223372036854775808\n", 2),
+    ("graph", "unordered-edge", "5,0.2\n0,1\n\n3,2\n", 4),
     ("item-bank", "ragged", "a,b\n1,2\n1,2,3\n", 3),
     ("item-bank", "non-number", "a,b\n1,b\n", 2),
     ("item-bank", "nan", "a,b\nnan,1\n", 2),
     ("item-bank", "inf", "a,b\n1,inf\n", 2),
     ("item-bank", "narrower", "a,b\n1\n", 2),
     ("item-bank", "empty", "", 1),
+    ("item-bank", "nonpositive-a", "a,b\n1,0\n\n0,1\n", 4),
     ("responses", "ragged", "1,0\n0\n", 2),
     ("responses", "non-number", "1,0\n0,?\n", 2),
     ("responses", "nan", "1,nan\n", 1),
     ("responses", "inf", "1,0\ninf,0\n", 2),
     ("responses", "empty", "", 1),
+    ("responses", "not-binary", "\n1,0\n0,2\n", 3),
 ]
 
 

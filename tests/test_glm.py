@@ -1,5 +1,6 @@
 """Exponential-family moments, scoring fits, Wald inference, ability scoring."""
 
+import dataclasses
 import math
 import re
 
@@ -40,6 +41,15 @@ class TestExpFamilyMoments:
     def test_gamma_boundary_rejected(self):
         with pytest.raises(DomainError):
             glm.expfam_moments(glm.gamma_neglog(2.0), 0.0)
+
+    def test_family_facts_are_class_constants(self):
+        specs = [glm.bernoulli_logit(), glm.poisson_log(), glm.normal_identity(2.0),
+                 glm.gamma_neglog(3.0)]
+        assert [s.name for s in specs] == [
+            "bernoulli_logit", "poisson_log", "normal_identity", "gamma_neglog"]
+        assert [s.separable for s in specs] == [True, False, False, False]
+        assert [[f.name for f in dataclasses.fields(s)] for s in specs] == [
+            ["dispersion"], ["dispersion"], ["dispersion"], ["dispersion", "shape"]]
 
 
 @pytest.fixture
