@@ -47,38 +47,14 @@ def _maybe_scalar(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
-_QUANTILE_DOMAIN = "quantile argument must lie strictly inside (0, 1)"
-
-
-class _Spec:
-    """Common machinery; concrete families fill in the private hooks."""
+class DistributionSpec:
+    """Base of the families: each fills in the private hooks, which the
+    module functions ``dist_*`` call."""
 
     is_discrete = False
 
     def moments(self) -> Moments:
         raise NotImplementedError
-
-    def pdf(self, x):
-        arr, scalar = _as_array(x)
-        return _maybe_scalar(self._pdf(arr), scalar)
-
-    def cdf(self, x):
-        arr, scalar = _as_array(x)
-        return _maybe_scalar(self._cdf(arr), scalar)
-
-    def quantile(self, u):
-        arr, scalar = _as_array(u)
-        if not np.all((0.0 < arr) & (arr < 1.0)):
-            raise DomainError(_QUANTILE_DOMAIN)
-        if self.is_discrete:
-            return _maybe_scalar(np.array([self._discrete_quantile(ui) for ui in arr],
-                                          dtype=float), scalar)
-        return _maybe_scalar(self._ppf(arr), scalar)
-
-    def sample(self, stream: RandomStream, count: int) -> np.ndarray:
-        if count < 0:
-            raise DomainError("sample count must be nonnegative")
-        return self._sample(stream, count)
 
     # hooks ---------------------------------------------------------------
 
@@ -119,14 +95,11 @@ class _Spec:
         return 0
 
 
-DistributionSpec = _Spec
-
-
 # -- continuous families ----------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Normal(_Spec):
+class Normal(DistributionSpec):
     mu: float
     sigma2: float
 
@@ -155,7 +128,7 @@ class Normal(_Spec):
 
 
 @dataclass(frozen=True)
-class LogNormal(_Spec):
+class LogNormal(DistributionSpec):
     mu: float
     sigma2: float
 
@@ -192,7 +165,7 @@ class LogNormal(_Spec):
 
 
 @dataclass(frozen=True)
-class Gamma(_Spec):
+class Gamma(DistributionSpec):
     """Gamma law with inverse-scale (rate) ``alpha`` and shape ``lam``."""
 
     alpha: float
@@ -240,7 +213,7 @@ class Gamma(_Spec):
 
 
 @dataclass(frozen=True)
-class ChiSquared(_Spec):
+class ChiSquared(DistributionSpec):
     k: int
 
     def __post_init__(self):
@@ -274,7 +247,7 @@ class ChiSquared(_Spec):
 
 
 @dataclass(frozen=True)
-class StudentT(_Spec):
+class StudentT(DistributionSpec):
     k: int
 
     def __post_init__(self):
@@ -311,7 +284,7 @@ class StudentT(_Spec):
 
 
 @dataclass(frozen=True)
-class FisherF(_Spec):
+class FisherF(DistributionSpec):
     k1: int
     k2: int
 
@@ -373,7 +346,7 @@ class FisherF(_Spec):
 
 
 @dataclass(frozen=True)
-class Beta(_Spec):
+class Beta(DistributionSpec):
     alpha: float
     beta: float
 
@@ -414,7 +387,7 @@ class Beta(_Spec):
 
 
 @dataclass(frozen=True)
-class Exponential(_Spec):
+class Exponential(DistributionSpec):
     lam: float
 
     def __post_init__(self):
@@ -446,7 +419,7 @@ class Exponential(_Spec):
 
 
 @dataclass(frozen=True)
-class Uniform01(_Spec):
+class Uniform01(DistributionSpec):
 
     def moments(self) -> Moments:
         return Moments(0.5, 1.0 / 12.0)
@@ -471,7 +444,7 @@ class Uniform01(_Spec):
 
 
 @dataclass(frozen=True)
-class Bernoulli(_Spec):
+class Bernoulli(DistributionSpec):
     p: float
     is_discrete = True
 
@@ -498,7 +471,7 @@ class Bernoulli(_Spec):
 
 
 @dataclass(frozen=True)
-class Binomial(_Spec):
+class Binomial(DistributionSpec):
     p: float
     n: int
     is_discrete = True
@@ -543,7 +516,7 @@ class Binomial(_Spec):
 
 
 @dataclass(frozen=True)
-class Poisson(_Spec):
+class Poisson(DistributionSpec):
     lam: float
     is_discrete = True
 
@@ -575,7 +548,7 @@ class Poisson(_Spec):
 
 
 @dataclass(frozen=True)
-class Geometric(_Spec):
+class Geometric(DistributionSpec):
     """Number of Bernoulli trials up to and including the first success."""
 
     p: float
@@ -697,11 +670,13 @@ def dist_moments(spec: DistributionSpec) -> Moments:
 
 def dist_pdf(spec: DistributionSpec, x) -> Union[float, np.ndarray]:
     """Density (probability mass for discrete tags), 0 outside the support."""
-    return spec.pdf(x)
+    arr, scalar = _as_array(x)
+    return _maybe_scalar(spec._pdf(arr), scalar)
 
 
 def dist_cdf(spec: DistributionSpec, x) -> Union[float, np.ndarray]:
-    return spec.cdf(x)
+    arr, scalar = _as_array(x)
+    return _maybe_scalar(spec._cdf(arr), scalar)
 
 
 def dist_quantile(spec: DistributionSpec, u) -> Union[float, np.ndarray]:
@@ -710,8 +685,16 @@ def dist_quantile(spec: DistributionSpec, u) -> Union[float, np.ndarray]:
 
     For discrete tags this is the smallest support point with cdf >= u.
     """
-    return spec.quantile(u)
+    arr, scalar = _as_array(u)
+    if not np.all((0.0 < arr) & (arr < 1.0)):
+        raise DomainError("quantile argument must lie strictly inside (0, 1)")
+    if spec.is_discrete:
+        return _maybe_scalar(np.array([spec._discrete_quantile(ui) for ui in arr],
+                                      dtype=float), scalar)
+    return _maybe_scalar(spec._ppf(arr), scalar)
 
 
 def dist_sample(spec: DistributionSpec, stream: RandomStream, count: int) -> np.ndarray:
-    return spec.sample(stream, count)
+    if count < 0:
+        raise DomainError("sample count must be nonnegative")
+    return spec._sample(stream, count)

@@ -10,9 +10,9 @@ from typing import Callable, Union
 import numpy as np
 from scipy import special as sp
 
-from .distributions import DistributionSpec, Normal, StudentT, dist_quantile, dist_sample
+from .distributions import DistributionSpec, Normal, StudentT, dist_sample
 from .errors import ConvergenceError, DegenerateSampleError, DomainError
-from .results import ConfidenceInterval, _read_csv
+from .results import ConfidenceInterval, _read_csv, interval_quantile
 from .rng import RandomStream
 
 __all__ = [
@@ -30,12 +30,6 @@ _STD_NORMAL = Normal(0.0, 1.0)
 def load_sample_csv(path) -> np.ndarray:
     """Single-column CSV of observations, no header."""
     return np.array(_read_csv(path, width=1))[:, 0]
-
-
-def _z_quantile(delta: float) -> float:
-    if not 0.0 < delta < 1.0:
-        raise DomainError("delta must lie in (0, 1)")
-    return float(dist_quantile(_STD_NORMAL, 1.0 - delta / 2.0))
 
 
 # -- the c * sum of squared deviations family ---------------------------------
@@ -232,7 +226,7 @@ def ci_mean_z(sample_mean: float, sigma: float, n: int, delta: float) -> Confide
     """Normal-mean interval with known noise scale."""
     if sigma <= 0 or n < 1:
         raise DomainError("need sigma > 0 and n >= 1")
-    half = _z_quantile(delta) * sigma / math.sqrt(n)
+    half = interval_quantile(_STD_NORMAL, delta) * sigma / math.sqrt(n)
     return ConfidenceInterval(sample_mean - half, sample_mean + half,
                               1.0 - delta, "mean_z")
 
@@ -245,7 +239,7 @@ def ci_mean_t(sample, delta: float) -> ConfidenceInterval:
     if n < 2:
         raise DegenerateSampleError("studentized interval needs n >= 2")
 
-    quantile = float(dist_quantile(StudentT(n - 1), 1.0 - delta / 2.0))
+    quantile = interval_quantile(StudentT(n - 1), delta)
     half = quantile * x.std(axis=-1, ddof=1) / math.sqrt(n)
     center = x.mean(axis=-1)
     return ConfidenceInterval(center - half, center + half, 1.0 - delta, "mean_t")
@@ -258,7 +252,7 @@ def ci_variance_asymptotic(sample, delta: float) -> ConfidenceInterval:
     if x.size < 2:
         raise DegenerateSampleError("variance interval needs n >= 2")
     s2 = float(((x - x.mean()) ** 2).mean())
-    spread = math.sqrt(2.0 / x.size) * _z_quantile(delta)
+    spread = math.sqrt(2.0 / x.size) * interval_quantile(_STD_NORMAL, delta)
     return ConfidenceInterval((1.0 - spread) * s2, (1.0 + spread) * s2,
                               1.0 - delta, "variance_asymptotic")
 
@@ -267,7 +261,7 @@ def ci_mle_asymptotic(theta_hat: float, fisher_total: float, delta: float) -> Co
     """Wald interval from the sample Fisher information at the estimate."""
     if fisher_total <= 0:
         raise DomainError("information must be positive")
-    half = _z_quantile(delta) / math.sqrt(fisher_total)
+    half = interval_quantile(_STD_NORMAL, delta) / math.sqrt(fisher_total)
     return ConfidenceInterval(theta_hat - half, theta_hat + half,
                               1.0 - delta, "mle_asymptotic")
 
@@ -285,7 +279,7 @@ def ci_two_sample_t(sample_x, sample_y, variance_ratio: float, delta: float) -> 
     pooled = ((m - 1) * x.var(ddof=1) + (n - 1) * eta * y.var(ddof=1)) / (m + n - 2)
     scale = math.sqrt((1.0 / m + 1.0 / (n * eta)) * pooled)
 
-    quantile = float(dist_quantile(StudentT(m + n - 2), 1.0 - delta / 2.0))
+    quantile = interval_quantile(StudentT(m + n - 2), delta)
     center = x.mean() - y.mean()
     half = quantile * scale
     return ConfidenceInterval(center - half, center + half, 1.0 - delta,
@@ -300,7 +294,7 @@ def ci_delta_method(theta_hat: float, fisher_total: float, g: Callable,
     slope = abs(g_prime(theta_hat))
     if slope == 0.0:
         raise DomainError("the transform derivative vanishes at the estimate")
-    half = _z_quantile(delta) * slope / math.sqrt(fisher_total)
+    half = interval_quantile(_STD_NORMAL, delta) * slope / math.sqrt(fisher_total)
     center = g(theta_hat)
     return ConfidenceInterval(center - half, center + half, 1.0 - delta,
                               "delta_method")
@@ -429,6 +423,7 @@ def monte_carlo_mean(f: Callable, spec, n: int, delta: float,
     """
     if n < 2:
         raise DegenerateSampleError("need n >= 2 draws")
+    z = interval_quantile(_STD_NORMAL, delta)
     if isinstance(spec, DistributionSpec):
         draws = dist_sample(spec, stream, n)
     else:
@@ -439,7 +434,7 @@ def monte_carlo_mean(f: Callable, spec, n: int, delta: float,
     estimate = float(values.mean())
     sd = float(values.std(ddof=1))
     degenerate = sd == 0.0
-    half = _z_quantile(delta) * sd / math.sqrt(n)
+    half = z * sd / math.sqrt(n)
     ci = ConfidenceInterval(estimate - half, estimate + half, 1.0 - delta,
                             "monte_carlo_clt")
     n_cheb = sd ** 2 / (delta * epsilon ** 2)

@@ -8,15 +8,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .distributions import Moments, Normal, dist_quantile
+from .distributions import Moments, Normal
 from .errors import (ConvergenceError, DomainError, NoFiniteMLEError,
                      SeparationError)
 from .regression import DesignMatrix, require_full_rank
-from .results import ConfidenceInterval, _read_csv, _require_rows
+from .results import (ConfidenceInterval, _read_csv, _require_rows, first_row,
+                      interval_quantile, scalar_or_rows)
 
 __all__ = [
     "ExpFamilySpec", "bernoulli_logit", "poisson_log", "normal_identity",
-    "gamma_neglog", "expfam_moments", "GLMFit", "GLMStackFit", "glm_fit",
+    "gamma_neglog", "expfam_moments", "GLMFit", "glm_fit",
     "glm_fit_stack", "stack_chunk_rows", "glm_wald_ci",
     "IRTItemBank", "IRTAbilityFit", "irt_ability_fit",
     "load_item_bank_csv", "load_responses_csv",
@@ -240,27 +241,17 @@ def expfam_moments(spec: ExpFamilySpec, theta: float) -> Moments:
 
 @dataclass(frozen=True)
 class GLMFit:
-    beta: np.ndarray
-    mu: np.ndarray
-    fisher_info: np.ndarray
-    iterations: int
-    log_likelihood: float
-    loglik_trace: np.ndarray
+    """Fit of one response, or of a stack of responses, one per row: row
+    ``r`` of every field is what :func:`glm_fit` gives for row ``r``, and
+    row ``r`` of the log-likelihood trace is ``loglik_trace[r, :iterations[r]]``.
+    A single fit's ``iterations`` is an int and ``log_likelihood`` a float."""
 
-
-@dataclass(frozen=True)
-class GLMStackFit:
-    """Fits of a stack of responses, one per row: row ``r`` of every array
-    is what :func:`glm_fit` gives for row ``r``, and row ``r`` of the
-    log-likelihood trace is ``loglik_trace[r, :iterations[r]]``. A failing
-    row raises."""
-
-    beta: np.ndarray            # (R, k)
-    mu: np.ndarray              # (R, n)
-    fisher_info: np.ndarray     # (R, k, k)
-    iterations: np.ndarray      # (R,)
-    log_likelihood: np.ndarray  # (R,)
-    loglik_trace: np.ndarray    # (R, max iterations)
+    beta: np.ndarray            # (k,), stacked (R, k)
+    mu: np.ndarray              # (n,), stacked (R, n)
+    fisher_info: np.ndarray     # (k, k), stacked (R, k, k)
+    iterations: int             # stacked (R,)
+    log_likelihood: float       # stacked (R,)
+    loglik_trace: np.ndarray    # (iterations,), stacked (R, max iterations)
 
 
 _MAX_ITER = 200
@@ -286,16 +277,10 @@ def glm_fit(spec: ExpFamilySpec, x: DesignMatrix, y) -> GLMFit:
     """Newton/Fisher scoring on the canonical score equations, with
     step-halving whenever a full step would lower the log-likelihood. A fit
     that does not converge raises."""
-    y = np.asarray(y, dtype=float)
-    fit = glm_fit_stack(spec, x, y[None])
-    iterations = int(fit.iterations[0])
-    return GLMFit(beta=fit.beta[0], mu=fit.mu[0], fisher_info=fit.fisher_info[0],
-                  iterations=iterations,
-                  log_likelihood=float(fit.log_likelihood[0]),
-                  loglik_trace=fit.loglik_trace[0, :iterations])
+    return first_row(glm_fit_stack(spec, x, np.asarray(y, dtype=float)[None]))
 
 
-def glm_fit_stack(spec: ExpFamilySpec, design, y) -> GLMStackFit:
+def glm_fit_stack(spec: ExpFamilySpec, design, y) -> GLMFit:
     """:func:`glm_fit` on each row of ``y`` ``(R, n)``, against one shared
     :class:`DesignMatrix` or one design per row, an ``(R, n, k)`` array
     whose rows count as intercept designs when every column 0 is all ones.
@@ -317,8 +302,8 @@ def glm_fit_stack(spec: ExpFamilySpec, design, y) -> GLMStackFit:
     require_full_rank(m)
     beta, mu, info, iterations, ll, trace = _scoring(
         spec, m, y, spec.start(m, y, has_intercept))
-    return GLMStackFit(beta=beta, mu=mu, fisher_info=info,
-                       iterations=iterations, log_likelihood=ll, loglik_trace=trace)
+    return GLMFit(beta=beta, mu=mu, fisher_info=info,
+                  iterations=iterations, log_likelihood=ll, loglik_trace=trace)
 
 
 def _scoring(spec, m, y, beta):
@@ -399,15 +384,13 @@ def _halved_steps(spec, m, y, beta, eta, ll, step, pending):
 
 def glm_wald_ci(fit, j: int, delta: float) -> ConfidenceInterval:
     """Large-sample interval from the inverse information at the fit; a
-    :class:`GLMStackFit` gives one interval per row."""
+    stacked fit gives one interval per row."""
     if not 0 <= j < fit.beta.shape[-1]:
         raise DomainError("coefficient index out of range")
     cov = np.linalg.inv(fit.fisher_info)
-    half = float(dist_quantile(Normal(0.0, 1.0), 1.0 - delta / 2.0)) * np.sqrt(cov[..., j, j])
-    lo, hi = fit.beta[..., j] - half, fit.beta[..., j] + half
-    if np.ndim(lo) == 0:
-        lo, hi = float(lo), float(hi)
-    return ConfidenceInterval(lo, hi, 1.0 - delta, "glm_wald")
+    half = interval_quantile(Normal(0.0, 1.0), delta) * np.sqrt(cov[..., j, j])
+    return ConfidenceInterval(scalar_or_rows(fit.beta[..., j] - half),
+                              scalar_or_rows(fit.beta[..., j] + half), 1.0 - delta, "glm_wald")
 
 
 # -- two-parameter logistic ability scoring ------------------------------------

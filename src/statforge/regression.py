@@ -10,15 +10,16 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import get_lapack_funcs, solve_triangular
 
-from .distributions import FisherF, StudentT, dist_quantile
+from .distributions import FisherF, StudentT
 from .errors import (ConvergenceError, DegenerateSampleError, DomainError,
                      NestingError, SingularDesignError)
-from .results import ConfidenceInterval, TestReport, _read_csv, scalar_or_rows
+from .results import (ConfidenceInterval, TestReport, _read_csv, first_row,
+                      interval_quantile, scalar_or_rows)
 from .rng import RandomStream
 
 __all__ = [
     "DesignMatrix", "design_matrix", "require_full_rank", "LinearFit", "ols_fit",
-    "LinearStackFit", "ols_fit_stack", "coef_interval", "response_band", "f_test_nested",
+    "ols_fit_stack", "coef_interval", "response_band", "f_test_nested",
     "RidgeFit", "ridge_fit", "LassoFit", "lasso_fit", "soft_threshold",
     "estimate_restricted_eigenvalue", "lasso_penalty_rule",
     "load_regression_csv",
@@ -85,44 +86,25 @@ def design_matrix(x, intercept: bool = True) -> DesignMatrix:
 
 @dataclass(frozen=True)
 class LinearFit:
-    design: DesignMatrix
-    y: np.ndarray
-    beta: np.ndarray
-    fitted: np.ndarray
-    residuals: np.ndarray
-    gram_inverse: np.ndarray
-    hat_diagonal: np.ndarray
-    ss_total: float
-    ss_reg: float
-    ss_res: float
-    r2: float
-    r2_adj: float
-    sigma2_hat: Optional[float]
-
-    @property
-    def df_residual(self) -> int:
-        return self.design.n - self.design.n_columns
-
-
-@dataclass(frozen=True)
-class LinearStackFit:
-    """Fits of a stack of responses against one design: row ``r`` of every
-    per-row array is what :func:`ols_fit` gives for row ``r``; the Gram
-    inverse and the hat diagonal belong to the design and are shared."""
+    """Least-squares fit of one response, or of a stack of responses against
+    one design. Stacked, each per-row field gains a leading row axis, and
+    row ``r`` is what :func:`ols_fit` gives for row ``r``; the design, the
+    Gram inverse and the hat diagonal are shared. A single fit's sums of
+    squares, ``r2``, ``r2_adj`` and ``sigma2_hat`` are floats."""
 
     design: DesignMatrix
-    y: np.ndarray                     # (R, n)
-    beta: np.ndarray                  # (R, k)
-    fitted: np.ndarray                # (R, n)
-    residuals: np.ndarray             # (R, n)
+    y: np.ndarray                     # (n,), stacked (R, n)
+    beta: np.ndarray                  # (k,), stacked (R, k)
+    fitted: np.ndarray                # (n,), stacked (R, n)
+    residuals: np.ndarray             # (n,), stacked (R, n)
     gram_inverse: np.ndarray          # (k, k)
     hat_diagonal: np.ndarray          # (n,)
-    ss_total: np.ndarray              # (R,)
-    ss_reg: np.ndarray                # (R,)
-    ss_res: np.ndarray                # (R,)
-    r2: np.ndarray                    # (R,)
-    r2_adj: np.ndarray                # (R,)
-    sigma2_hat: Optional[np.ndarray]  # (R,), None without residual df
+    ss_total: float                   # stacked (R,)
+    ss_reg: float                     # stacked (R,)
+    ss_res: float                     # stacked (R,)
+    r2: float                         # stacked (R,)
+    r2_adj: float                     # stacked (R,)
+    sigma2_hat: Optional[float]       # stacked (R,); None without residual df
 
     @property
     def df_residual(self) -> int:
@@ -135,17 +117,11 @@ def ols_fit(x: DesignMatrix, y) -> LinearFit:
     The Gram inverse is recovered from the triangular factor rather than by
     forming and inverting the normal equations.
     """
-    y = np.asarray(y, dtype=float)
-    fit = ols_fit_stack(x, y[None])
-    sigma2 = None if fit.sigma2_hat is None else float(fit.sigma2_hat[0])
-    return LinearFit(design=x, y=y, beta=fit.beta[0], fitted=fit.fitted[0],
-                     residuals=fit.residuals[0], gram_inverse=fit.gram_inverse,
-                     hat_diagonal=fit.hat_diagonal, ss_total=float(fit.ss_total[0]),
-                     ss_reg=float(fit.ss_reg[0]), ss_res=float(fit.ss_res[0]),
-                     r2=float(fit.r2[0]), r2_adj=float(fit.r2_adj[0]), sigma2_hat=sigma2)
+    return first_row(ols_fit_stack(x, np.asarray(y, dtype=float)[None]),
+                     shared=("design", "gram_inverse", "hat_diagonal"))
 
 
-def ols_fit_stack(x: DesignMatrix, y) -> LinearStackFit:
+def ols_fit_stack(x: DesignMatrix, y) -> LinearFit:
     """:func:`ols_fit` on each row of ``y`` ``(R, n)`` against one design:
     one rank check, one QR, one Gram inverse and one hat diagonal serve
     every row, and each row's results are bit-identical to the single fit."""
@@ -178,10 +154,10 @@ def ols_fit_stack(x: DesignMatrix, y) -> LinearStackFit:
     else:
         sigma2 = None
         r2_adj = np.full(len(y), np.nan)
-    return LinearStackFit(design=x, y=y, beta=beta, fitted=fitted, residuals=residuals,
-                          gram_inverse=r_inv @ r_inv.T, hat_diagonal=(q ** 2).sum(axis=1),
-                          ss_total=ss_total, ss_reg=ss_reg, ss_res=ss_res, r2=r2,
-                          r2_adj=r2_adj, sigma2_hat=sigma2)
+    return LinearFit(design=x, y=y, beta=beta, fitted=fitted, residuals=residuals,
+                     gram_inverse=r_inv @ r_inv.T, hat_diagonal=(q ** 2).sum(axis=1),
+                     ss_total=ss_total, ss_reg=ss_reg, ss_res=ss_res, r2=r2,
+                     r2_adj=r2_adj, sigma2_hat=sigma2)
 
 
 def _require_inference(fit) -> float:
@@ -192,13 +168,13 @@ def _require_inference(fit) -> float:
 
 
 def coef_interval(fit, j: int, delta: float) -> ConfidenceInterval:
-    """Studentized interval for one coefficient; a :class:`LinearStackFit`
-    gives one interval per row."""
+    """Studentized interval for one coefficient; a stacked fit gives one
+    interval per row."""
     sigma2 = _require_inference(fit)
     if not 0 <= j < fit.beta.shape[-1]:
         raise DomainError("coefficient index out of range")
     scale = np.sqrt(sigma2 * fit.gram_inverse[j, j])
-    quantile = float(dist_quantile(StudentT(fit.df_residual), 1.0 - delta / 2.0))
+    quantile = interval_quantile(StudentT(fit.df_residual), delta)
     center = fit.beta[..., j]
     half = quantile * scale
     return ConfidenceInterval(scalar_or_rows(center - half),
@@ -220,13 +196,13 @@ def response_band(fit: LinearFit, x0, kind: str, delta: float) -> ConfidenceInte
     sigma = math.sqrt(sigma2)
     df = fit.df_residual
     if kind == "mean_pointwise":
-        half = float(dist_quantile(StudentT(df), 1.0 - delta / 2.0)) * sigma * math.sqrt(q)
+        half = interval_quantile(StudentT(df), delta) * sigma * math.sqrt(q)
     elif kind == "mean_scheffe":
         d = fit.design.n_columns
-        f_quant = float(dist_quantile(FisherF(d, df), 1.0 - delta))
+        f_quant = interval_quantile(FisherF(d, df), delta, sides=1)
         half = sigma * math.sqrt(d * f_quant) * math.sqrt(q)
     elif kind == "prediction":
-        half = float(dist_quantile(StudentT(df), 1.0 - delta / 2.0)) * sigma * math.sqrt(1.0 + q)
+        half = interval_quantile(StudentT(df), delta) * sigma * math.sqrt(1.0 + q)
     else:
         raise DomainError(f"unknown band kind {kind!r}")
     center = float(x0 @ fit.beta)
@@ -235,8 +211,8 @@ def response_band(fit: LinearFit, x0, kind: str, delta: float) -> ConfidenceInte
 
 
 def f_test_nested(fit_full, fit_null) -> TestReport:
-    """Compare nested least-squares fits on the same response; two
-    :class:`LinearStackFit` give one test per row."""
+    """Compare nested least-squares fits on the same response; two stacked
+    fits give one test per row."""
     if not np.array_equal(fit_full.y, fit_null.y):
         raise NestingError("fits must share the response vector")
     full_cols = fit_full.design.matrix

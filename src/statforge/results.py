@@ -1,17 +1,16 @@
-"""Shared result containers (confidence intervals, test reports) and file reading."""
+"""Shared result containers (confidence intervals, test reports), row 0 of
+a stacked result, interval multipliers, and file reading."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .distributions import DistributionSpec, dist_quantile
 from .errors import DomainError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .distributions import DistributionSpec
 
 
 def _read_text(path) -> str:
@@ -77,6 +76,26 @@ def scalar_or_rows(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def first_row(stack, shared=()):
+    """Row 0 of a stacked result: each field not named in ``shared`` drops
+    its leading row axis, a 0-d row becomes a Python number and ``None``
+    stays ``None``."""
+    rows = {}
+    for f in dataclasses.fields(stack):
+        value = getattr(stack, f.name)
+        if f.name not in shared and value is not None:
+            rows[f.name] = value[0].item() if np.ndim(value) == 1 else value[0]
+    return dataclasses.replace(stack, **rows)
+
+
+def interval_quantile(law: DistributionSpec, delta: float, sides: int = 2) -> float:
+    """The ``1 - delta / sides`` quantile of ``law``: the multiplier of an
+    interval at level ``1 - delta``, two-sided by default."""
+    if not 0.0 < delta < 1.0:
+        raise DomainError("delta must lie in (0, 1)")
+    return float(dist_quantile(law, 1.0 - delta / sides))
+
+
 @dataclass(frozen=True)
 class ConfidenceInterval:
     """An interval estimate ``[lo, hi]`` at confidence level ``1 - delta``;
@@ -119,7 +138,7 @@ class TestReport:
     """
 
     statistic: float
-    null_law: "DistributionSpec"
+    null_law: DistributionSpec
     p_value: float
     kind: str
     extras: dict = field(default_factory=dict)

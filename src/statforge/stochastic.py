@@ -157,19 +157,19 @@ def gbm_sample(mu: float, sigma: float, s0: float, grid: TimeGrid,
         raise DomainError("initial value must be positive")
     if sigma < 0:
         raise DomainError("volatility must be nonnegative")
+    if method not in ("exact", "euler"):
+        raise DomainError(f"unknown method {method!r}")
     base = brownian_sample(grid, 1, stream).values[:, 0]
     if method == "exact":
         values = s0 * np.exp((mu - 0.5 * sigma * sigma) * grid.times + sigma * base)
         return GBMPath(grid=grid, values=values, method=method, nonpositive=False)
-    if method == "euler":
-        steps = np.diff(base)
-        values = np.empty(grid.times.size)
-        values[0] = s0
-        factors = 1.0 + mu * grid.increments + sigma * steps
-        values[1:] = s0 * np.cumprod(factors)
-        return GBMPath(grid=grid, values=values, method=method,
-                       nonpositive=bool(np.any(values <= 0.0)))
-    raise DomainError(f"unknown method {method!r}")
+    steps = np.diff(base)
+    values = np.empty(grid.times.size)
+    values[0] = s0
+    factors = 1.0 + mu * grid.increments + sigma * steps
+    values[1:] = s0 * np.cumprod(factors)
+    return GBMPath(grid=grid, values=values, method=method,
+                   nonpositive=bool(np.any(values <= 0.0)))
 
 
 # -- path-integral Monte Carlo ----------------------------------------------------
@@ -197,6 +197,8 @@ def feynman_kac_mc(potential: Callable, payoff: Callable, t: float, x0,
     """
     if steps < 1:
         raise DomainError("need at least one step")
+    if dim < 1:
+        raise DomainError("dimension must be >= 1")
     if n_paths < 1:
         raise DomainError("need at least one path")
     if t <= 0:

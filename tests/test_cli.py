@@ -151,9 +151,35 @@ _WORKER_CASES = [
 ]
 
 
+# The first 12 hex digits of each case's report digest at seed 9. A change
+# to a pin changes what the experiment reports, and must be declared in
+# CHANGES.md. The pins hold for the numpy and scipy builds they were made
+# with (numpy 2.4.6, scipy 1.17.1).
+_DIGEST_PINS = {
+    "bayes": "6b28c3f1d856",
+    "test-size": "779d511fa5bc",
+    "mle": "55ebfbef9fbd",
+    "regression": "a44278b85887",
+    "glm": "f092ffecdbb0",
+    "irt": "eae5b89a50c1",
+    "brownian": "6e86820f2070",
+    "ito": "812706333376",
+    "wilks": "17502b1936f9",
+    "ci-coverage": "d8b21a67c1e3",
+    "james-stein": "61bbad0911b5",
+    "jl": "8fe1b5c25fc5",
+    "er": "51a84e00bac5",
+    "lasso-bound": "e5fe90185a75",
+    "feynman-kac": "3a041ada7344",
+    "bs-price": "a16eaf1c59d8",
+    "gauss-conc": "920646eab662",
+}
+
+
 def test_worker_cases_cover_every_replicated_experiment():
     # only mse-variance draws one stream in one process
-    assert {tag for tag, _ in _WORKER_CASES} == set(xp.EXPERIMENTS) - {"mse-variance"}
+    assert {tag for tag, _ in _WORKER_CASES} == set(xp.EXPERIMENTS) - {"mse-variance"} \
+        == set(_DIGEST_PINS)
 
 
 class TestEnvelope:
@@ -202,6 +228,7 @@ class TestEnvelope:
             digests.append(hashlib.sha256(
                 json.dumps(report, sort_keys=True).encode()).hexdigest())
         assert digests[0] == digests[1]
+        assert digests[0][:12] == _DIGEST_PINS[tag]
 
 
 def _src_env(**extra):

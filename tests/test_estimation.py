@@ -7,6 +7,8 @@ import pytest
 
 from statforge import distributions as d
 from statforge import estimation as est
+from statforge import glm
+from statforge import regression as reg
 from statforge.errors import DegenerateSampleError, DomainError
 from statforge.rng import RandomStream
 
@@ -240,6 +242,44 @@ class TestConfidenceIntervals:
             single = est.ci_mean_t(x[i], 0.1)
             assert (batched.lo[i], batched.hi[i]) == (single.lo, single.hi)
             assert batched.covers(0.0)[i] == single.covers(0.0)
+
+def _interval_constructions():
+    """Every interval construction, as a function of ``delta`` alone."""
+    root = RandomStream(4243)
+    x, y = root.normals(20), root.normals(20)
+    design = reg.design_matrix(x)
+    linear = reg.ols_fit(design, 1.0 + x + y)
+    logistic = glm.glm_fit(glm.bernoulli_logit(), design, (y > 0).astype(float))
+    intervals = {
+        "mean_z": lambda delta: est.ci_mean_z(0.0, 1.0, 10, delta),
+        "mean_t": lambda delta: est.ci_mean_t(x, delta),
+        "variance_asymptotic": lambda delta: est.ci_variance_asymptotic(x, delta),
+        "mle_asymptotic": lambda delta: est.ci_mle_asymptotic(1.0, 4.0, delta),
+        "two_sample_t": lambda delta: est.ci_two_sample_t(x, y, 2.0, delta),
+        "delta_method": lambda delta: est.ci_delta_method(2.0, 4.0, math.log,
+                                                          lambda t: 1.0 / t, delta),
+        "monte_carlo": lambda delta: est.monte_carlo_mean(
+            lambda v: v, d.Uniform01(), 10, delta, root.split(1)).ci,
+        "coef": lambda delta: reg.coef_interval(linear, 1, delta),
+        "glm_wald": lambda delta: glm.glm_wald_ci(logistic, 1, delta),
+    }
+    for kind in ("mean_pointwise", "mean_scheffe", "prediction"):
+        intervals[kind] = lambda delta, kind=kind: reg.response_band(
+            linear, np.array([1.0, 0.5]), kind, delta)
+    return intervals
+
+
+_INTERVALS = _interval_constructions()
+
+
+@pytest.mark.parametrize("kind", sorted(_INTERVALS))
+def test_every_interval_checks_delta(kind):
+    build = _INTERVALS[kind]
+    assert build(0.05).level == pytest.approx(0.95)
+    for delta in (0.0, 1.0, 1.5, -0.1, math.nan):
+        with pytest.raises(DomainError, match=r"delta must lie in \(0, 1\)"):
+            build(delta)
+
 
 class TestCramerRao:
     @pytest.mark.parametrize("spec,family,theta", [

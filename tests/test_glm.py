@@ -247,6 +247,18 @@ class TestGLMFitStack:
         if family != "normal":
             assert len(set(stack.iterations.tolist())) > 1
 
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson", "normal", "gamma"])
+    def test_single_fit_is_row_zero_of_its_stack(self, family):
+        spec, designs, y = _family_rows(family, 200, 1, RandomStream(516))
+        design = reg.DesignMatrix(designs[0])
+        single, stack = glm.glm_fit(spec, design, y[0]), glm.glm_fit_stack(spec, design, y)
+        assert type(single) is type(stack)
+        for field in dataclasses.fields(single):
+            one, rows = getattr(single, field.name), getattr(stack, field.name)
+            assert np.asarray(one).tobytes() == rows[0].tobytes(), field.name
+        assert type(single.iterations) is int and type(single.log_likelihood) is float
+        assert single.loglik_trace.shape == (single.iterations,)
+
     def test_rows_needing_step_halving(self):
         spec, designs, y = _family_rows("poisson", 200, 5, RandomStream(510), shared=True)
         design = reg.DesignMatrix(designs[0])

@@ -1,5 +1,6 @@
 """Least squares, inference, ridge, LASSO."""
 
+import dataclasses
 import math
 from functools import partial
 
@@ -416,6 +417,30 @@ class TestOLSFitStack:
             single = reg.f_test_nested(single_full, single_null)
             assert (report.statistic[r], report.p_value[r]) == \
                 (single.statistic, single.p_value)
+
+    @pytest.mark.parametrize("n", [30, 2])
+    def test_single_fit_is_row_zero_of_its_stack(self, n):
+        root = RandomStream(505)
+        design = reg.design_matrix(root.normals(n))
+        y = root.normals(n)
+        single, stack = reg.ols_fit(design, y), reg.ols_fit_stack(design, y[None])
+        assert type(single) is type(stack)
+        for field in dataclasses.fields(single):
+            one, rows = getattr(single, field.name), getattr(stack, field.name)
+            if field.name == "design":
+                assert one is rows is design
+            elif field.name in ("gram_inverse", "hat_diagonal"):
+                assert one.tobytes() == rows.tobytes(), field.name
+            elif rows is None:
+                assert one is None
+            else:
+                assert np.asarray(one).tobytes() == rows[0].tobytes(), field.name
+        for name in ("ss_total", "ss_reg", "ss_res", "r2", "r2_adj"):
+            assert type(getattr(single, name)) is float
+        if n > 2:
+            assert type(single.sigma2_hat) is float
+        else:  # two points on two columns leave no residual degrees of freedom
+            assert single.sigma2_hat is None
 
     def test_rank_deficient_design_names_columns(self):
         x = np.column_stack([np.arange(6.0), 2.0 * np.arange(6.0)])

@@ -216,6 +216,12 @@ class TestGBM:
             gaps.append(abs(terminal.mean() - target))
         assert gaps[1] < gaps[0]
 
+    def test_unknown_method_draws_nothing(self):
+        stream = RandomStream(2)
+        with pytest.raises(DomainError, match="unknown method 'milstein'"):
+            sto.gbm_sample(0.1, 0.2, 1.0, sto.uniform_grid(1.0, 10), stream, "milstein")
+        assert stream.counter == 0
+
     def test_euler_nonpositive_flagged(self):
         # huge negative drift and coarse steps force a sign crossing
         path = sto.gbm_sample(-80.0, 0.0, 1.0, sto.uniform_grid(1.0, 10),
@@ -283,6 +289,12 @@ class TestFeynmanKac:
         var = (math.fsum(sums_sq) - n_paths * mean * mean) / (n_paths - 1)
         assert res.estimate == mean
         assert res.standard_error == math.sqrt(var / n_paths)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_below_one(self, dim):
+        with pytest.raises(DomainError, match=r"dimension must be >= 1"):
+            sto.feynman_kac_mc(lambda x: np.zeros(len(x)), lambda x: np.ones(len(x)),
+                               1.0, 0.0, dim, 100, 4, RandomStream(12))
 
     def test_multidimensional_start(self):
         res = sto.feynman_kac_mc(lambda x: np.zeros(len(x)),
