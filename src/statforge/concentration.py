@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -325,28 +325,59 @@ class ErdosRenyiGraph:
             raise DomainError(_EDGE_ORDER)
 
 
-@lru_cache(maxsize=4)
-def _potential_edges(n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
-    iu = np.triu_indices(n_vertices, k=1)
-    return iu[0].astype(np.int64), iu[1].astype(np.int64)
+def _skip_positions(pairs: int, q: float, stream: RandomStream) -> np.ndarray:
+    """Increasing positions in ``0 .. pairs - 1``, each present independently
+    with probability ``0 < q < 1``, by the geometric skips of :func:`er_sample`.
+    A round holds about six standard deviations more uniforms than the mean
+    count, so one nearly always suffices, and its size depends on
+    ``(pairs, q)`` only."""
+    mean = q * pairs
+    count = max(1024, math.ceil(mean + 6.0 * math.sqrt(mean)))
+    log_miss = math.log1p(-q)
+    rounds = []
+    last = -1
+    while last < pairs:
+        gaps = np.floor(np.log(stream.uniforms_open(count)) / log_miss)
+        # a gap past the last pair ends the graph; capping it keeps the sum in range
+        np.minimum(gaps, pairs, out=gaps)
+        positions = np.cumsum(gaps.astype(np.int64) + 1)
+        positions += last
+        rounds.append(positions)
+        last = int(positions[-1])
+    positions = np.concatenate(rounds)
+    return positions[:np.searchsorted(positions, pairs)]
 
 
 def er_sample(n_vertices: int, p: float, stream: RandomStream) -> ErdosRenyiGraph:
     """Include each of the n(n-1)/2 potential edges independently with
-    probability p, iterating pairs in lexicographic order."""
+    probability p; edges come in lexicographic order.
+
+    The graph is drawn by geometric skips over the pairs in that order
+    (Batagelj and Brandes, Phys. Rev. E 71, 036113, 2005), over the rarer of
+    edges and non-edges: with ``q = min(p, 1 - p)``, rounds of
+    ``max(1024, ceil(q P + 6 sqrt(q P)))`` uniforms, ``P`` the number of
+    pairs, give gaps ``floor(log u / log1p(-q)) + 1`` until their running
+    sum passes the last pair. For p > 1/2 the positions found are the
+    non-edges. A graph thus draws about ``min(p, 1 - p) n(n-1)/2`` uniforms,
+    and none at p = 0 or p = 1."""
     if n_vertices < 2:
         raise DomainError("need at least two vertices")
     if not 0.0 <= p <= 1.0:
         raise DomainError("edge probability must lie in [0, 1]")
-    rows, cols = _potential_edges(n_vertices)
-    words = stream.raw(rows.size)
-    # uniforms(N) < p on the words: (w >> 11) < p 2^53 iff w < ceil(p 2^53) 2^11,
-    # a threshold that overflows only at p = 1
-    if p < 1.0:
-        keep = words < np.uint64(math.ceil(math.ldexp(p, 53)) << 11)
-    else:
-        keep = np.ones(rows.size, dtype=bool)
-    edges = np.column_stack([rows[keep], cols[keep]])
+    pairs = n_vertices * (n_vertices - 1) // 2
+    q = min(p, 1.0 - p)
+    picked = _skip_positions(pairs, q, stream) if q > 0.0 else np.empty(0, np.int64)
+    if p > 0.5:
+        keep = np.ones(pairs, dtype=bool)
+        keep[picked] = False
+        picked = np.flatnonzero(keep)
+    # row i holds the pairs k from i(2n - i - 1)/2, its pair (i, i + 1), on
+    i = np.arange(n_vertices - 1, dtype=np.int64)
+    row_start = i * (2 * n_vertices - i - 1) // 2
+    per_row = np.diff(np.searchsorted(picked, row_start), append=picked.size)
+    edges = np.empty((picked.size, 2), dtype=np.int64)
+    edges[:, 0] = np.repeat(i, per_row)
+    np.subtract(picked, np.repeat(row_start - i - 1, per_row), out=edges[:, 1])
     return ErdosRenyiGraph(n_vertices=n_vertices, p=p, edges=edges)
 
 

@@ -182,7 +182,8 @@ def coef_interval(fit, j: int, delta: float) -> ConfidenceInterval:
 
 
 def response_band(fit: LinearFit, x0, kind: str, delta: float) -> ConfidenceInterval:
-    """Interval around the regression surface at one regressor point.
+    """Interval around the regression surface at one regressor point; a
+    stacked fit gives one interval per row.
 
     ``mean_pointwise`` covers the mean response at ``x0``;
     ``mean_scheffe`` widens to hold simultaneously over all points;
@@ -193,7 +194,7 @@ def response_band(fit: LinearFit, x0, kind: str, delta: float) -> ConfidenceInte
     if x0.shape != (fit.design.n_columns,):
         raise DomainError("x0 must include every design column, intercept first")
     q = float(x0 @ fit.gram_inverse @ x0)
-    sigma = math.sqrt(sigma2)
+    sigma = np.sqrt(sigma2)
     df = fit.df_residual
     if kind == "mean_pointwise":
         half = interval_quantile(StudentT(df), delta) * sigma * math.sqrt(q)
@@ -205,9 +206,10 @@ def response_band(fit: LinearFit, x0, kind: str, delta: float) -> ConfidenceInte
         half = interval_quantile(StudentT(df), delta) * sigma * math.sqrt(1.0 + q)
     else:
         raise DomainError(f"unknown band kind {kind!r}")
-    center = float(x0 @ fit.beta)
-    return ConfidenceInterval(center - half, center + half, 1.0 - delta,
-                              f"response_{kind}")
+    # each row's product has the bits of the single fit's
+    center = (fit.beta[..., None, :] @ x0)[..., 0]
+    return ConfidenceInterval(scalar_or_rows(center - half), scalar_or_rows(center + half),
+                              1.0 - delta, f"response_{kind}")
 
 
 def f_test_nested(fit_full, fit_null) -> TestReport:

@@ -196,6 +196,8 @@ class TestErdosRenyi:
         assert empty.edges.shape[0] == 0
         full = con.er_sample(10, 1.0, stream)
         assert full.edges.shape[0] == 45
+        assert np.array_equal(full.edges, np.column_stack(np.triu_indices(10, k=1)))
+        assert stream.counter == 0
 
     def test_mean_edge_count(self):
         root = RandomStream(55)
@@ -206,31 +208,63 @@ class TestErdosRenyi:
         se = math.sqrt(pairs * p * (1 - p) / graphs)
         assert np.mean(counts) == pytest.approx(pairs * p, abs=4.0 * se)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, 0.5, 2.0 ** -53, 0.7 * math.log(300) / 300,
-                                   1.0 - 2.0 ** -53])
-    def test_edges_are_those_of_uniforms_below_p(self, p):
-        n = 300
+    @pytest.mark.parametrize("p", [0.1, 0.8])
+    def test_edge_law(self, p):
+        # edge count ~ Bin(pairs, p), and each pair present with frequency p
+        root = RandomStream(404)
+        n, graphs = 50, 4000
+        pairs = n * (n - 1) // 2
+        counts = np.empty(graphs)
+        hits = np.zeros(n * n)
+        for r in range(graphs):
+            edges = con.er_sample(n, p, root.split(r)).edges
+            counts[r] = edges.shape[0]
+            hits[edges[:, 0] * n + edges[:, 1]] += 1
+        mean, var = pairs * p, pairs * p * (1 - p)
+        assert counts.mean() == pytest.approx(mean, abs=4.0 * math.sqrt(var / graphs))
+        assert counts.var() == pytest.approx(var, rel=0.1)
         rows, cols = np.triu_indices(n, k=1)
-        for r in range(3):
-            reference = RandomStream(404).split(r)
-            keep = reference.uniforms(rows.size) < p
-            stream = RandomStream(404).split(r)
-            g = con.er_sample(n, p, stream)
-            assert np.array_equal(g.edges, np.column_stack([rows[keep], cols[keep]]))
-            assert stream.counter == reference.counter
+        freq = hits[rows * n + cols] / graphs
+        # += through an index counts a repeated pair once: no pair repeats
+        assert hits.sum() == counts.sum()
+        assert np.max(np.abs(freq - p)) <= 5.0 * math.sqrt(p * (1 - p) / graphs)
 
-    def test_threshold_at_the_word_boundary(self, monkeypatch):
-        # words on each side of the cut for p = 2^-53 and p = 0.5
-        words = np.array([0, 2047, 2048, 2049, (1 << 63) - 1, 1 << 63, (1 << 64) - 1],
-                         dtype=np.uint64)
-        stream = RandomStream(1)
-        monkeypatch.setattr(stream, "raw", lambda count: words[:count].copy())
-        monkeypatch.setattr(con, "_potential_edges",
-                            lambda n: (np.zeros(7, np.int64), np.arange(1, 8)))
-        for p in (2.0 ** -53, 0.5):
-            uniforms = (words >> np.uint64(11)) * np.float64(2.0 ** -53)
-            kept = con.er_sample(8, p, stream).edges[:, 1] - 1
-            assert np.array_equal(kept, np.flatnonzero(uniforms < p))
+    @pytest.mark.parametrize("p", [2.0 ** -53, 0.02, 0.3, 0.7, 1.0 - 2.0 ** -53])
+    def test_edges_in_strict_lexicographic_order(self, p):
+        n = 300
+        for r in range(3):
+            edges = con.er_sample(n, p, RandomStream(404).split(r)).edges
+            assert edges.dtype == np.int64
+            assert np.all(np.diff(edges[:, 0] * n + edges[:, 1]) > 0)
+
+    @pytest.mark.parametrize("p", [2.0 ** -53, np.nextafter(0.5, 0.0), 0.5,
+                                   np.nextafter(0.5, 1.0), 1.0 - 2.0 ** -53])
+    def test_edge_count_at_the_branch_edges(self, p):
+        # tiny p, and p on each side of 1/2, where skips over edges turn into
+        # skips over non-edges
+        root = RandomStream(405)
+        n, graphs = 60, 400
+        pairs = n * (n - 1) // 2
+        counts = [con.er_sample(n, p, root.split(r)).edges.shape[0] for r in range(graphs)]
+        se = math.sqrt(pairs * p * (1 - p) / graphs)
+        assert np.mean(counts) == pytest.approx(pairs * p, abs=4.0 * se)
+
+    def test_rounds_continue_until_the_last_pair(self, stream, monkeypatch):
+        # u = 1 gives gaps of 1, so one round of 1024 uniforms stops short of
+        # the 1225 pairs at n = 50
+        monkeypatch.setattr(stream, "uniforms_open", lambda count: np.ones(count))
+        every_pair = np.column_stack(np.triu_indices(50, k=1))
+        assert np.array_equal(con.er_sample(50, 0.01, stream).edges, every_pair)
+        assert con.er_sample(50, 0.99, stream).edges.shape == (0, 2)
+
+    @pytest.mark.parametrize("p", [0.005, 0.995])
+    def test_word_budget(self, p):
+        # about min(p, 1 - p) words per pair, not one
+        n = 2000
+        pairs = n * (n - 1) // 2
+        stream = RandomStream(406)
+        con.er_sample(n, p, stream)
+        assert 0 < stream.counter <= 2 * min(p, 1 - p) * pairs + 1024
 
     def test_connectivity_computed_only_when_read(self, stream, monkeypatch):
         calls = []

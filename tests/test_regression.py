@@ -418,6 +418,21 @@ class TestOLSFitStack:
             assert (report.statistic[r], report.p_value[r]) == \
                 (single.statistic, single.p_value)
 
+    @pytest.mark.parametrize("kind", ["mean_pointwise", "mean_scheffe", "prediction"])
+    def test_response_bands_per_row(self, kind):
+        root = RandomStream(504)
+        n = 40
+        design = reg.design_matrix(root.normals(n * 8).reshape(n, 8))
+        y = root.normals(50 * n).reshape(50, n) * 3.0 + 1.0
+        x0 = np.concatenate([[1.0], root.normals(8)])
+        band = reg.response_band(reg.ols_fit_stack(design, y), x0, kind, 0.05)
+        assert band.lo.shape == band.hi.shape == (50,)
+        for r, row in enumerate(y):
+            single = reg.response_band(reg.ols_fit(design, row), x0, kind, 0.05)
+            assert type(single.lo) is float
+            assert (band.lo[r], band.hi[r]) == (single.lo, single.hi)
+            assert (band.level, band.kind) == (single.level, single.kind)
+
     @pytest.mark.parametrize("n", [30, 2])
     def test_single_fit_is_row_zero_of_its_stack(self, n):
         root = RandomStream(505)
