@@ -197,7 +197,10 @@ def jl_target_dim(n: int, epsilon: float, delta: float) -> int:
         raise DomainError("need at least two points")
     if not (0.0 < epsilon < 1.0 and 0.0 < delta < 1.0):
         raise DomainError("epsilon and delta must lie in (0, 1)")
-    m = (8.0 / epsilon ** 2) * math.log(n * (n - 1) / delta)
+    # epsilon ** 2 may underflow to zero
+    m = (8.0 / epsilon ** 2) * math.log(n * (n - 1) / delta) if epsilon ** 2 > 0.0 else math.inf
+    if m >= 2.0 ** 63:
+        raise DomainError(f"epsilon = {epsilon!r} needs a projection dimension of 2**63 or more")
     return max(1, math.ceil(m))
 
 

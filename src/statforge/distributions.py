@@ -375,7 +375,18 @@ class Beta(DistributionSpec):
         return out
 
     def _ppf(self, u):
-        return sp.betaincinv(self.alpha, self.beta, u)
+        q = sp.betaincinv(self.alpha, self.beta, u)
+        # Far in the lower tail betaincinv can miss u by a relative 1e-5 and
+        # more, and it stops at the smallest normal double where the quantile
+        # underflows. One Newton step on betainc mends both; it is kept only
+        # where the miss exceeds a relative 1e-9 and the step shrinks it, as
+        # elsewhere it mostly trades ulps of rounding.
+        with np.errstate(all="ignore"):
+            miss = sp.betainc(self.alpha, self.beta, q) - u
+            stepped = np.clip(q - miss / self._pdf(q), 0.0, 1.0)
+            mend = (u < 0.5) & (np.abs(miss) > 1e-9 * u) & (
+                np.abs(sp.betainc(self.alpha, self.beta, stepped) - u) < np.abs(miss))
+        return np.where(mend, stepped, q)
 
     def _support(self):
         return (0.0, 1.0)

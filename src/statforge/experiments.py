@@ -1,15 +1,15 @@
 """Configuration-driven experiment runners.
 
 Every experiment draws only from child streams of one root seed, so a
-report is a pure function of (config, seed). Every experiment but
-``mse-variance``, which draws one stream in one process, runs through
+report is a pure function of (config, seed). Every experiment runs through
 :func:`statforge.rng.replicate` and is invariant to how its rows are spread
-over workers; ``feynman-kac``, ``bs-price``, ``gauss-conc`` and the ``z`` and
-``t`` scenarios of ``wilks`` take one row per chunk of samples.
-The ``glm`` kernel and the logistic scenario of ``wilks`` fit whole blocks
-of replicates as stacks through :func:`statforge.glm.glm_fit_stack`, and the
-``regression`` kernel fits whole blocks through
-:func:`statforge.regression.ols_fit_stack`.
+over workers; ``feynman-kac``, ``bs-price``, ``gauss-conc``,
+``mse-variance`` and the ``z`` and ``t`` scenarios of ``wilks`` take one
+row per chunk of samples. The ``glm`` and ``irt`` kernels and the logistic
+scenario of ``wilks`` fit whole blocks of replicates as stacks through
+:func:`statforge.glm.glm_fit_stack`, and the ``regression`` kernel fits
+whole blocks through :func:`statforge.regression.ols_fit_stack`. A run
+whose metrics come out non-finite is refused with :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from . import regression as reg
 from . import stochastic as sto
 from .errors import DomainError
 from .results import _read_text
-from .rng import RandomStream, _each_row, replicate
+from .rng import RandomStream, _each_row, replicate, replicate_chunks
 
 __all__ = ["ExperimentConfig", "Metric", "ReportEnvelope", "run_experiment",
            "experiment_tags", "parse_scalar", "parse_config_text",
@@ -76,6 +76,8 @@ class ExperimentConfig:
             # every int key is a count or a size
             if kind is int and value < 1:
                 raise DomainError(f"key {name!r} must be at least 1, got {value!r}")
+            if kind is int and value >= 1 << 63:
+                raise DomainError(f"key {name!r} must be below 2**63, got {value!r}")
             if kind is float and not math.isfinite(value):
                 raise DomainError(f"key {name!r} must be finite, got {value!r}")
             if name in _PROBABILITY_KEYS and not 0.0 < value < 1.0:
@@ -197,10 +199,19 @@ def _at_least(name, value, floor, method, se=None) -> Metric:
 # -- individual experiments ---------------------------------------------------------
 
 
+def _sum_squares(n, stream, take):
+    """Each of ``take`` samples of ``n`` normals' sum of squared deviations
+    from its mean."""
+    draws = stream.normals(take * n).reshape(take, n)
+    return ((draws - draws.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+
+
 def _run_mse_variance(p, root, workers):
     n, reps, sigma2 = p["n"], p["replicates"], 1.0
-    draws = root.normals(reps * n).reshape(reps, n)
-    ss = ((draws - draws.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    if n < 2:
+        raise DomainError(f"key 'n' must be at least 2, got {n}")
+    ss = replicate_chunks(partial(_sum_squares, n), reps, max(1, (1 << 22) // n), root,
+                          workers)
     cs = [1.0 / (n + 1), 1.0 / n, 1.0 / (n - 1)]
     labels = ["c_over_n_plus_1", "c_over_n", "c_over_n_minus_1"]
     metrics = []
@@ -332,6 +343,8 @@ def _lasso_error(true_beta, matrix, penalty, stream):
 
 def _run_lasso_bound(p, root, workers):
     n, n_regressors, sparsity, t = p["n"], p["p"], p["s"], p["t"]
+    if sparsity > n_regressors:
+        raise DomainError(f"key 's' must be at most 'p' = {n_regressors}, got {sparsity}")
     m = _aux(root, 1).normals(n * n_regressors).reshape(n, n_regressors)
     m /= np.sqrt((m ** 2).sum(axis=0) / n)
     beta = np.zeros(n_regressors)
@@ -410,20 +423,27 @@ def _run_glm(p, root, workers):
     ]
 
 
-def _irt_capture(bank, gamma_true, prob, stream):
-    """Whether the responses are usable (not all equal) and capture the truth."""
-    y = (stream.uniforms(prob.size) < prob).astype(float)
-    if y.min() == y.max():
-        return False, False
-    fit = glm.irt_ability_fit(bank, y)
-    return True, abs(fit.gamma_hat - gamma_true) <= 3.0 * fit.se
+def _kernel_irt(bank, gamma_true, prob, batch):
+    """Whether each examinee's responses are usable (not all equal) and
+    capture the truth, from one stacked fit of the block's usable rows."""
+    y = (batch.uniforms(prob.size) < prob).astype(float)
+    usable = y.min(axis=-1) < y.max(axis=-1)
+    inside = np.zeros_like(usable)
+    if usable.any():
+        fit = glm.irt_ability_fit(bank, y[usable])
+        inside[usable] = np.abs(fit.gamma_hat - gamma_true) <= 3.0 * fit.se
+    return np.array([usable, inside])
 
 
 def _run_irt(p, root, workers):
-    bank = glm.IRTItemBank(a=0.5 + _aux(root, 1).uniforms(p["items"]) * 1.5,
-                           b=_aux(root, 2).normals(p["items"]))
-    task = partial(_irt_capture, bank, p["ability"], bank.success_probability(p["ability"]))
-    usable, inside = replicate(partial(_each_row, task), p["examinees"], root, workers)
+    items = p["items"]
+    bank = glm.IRTItemBank(a=0.5 + _aux(root, 1).uniforms(items) * 1.5,
+                           b=_aux(root, 2).normals(items))
+    kernel = partial(_kernel_irt, bank, p["ability"], bank.success_probability(p["ability"]))
+    usable, inside = replicate(kernel, p["examinees"], root, workers,
+                               block=glm.stack_chunk_rows(items))
+    if not usable.any():
+        raise DomainError("no examinee answered both right and wrong; raise 'items' or 'examinees'")
     return [_at_least("three_se_capture_rate", inside.sum() / usable.sum(),
                       p["min_rate"], method="ability_newton_solve")]
 
@@ -695,6 +715,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ReportEnvelope
     start = time.perf_counter()
     metrics = EXPERIMENTS[config.experiment].runner(params, root, workers)
     elapsed = time.perf_counter() - start
+    for metric in metrics:
+        for name in ("value", "target", "tolerance", "se"):
+            number = getattr(metric, name)
+            if number is not None and not math.isfinite(number):
+                raise DomainError(f"metric {metric.name!r} has {name} {number}: "
+                                  "the config's sizes or ranges do not support it")
     return ReportEnvelope(experiment=config.experiment, seed=config.seed,
                           params=params, metrics=tuple(metrics),
                           wall_time_s=elapsed)

@@ -423,33 +423,49 @@ class IRTItemBank:
 
 @dataclass(frozen=True)
 class IRTAbilityFit:
-    gamma_hat: float
-    se: float
-    iterations: int
+    """Ability estimate of one examinee, or of a stack of examinees, one per
+    row of each field."""
+
+    gamma_hat: float    # stacked (R,)
+    se: float           # stacked (R,)
+    iterations: int     # stacked (R,)
+
+
+@dataclass(frozen=True)
+class _OffsetLogit(_BernoulliLogit):
+    """Logistic responses whose natural parameter is the linear predictor
+    plus a known ``offset`` per observation. A one-parameter score changes
+    sign on mixed responses, so the maximum likelihood is finite."""
+
+    offset: np.ndarray
+    separable = False
+
+    def mean(self, xi):
+        return super().mean(xi + self.offset)
+
+    def loglik(self, y, xi):
+        return super().loglik(y, xi + self.offset)
 
 
 def irt_ability_fit(bank: IRTItemBank, responses) -> IRTAbilityFit:
-    """Newton solve of the weighted-score equation for one examinee."""
+    """Maximum likelihood ability of one examinee, or of each row of a 2-d
+    ``responses``: the logistic regression of the responses on the
+    discriminations ``a`` with the offset ``-a b``, fitted by
+    :func:`glm_fit_stack`, whose Fisher scoring is Newton's method here."""
     y = np.asarray(responses, dtype=float)
-    if y.shape != (bank.n_items,):
+    if y.ndim not in (1, 2) or y.shape[-1] != bank.n_items:
         raise DomainError("one response per item required")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DomainError("responses must be 0/1")
-    if np.all(y == 1.0) or np.all(y == 0.0):
+    rows = np.atleast_2d(y)
+    if np.any(rows.min(axis=-1) == rows.max(axis=-1)):
         raise NoFiniteMLEError(
             "all-correct or all-incorrect responses admit no finite ability")
-    gamma = 0.0
-    tol = 1e-10 * (1.0 + bank.a.sum())
-    target = float(bank.a @ y)
-    for iteration in range(1, 101):
-        prob = bank.success_probability(gamma)
-        score = target - float(bank.a @ prob)
-        info = float((bank.a ** 2 * prob * (1.0 - prob)).sum())
-        if abs(score) <= tol:
-            return IRTAbilityFit(gamma_hat=gamma, se=1.0 / math.sqrt(info),
-                                 iterations=iteration)
-        gamma += score / info
-    raise ConvergenceError("ability iteration did not converge", last_iterate=gamma)
+    fit = glm_fit_stack(_OffsetLogit(dispersion=1.0, offset=-bank.a * bank.b),
+                        DesignMatrix(bank.a[:, None], has_intercept=False), rows)
+    stack = IRTAbilityFit(gamma_hat=fit.beta[:, 0], se=1.0 / np.sqrt(fit.fisher_info[:, 0, 0]),
+                          iterations=fit.iterations)
+    return first_row(stack) if y.ndim == 1 else stack
 
 
 # -- CSV interfaces ---------------------------------------------------------------

@@ -48,11 +48,12 @@ def ks_statistic(sample, law: Union[DistributionSpec, Callable]) -> float:
 def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport:
     """Two-sided test of a normal mean.
 
-    With ``sigma_known`` the squared standardized mean is referred to a
-    chi-squared with one degree of freedom (exactly, not asymptotically).
-    Otherwise the squared studentized mean is referred to F(1, n-1); the
-    equivalent monotone log-ratio value ``h`` is reported alongside.
-    A 2-d ``sample`` is tested row by row.
+    With ``sigma_known`` the statistic n (x̄ - mu0)² / sigma², the squared
+    standardized mean and the log-likelihood-ratio statistic, is referred to
+    a chi-squared with one degree of freedom (exactly, not asymptotically).
+    Otherwise n (x̄ - mu0)² / s², the squared studentized mean, is referred
+    to F(1, n-1); the log-likelihood-ratio statistic ``h`` = n log(1 + t² / (n-1))
+    is reported alongside. A 2-d ``sample`` is tested row by row.
     """
     x = np.atleast_1d(np.asarray(sample, dtype=float))
     n = x.shape[-1]
@@ -61,23 +62,25 @@ def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport
             raise DegenerateSampleError("need at least one observation")
         if sigma_known <= 0:
             raise DomainError("known sigma must be positive")
-        z = (x.mean(axis=-1) - mu0) / (sigma_known / math.sqrt(n))
-        stat = z * z
+        gap = x.mean(axis=-1) - mu0
+        stat = n * gap ** 2 / sigma_known ** 2
         null_law = ChiSquared(1)
         return TestReport(stat, null_law, scalar_or_rows(null_law.sf(stat)),
-                          kind="mean_z_squared", extras={"z": scalar_or_rows(z)})
+                          kind="mean_z_squared",
+                          extras={"z": scalar_or_rows(gap / (sigma_known / math.sqrt(n)))})
     if n < 2:
         raise DegenerateSampleError("studentized test needs n >= 2")
-    sd = x.std(axis=-1, ddof=1)
-    if np.any(sd == 0.0):
+    s2 = x.var(axis=-1, ddof=1)
+    if np.any(s2 == 0.0):
         raise DegenerateSampleError("zero sample standard deviation")
-    t = (x.mean(axis=-1) - mu0) / (sd / math.sqrt(n))
-    stat = t * t
+    gap = x.mean(axis=-1) - mu0
+    stat = n * gap ** 2 / s2
     null_law = FisherF(1, n - 1)
     h = n * np.log1p(stat / (n - 1))
     return TestReport(stat, null_law, scalar_or_rows(null_law.sf(stat)),
                       kind="mean_t_squared",
-                      extras={"t": scalar_or_rows(t), "h": scalar_or_rows(h)})
+                      extras={"t": scalar_or_rows(gap / (np.sqrt(s2) / math.sqrt(n))),
+                              "h": scalar_or_rows(h)})
 
 
 def f_test_variances(sample_x, sample_y) -> TestReport:
@@ -168,16 +171,18 @@ def wilks_null_simulation(scenario: str, n: int, replicates: int,
     same result for any number of ``workers``. The logistic scenario draws
     replicate ``r`` from ``stream.split(r)`` and fits each block's full and
     null models as stacks through :func:`statforge.glm.glm_fit_stack`; ``z``
-    and ``t`` draw chunk ``c`` of ``2**22 // n`` samples from ``stream.split(c)``.
+    and ``t`` draw chunk ``c`` of ``2**22 // n`` samples from ``stream.split(c)``
+    and test them as one stack through :func:`lrt_mean`.
     """
     if replicates < 100:
         raise DomainError("need at least 100 replicates")
-    if scenario in _NORMAL_LRTS:
-        min_n, statistic = _NORMAL_LRTS[scenario]
+    if scenario in ("z", "t"):
+        known = scenario == "z"
+        min_n = 1 if known else 2
         if n < min_n:
             raise DomainError(f"n must be >= {min_n}")
-        stats = replicate_chunks(partial(statistic, n), replicates, max(1, (1 << 22) // n),
-                                 stream, workers)
+        stats = replicate_chunks(partial(_normal_lrts, n, known), replicates,
+                                 max(1, (1 << 22) // n), stream, workers)
         df = 1
     elif scenario == "logistic":
         stats = replicate(partial(_logistic_gaps, n), replicates, stream, workers,
@@ -193,19 +198,11 @@ def wilks_null_simulation(scenario: str, n: int, replicates: int,
     return WilksSimulation(ks_distance=ks, qq_table=table, df=df)
 
 
-def _z_lrt(n, stream, take):
-    x = stream.normals(take * n).reshape(take, n)
-    return n * x.mean(axis=1) ** 2
-
-
-def _t_lrt(n, stream, take):
-    x = stream.normals(take * n).reshape(take, n)
-    t2 = n * x.mean(axis=1) ** 2 / x.var(axis=1, ddof=1)
-    return n * np.log1p(t2 / (n - 1))
-
-
-# normal-mean scenarios: smallest n, and the statistics of ``take`` samples of n normals
-_NORMAL_LRTS = {"z": (1, _z_lrt), "t": (2, _t_lrt)}
+def _normal_lrts(n, known, stream, take):
+    """Log-likelihood-ratio statistics of a zero mean, with the variance
+    known or not, for ``take`` samples of ``n`` standard normals."""
+    report = lrt_mean(stream.normals(take * n).reshape(take, n), 0.0, 1.0 if known else None)
+    return report.statistic if known else report.extras["h"]
 
 
 def _logistic_gaps(n: int, batch) -> np.ndarray:

@@ -331,6 +331,8 @@ def bs_mc_price(params: BSParams, n_paths: int, stream: RandomStream,
     if n_paths < 2:
         raise DomainError("need at least two paths")
     tau = params.time_left
+    if not math.isfinite(params.volatility * params.volatility * tau):
+        raise DomainError("volatility ** 2 times the time left must be finite")
     drift = (params.rate - 0.5 * params.volatility ** 2) * tau
     spread = params.volatility * math.sqrt(tau)
     discount = math.exp(-params.rate * tau)

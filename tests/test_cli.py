@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -148,6 +149,7 @@ _WORKER_CASES = [
     ("feynman-kac", {"paths": sto.PATH_CHUNK + 7, "paths_control": 500, "steps": 3}),
     ("bs-price", {"paths": sto.PATH_CHUNK + 7}),
     ("gauss-conc", {"k": 100, "samples": (1 << 23) // 100 + 5}),
+    ("mse-variance", {"replicates": (1 << 22) // 10 + 7}),
 ]
 
 
@@ -173,13 +175,12 @@ _DIGEST_PINS = {
     "feynman-kac": "3a041ada7344",
     "bs-price": "a16eaf1c59d8",
     "gauss-conc": "920646eab662",
+    "mse-variance": "e356cdac1ac2",
 }
 
 
 def test_worker_cases_cover_every_replicated_experiment():
-    # only mse-variance draws one stream in one process
-    assert {tag for tag, _ in _WORKER_CASES} == set(xp.EXPERIMENTS) - {"mse-variance"} \
-        == set(_DIGEST_PINS)
+    assert {tag for tag, _ in _WORKER_CASES} == set(xp.EXPERIMENTS) == set(_DIGEST_PINS)
 
 
 class TestEnvelope:
@@ -484,6 +485,34 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.err == f"error: --workers must be at least 1, got {workers}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("tag,params,message", [
+        ("mse-variance", {"n": 1, "replicates": 100}, "key 'n' must be at least 2, got 1"),
+        ("jl", {"epsilon": 1e-300}, "needs a projection dimension of 2**63 or more"),
+        ("lasso-bound", {"p": 2, "replicates": 2, "re_probes": 10},
+         "key 's' must be at most 'p' = 2, got 3"),
+        ("bs-price", {"volatility": 1e300, "paths": 100}, "volatility ** 2"),
+        ("bayes", {"replicates": 10 ** 23}, "key 'replicates' must be below 2**63"),
+        ("irt", {"items": 1, "examinees": 50}, "no examinee answered both right and wrong"),
+        ("regression", {"replicates": 1}, "metric 'max_beta_bias_in_se' has value nan"),
+        ("mle", {"alpha": 1e300, "replicates": 3, "n": 50},
+         "metric 'ks_rate_component' has value nan"),
+        ("lasso-bound", {"t": 1e300, "replicates": 2, "re_probes": 10},
+         "metric 'penalty' has value inf"),
+        ("ito", {"paths": 1, "steps": 100}, "metric 'martingale_mean' has tolerance nan"),
+        ("james-stein", {"replicates": 1}, "metric 'shrunk_mse' has se nan"),
+    ])
+    def test_config_out_of_range_is_error(self, tmp_path, capsys, tag, params, message):
+        # sizes and values out of range, which could raise a traceback or
+        # write a non-finite report
+        body = "".join(f"{key} = {value!r}\n" for key, value in params.items())
+        cfg = self._write_config(tmp_path, f'experiment = "{tag}"\nseed = 4\n' + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert cli.main(["run", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_out_of_memory_is_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(config, workers):

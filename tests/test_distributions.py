@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy import special as sp
 
 from statforge import distributions as d
 from statforge.errors import DomainError, UndefinedMomentError
@@ -146,6 +147,24 @@ class TestQuantile:
     def test_chi2_one_dof_is_squared_normal_quantile(self):
         z = d.dist_quantile(d.Normal(0.0, 1.0), 0.975)
         assert d.dist_quantile(d.ChiSquared(1), 0.95) == pytest.approx(z * z, abs=1e-8)
+
+    def test_beta_far_lower_tail(self):
+        # betaincinv alone misses the first by a relative 5.6e-6, and gives
+        # the smallest normal double (cdf 2.3e-10) for the second, whose
+        # quantile underflows
+        law = d.Beta(1.0 - 1e-12, 0.25)
+        assert d.dist_cdf(law, d.dist_quantile(law, 1e-12)) == pytest.approx(1e-12, rel=1e-12)
+        assert d.dist_quantile(d.Beta(1.0 / 32.0, 0.5), 1e-12) == 0.0
+
+    @pytest.mark.parametrize("alpha", [1 / 32, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0])
+    def test_beta_lower_tail_no_worse_than_betaincinv(self, alpha):
+        u = np.array([1e-300, 1e-200, 1e-100, 1e-30, 1e-12, 1e-5, 0.1, 0.49])
+        for beta in (1 / 32, 0.25, 1.0, 3.0, 10.0, 100.0):
+            q = d.dist_quantile(d.Beta(alpha, beta), u)
+            plain = sp.betaincinv(alpha, beta, u)
+            miss, plain_miss = (np.abs(sp.betainc(alpha, beta, x) - u) for x in (q, plain))
+            # scipy's betaincinv gives NaN for some shapes below u = 1e-200
+            assert np.all((miss <= plain_miss) | np.isnan(plain_miss))
 
     @pytest.mark.parametrize("spec", CONTINUOUS_CASES)
     def test_roundtrip_on_percentile_grid(self, spec):

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from statforge import distributions as d
 from statforge import experiments as xp
@@ -404,6 +405,62 @@ class TestIRT:
         bank = glm.IRTItemBank(a=np.ones(3), b=np.zeros(3))
         with pytest.raises(DomainError):
             glm.irt_ability_fit(bank, [1.0, 0.0])
+        # the shape and the 0/1 check come before the all-equal check
+        with pytest.raises(DomainError, match="0/1"):
+            glm.irt_ability_fit(bank, [2.0, 2.0, 2.0])
+        with pytest.raises(DomainError, match="one response per item"):
+            glm.irt_ability_fit(bank, np.ones((2, 2, 3)))
+
+    @staticmethod
+    def _mixed_responses(rows):
+        root = RandomStream(315)
+        bank = glm.IRTItemBank(a=0.5 + root.uniforms(40) * 1.5, b=root.normals(40))
+        y = (root.uniforms(4 * rows * 40).reshape(-1, 40)
+             < bank.success_probability(0.5)).astype(float)
+        return bank, y[y.min(axis=1) < y.max(axis=1)][:rows]
+
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_stacked_rows_equal_single_fits(self, rows):
+        bank, y = self._mixed_responses(rows)
+        stack = glm.irt_ability_fit(bank, y)
+        assert stack.gamma_hat.shape == stack.se.shape == stack.iterations.shape == (rows,)
+        for r in range(rows):
+            one = glm.irt_ability_fit(bank, y[r])
+            assert (one.gamma_hat, one.se, one.iterations) == \
+                (stack.gamma_hat[r], stack.se[r], stack.iterations[r])
+
+    def test_single_fit_fields_are_python_numbers(self):
+        bank, y = self._mixed_responses(1)
+        fit = glm.irt_ability_fit(bank, y[0])
+        assert type(fit.gamma_hat) is float and type(fit.se) is float
+        assert type(fit.iterations) is int
+
+    def test_fit_solves_the_score_equation(self):
+        bank, y = self._mixed_responses(300)
+        fit = glm.irt_ability_fit(bank, y)
+        prob = sp.expit(bank.a * (fit.gamma_hat[:, None] - bank.b))
+        score = (y - prob) @ bank.a
+        assert np.all(np.abs(score) <= 1e-10 * (1.0 + np.abs(y @ bank.a)))
+        info = (bank.a ** 2 * prob * (1.0 - prob)).sum(axis=1)
+        np.testing.assert_allclose(fit.se, 1.0 / np.sqrt(info), rtol=1e-12, atol=0.0)
+
+    def test_separated_bank_has_a_finite_ability(self):
+        # steep items either side of zero: the score still changes sign, so
+        # the fit must not be refused as separated
+        bank = glm.IRTItemBank(a=np.array([20.0, 20.0]), b=np.array([-1.0, 1.0]))
+        fit = glm.irt_ability_fit(bank, [1.0, 0.0])
+        assert fit.gamma_hat == pytest.approx(0.0, abs=1e-12)
+        # 1 - p keeps about 7 digits at p = expit(20)
+        info = 800.0 * sp.expit(20.0) * sp.expit(-20.0)
+        assert fit.se == pytest.approx(1.0 / math.sqrt(info), rel=1e-7)
+
+    def test_all_equal_row_anywhere_in_a_stack(self):
+        bank, y = self._mixed_responses(7)
+        for r in (0, 3, 6):
+            stack = y.copy()
+            stack[r] = float(r % 2)
+            with pytest.raises(NoFiniteMLEError):
+                glm.irt_ability_fit(bank, stack)
 
 
 def test_item_bank_csv(tmp_path):
