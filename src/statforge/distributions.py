@@ -375,17 +375,21 @@ class Beta(DistributionSpec):
         return out
 
     def _ppf(self, u):
-        q = sp.betaincinv(self.alpha, self.beta, u)
+        a, b = self.alpha, self.beta
+        q = sp.betaincinv(a, b, u)
         # Far in the lower tail betaincinv can miss u by a relative 1e-5 and
-        # more, and it stops at the smallest normal double where the quantile
-        # underflows. One Newton step on betainc mends both; it is kept only
-        # where the miss exceeds a relative 1e-9 and the step shrinks it, as
-        # elsewhere it mostly trades ulps of rounding.
+        # more, it stops at the smallest normal double where the quantile
+        # underflows, and for some shapes it gives NaN; there the start is
+        # the tail's leading order, u = q^a / (a B(a, b)). One Newton step on
+        # betainc mends the first two; it is kept only where the miss exceeds
+        # a relative 1e-9 and the step shrinks it, as elsewhere it mostly
+        # trades ulps of rounding.
         with np.errstate(all="ignore"):
-            miss = sp.betainc(self.alpha, self.beta, q) - u
+            q = np.where(np.isnan(q), np.exp((np.log(u) + math.log(a) + sp.betaln(a, b)) / a), q)
+            miss = sp.betainc(a, b, q) - u
             stepped = np.clip(q - miss / self._pdf(q), 0.0, 1.0)
             mend = (u < 0.5) & (np.abs(miss) > 1e-9 * u) & (
-                np.abs(sp.betainc(self.alpha, self.beta, stepped) - u) < np.abs(miss))
+                np.abs(sp.betainc(a, b, stepped) - u) < np.abs(miss))
         return np.where(mend, stepped, q)
 
     def _support(self):

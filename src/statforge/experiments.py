@@ -7,9 +7,13 @@ over workers; ``feynman-kac``, ``bs-price``, ``gauss-conc``,
 ``mse-variance`` and the ``z`` and ``t`` scenarios of ``wilks`` take one
 row per chunk of samples. The ``glm`` and ``irt`` kernels and the logistic
 scenario of ``wilks`` fit whole blocks of replicates as stacks through
-:func:`statforge.glm.glm_fit_stack`, and the ``regression`` kernel fits
-whole blocks through :func:`statforge.regression.ols_fit_stack`. A run
-whose metrics come out non-finite is refused with :class:`DomainError`.
+:func:`statforge.glm.glm_fit_stack`, the ``regression`` kernel fits
+whole blocks through :func:`statforge.regression.ols_fit_stack`, and the
+``lasso-bound`` kernel through :func:`statforge.regression.lasso_fit`.
+``jl``, ``er``, ``mle``, ``brownian`` and ``ito`` run a per-stream task on
+each row of a block through :func:`statforge.rng._each_row`. A run whose
+metrics come out non-finite, or whose sizes are too large for numpy to
+shape an array, is refused with :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -333,12 +337,14 @@ def _run_regression(p, root, workers):
     ]
 
 
-def _lasso_error(true_beta, matrix, penalty, stream):
-    y = matrix @ true_beta + stream.normals(matrix.shape[0])
-    design = reg.DesignMatrix(matrix, has_intercept=False)
-    beta_hat = reg.lasso_fit(design, y, penalty, tol=1e-8).beta
-    gap = matrix @ (beta_hat - true_beta)
-    return float((gap ** 2).sum() / matrix.shape[0])
+def _kernel_lasso_error(true_beta, design, penalty, batch):
+    """Each row's prediction error ||X(beta_hat - beta)||^2 / n, from one
+    stacked fit of the block."""
+    m = design.matrix
+    fit = reg.lasso_fit(design, m @ true_beta + batch.normals(design.n), penalty, tol=1e-8)
+    # the stacked product gives each row the bits of its own
+    gap = (m @ (fit.beta - true_beta)[..., None])[..., 0]
+    return (gap ** 2).sum(axis=-1) / design.n
 
 
 def _run_lasso_bound(p, root, workers):
@@ -354,8 +360,9 @@ def _run_lasso_bound(p, root, workers):
     kappa = reg.estimate_restricted_eigenvalue(design, np.arange(sparsity),
                                                p["re_probes"], _aux(root, 2))
     bound = 9.0 * penalty ** 2 * sparsity / kappa
-    errors = replicate(partial(_each_row, partial(_lasso_error, beta, m, penalty)),
-                       p["replicates"], root, workers)
+    errors = replicate(partial(_kernel_lasso_error, beta, design, penalty),
+                       p["replicates"], root, workers,
+                       block=glm.stack_chunk_rows(n + n_regressors))
     violation = float(np.mean(errors > bound))
     ceiling = 2.0 * math.exp(-t * t / 2.0) + 3.0 * math.sqrt(
         0.25 / p["replicates"])
@@ -363,8 +370,7 @@ def _run_lasso_bound(p, root, workers):
     ortho = q * math.sqrt(40)
     y = ortho @ np.array([1.0, -0.5, 0.0, 0.0]) + _aux(root, 4).normals(40)
     fit = reg.lasso_fit(reg.DesignMatrix(ortho, has_intercept=False), y, 0.1)
-    oracle = np.array([reg.soft_threshold(ortho[:, j] @ y / 40.0, 0.1)
-                       for j in range(4)])
+    oracle = reg.soft_threshold(ortho.T @ y / 40.0, 0.1)
     oracle_gap = float(np.abs(fit.beta - oracle).max())
     return [
         Metric(name="penalty", value=penalty, method="noise_domination_rule"),
@@ -708,12 +714,22 @@ def experiment_tags() -> list[str]:
     return sorted(EXPERIMENTS)
 
 
+# what numpy raises for an array whose size or dimensions it cannot represent
+_NUMPY_SIZE_ERRORS = ("array is too big", "Maximum allowed dimension exceeded")
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ReportEnvelope:
     """Execute one experiment; the report depends only on (config, seed)."""
     params = config.resolved_params()
     root = RandomStream(config.seed)
     start = time.perf_counter()
-    metrics = EXPERIMENTS[config.experiment].runner(params, root, workers)
+    try:
+        metrics = EXPERIMENTS[config.experiment].runner(params, root, workers)
+    except ValueError as err:
+        if not any(text in str(err) for text in _NUMPY_SIZE_ERRORS):
+            raise
+        raise DomainError(f"experiment {config.experiment!r} has sizes too large "
+                          f"for an array: {err}") from None
     elapsed = time.perf_counter() - start
     for metric in metrics:
         for name in ("value", "target", "tolerance", "se"):

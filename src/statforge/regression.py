@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -15,7 +16,7 @@ from .errors import (ConvergenceError, DegenerateSampleError, DomainError,
                      NestingError, SingularDesignError)
 from .results import (ConfidenceInterval, TestReport, _read_csv, first_row,
                       interval_quantile, scalar_or_rows)
-from .rng import RandomStream
+from .rng import RandomStream, replicate
 
 __all__ = [
     "DesignMatrix", "design_matrix", "require_full_rank", "LinearFit", "ols_fit",
@@ -274,69 +275,86 @@ def ridge_fit(x: DesignMatrix, y, penalty: float) -> RidgeFit:
 # -- lasso ------------------------------------------------------------------------
 
 
-def soft_threshold(value: float, threshold: float) -> float:
-    if value > threshold:
-        return value - threshold
-    if value < -threshold:
-        return value + threshold
-    return 0.0
+def soft_threshold(value, threshold):
+    """``value`` shrunk toward 0 by ``threshold``, elementwise: the minimizer
+    of ``(b - value)^2 / 2 + threshold * |b|``."""
+    return value - np.clip(value, -threshold, threshold)
 
 
 @dataclass(frozen=True)
 class LassoFit:
-    beta: np.ndarray
-    active_set: np.ndarray
-    iterations: int
-    objective_trace: np.ndarray
+    """LASSO fit of one response, or of a stack of responses against one
+    design, one per row: row ``r`` of every field is what :func:`lasso_fit`
+    gives for row ``r``, and row ``r`` of the objective trace is
+    ``objective_trace[r, :iterations[r]]``. A single fit's ``iterations``
+    is an int."""
 
+    beta: np.ndarray             # (k,), stacked (R, k)
+    iterations: int              # stacked (R,)
+    objective_trace: np.ndarray  # (iterations,), stacked (R, max iterations)
 
-def lasso_objective(x: DesignMatrix, y, beta, penalty: float) -> float:
-    resid = y - x.matrix @ beta
-    slopes = beta[1:] if x.has_intercept else beta
-    return float((resid ** 2).sum() / (2.0 * x.n) + penalty * np.abs(slopes).sum())
+    @property
+    def active_set(self) -> np.ndarray:
+        """Indices of a single fit's nonzero coefficients."""
+        return np.flatnonzero(self.beta)
 
 
 def lasso_fit(x: DesignMatrix, y, penalty: float, tol: float = 1e-10,
               max_sweeps: int = 100_000) -> LassoFit:
-    """L1-penalized least squares by cyclic coordinate descent.
+    """L1-penalized least squares by cyclic coordinate descent, of one
+    response or of each row of a 2-d ``y`` ``(R, n)``.
 
     Minimizes ``||y - X beta||^2 / (2n) + penalty * ||slopes||_1`` with the
     intercept never penalized. Each coordinate update is the exact
     univariate soft-threshold minimizer, so the objective cannot increase.
+    A stack sweeps every row at once; rows that have converged are frozen,
+    as only the rows still iterating are written, and each row's results
+    are bit-identical to its single fit.
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim == 1:
+        return first_row(lasso_fit(x, y[None], penalty, tol, max_sweeps))
+    if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] != x.n:
+        raise DomainError("response length must match the design")
+    if not np.all(np.isfinite(y)):
+        raise DomainError("responses must be finite")
     if penalty < 0:
         raise DomainError("penalty must be nonnegative")
     if penalty == 0.0:
         require_full_rank(x.matrix)
-    m = x.matrix
-    n, d = m.shape
-    col_ms = (m ** 2).sum(axis=0) / n
+    n, d = x.matrix.shape
+    cols = np.ascontiguousarray(x.matrix.T)
+    col_ms = (cols ** 2).sum(axis=-1) / n
     if np.any(col_ms == 0.0):
         raise SingularDesignError("zero design column")
-    beta = np.zeros(d)
+    thresholds = np.full(d, float(penalty))
+    thresholds[:int(x.has_intercept)] = 0.0  # the intercept is never penalized
+    beta = np.zeros((len(y), d))
     resid = y.copy()
-    free = {0} if x.has_intercept else set()
+    active = np.ones(len(y), dtype=bool)
+    iterations = np.zeros(len(y), dtype=int)
     trace = []
-    for sweep in range(1, max_sweeps + 1):
-        max_change = 0.0
-        for j in range(d):
-            old = beta[j]
-            rho = (m[:, j] @ resid) / n + col_ms[j] * old
-            if j in free:
-                new = rho / col_ms[j]
-            else:
-                new = soft_threshold(rho, penalty) / col_ms[j]
-            if new != old:
-                resid -= (new - old) * m[:, j]
-                beta[j] = new
-                max_change = max(max_change, abs(new - old))
-        trace.append(lasso_objective(x, y, beta, penalty))
-        if max_change <= tol * (1.0 + np.abs(beta).max()):
-            return LassoFit(beta=beta, active_set=np.flatnonzero(beta),
-                            iterations=sweep, objective_trace=np.array(trace))
+    for _ in range(max_sweeps):
+        iterations += active
+        change = np.zeros(len(y))
+        for j, col in enumerate(cols):
+            old = beta[:, j]
+            # the stacked product gives each row the bits of its own
+            rho = (resid[:, None, :] @ col[:, None])[:, 0, 0] / n + col_ms[j] * old
+            new = soft_threshold(rho, thresholds[j]) / col_ms[j]
+            step = new - old
+            moved = active & (new != old)
+            np.subtract(resid, step[:, None] * col, out=resid, where=moved[:, None])
+            np.copyto(old, new, where=moved)
+            np.maximum(change, np.abs(step), out=change, where=moved)
+        trace.append((resid ** 2).sum(axis=-1) / (2.0 * n)
+                     + (thresholds * np.abs(beta)).sum(axis=-1))
+        active &= ~(change <= tol * (1.0 + np.abs(beta).max(axis=-1)))
+        if not active.any():
+            return LassoFit(beta=beta, iterations=iterations,
+                            objective_trace=np.stack(trace, axis=-1))
     raise ConvergenceError("coordinate descent did not converge",
-                           last_iterate=beta)
+                           last_iterate=beta[np.argmax(active)])
 
 
 def lasso_penalty_rule(n: int, p: int, sigma: float, t: float,
@@ -352,25 +370,39 @@ def lasso_penalty_rule(n: int, p: int, sigma: float, t: float,
 def estimate_restricted_eigenvalue(x: DesignMatrix, support, n_probes: int,
                                    stream: RandomStream) -> float:
     """Randomized lower-envelope search for min ||Xv||^2 / (n ||v||^2) over
-    the cone where off-support mass is at most three times support mass."""
+    the cone where off-support mass is at most three times support mass.
+    Probe ``i`` draws from ``stream.split(i)`` through :func:`replicate`."""
     m = x.matrix[:, 1:] if x.has_intercept else x.matrix
-    n, p = m.shape
+    p = m.shape[1]
     support = np.asarray(support, dtype=int)
+    if n_probes < 1:
+        raise DomainError("need at least one probe")
+    if support.ndim != 1 or support.size == 0:
+        raise DomainError("the support must be a nonempty list of column indices")
+    if support.min() < 0 or support.max() >= p or np.unique(support).size != support.size:
+        raise DomainError(f"support indices must be distinct and in [0, {p})")
     mask = np.zeros(p, dtype=bool)
     mask[support] = True
-    best = math.inf
-    for _ in range(n_probes):
-        v = np.zeros(p)
-        v_s = stream.normals(support.size)
-        v[mask] = v_s
-        budget = 3.0 * np.abs(v_s).sum() * stream.uniforms(1)[0]
-        rest = stream.normals(p - support.size)
-        l1 = np.abs(rest).sum()
-        if l1 > 0:
-            v[~mask] = rest * (budget / l1)
-        ratio = float((m @ v) @ (m @ v) / (n * (v @ v)))
-        best = min(best, ratio)
-    return best
+    # blocks of about 2**18 numbers of probes and their images
+    ratios = replicate(partial(_cone_ratios, m, mask), n_probes, stream,
+                       block=max(1, (1 << 18) // sum(m.shape)))
+    return float(ratios.min())
+
+
+def _cone_ratios(m, mask, batch):
+    """||Xv||^2 / (n ||v||^2) of each row's probe ``v``: normal on the
+    support, and off it normal directions scaled to an l1 mass of a uniform
+    fraction of three times the support's."""
+    v = np.zeros((len(batch.ids), mask.size))
+    v_s = batch.normals(int(mask.sum()))
+    budget = 3.0 * np.abs(v_s).sum(axis=-1) * batch.uniforms(1)[:, 0]
+    rest = batch.normals(mask.size - v_s.shape[1])
+    l1 = np.abs(rest).sum(axis=-1)
+    v[:, mask] = v_s
+    v[:, ~mask] = rest * np.divide(budget, l1, out=np.zeros_like(l1), where=l1 > 0)[:, None]
+    # the stacked product gives each row the bits of its own
+    image = (m @ v[..., None])[..., 0]
+    return (image ** 2).sum(axis=-1) / (m.shape[0] * (v ** 2).sum(axis=-1))
 
 
 # -- CSV ingestion -------------------------------------------------------------------

@@ -171,7 +171,7 @@ _DIGEST_PINS = {
     "james-stein": "61bbad0911b5",
     "jl": "8fe1b5c25fc5",
     "er": "51a84e00bac5",
-    "lasso-bound": "e5fe90185a75",
+    "lasso-bound": "a50c89f892e3",
     "feynman-kac": "3a041ada7344",
     "bs-price": "a16eaf1c59d8",
     "gauss-conc": "920646eab662",
@@ -512,6 +512,19 @@ class TestCLI:
             assert cli.main(["run", cfg]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("tag,key", [("brownian", "steps"), ("ci-coverage", "n"),
+                                         ("irt", "items"), ("wilks", "n_t"),
+                                         ("er", "n_vertices"), ("glm", "n")])
+    def test_size_too_large_for_an_array_is_error(self, tmp_path, capsys, tag, key):
+        # numpy refuses to shape these arrays with a ValueError
+        params = {**TestSmallRunsOfHeavyExperiments.SMALL[tag], key: 2 ** 62}
+        body = "".join(f"{name} = {value!r}\n" for name, value in params.items())
+        cfg = self._write_config(tmp_path, f'experiment = "{tag}"\nseed = 4\n' + body)
+        assert cli.main(["run", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: experiment {tag!r} has sizes too large for an array")
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_out_of_memory_is_error(self, tmp_path, capsys, monkeypatch):

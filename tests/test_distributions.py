@@ -156,6 +156,13 @@ class TestQuantile:
         assert d.dist_cdf(law, d.dist_quantile(law, 1e-12)) == pytest.approx(1e-12, rel=1e-12)
         assert d.dist_quantile(d.Beta(1.0 / 32.0, 0.5), 1e-12) == 0.0
 
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 10.0), (2.0, 100.0), (3.0, 3.0), (5.0, 0.25)])
+    @pytest.mark.parametrize("u", [1e-200, 1e-300])
+    def test_beta_quantile_finite_where_betaincinv_is_nan(self, alpha, beta, u):
+        q = d.dist_quantile(d.Beta(alpha, beta), u)
+        assert 0.0 < q < 1.0
+        assert abs(sp.betainc(alpha, beta, q) - u) <= 1e-9 * u
+
     @pytest.mark.parametrize("alpha", [1 / 32, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0])
     def test_beta_lower_tail_no_worse_than_betaincinv(self, alpha):
         u = np.array([1e-300, 1e-200, 1e-100, 1e-30, 1e-12, 1e-5, 0.1, 0.49])

@@ -342,6 +342,106 @@ class TestLasso:
             reg.lasso_fit(design, y, 1e-6, max_sweeps=2)
         assert err.value.last_iterate.shape == (2,)
 
+    def test_soft_threshold_is_elementwise(self):
+        values = np.array([-2.0, -0.5, 0.0, 0.25, 1.5])
+        shrunk = reg.soft_threshold(values, 0.5)
+        assert np.array_equal(shrunk, [-1.5, 0.0, 0.0, 0.0, 1.0])
+        assert [reg.soft_threshold(v, 0.5) for v in values] == shrunk.tolist()
+        assert reg.soft_threshold(0.3, 0.0) == 0.3
+
+    def test_stacked_non_convergence_carries_first_unconverged_row(self):
+        root = RandomStream(18)
+        base = root.normals(30)
+        m = np.column_stack([base, base + 1e-4 * root.normals(30)])
+        design = reg.DesignMatrix(m, has_intercept=False)
+        hard = m @ np.array([[1.0, -1.0], [2.0, -2.0]]).T + root.normals(60).reshape(30, 2)
+        # row 0 (all zeros) converges in one sweep; rows 1 and 2 do not
+        y = np.vstack([np.zeros(30), hard.T])
+        with pytest.raises(ConvergenceError) as err:
+            reg.lasso_fit(design, y, 1e-6, max_sweeps=2)
+        with pytest.raises(ConvergenceError) as single:
+            reg.lasso_fit(design, y[1], 1e-6, max_sweeps=2)
+        assert np.array_equal(err.value.last_iterate, single.value.last_iterate)
+
+    @pytest.mark.parametrize("y", [np.zeros(19), np.zeros((0, 20)), np.zeros((2, 2, 20)),
+                                   np.full(20, np.nan)])
+    def test_bad_response_is_error(self, y):
+        design = reg.DesignMatrix(RandomStream(19).normals(40).reshape(20, 2),
+                                  has_intercept=False)
+        with pytest.raises(DomainError):
+            reg.lasso_fit(design, y, 0.1)
+
+
+class TestLassoStack:
+    """Stacked fits at lasso-bound's default design: n 100, p 200, s 3, t 2."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        root = RandomStream(20)
+        n, p = 100, 200
+        m = root.normals(n * p).reshape(n, p)
+        m /= np.sqrt((m ** 2).sum(axis=0) / n)
+        beta = np.zeros(p)
+        beta[:3] = np.linspace(1.0, 2.0, 3)
+        penalty = reg.lasso_penalty_rule(n, p, 1.0, 2.0)
+        design = reg.DesignMatrix(m, has_intercept=False)
+        y = m @ beta + root.batch(np.arange(200)).normals(n)
+        singles = [reg.lasso_fit(design, row, penalty, tol=1e-8) for row in y]
+        return design, y, penalty, singles
+
+    @pytest.mark.parametrize("height", [1, 7, 32, 200])
+    def test_rows_equal_single_fits(self, problem, height):
+        design, y, penalty, singles = problem
+        fit = reg.lasso_fit(design, y[:height], penalty, tol=1e-8)
+        assert fit.beta.shape == (height, design.n_columns)
+        for r, single in enumerate(singles[:height]):
+            assert type(single.iterations) is int
+            assert fit.iterations[r] == single.iterations
+            assert np.array_equal(fit.beta[r], single.beta)
+            assert np.array_equal(fit.objective_trace[r, :single.iterations],
+                                  single.objective_trace)
+
+    def test_kkt_conditions_every_row(self, problem):
+        design, y, penalty, _ = problem
+        m = design.matrix
+        fit = reg.lasso_fit(design, y, penalty, tol=1e-8)
+        grad = (m.T @ (y - fit.beta @ m.T).T).T / design.n
+        zero = fit.beta == 0.0
+        assert np.all(np.abs(grad[zero]) <= penalty)
+        assert np.all(np.abs(grad[~zero] - penalty * np.sign(fit.beta[~zero])) <= 1e-8)
+
+    def test_objective_monotone_every_row(self, problem):
+        design, y, penalty, _ = problem
+        fit = reg.lasso_fit(design, y, penalty, tol=1e-8)
+        for trace, sweeps in zip(fit.objective_trace, fit.iterations):
+            # nonincreasing up to the rounding of the objective's sums
+            assert np.all(np.diff(trace[:sweeps]) <= 1e-12)
+
+
+class TestRestrictedEigenvalue:
+    @pytest.fixture
+    def design(self):
+        return reg.DesignMatrix(RandomStream(21).normals(200).reshape(20, 10),
+                                has_intercept=False)
+
+    @pytest.mark.parametrize("support,n_probes", [
+        ([], 10),             # empty support
+        ([0, 1], 0),          # no probe
+        ([0, 10], 10),        # index past the last column
+        ([-1, 2], 10),        # negative index
+        ([3, 3], 10),         # repeated index
+    ])
+    def test_bad_input_is_error(self, design, support, n_probes):
+        with pytest.raises(DomainError):
+            reg.estimate_restricted_eigenvalue(design, support, n_probes, RandomStream(22))
+
+    def test_probe_i_draws_from_split_i(self, design):
+        root = RandomStream(23)
+        mask = np.isin(np.arange(10), [0, 4])
+        one_by_one = [reg._cone_ratios(design.matrix, mask, root.batch([i]))[0]
+                      for i in range(50)]
+        assert reg.estimate_restricted_eigenvalue(design, [4, 0], 50, root) == min(one_by_one)
+
 
 def _stack_rows(design, batch):
     """Every per-row array of one stacked fit of a block, one column per row."""
@@ -523,7 +623,8 @@ class TestPredictionError:
         kappa = reg.estimate_restricted_eigenvalue(reg.DesignMatrix(m, has_intercept=False),
                                                    np.arange(s), 2000, root.split(0xE16E))
         assert kappa > 0.0
-        errors = np.array([xp._lasso_error(beta, m, penalty, root.split(r)) for r in range(30)])
+        errors = xp._kernel_lasso_error(beta, reg.DesignMatrix(m, has_intercept=False), penalty,
+                                        root.batch(range(30)))
         violation = np.mean(errors > 9.0 * penalty ** 2 * s / kappa)
         assert violation <= 2.0 * math.exp(-2.0) + 3.0 * math.sqrt(0.27 * 0.73 / 30)
 
