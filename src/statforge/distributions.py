@@ -2,8 +2,9 @@
 
 Each spec is an immutable tagged value carrying its parameters; the module
 functions ``dist_pdf``/``dist_cdf``/``dist_quantile``/``dist_moments``/
-``dist_sample`` dispatch on the spec. Densities follow the convention of
-being 0 outside the support (never an error). Sampling is driven entirely
+``dist_sample`` dispatch on the spec. Parameters must be finite, and the
+functions refuse a NaN argument. Densities follow the convention of being 0
+outside the support and at +-inf (never an error). Sampling is driven entirely
 by a :class:`~statforge.rng.RandomStream`, so every draw sequence is a pure
 function of (root_seed, stream_id, counter).
 """
@@ -11,7 +12,8 @@ function of (root_seed, stream_id, counter).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -39,7 +41,10 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _as_array(x) -> tuple[np.ndarray, bool]:
+    """``x`` as a 1-d or wider float array, and whether it was a scalar; a
+    NaN argument is refused, an infinite one taken at the limit."""
     arr = np.asarray(x, dtype=float)
+    _require(not np.isnan(arr).any(), "distribution function argument must not be NaN")
     return np.atleast_1d(arr), arr.ndim == 0
 
 
@@ -52,6 +57,17 @@ class DistributionSpec:
     module functions ``dist_*`` call."""
 
     is_discrete = False
+
+    def __post_init__(self):
+        # finite as a float: NaN and +-inf fail, and so does an int too large
+        # to convert (the comparison of an int with a float is exact)
+        for field in fields(self):
+            _require(abs(getattr(self, field.name)) <= sys.float_info.max,
+                     f"{type(self).__name__} requires a finite {field.name}")
+        self._check()
+
+    def _check(self) -> None:
+        """The family's own checks of its parameters, which are finite."""
 
     def moments(self) -> Moments:
         raise NotImplementedError
@@ -103,7 +119,7 @@ class Normal(DistributionSpec):
     mu: float
     sigma2: float
 
-    def __post_init__(self):
+    def _check(self):
         _require(self.sigma2 > 0, "Normal requires sigma2 > 0")
 
     def moments(self) -> Moments:
@@ -132,7 +148,7 @@ class LogNormal(DistributionSpec):
     mu: float
     sigma2: float
 
-    def __post_init__(self):
+    def _check(self):
         _require(self.sigma2 > 0, "LogNormal requires sigma2 > 0")
 
     def moments(self) -> Moments:
@@ -171,7 +187,7 @@ class Gamma(DistributionSpec):
     alpha: float
     lam: float
 
-    def __post_init__(self):
+    def _check(self):
         _require(self.alpha > 0, "Gamma requires rate alpha > 0")
         _require(self.lam > 0, "Gamma requires shape lam > 0")
 
@@ -180,7 +196,7 @@ class Gamma(DistributionSpec):
 
     def _pdf(self, x):
         out = np.zeros_like(x)
-        pos = x > 0.0
+        pos = (0.0 < x) & (x < math.inf)
         log_pdf = (
             self.lam * math.log(self.alpha)
             - sp.gammaln(self.lam)
@@ -216,7 +232,7 @@ class Gamma(DistributionSpec):
 class ChiSquared(DistributionSpec):
     k: int
 
-    def __post_init__(self):
+    def _check(self):
         _require(isinstance(self.k, (int, np.integer)) and self.k >= 1,
                  "ChiSquared requires a positive integer k")
 
@@ -250,7 +266,7 @@ class ChiSquared(DistributionSpec):
 class StudentT(DistributionSpec):
     k: int
 
-    def __post_init__(self):
+    def _check(self):
         _require(isinstance(self.k, (int, np.integer)) and self.k >= 1,
                  "StudentT requires a positive integer k")
 
@@ -288,7 +304,7 @@ class FisherF(DistributionSpec):
     k1: int
     k2: int
 
-    def __post_init__(self):
+    def _check(self):
         ok = all(isinstance(k, (int, np.integer)) and k >= 1 for k in (self.k1, self.k2))
         _require(ok, "FisherF requires positive integer degrees of freedom")
 
@@ -305,7 +321,7 @@ class FisherF(DistributionSpec):
     def _pdf(self, x):
         k1, k2 = float(self.k1), float(self.k2)
         out = np.zeros_like(x)
-        pos = x > 0.0
+        pos = (0.0 < x) & (x < math.inf)
         log_c = (
             sp.gammaln((k1 + k2) / 2.0) - sp.gammaln(k1 / 2.0) - sp.gammaln(k2 / 2.0)
             + (k1 / 2.0) * math.log(k1 / k2)
@@ -319,9 +335,10 @@ class FisherF(DistributionSpec):
     def _cdf(self, x):
         k1, k2 = float(self.k1), float(self.k2)
         out = np.zeros_like(x)
-        pos = x > 0.0
+        pos = (0.0 < x) & (x < math.inf)
         ratio = k1 * x[pos]
         out[pos] = sp.betainc(k1 / 2.0, k2 / 2.0, ratio / (ratio + k2))
+        out[x == math.inf] = 1.0
         # past the median the betainc argument rounds towards 1 and the
         # upper tail loses its digits; take it from the complement
         upper = out > 0.5
@@ -350,7 +367,7 @@ class Beta(DistributionSpec):
     alpha: float
     beta: float
 
-    def __post_init__(self):
+    def _check(self):
         _require(self.alpha > 0 and self.beta > 0, "Beta requires positive shapes")
 
     def moments(self) -> Moments:
@@ -405,7 +422,7 @@ class Beta(DistributionSpec):
 class Exponential(DistributionSpec):
     lam: float
 
-    def __post_init__(self):
+    def _check(self):
         _require(self.lam > 0, "Exponential requires lam > 0")
 
     def moments(self) -> Moments:
@@ -463,7 +480,7 @@ class Bernoulli(DistributionSpec):
     p: float
     is_discrete = True
 
-    def __post_init__(self):
+    def _check(self):
         _require(0.0 < self.p < 1.0, "Bernoulli requires p in (0,1)")
 
     def moments(self) -> Moments:
@@ -491,7 +508,7 @@ class Binomial(DistributionSpec):
     n: int
     is_discrete = True
 
-    def __post_init__(self):
+    def _check(self):
         _require(0.0 < self.p < 1.0, "Binomial requires p in (0,1)")
         _require(isinstance(self.n, (int, np.integer)) and self.n >= 1,
                  "Binomial requires a positive integer n")
@@ -535,7 +552,7 @@ class Poisson(DistributionSpec):
     lam: float
     is_discrete = True
 
-    def __post_init__(self):
+    def _check(self):
         _require(self.lam > 0, "Poisson requires lam > 0")
 
     def moments(self) -> Moments:
@@ -544,7 +561,7 @@ class Poisson(DistributionSpec):
     def _pdf(self, x):
         out = np.zeros_like(x)
         k = np.floor(x)
-        on = (x == k) & (k >= 0)
+        on = (x == k) & (0 <= k) & (k < math.inf)
         kk = k[on]
         out[on] = np.exp(kk * math.log(self.lam) - self.lam - sp.gammaln(kk + 1.0))
         return out
@@ -569,7 +586,7 @@ class Geometric(DistributionSpec):
     p: float
     is_discrete = True
 
-    def __post_init__(self):
+    def _check(self):
         _require(0.0 < self.p < 1.0, "Geometric requires p in (0,1)")
 
     def moments(self) -> Moments:

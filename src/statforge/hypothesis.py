@@ -34,11 +34,14 @@ def load_groups_csv(path) -> list:
 
 
 def ks_statistic(sample, law: Union[DistributionSpec, Callable]) -> float:
-    """One-sample Kolmogorov-Smirnov distance to a continuous law."""
+    """One-sample Kolmogorov-Smirnov distance to a continuous law; NaN for a
+    sample holding a NaN."""
     x = np.sort(np.asarray(sample, dtype=float))
     n = x.size
     if n == 0:
         raise DegenerateSampleError("empty sample")
+    if np.isnan(x[-1]):  # np.sort puts NaN last
+        return math.nan
     cdf = law if callable(law) else (lambda t: dist_cdf(law, t))
     f = np.asarray(cdf(x), dtype=float)
     steps = np.arange(1, n + 1) / n

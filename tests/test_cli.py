@@ -4,6 +4,7 @@ import ctypes
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import FAMILIES, PROPERTY
 from statforge import cli
+from statforge import distributions as d
 from statforge import experiments as xp
 from statforge import rng
 from statforge import stochastic as sto
@@ -160,18 +162,18 @@ _WORKER_CASES = [
 _DIGEST_PINS = {
     "bayes": "6b28c3f1d856",
     "test-size": "779d511fa5bc",
-    "mle": "55ebfbef9fbd",
-    "regression": "a44278b85887",
-    "glm": "f092ffecdbb0",
+    "mle": "c7cc6f8bfebf",
+    "regression": "2af7bc16fcb2",
+    "glm": "c90fe48fe67e",
     "irt": "eae5b89a50c1",
-    "brownian": "6e86820f2070",
-    "ito": "812706333376",
-    "wilks": "17502b1936f9",
+    "brownian": "4dd0b9d1b091",
+    "ito": "ca49d7dc5a9f",
+    "wilks": "293ed09b4f19",
     "ci-coverage": "d8b21a67c1e3",
-    "james-stein": "61bbad0911b5",
+    "james-stein": "5aa8a78bf7a9",
     "jl": "8fe1b5c25fc5",
     "er": "51a84e00bac5",
-    "lasso-bound": "a50c89f892e3",
+    "lasso-bound": "30fee58d80cf",
     "feynman-kac": "3a041ada7344",
     "bs-price": "a16eaf1c59d8",
     "gauss-conc": "920646eab662",
@@ -387,6 +389,13 @@ class TestReplicate:
         assert rng.replicate(kernel, n, root, workers=2).tobytes() == out.tobytes()
 
 
+# valid parameters of each ``dist`` tag
+_DIST_PARAMS = {"normal": "0,1", "lognormal": "0,1", "gamma": "2,1.5", "chisquared": "3",
+                "studentt": "4", "fisherf": "3,5", "beta": "2,3", "exponential": "1.5",
+                "bernoulli": "0.3", "binomial": "0.3,5", "poisson": "3", "geometric": "0.3",
+                "uniform01": ""}
+
+
 class TestCLI:
     def _write_config(self, tmp_path, body):
         path = tmp_path / "config.txt"
@@ -591,11 +600,34 @@ class TestCLI:
     @pytest.mark.parametrize("tag,message", [
         ("normal:a,1", "normal parameter 'mu' must be a number, got 'a'"),
         ("chisquared:2.5", "chisquared parameter 'k' must be an integer, got '2.5'"),
+        ("chisquared:1" + "0" * 400, "ChiSquared requires a finite k"),
     ])
     def test_dist_bad_parameter(self, capsys, tag, message):
         assert cli.main(["dist", tag, "--pdf", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("tag", sorted(cli._DISTRIBUTIONS))
+    def test_dist_refuses_non_finite_inputs(self, capsys, tag):
+        params = _DIST_PARAMS[tag]
+        spec = cli._parse_dist_tag(f"{tag}:{params}")
+        for function, flag in ((d.dist_pdf, "--pdf"), (d.dist_cdf, "--cdf")):
+            for x in (math.nan, [0.5, math.nan]):
+                with pytest.raises(DomainError, match="NaN"):
+                    function(spec, x)
+            assert cli.main(["dist", f"{tag}:{params}", flag, "nan"]) == 1
+            assert capsys.readouterr().err.startswith("error:")
+        # infinite arguments are taken at their limits
+        assert d.dist_pdf(spec, [-math.inf, math.inf]).tolist() == [0.0, 0.0]
+        assert d.dist_cdf(spec, [-math.inf, math.inf]).tolist() == [0.0, 1.0]
+        pieces = params.split(",") if params else []
+        for k, field in enumerate(dataclasses.fields(spec)):
+            for bad in ("nan", "inf", "-inf"):
+                with pytest.raises(DomainError, match=f"requires a finite {field.name}"):
+                    dataclasses.replace(spec, **{field.name: float(bad)})
+                tag_params = ",".join(pieces[:k] + [bad] + pieces[k + 1:])
+                assert cli.main(["dist", f"{tag}:{tag_params}", "--quantile", "0.3"]) == 1
+                assert capsys.readouterr().err.startswith("error:")
 
 
 class TestSmallRunsOfHeavyExperiments:

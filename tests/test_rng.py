@@ -1,9 +1,12 @@
 """Stream determinism, splitting, and basic output quality."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from statforge import rng
 from statforge.rng import RandomStream
@@ -97,17 +100,23 @@ def test_odd_normal_count_on_batch_rows(count):
 
 def _box_muller_reference(draws, count):
     """Box-Muller as one pass over whole arrays: the radii from the first
-    ``pairs`` words, the angles from the next ``pairs``, cos then sin."""
+    ``pairs`` words, the angles 2*pi*m/2**53, m = word >> 11, from the next
+    ``pairs`` by the table rule: the table entry of the top 10 bits of m
+    turned by y = low * 2*pi/2**53, low the 43 low bits; cos, then sin."""
     pairs = (count + 1) // 2
     radius = np.log(draws.uniforms_open(pairs))
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    angle = draws.uniforms(pairs)
-    angle *= 2.0 * np.pi
-    out = np.empty(angle.shape[:-1] + (2 * pairs,))
-    for half, wave in ((out[..., :pairs], np.cos), (out[..., pairs:], np.sin)):
-        wave(angle, out=half)
-        half *= radius
+    m = draws.raw(pairs) >> np.uint64(11)
+    index = (m >> np.uint64(43)).astype(np.intp)
+    y = (m & np.uint64(2**43 - 1)).astype(np.float64) * (2.0 * np.pi * 2.0**-53)
+    y2 = y * y
+    sin_y = y * (1.0 + y2 * (-1 / 6 + y2 * (1 / 120)))
+    cos_y1 = y2 * (-1 / 2 + y2 * (1 / 24))
+    c, s = rng._COS_TABLE[index], rng._SIN_TABLE[index]
+    out = np.empty(m.shape[:-1] + (2 * pairs,))
+    out[..., :pairs] = radius * (c + (c * cos_y1 - s * sin_y))
+    out[..., pairs:] = radius * (s + (s * cos_y1 + c * sin_y))
     return out[..., :count]
 
 
@@ -136,6 +145,44 @@ def test_normals_equal_one_pass_reference_bitwise(rows):
         assert z.tobytes() == expected.tobytes(), count
         assert blocked.counter == reference.counter == 3 + 2 * ((count + 1) // 2)
         assert blocked.raw(4).tobytes() == reference.raw(4).tobytes()
+
+
+def test_normals_near_libm_box_muller():
+    pairs = 1 << 20
+    z = RandomStream(2026, 11).normals(2 * pairs)
+    words = RandomStream(2026, 11)
+    radius = np.sqrt(-2.0 * np.log(words.uniforms_open(pairs)))
+    angle = 2.0 * np.pi * words.uniforms(pairs)
+    for half, wave in ((z[:pairs], np.cos), (z[pairs:], np.sin)):
+        assert np.max(np.abs(half - radius * wave(angle)) / radius) < 2e-15
+
+
+_ANGLE_EDGES = [0, 2**43 - 1, 2**43, 2**53 - 1] + [
+    quadrant * 2**43 + step for quadrant in (256, 512, 768) for step in (-1, 0, 1)]
+
+
+def test_angle_table_edges():
+    m = np.array(_ANGLE_EDGES, dtype=np.uint64)
+    words = (m << np.uint64(11)) | np.uint64(0x7FF)  # the low 11 bits do not count
+    cos = np.empty(m.size)
+    sin = rng._cos_sin(words, cos)
+    for k, value in enumerate(_ANGLE_EDGES):
+        angle = 2.0 * math.pi * value / 2**53
+        assert abs(cos[k] - math.cos(angle)) < 1e-15, value
+        assert abs(sin[k] - math.sin(angle)) < 1e-15, value
+
+
+def test_normals_follow_the_standard_normal_law():
+    z = RandomStream(2026, 12).normals(200_000)
+    assert stats.kstest(z, "norm").pvalue > 1e-3
+
+
+def test_box_muller_angles_are_uniform():
+    # the angle's own law: a wrong table index bends it
+    pairs = 100_000
+    z = RandomStream(2026, 13).normals(2 * pairs)
+    angle = np.mod(np.arctan2(z[pairs:], z[:pairs]), 2.0 * np.pi)
+    assert stats.kstest(angle, stats.uniform(0.0, 2.0 * np.pi).cdf).pvalue > 1e-3
 
 
 def test_empty_batch_draws_empty_rows():
