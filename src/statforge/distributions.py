@@ -99,6 +99,7 @@ class DistributionSpec:
         while float(self._cdf(np.array([float(hi)]))[0]) < u:
             lo = hi
             hi = 2 * hi + 1
+            _require(hi <= sys.float_info.max, "quantile lies past the float range")
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if float(self._cdf(np.array([float(mid)]))[0]) < u:
@@ -715,7 +716,8 @@ def dist_quantile(spec: DistributionSpec, u) -> Union[float, np.ndarray]:
     """Inverse cdf at probability ``u`` in (0,1), from the ``scipy.special``
     inverse of each continuous family.
 
-    For discrete tags this is the smallest support point with cdf >= u.
+    For discrete tags this is the smallest support point with cdf >= u. A
+    quantile past the float range raises :class:`DomainError`.
     """
     arr, scalar = _as_array(u)
     if not np.all((0.0 < arr) & (arr < 1.0)):
@@ -723,7 +725,10 @@ def dist_quantile(spec: DistributionSpec, u) -> Union[float, np.ndarray]:
     if spec.is_discrete:
         return _maybe_scalar(np.array([spec._discrete_quantile(ui) for ui in arr],
                                       dtype=float), scalar)
-    return _maybe_scalar(spec._ppf(arr), scalar)
+    with np.errstate(over="ignore"):
+        values = spec._ppf(arr)
+    _require(np.all(np.isfinite(values)), "quantile lies past the float range")
+    return _maybe_scalar(values, scalar)
 
 
 def dist_sample(spec: DistributionSpec, stream: RandomStream, count: int) -> np.ndarray:

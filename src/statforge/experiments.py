@@ -34,7 +34,7 @@ from . import hypothesis as hyp
 from . import regression as reg
 from . import stochastic as sto
 from .errors import DomainError
-from .results import _read_text
+from .results import _matvec, _read_text
 from .rng import RandomStream, _each_row, replicate, replicate_chunks
 
 __all__ = ["ExperimentConfig", "Metric", "ReportEnvelope", "run_experiment",
@@ -342,8 +342,7 @@ def _kernel_lasso_error(true_beta, design, penalty, batch):
     stacked fit of the block."""
     m = design.matrix
     fit = reg.lasso_fit(design, m @ true_beta + batch.normals(design.n), penalty, tol=1e-8)
-    # the stacked product gives each row the bits of its own
-    gap = (m @ (fit.beta - true_beta)[..., None])[..., 0]
+    gap = _matvec(m, fit.beta - true_beta)
     return (gap ** 2).sum(axis=-1) / design.n
 
 
@@ -361,8 +360,7 @@ def _run_lasso_bound(p, root, workers):
                                                p["re_probes"], _aux(root, 2))
     bound = 9.0 * penalty ** 2 * sparsity / kappa
     errors = replicate(partial(_kernel_lasso_error, beta, design, penalty),
-                       p["replicates"], root, workers,
-                       block=glm.stack_chunk_rows(n + n_regressors))
+                       p["replicates"], root, workers, width=n + n_regressors)
     violation = float(np.mean(errors > bound))
     ceiling = 2.0 * math.exp(-t * t / 2.0) + 3.0 * math.sqrt(
         0.25 / p["replicates"])
@@ -399,9 +397,8 @@ def _run_glm(p, root, workers):
     beta = np.concatenate([[0.3], np.linspace(-0.5, 0.8, n_slopes)])
     prob = 1.0 / (1.0 + np.exp(-(design.matrix @ beta)))
     spec = glm.bernoulli_logit()
-    # blocks of stack_chunk_rows(n) replicates keep the (block, n) arrays small
     residuals, covered = replicate(partial(_kernel_glm, spec, design, beta, prob),
-                                   reps, root, workers, block=glm.stack_chunk_rows(n))
+                                   reps, root, workers, width=n)
     coverage = covered.mean()
     y = (_aux(root, 2).uniforms(n) < prob).astype(float)
     fit = glm.glm_fit(spec, design, y)
@@ -446,8 +443,7 @@ def _run_irt(p, root, workers):
     bank = glm.IRTItemBank(a=0.5 + _aux(root, 1).uniforms(items) * 1.5,
                            b=_aux(root, 2).normals(items))
     kernel = partial(_kernel_irt, bank, p["ability"], bank.success_probability(p["ability"]))
-    usable, inside = replicate(kernel, p["examinees"], root, workers,
-                               block=glm.stack_chunk_rows(items))
+    usable, inside = replicate(kernel, p["examinees"], root, workers, width=items)
     if not usable.any():
         raise DomainError("no examinee answered both right and wrong; raise 'items' or 'examinees'")
     return [_at_least("three_se_capture_rate", inside.sum() / usable.sum(),

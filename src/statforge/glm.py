@@ -12,13 +12,13 @@ from .distributions import Moments, Normal
 from .errors import (ConvergenceError, DomainError, NoFiniteMLEError,
                      SeparationError)
 from .regression import DesignMatrix, require_full_rank
-from .results import (ConfidenceInterval, _read_csv, _require_rows, first_row,
-                      interval_quantile, scalar_or_rows)
+from .results import (ConfidenceInterval, _matvec, _read_csv, _require_rows,
+                      first_row, interval_quantile)
 
 __all__ = [
     "ExpFamilySpec", "bernoulli_logit", "poisson_log", "normal_identity",
     "gamma_neglog", "expfam_moments", "GLMFit", "glm_fit",
-    "glm_fit_stack", "stack_chunk_rows", "glm_wald_ci",
+    "glm_fit_stack", "glm_wald_ci",
     "IRTItemBank", "IRTAbilityFit", "irt_ability_fit",
     "load_item_bank_csv", "load_responses_csv",
 ]
@@ -257,20 +257,6 @@ class GLMFit:
 _MAX_ITER = 200
 _MAX_HALVINGS = 30
 _SEPARATION_NORM = 1e3
-# Bound on the (rows, n) temporaries of one scoring pass.
-_STACK_CHUNK = 1 << 16
-
-
-def stack_chunk_rows(n: int) -> int:
-    """Rows of ``n`` observations to hand :func:`glm_fit_stack` at once, so
-    that the temporaries of one scoring pass stay small."""
-    return max(1, _STACK_CHUNK // n)
-
-
-def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``a @ v`` row by row; the stacked product gives the same bits as the
-    2-d product of each row."""
-    return (a @ v[..., None])[..., 0]
 
 
 def glm_fit(spec: ExpFamilySpec, x: DesignMatrix, y) -> GLMFit:
@@ -389,8 +375,8 @@ def glm_wald_ci(fit, j: int, delta: float) -> ConfidenceInterval:
         raise DomainError("coefficient index out of range")
     cov = np.linalg.inv(fit.fisher_info)
     half = interval_quantile(Normal(0.0, 1.0), delta) * np.sqrt(cov[..., j, j])
-    return ConfidenceInterval(scalar_or_rows(fit.beta[..., j] - half),
-                              scalar_or_rows(fit.beta[..., j] + half), 1.0 - delta, "glm_wald")
+    return ConfidenceInterval(fit.beta[..., j] - half, fit.beta[..., j] + half, 1.0 - delta,
+                              "glm_wald")
 
 
 # -- two-parameter logistic ability scoring ------------------------------------

@@ -7,14 +7,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .distributions import ChiSquared, DistributionSpec, FisherF, dist_cdf, dist_quantile
 from .errors import DegenerateSampleError, DomainError, NestingError
-from .glm import bernoulli_logit, glm_fit_stack, stack_chunk_rows
-from .results import TestReport, _read_csv, scalar_or_rows
+from .glm import bernoulli_logit, glm_fit_stack
+from .results import TestReport, _read_csv
 from .rng import RandomStream, replicate, replicate_chunks
 
 __all__ = [
@@ -33,7 +33,7 @@ def load_groups_csv(path) -> list:
     return [np.asarray(v) for v in groups.values()]
 
 
-def ks_statistic(sample, law: Union[DistributionSpec, Callable]) -> float:
+def ks_statistic(sample, law: DistributionSpec) -> float:
     """One-sample Kolmogorov-Smirnov distance to a continuous law; NaN for a
     sample holding a NaN."""
     x = np.sort(np.asarray(sample, dtype=float))
@@ -42,8 +42,7 @@ def ks_statistic(sample, law: Union[DistributionSpec, Callable]) -> float:
         raise DegenerateSampleError("empty sample")
     if np.isnan(x[-1]):  # np.sort puts NaN last
         return math.nan
-    cdf = law if callable(law) else (lambda t: dist_cdf(law, t))
-    f = np.asarray(cdf(x), dtype=float)
+    f = np.asarray(dist_cdf(law, x), dtype=float)
     steps = np.arange(1, n + 1) / n
     return float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
 
@@ -68,9 +67,8 @@ def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport
         gap = x.mean(axis=-1) - mu0
         stat = n * gap ** 2 / sigma_known ** 2
         null_law = ChiSquared(1)
-        return TestReport(stat, null_law, scalar_or_rows(null_law.sf(stat)),
-                          kind="mean_z_squared",
-                          extras={"z": scalar_or_rows(gap / (sigma_known / math.sqrt(n)))})
+        return TestReport(stat, null_law, null_law.sf(stat), kind="mean_z_squared",
+                          extras={"z": gap / (sigma_known / math.sqrt(n))})
     if n < 2:
         raise DegenerateSampleError("studentized test needs n >= 2")
     s2 = x.var(axis=-1, ddof=1)
@@ -80,10 +78,8 @@ def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport
     stat = n * gap ** 2 / s2
     null_law = FisherF(1, n - 1)
     h = n * np.log1p(stat / (n - 1))
-    return TestReport(stat, null_law, scalar_or_rows(null_law.sf(stat)),
-                      kind="mean_t_squared",
-                      extras={"t": scalar_or_rows(gap / (np.sqrt(s2) / math.sqrt(n))),
-                              "h": scalar_or_rows(h)})
+    return TestReport(stat, null_law, null_law.sf(stat), kind="mean_t_squared",
+                      extras={"t": gap / (np.sqrt(s2) / math.sqrt(n)), "h": h})
 
 
 def f_test_variances(sample_x, sample_y) -> TestReport:
@@ -99,8 +95,7 @@ def f_test_variances(sample_x, sample_y) -> TestReport:
     stat = vx / vy
     null_law = FisherF(x.shape[-1] - 1, y.shape[-1] - 1)
     p = np.minimum(1.0, 2.0 * np.minimum(dist_cdf(null_law, stat), null_law.sf(stat)))
-    return TestReport(stat, null_law, scalar_or_rows(p),
-                      kind="variance_ratio_two_sided")
+    return TestReport(stat, null_law, p, kind="variance_ratio_two_sided")
 
 
 def anova_one_way(groups: Sequence) -> TestReport:
@@ -129,11 +124,9 @@ def anova_one_way(groups: Sequence) -> TestReport:
         raise DegenerateSampleError("no within-group variation")
     stat = (ss_between / (p - 1)) / (ss_within / (n - p))
     null_law = FisherF(p - 1, n - p)
-    return TestReport(stat, null_law, scalar_or_rows(null_law.sf(stat)),
-                      kind="anova_one_way",
-                      extras={"ss_total": scalar_or_rows(ss_total),
-                              "ss_within": scalar_or_rows(ss_within),
-                              "ss_between": scalar_or_rows(ss_between)})
+    return TestReport(stat, null_law, null_law.sf(stat), kind="anova_one_way",
+                      extras={"ss_total": ss_total, "ss_within": ss_within,
+                              "ss_between": ss_between})
 
 
 def lrt_generic(loglik_full, loglik_null, df_diff: int) -> TestReport:
@@ -148,8 +141,7 @@ def lrt_generic(loglik_full, loglik_null, df_diff: int) -> TestReport:
         )
     stat = np.fmax(0.0, 2.0 * gap)
     null_law = ChiSquared(df_diff)
-    return TestReport(scalar_or_rows(stat), null_law, scalar_or_rows(null_law.sf(stat)),
-                      kind="likelihood_ratio")
+    return TestReport(stat, null_law, null_law.sf(stat), kind="likelihood_ratio")
 
 
 @dataclass(frozen=True)
@@ -188,8 +180,7 @@ def wilks_null_simulation(scenario: str, n: int, replicates: int,
                                  max(1, (1 << 22) // n), stream, workers)
         df = 1
     elif scenario == "logistic":
-        stats = replicate(partial(_logistic_gaps, n), replicates, stream, workers,
-                          block=stack_chunk_rows(n))
+        stats = replicate(partial(_logistic_gaps, n), replicates, stream, workers, width=n)
         df = 2
     else:
         raise DomainError(f"unknown scenario {scenario!r}")

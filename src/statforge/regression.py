@@ -14,8 +14,8 @@ from scipy.linalg import get_lapack_funcs, solve_triangular
 from .distributions import FisherF, StudentT
 from .errors import (ConvergenceError, DegenerateSampleError, DomainError,
                      NestingError, SingularDesignError)
-from .results import (ConfidenceInterval, TestReport, _read_csv, first_row,
-                      interval_quantile, scalar_or_rows)
+from .results import (ConfidenceInterval, TestReport, _matvec, _read_csv, first_row,
+                      interval_quantile)
 from .rng import RandomStream, replicate
 
 __all__ = [
@@ -112,6 +112,15 @@ class LinearFit:
         return self.design.n - self.design.n_columns
 
 
+def _require_responses(x: DesignMatrix, y: np.ndarray) -> None:
+    """Raise :class:`DomainError` unless ``y`` is a finite ``(R, n)`` stack
+    of responses to ``x``."""
+    if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] != x.n:
+        raise DomainError("response length must match the design")
+    if not np.all(np.isfinite(y)):
+        raise DomainError("responses must be finite")
+
+
 def ols_fit(x: DesignMatrix, y) -> LinearFit:
     """Least squares through a Householder QR factorization.
 
@@ -127,19 +136,15 @@ def ols_fit_stack(x: DesignMatrix, y) -> LinearFit:
     one rank check, one QR, one Gram inverse and one hat diagonal serve
     every row, and each row's results are bit-identical to the single fit."""
     y = np.asarray(y, dtype=float)
-    if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] != x.n:
-        raise DomainError("response length must match the design")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("responses must be finite")
+    _require_responses(x, y)
     require_full_rank(x.matrix)
     q, r = np.linalg.qr(x.matrix)
-    # the stacked products give each row the bits of its 2-d product, and
     # trtrs is the LAPACK call solve_triangular(r, v) makes, minus its checks
-    qty = (q.T @ y[..., None])[..., 0]
+    qty = _matvec(q.T, y)
     trtrs, = get_lapack_funcs(("trtrs",), (r,))
     a, flip = (r, 0) if r.flags.f_contiguous else (r.T, 1)
     beta = np.array([trtrs(a, v, lower=flip, trans=flip)[0] for v in qty])
-    fitted = (x.matrix @ beta[..., None])[..., 0]
+    fitted = _matvec(x.matrix, beta)
     residuals = y - fitted
     r_inv = solve_triangular(r, np.eye(x.n_columns))
     center = y.mean(axis=-1, keepdims=True) if x.has_intercept else 0.0
@@ -178,8 +183,7 @@ def coef_interval(fit, j: int, delta: float) -> ConfidenceInterval:
     quantile = interval_quantile(StudentT(fit.df_residual), delta)
     center = fit.beta[..., j]
     half = quantile * scale
-    return ConfidenceInterval(scalar_or_rows(center - half),
-                              scalar_or_rows(center + half), 1.0 - delta, "coef_t")
+    return ConfidenceInterval(center - half, center + half, 1.0 - delta, "coef_t")
 
 
 def response_band(fit: LinearFit, x0, kind: str, delta: float) -> ConfidenceInterval:
@@ -209,8 +213,7 @@ def response_band(fit: LinearFit, x0, kind: str, delta: float) -> ConfidenceInte
         raise DomainError(f"unknown band kind {kind!r}")
     # each row's product has the bits of the single fit's
     center = (fit.beta[..., None, :] @ x0)[..., 0]
-    return ConfidenceInterval(scalar_or_rows(center - half), scalar_or_rows(center + half),
-                              1.0 - delta, f"response_{kind}")
+    return ConfidenceInterval(center - half, center + half, 1.0 - delta, f"response_{kind}")
 
 
 def f_test_nested(fit_full, fit_null) -> TestReport:
@@ -231,14 +234,13 @@ def f_test_nested(fit_full, fit_null) -> TestReport:
         raise DegenerateSampleError("full fit has no residual degrees of freedom")
     if df_diff == 0:
         zero = np.zeros_like(fit_full.ss_res)
-        return TestReport(scalar_or_rows(zero), FisherF(1, df_res),
-                          scalar_or_rows(zero + 1.0), kind="f_nested",
+        return TestReport(zero, FisherF(1, df_res), zero + 1.0, kind="f_nested",
                           extras={"df_diff": 0})
     stat = ((fit_null.ss_res - fit_full.ss_res) / df_diff) / (fit_full.ss_res / df_res)
     # fmax, like max(0.0, .), maps a nan statistic to 0
-    stat = scalar_or_rows(np.fmax(0.0, stat))
+    stat = np.fmax(0.0, stat)
     law = FisherF(df_diff, df_res)
-    return TestReport(stat, law, scalar_or_rows(law.sf(stat)), kind="f_nested",
+    return TestReport(stat, law, law.sf(stat), kind="f_nested",
                       extras={"df_diff": df_diff})
 
 
@@ -314,10 +316,7 @@ def lasso_fit(x: DesignMatrix, y, penalty: float, tol: float = 1e-10,
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         return first_row(lasso_fit(x, y[None], penalty, tol, max_sweeps))
-    if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] != x.n:
-        raise DomainError("response length must match the design")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("responses must be finite")
+    _require_responses(x, y)
     if penalty < 0:
         raise DomainError("penalty must be nonnegative")
     if penalty == 0.0:
@@ -383,9 +382,7 @@ def estimate_restricted_eigenvalue(x: DesignMatrix, support, n_probes: int,
         raise DomainError(f"support indices must be distinct and in [0, {p})")
     mask = np.zeros(p, dtype=bool)
     mask[support] = True
-    # blocks of about 2**18 numbers of probes and their images
-    ratios = replicate(partial(_cone_ratios, m, mask), n_probes, stream,
-                       block=max(1, (1 << 18) // sum(m.shape)))
+    ratios = replicate(partial(_cone_ratios, m, mask), n_probes, stream, width=sum(m.shape))
     return float(ratios.min())
 
 
@@ -400,8 +397,7 @@ def _cone_ratios(m, mask, batch):
     l1 = np.abs(rest).sum(axis=-1)
     v[:, mask] = v_s
     v[:, ~mask] = rest * np.divide(budget, l1, out=np.zeros_like(l1), where=l1 > 0)[:, None]
-    # the stacked product gives each row the bits of its own
-    image = (m @ v[..., None])[..., 0]
+    image = _matvec(m, v)
     return (image ** 2).sum(axis=-1) / (m.shape[0] * (v ** 2).sum(axis=-1))
 
 

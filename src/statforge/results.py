@@ -1,5 +1,6 @@
 """Shared result containers (confidence intervals, test reports), row 0 of
-a stacked result, interval multipliers, and file reading."""
+a stacked result, the row-by-row matrix product, interval multipliers, and
+file reading."""
 
 from __future__ import annotations
 
@@ -71,9 +72,16 @@ def _cell(path, n: int, j: int, kind: type, cell: str):
     raise DomainError(f"{path}, line {n}: column {j + 1} must be {noun}, got {cell!r}")
 
 
-def scalar_or_rows(value):
-    """A float for a single sample or fit, the array for a batch of them."""
-    return float(value) if np.ndim(value) == 0 else value
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` row by row: the stacked product gives each row the bits of
+    its own 2-d product, whatever the stack's height."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _number(value):
+    """A 0-d numpy value as a Python number, anything else as it is: the
+    result of a single sample or fit, not of a stack of them."""
+    return value.item() if getattr(value, "ndim", None) == 0 else value
 
 
 def first_row(stack, shared=()):
@@ -99,7 +107,8 @@ def interval_quantile(law: DistributionSpec, delta: float, sides: int = 2) -> fl
 @dataclass(frozen=True)
 class ConfidenceInterval:
     """An interval estimate ``[lo, hi]`` at confidence level ``1 - delta``;
-    ``lo`` and ``hi`` may be arrays of one interval per replicate."""
+    ``lo`` and ``hi`` may be arrays of one interval per replicate. A 0-d
+    numpy bound becomes a Python number."""
 
     lo: float
     hi: float
@@ -107,6 +116,8 @@ class ConfidenceInterval:
     kind: str
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", _number(self.lo))
+        object.__setattr__(self, "hi", _number(self.hi))
         if not np.all(self.lo <= self.hi):
             raise DomainError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
         if not 0.0 < self.level < 1.0:
@@ -133,8 +144,9 @@ class TestReport:
 
     ``p_value`` is the null probability of a statistic at least as extreme
     as the observed one; two-sided conventions are baked in per test and
-    recorded in ``kind``. ``statistic`` and ``p_value`` are arrays when a
-    test runs on a batch of samples.
+    recorded in ``kind``. ``statistic``, ``p_value`` and the ``extras``
+    values are arrays when a test runs on a batch of samples; a 0-d numpy
+    value becomes a Python number.
     """
 
     statistic: float
@@ -144,6 +156,9 @@ class TestReport:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "statistic", _number(self.statistic))
+        object.__setattr__(self, "p_value", _number(self.p_value))
+        object.__setattr__(self, "extras", {k: _number(v) for k, v in self.extras.items()})
         if not np.all((0.0 <= self.p_value) & (self.p_value <= 1.0 + 1e-12)):
             raise DomainError(f"p-value outside [0,1]: {self.p_value}")
 

@@ -292,12 +292,14 @@ class StreamBatch(_Draws):
 
 # -- replicates -------------------------------------------------------------------
 
-# Replicates per block handed to a kernel; bounds the memory of one batch.
+# Most replicates in a block handed to a kernel, and most numbers (rows
+# times width) in a block's arrays: both bound the memory of one batch.
 _REPLICATE_BLOCK = 4096
+_BLOCK_NUMBERS = 1 << 16
 
 
 def replicate(kernel: Callable, n_replicates: int, root: RandomStream,
-              workers: int = 1, block: int = _REPLICATE_BLOCK) -> np.ndarray:
+              workers: int = 1, width: int = 1) -> np.ndarray:
     """Run ``kernel`` over the child streams ``root.split(r)`` of replicates
     ``r = 0 .. n_replicates - 1``, one contiguous block at a time.
 
@@ -305,13 +307,19 @@ def replicate(kernel: Callable, n_replicates: int, root: RandomStream,
     returns an array whose last axis indexes its rows; the blocks' results
     are concatenated along that axis in replicate order. Rows draw exactly
     what ``root.split(r)`` draws, so the result is identical for any worker
-    count; ``workers > 1`` maps the blocks over a process pool, cut small
-    enough that every worker gets one, with no more workers than blocks, and
-    runs a single block in-process. A block holds at most ``block`` replicates.
+    count and any block size; ``workers > 1`` maps the blocks over a process
+    pool, cut small enough that every worker gets one, with no more workers
+    than blocks, and runs a single block in-process.
+
+    ``width`` is how many numbers one replicate's row of the kernel's arrays
+    holds (a fit's observations, say). A block holds at most
+    ``min(4096, max(1, 2**16 // width), ceil(n_replicates / workers))``
+    replicates, so that its ``(rows, width)`` arrays stay small.
     """
     if n_replicates < 1:
         raise DomainError("need at least one replicate")
-    size = min(block, -(-n_replicates // max(workers, 1)))
+    size = min(_REPLICATE_BLOCK, max(1, _BLOCK_NUMBERS // width),
+               -(-n_replicates // max(workers, 1)))
     block = partial(_replicate_block, kernel, root, n_replicates, size)
     starts = range(0, n_replicates, size)
     workers = min(workers, len(starts))

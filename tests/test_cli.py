@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +22,9 @@ from conftest import FAMILIES, PROPERTY
 from statforge import cli
 from statforge import distributions as d
 from statforge import experiments as xp
+from statforge import glm
+from statforge import hypothesis as hyp
+from statforge import regression as reg
 from statforge import rng
 from statforge import stochastic as sto
 from statforge.errors import DomainError
@@ -296,6 +300,33 @@ def _sum_and_normal(stream):
     return stream.uniforms(3).sum(), stream.normals(1)[0]
 
 
+def _block_rows(batch):
+    return np.array([len(batch.ids)])
+
+
+def _block_kernel(name):
+    """A block kernel of an experiment at a small size, and the width its
+    caller passes to ``replicate``."""
+    aux = RandomStream(81)
+    if name in ("glm", "irt"):
+        n = 60
+        design = reg.design_matrix(aux.split(1).normals(n * 2).reshape(n, 2))
+        beta = np.array([0.3, -0.5, 0.8])
+        prob = 1.0 / (1.0 + np.exp(-(design.matrix @ beta)))
+        if name == "glm":
+            return partial(xp._kernel_glm, glm.bernoulli_logit(), design, beta, prob), n
+        bank = glm.IRTItemBank(a=0.5 + aux.split(2).uniforms(15) * 1.5, b=aux.split(3).normals(15))
+        return partial(xp._kernel_irt, bank, 0.5, bank.success_probability(0.5)), 15
+    if name == "wilks-logistic":
+        return partial(hyp._logistic_gaps, 80), 80
+    m = aux.split(4).normals(30 * 10).reshape(30, 10)
+    if name == "lasso-bound":
+        design = reg.DesignMatrix(m, has_intercept=False)
+        beta = np.concatenate([[1.0, 2.0], np.zeros(8)])
+        return partial(xp._kernel_lasso_error, beta, design, 0.1), 30 + 10
+    return partial(reg._cone_ratios, m, np.isin(np.arange(10), [0, 1])), sum(m.shape)
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records the pool size and worker
     initializer asked for and maps in this process."""
@@ -349,11 +380,40 @@ class TestReplicate:
         monkeypatch.setattr(_SerialPool, "initializers", [])
         root = RandomStream(76)
         out = rng.replicate(partial(_scaled_uniform_sums, 1.0), n, root, workers=workers,
-                           block=block)
+                            width=rng._BLOCK_NUMBERS // block)
         assert _SerialPool.sizes == [pool]
         assert _SerialPool.initializers == [rng._one_blas_thread]
         assert out.tobytes() == rng.replicate(partial(_scaled_uniform_sums, 1.0), n,
                                              root).tobytes()
+
+    @pytest.mark.parametrize("width,workers,rows", [
+        (1, 1, 4096), (1, 2, 2501), (40, 1, 1638), (40, 2, 1638),
+        (300, 1, 218), (300, 2, 218), (2000, 1, 32), (2000, 2, 32),
+    ])
+    def test_block_rows_follow_the_row_width(self, monkeypatch, width, workers, rows):
+        monkeypatch.setattr(rng, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        monkeypatch.setattr(_SerialPool, "initializers", [])
+        n = 5001
+        counts = rng.replicate(_block_rows, n, RandomStream(83), workers=workers, width=width)
+        assert counts.tolist() == [rows] * (n // rows) + [n % rows]
+
+    @pytest.mark.parametrize("name", ["glm", "irt", "wilks-logistic", "lasso-bound",
+                                      "cone-ratios"])
+    def test_block_kernels_give_the_same_bits_at_any_block_edges(self, monkeypatch, name):
+        kernel, width = _block_kernel(name)
+        sizes = []
+
+        def counted(batch):
+            sizes.append(len(batch.ids))
+            return kernel(batch)
+        # the kernel's own width gives blocks of 3 rows here, width 1 a single
+        # block, and the whole budget blocks of 1 row
+        monkeypatch.setattr(rng, "_BLOCK_NUMBERS", 3 * width)
+        root = RandomStream(82)
+        outs = [rng.replicate(counted, 7, root, width=w) for w in (width, 1, 3 * width)]
+        assert sizes == [3, 3, 1, 7] + [1] * 7
+        assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
     def test_single_block_runs_in_process(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -588,6 +648,18 @@ class TestCLI:
         capsys.readouterr()
         assert cli.main(["dist", "normal:0,1", "--quantile", "0.975"]) == 0
         assert abs(float(capsys.readouterr().out) - 1.959964) < 1e-5
+
+    @pytest.mark.parametrize("tag,u", [
+        ("exponential:1e-320", "0.5"), ("gamma:1e-320,1", "0.5"), ("lognormal:700,100", "0.99"),
+        ("lognormal:0,1e300", "0.9"), ("geometric:1e-320", "0.5"),
+    ])
+    def test_dist_quantile_past_the_float_range(self, capsys, tag, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["dist", tag, "--quantile", u]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: quantile lies past the float range\n"
+        assert captured.out == ""
 
     def test_dist_bad_tag(self, capsys):
         assert cli.main(["dist", "weibull:1,2", "--pdf", "0.5"]) == 1

@@ -1,6 +1,7 @@
 """Distribution families: closed-form values, numeric invariants, sampling laws."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,16 @@ class TestCdf:
         assert d.dist_cdf(law, -1e10) == pytest.approx(1.0 / (math.pi * 1e10), rel=1e-12)
 
 
+# quantiles past the largest double
+OVERFLOWING_QUANTILES = [
+    (d.Exponential(1e-320), 0.5),
+    (d.Gamma(1e-320, 1.0), 0.5),
+    (d.LogNormal(700.0, 100.0), 0.99),
+    (d.LogNormal(0.0, 1e300), 0.9),
+    (d.Geometric(1e-320), 0.5),
+]
+
+
 class TestQuantile:
     def test_normal_two_sided_975(self):
         assert d.dist_quantile(d.Normal(0.0, 1.0), 0.975) == pytest.approx(1.959964, abs=1e-5)
@@ -227,6 +238,14 @@ class TestQuantile:
         for u in [0.0, 1.0, -0.2, 1.4, math.nan]:
             with pytest.raises(DomainError):
                 d.dist_quantile(d.Normal(0.0, 1.0), u)
+
+    @pytest.mark.parametrize("spec,u", OVERFLOWING_QUANTILES)
+    def test_quantile_past_the_float_range_raises(self, spec, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arg in (u, [0.5 * u, u]):
+                with pytest.raises(DomainError, match="past the float range"):
+                    d.dist_quantile(spec, arg)
 
 
 class TestSampling:

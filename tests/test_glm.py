@@ -12,6 +12,7 @@ from statforge import distributions as d
 from statforge import experiments as xp
 from statforge import glm
 from statforge import regression as reg
+from statforge import rng
 from statforge.errors import (DomainError, NoFiniteMLEError, SeparationError,
                               SingularDesignError)
 from statforge.rng import RandomStream
@@ -274,7 +275,7 @@ class TestGLMFitStack:
 
     def test_stack_at_the_default_chunk(self):
         n = 2000
-        rows = glm.stack_chunk_rows(n) + 3
+        rows = rng._BLOCK_NUMBERS // n + 3
         spec, designs, y = _family_rows("bernoulli", n, rows, RandomStream(511))
         stack = glm.glm_fit_stack(spec, designs, y)
         for r in (0, rows - 4, rows - 3, rows - 1):

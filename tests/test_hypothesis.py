@@ -11,6 +11,7 @@ from statforge import distributions as d
 from statforge import glm
 from statforge import hypothesis as hyp
 from statforge import regression as reg
+from statforge import rng
 from statforge.errors import DegenerateSampleError, DomainError, NestingError
 from statforge.rng import RandomStream, replicate
 
@@ -310,7 +311,7 @@ class TestWilksSimulation:
     ], ids=["None", "64", "161"])
     def test_logistic_statistics_equal_single_fits(self, n, reps, chunk_rows, monkeypatch):
         if chunk_rows is not None:
-            monkeypatch.setattr(glm, "_STACK_CHUNK", chunk_rows * n)
+            monkeypatch.setattr(rng, "_BLOCK_NUMBERS", chunk_rows * n)
         stream = RandomStream(18)
         beta_true = np.array([0.3, 0.5, 0.0, 0.0])
         spec = glm.bernoulli_logit()
@@ -324,8 +325,7 @@ class TestWilksSimulation:
             full = glm.glm_fit(spec, design_full, y)
             null = glm.glm_fit(spec, reg.design_matrix(covariates[:, :1]), y)
             expected[r] = hyp.lrt_generic(full.log_likelihood, null.log_likelihood, 2).statistic
-        gaps = replicate(partial(hyp._logistic_gaps, n), reps, stream,
-                         block=glm.stack_chunk_rows(n))
+        gaps = replicate(partial(hyp._logistic_gaps, n), reps, stream, width=n)
         assert gaps.tobytes() == expected.tobytes()
         res = hyp.wilks_null_simulation("logistic", n=n, replicates=reps, stream=stream)
         assert res.ks_distance == hyp.ks_statistic(expected, d.ChiSquared(2))
