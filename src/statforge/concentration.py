@@ -13,7 +13,7 @@ import numpy as np
 from .distributions import DistributionSpec, dist_sample
 from .errors import DomainError
 from .results import _read_csv, _require_rows
-from .rng import RandomStream
+from .rng import RandomStream, replicate_chunks
 
 __all__ = [
     "Markov", "Chebyshev", "SubGaussian", "SubExponential",
@@ -132,7 +132,7 @@ def tail_bound(kind: TailBoundKind, t: float) -> TailBound:
     ``raw`` is the formula value (possibly > 1); ``clamped`` caps it at 1 so
     it can be read as a probability.
     """
-    if t <= 0:
+    if not t > 0:  # NaN included
         raise DomainError("deviation t must be positive")
     raw = kind.raw(float(t))
     return TailBound(raw=raw, clamped=min(1.0, raw))
@@ -149,9 +149,6 @@ class EmpiricalTail:
     n_samples: int
 
 
-_TAIL_CHUNK = 1 << 20
-
-
 def empirical_tail(
     spec: Union[DistributionSpec, Sequence[DistributionSpec]],
     center: float,
@@ -162,23 +159,25 @@ def empirical_tail(
     """Frequency of ``|X - center| >= t`` per grid point.
 
     ``spec`` may be a sequence of specs, in which case X is the sum of one
-    independent draw from each.
+    independent draw from each. Chunk ``c`` of ``max(1, 2**22 // len(specs))``
+    draws of each spec comes from ``stream.split(c)`` (``rng.replicate_chunks``).
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     specs = [spec] if isinstance(spec, DistributionSpec) else list(spec)
-    counts = np.zeros(t_grid.size, dtype=np.int64)
-    done = 0
-    while done < n_samples:
-        take = min(_TAIL_CHUNK, n_samples - done)
+    if not specs:
+        raise DomainError("need at least one distribution")
+
+    def tail_counts(chunk_stream, take):
         x = np.zeros(take)
         for s in specs:
-            x += dist_sample(s, stream, take)
-        dev = np.sort(np.abs(x - center))
-        # count of dev >= t for each t
-        counts += take - np.searchsorted(dev, t_grid, side="left")
-        done += take
+            x += dist_sample(s, chunk_stream, take)
+        dev = np.sort(np.abs(x - center, out=x))
+        # count of dev >= t for each t, as a column
+        return (take - np.searchsorted(dev, t_grid, side="left"))[:, None]
+
+    counts = replicate_chunks(tail_counts, n_samples, stream, width=len(specs)).sum(axis=-1)
     freq = counts / n_samples
     se = np.sqrt(freq * (1.0 - freq) / n_samples)
     return EmpiricalTail(t_grid=t_grid, frequency=freq, standard_error=se,

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, UndefinedMomentError
-from .rng import RandomStream
+from .rng import _CHUNK_NUMBERS, RandomStream
 
 __all__ = [
     "Normal", "LogNormal", "Gamma", "ChiSquared", "StudentT", "FisherF",
@@ -540,7 +540,7 @@ class Binomial(DistributionSpec):
 
     def _sample(self, stream, count):
         out = np.zeros(count)
-        chunk = max(1, (1 << 24) // max(1, self.n))
+        chunk = max(1, _CHUNK_NUMBERS // max(1, self.n))
         for start in range(0, count, chunk):
             stop = min(start + chunk, count)
             u = stream.uniforms((stop - start) * self.n)

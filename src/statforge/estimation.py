@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy import special as sp
 from .distributions import DistributionSpec, Normal, StudentT, dist_sample
 from .errors import ConvergenceError, DegenerateSampleError, DomainError
 from .results import ConfidenceInterval, _read_csv, interval_quantile
-from .rng import RandomStream
+from .rng import RandomStream, replicate_chunks
 
 __all__ = [
     "VarianceFamilyEstimate", "variance_family", "variance_bias", "variance_mse",
@@ -404,6 +405,29 @@ def conjugate_update(prior: PosteriorSpec, **data) -> PosteriorSpec:
 
 
 @dataclass(frozen=True)
+class MCEstimate:
+    estimate: float
+    standard_error: float
+    n_paths: int
+
+
+def _chunked_mean(sample: Callable, n: int, stream: RandomStream, workers: int = 1,
+                  width: int = 1) -> MCEstimate:
+    """Mean and standard error of ``n`` values drawn as ``sample(stream.split(c), take)``
+    per chunk ``c``; the chunks' squared deviations from their own means join exactly
+    (Chan, Golub and LeVeque), so the variance keeps its digits under a large mean."""
+    counts, sums, m2 = replicate_chunks(partial(_chunk_moments, sample), n, stream, workers, width)
+    mean = math.fsum(sums) / n
+    var = math.fsum(m2 + counts * (sums / counts - mean) ** 2) / (n - 1) if n > 1 else math.inf
+    return MCEstimate(estimate=mean, standard_error=math.sqrt(var / n), n_paths=n)
+
+
+def _chunk_moments(sample: Callable, stream: RandomStream, take: int) -> np.ndarray:
+    values = sample(stream, take)
+    return np.array([[take], [values.sum()], [((values - values.mean()) ** 2).sum()]])
+
+
+@dataclass(frozen=True)
 class MonteCarloMean:
     estimate: float
     standard_deviation: float
@@ -420,24 +444,30 @@ def monte_carlo_mean(f: Callable, spec, n: int, delta: float,
     would require with and without appeal to asymptotic normality.
 
     ``spec`` may be a sequence of specs; ``f`` then receives an (n, d) array.
+    Chunk ``c`` of ``max(1, 2**22 // d)`` draws comes from ``stream.split(c)``.
     """
     if n < 2:
         raise DegenerateSampleError("need n >= 2 draws")
+    specs = [spec] if isinstance(spec, DistributionSpec) else list(spec)
+    if not specs:
+        raise DomainError("need at least one distribution")
     z = interval_quantile(_STD_NORMAL, delta)
-    if isinstance(spec, DistributionSpec):
-        draws = dist_sample(spec, stream, n)
-    else:
-        draws = np.column_stack([dist_sample(s, stream, n) for s in spec])
-    values = np.asarray(f(draws), dtype=float)
-    if values.shape != (n,):
-        raise DomainError("evaluator must return one value per draw")
-    estimate = float(values.mean())
-    sd = float(values.std(ddof=1))
+
+    def sample(chunk_stream, take):
+        draws = [dist_sample(s, chunk_stream, take) for s in specs]
+        draws = draws[0] if isinstance(spec, DistributionSpec) else np.column_stack(draws)
+        values = np.asarray(f(draws), dtype=float)
+        if values.shape != (take,):
+            raise DomainError("evaluator must return one value per draw")
+        return values
+
+    mc = _chunked_mean(sample, n, stream, width=len(specs))
+    sd = mc.standard_error * math.sqrt(n)
     degenerate = sd == 0.0
-    half = z * sd / math.sqrt(n)
-    ci = ConfidenceInterval(estimate - half, estimate + half, 1.0 - delta,
+    half = z * mc.standard_error
+    ci = ConfidenceInterval(mc.estimate - half, mc.estimate + half, 1.0 - delta,
                             "monte_carlo_clt")
     n_cheb = sd ** 2 / (delta * epsilon ** 2)
     n_clt = 2.0 * math.log(1.0 / delta) * sd ** 2 / epsilon ** 2
-    return MonteCarloMean(estimate=estimate, standard_deviation=sd, ci=ci,
+    return MonteCarloMean(estimate=mc.estimate, standard_deviation=sd, ci=ci,
                           n_chebyshev=n_cheb, n_clt=n_clt, degenerate=degenerate)

@@ -214,8 +214,7 @@ def _run_mse_variance(p, root, workers):
     n, reps, sigma2 = p["n"], p["replicates"], 1.0
     if n < 2:
         raise DomainError(f"key 'n' must be at least 2, got {n}")
-    ss = replicate_chunks(partial(_sum_squares, n), reps, max(1, (1 << 22) // n), root,
-                          workers)
+    ss = replicate_chunks(partial(_sum_squares, n), reps, root, workers, width=n)
     cs = [1.0 / (n + 1), 1.0 / n, 1.0 / (n - 1)]
     labels = ["c_over_n_plus_1", "c_over_n", "c_over_n_minus_1"]
     metrics = []

@@ -166,7 +166,7 @@ def wilks_null_simulation(scenario: str, n: int, replicates: int,
     same result for any number of ``workers``. The logistic scenario draws
     replicate ``r`` from ``stream.split(r)`` and fits each block's full and
     null models as stacks through :func:`statforge.glm.glm_fit_stack`; ``z``
-    and ``t`` draw chunk ``c`` of ``2**22 // n`` samples from ``stream.split(c)``
+    and ``t`` draw chunk ``c`` of ``max(1, 2**22 // n)`` samples from ``stream.split(c)``
     and test them as one stack through :func:`lrt_mean`.
     """
     if replicates < 100:
@@ -176,8 +176,8 @@ def wilks_null_simulation(scenario: str, n: int, replicates: int,
         min_n = 1 if known else 2
         if n < min_n:
             raise DomainError(f"n must be >= {min_n}")
-        stats = replicate_chunks(partial(_normal_lrts, n, known), replicates,
-                                 max(1, (1 << 22) // n), stream, workers)
+        stats = replicate_chunks(partial(_normal_lrts, n, known), replicates, stream,
+                                 workers, width=n)
         df = 1
     elif scenario == "logistic":
         stats = replicate(partial(_logistic_gaps, n), replicates, stream, workers, width=n)

@@ -16,6 +16,7 @@ process pool; :func:`replicate_chunks` makes each replicate one chunk of a long 
 from __future__ import annotations
 
 import ctypes
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -292,10 +293,12 @@ class StreamBatch(_Draws):
 
 # -- replicates -------------------------------------------------------------------
 
-# Most replicates in a block handed to a kernel, and most numbers (rows
-# times width) in a block's arrays: both bound the memory of one batch.
+# Most replicates in a block handed to a kernel, most numbers (rows times
+# width) in a block's arrays, and most numbers (items times width) in a chunk
+# of a long sample: each bounds the memory of one batch.
 _REPLICATE_BLOCK = 4096
 _BLOCK_NUMBERS = 1 << 16
+_CHUNK_NUMBERS = 1 << 22
 
 
 def replicate(kernel: Callable, n_replicates: int, root: RandomStream,
@@ -309,7 +312,8 @@ def replicate(kernel: Callable, n_replicates: int, root: RandomStream,
     what ``root.split(r)`` draws, so the result is identical for any worker
     count and any block size; ``workers > 1`` maps the blocks over a process
     pool, cut small enough that every worker gets one, with no more workers
-    than blocks, and runs a single block in-process.
+    than blocks or than the CPUs this process may use, and runs in-process
+    when that leaves one worker.
 
     ``width`` is how many numbers one replicate's row of the kernel's arrays
     holds (a fit's observations, say). A block holds at most
@@ -322,13 +326,20 @@ def replicate(kernel: Callable, n_replicates: int, root: RandomStream,
                -(-n_replicates // max(workers, 1)))
     block = partial(_replicate_block, kernel, root, n_replicates, size)
     starts = range(0, n_replicates, size)
-    workers = min(workers, len(starts))
+    workers = min(workers, len(starts), _usable_cpus())
     if workers <= 1:
         parts = [block(start) for start in starts]
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             parts = list(pool.map(block, starts))
     return np.concatenate(parts, axis=-1)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # The OpenBLAS builds bundled with numpy and scipy, and the call that sets
@@ -361,10 +372,12 @@ def _each_row(task: Callable, batch) -> np.ndarray:
     return np.stack([task(stream) for stream in batch], axis=-1)
 
 
-def replicate_chunks(task: Callable, total: int, chunk: int, root: RandomStream,
-                     workers: int = 1) -> np.ndarray:
+def replicate_chunks(task: Callable, total: int, root: RandomStream,
+                     workers: int = 1, width: int = 1) -> np.ndarray:
     """:func:`replicate` with one row per chunk of ``total`` items: row ``c`` runs
-    ``task(root.split(c), min(chunk, total - c * chunk))``; results join along the last axis."""
+    ``task(root.split(c), take)``; results join along the last axis. A chunk holds
+    ``max(1, 2**22 // width)`` items of ``width`` numbers each, the last the rest."""
+    chunk = max(1, _CHUNK_NUMBERS // width)
     return replicate(partial(_each_chunk, task, total, chunk), -(-total // chunk), root,
                      workers)
 

@@ -13,6 +13,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError
+from .estimation import MCEstimate, _chunked_mean
 from .rng import RandomStream, replicate_chunks
 
 __all__ = [
@@ -23,10 +24,6 @@ __all__ = [
     "GaussianConcentrationResult", "gaussian_concentration_experiment",
     "write_path_csv",
 ]
-
-# Fixed fan-out unit for path-chunked Monte Carlo; results depend on this
-# constant and the seed only, never on worker count.
-PATH_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -175,13 +172,6 @@ def gbm_sample(mu: float, sigma: float, s0: float, grid: TimeGrid,
 # -- path-integral Monte Carlo ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    estimate: float
-    standard_error: float
-    n_paths: int
-
-
 def feynman_kac_mc(potential: Callable, payoff: Callable, t: float, x0,
                    dim: int, n_paths: int, steps: int,
                    stream: RandomStream, workers: int = 1) -> MCEstimate:
@@ -190,10 +180,10 @@ def feynman_kac_mc(potential: Callable, payoff: Callable, t: float, x0,
 
     The time integral uses the left-endpoint rule on the simulation grid,
     matching the adapted convention of the stochastic integral; its
-    discretization bias is O(mesh). Paths are generated in fixed-size
-    chunks, chunk ``c`` from ``stream.split(c)``, so the estimate is the
-    same for any number of ``workers``; with more than one, ``potential``
-    and ``payoff`` must pickle (module-level functions, not lambdas).
+    discretization bias is O(mesh). Chunk ``c`` of ``max(1, 2**22 // (steps * dim))``
+    paths comes from ``stream.split(c)``, so the estimate is the same for any
+    number of ``workers``; with more than one, ``potential`` and ``payoff``
+    must pickle (module-level functions, not lambdas).
     """
     if steps < 1:
         raise DomainError("need at least one step")
@@ -205,7 +195,7 @@ def feynman_kac_mc(potential: Callable, payoff: Callable, t: float, x0,
         raise DomainError("time horizon must be positive")
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (dim,))
     sample = partial(_feynman_kac_values, potential, payoff, t, x0, dim, steps)
-    return _chunked_mean(sample, n_paths, stream, workers)
+    return _chunked_mean(sample, n_paths, stream, workers, width=steps * dim)
 
 
 def _feynman_kac_values(potential, payoff, t, x0, dim, steps, stream, take):
@@ -220,25 +210,6 @@ def _feynman_kac_values(potential, payoff, t, x0, dim, steps, stream, take):
         integral += np.asarray(potential(paths[:, j, :]), dtype=float)
     integral *= dt
     return np.exp(-integral) * np.asarray(payoff(paths[:, -1, :]), dtype=float)
-
-
-def _chunked_mean(sample: Callable, n_paths: int, stream: RandomStream, workers: int) -> MCEstimate:
-    """Mean and standard error of ``n_paths`` values drawn in chunks of
-    ``PATH_CHUNK``, chunk ``c`` as ``sample(stream.split(c), chunk_size)``."""
-    sums, sums_sq = replicate_chunks(partial(_chunk_sums, sample), n_paths, PATH_CHUNK,
-                                     stream, workers)
-    mean = math.fsum(sums) / n_paths
-    if n_paths > 1:
-        var = max(0.0, (math.fsum(sums_sq) - n_paths * mean * mean) / (n_paths - 1))
-        se = math.sqrt(var / n_paths)
-    else:
-        se = math.inf
-    return MCEstimate(estimate=mean, standard_error=se, n_paths=n_paths)
-
-
-def _chunk_sums(sample: Callable, stream: RandomStream, take: int) -> np.ndarray:
-    values = sample(stream, take)
-    return np.array([[values.sum()], [(values ** 2).sum()]])
 
 
 # -- option pricing -----------------------------------------------------------------
@@ -327,7 +298,7 @@ def bs_mc_price(params: BSParams, n_paths: int, stream: RandomStream,
                 workers: int = 1) -> MCEstimate:
     """Discounted expected payoff under growth at the risk-free rate,
     sampling the terminal asset value exactly (one lognormal draw per
-    path); paths are chunked as in :func:`feynman_kac_mc`."""
+    path); chunk ``c`` of ``2**22`` paths comes from ``stream.split(c)``."""
     if n_paths < 2:
         raise DomainError("need at least two paths")
     tau = params.time_left
@@ -399,7 +370,7 @@ def gaussian_concentration_experiment(func_tag: str, k: int, n_samples: int,
     """Tail frequency of a Lipschitz functional of a standard normal vector
     against the dimension-free bound ``2 exp(-tau^2 / (2 L^2))``.
 
-    Chunk ``c`` of ``2**23 // k`` vectors comes from ``stream.split(c)``.
+    Chunk ``c`` of ``max(1, 2**22 // k)`` vectors comes from ``stream.split(c)``.
     Centering uses the empirical mean of the functional values; the exact
     mean is generally unavailable and the centering error is far below the
     Monte Carlo resolution at these sample sizes.
@@ -410,8 +381,8 @@ def gaussian_concentration_experiment(func_tag: str, k: int, n_samples: int,
         raise DomainError("need k >= 1 and n_samples >= 1")
     lipschitz = _FUNCTIONALS[func_tag][1]
     tau_grid = np.sort(np.asarray(tau_grid, dtype=float))
-    values = replicate_chunks(partial(_functional_values, func_tag, k), n_samples,
-                              max(1, (1 << 23) // k), stream, workers)
+    values = replicate_chunks(partial(_functional_values, func_tag, k), n_samples, stream,
+                              workers, width=k)
     center = float(values.mean())
     deviations = np.sort(np.abs(values - center))
     counts = n_samples - np.searchsorted(deviations, tau_grid, side="right")

@@ -26,7 +26,6 @@ from statforge import glm
 from statforge import hypothesis as hyp
 from statforge import regression as reg
 from statforge import rng
-from statforge import stochastic as sto
 from statforge.errors import DomainError
 from statforge.rng import RandomStream
 
@@ -133,6 +132,12 @@ def _config_values(key, kind):
     return st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _two_chunks(width):
+    """Items of ``width`` numbers each that make two chunks of
+    ``rng.replicate_chunks``, the second partial."""
+    return rng._CHUNK_NUMBERS // width + 7
+
+
 # every experiment that spreads its work over ``--workers``, with small sizes
 _WORKER_CASES = [
     ("bayes", {"replicates": 300}),
@@ -152,11 +157,12 @@ _WORKER_CASES = [
     ("er", {"n_vertices": 60, "graphs": 8, "c_low": 0.3, "c_high": 3.0}),
     ("lasso-bound", {"replicates": 8, "re_probes": 100}),
     # two chunks each, the second partial, so that it lands on the second worker
-    ("feynman-kac", {"paths": sto.PATH_CHUNK + 7, "paths_control": 500, "steps": 3}),
-    ("bs-price", {"paths": sto.PATH_CHUNK + 7}),
-    ("gauss-conc", {"k": 100, "samples": (1 << 23) // 100 + 5}),
-    ("mse-variance", {"replicates": (1 << 22) // 10 + 7}),
+    ("feynman-kac", {"paths": _two_chunks(3), "paths_control": 500, "steps": 3}),
+    ("bs-price", {"paths": _two_chunks(1)}),
+    ("gauss-conc", {"k": 100, "samples": _two_chunks(100)}),
+    ("mse-variance", {"replicates": _two_chunks(10)}),
 ]
+_CHUNKED_CASES = ["feynman-kac", "bs-price", "gauss-conc", "mse-variance"]
 
 
 # The first 12 hex digits of each case's report digest at seed 9. A change
@@ -178,15 +184,31 @@ _DIGEST_PINS = {
     "jl": "8fe1b5c25fc5",
     "er": "51a84e00bac5",
     "lasso-bound": "30fee58d80cf",
-    "feynman-kac": "3a041ada7344",
-    "bs-price": "a16eaf1c59d8",
-    "gauss-conc": "920646eab662",
+    "feynman-kac": "d50b8fefec4c",
+    "bs-price": "aa88995452c8",
+    "gauss-conc": "021577f73f9f",
     "mse-variance": "e356cdac1ac2",
 }
 
 
 def test_worker_cases_cover_every_replicated_experiment():
     assert {tag for tag, _ in _WORKER_CASES} == set(xp.EXPERIMENTS) == set(_DIGEST_PINS)
+
+
+@pytest.mark.parametrize("tag", _CHUNKED_CASES)
+def test_chunked_worker_cases_span_two_chunks(monkeypatch, tag):
+    # the case's longest sample: one full chunk and a partial one
+    seen = []
+    each_chunk = rng._each_chunk
+
+    def recorded(task, total, chunk, batch):
+        seen.append((total, chunk))
+        return each_chunk(task, total, chunk, batch)
+    monkeypatch.setattr(rng, "_each_chunk", recorded)
+    xp.run_experiment(xp.ExperimentConfig(experiment=tag, seed=9,
+                                          params=dict(_WORKER_CASES)[tag]))
+    total, chunk = max(seen)
+    assert chunk < total < 2 * chunk
 
 
 class TestEnvelope:
@@ -304,6 +326,10 @@ def _block_rows(batch):
     return np.array([len(batch.ids)])
 
 
+def _chunk_items(stream, take):
+    return np.array([take])
+
+
 def _block_kernel(name):
     """A block kernel of an experiment at a small size, and the width its
     caller passes to ``replicate``."""
@@ -375,6 +401,7 @@ class TestReplicate:
         (20, 4, 2, 4),
     ])
     def test_pool_has_no_more_workers_than_blocks(self, monkeypatch, n, workers, block, pool):
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: 8)
         monkeypatch.setattr(rng, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(_SerialPool, "sizes", [])
         monkeypatch.setattr(_SerialPool, "initializers", [])
@@ -385,6 +412,30 @@ class TestReplicate:
         assert _SerialPool.initializers == [rng._one_blas_thread]
         assert out.tobytes() == rng.replicate(partial(_scaled_uniform_sums, 1.0), n,
                                              root).tobytes()
+
+    @pytest.mark.parametrize("cpus,pools", [(2, [2]), (1, [])])
+    def test_pool_has_no_more_workers_than_cpus(self, monkeypatch, cpus, pools):
+        # 1000 workers cut 20 replicates into 20 blocks; one CPU runs them in-process
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(rng, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        monkeypatch.setattr(_SerialPool, "initializers", [])
+        root = RandomStream(84)
+        kernel = partial(_scaled_uniform_sums, 1.0)
+        out = rng.replicate(kernel, 20, root, workers=1000)
+        assert _SerialPool.sizes == pools
+        assert out.tobytes() == rng.replicate(kernel, 20, root).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("width,chunk", [(1, 4_194_304), (3, 1_398_101), (100, 41_943),
+                                             (300, 13_981)])
+    def test_chunk_items_follow_the_item_width(self, monkeypatch, width, chunk, workers):
+        monkeypatch.setattr(rng, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        monkeypatch.setattr(_SerialPool, "initializers", [])
+        total = 9_000_001
+        takes = rng.replicate_chunks(_chunk_items, total, RandomStream(85), workers, width)
+        assert takes.tolist() == [chunk] * (total // chunk) + [total % chunk]
 
     @pytest.mark.parametrize("width,workers,rows", [
         (1, 1, 4096), (1, 2, 2501), (40, 1, 1638), (40, 2, 1638),

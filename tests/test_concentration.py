@@ -8,6 +8,7 @@ from scipy import stats
 
 from statforge import concentration as con
 from statforge import distributions as d
+from statforge import rng
 from statforge.errors import DomainError
 from statforge.rng import RandomStream
 
@@ -49,8 +50,32 @@ class TestTailBoundFormulas:
         with pytest.raises(DomainError):
             con.tail_bound(con.Markov(1.0), -1.0)
 
+    def test_nan_deviation_rejected(self):
+        with pytest.raises(DomainError, match="deviation t must be positive"):
+            con.tail_bound(con.SubGaussian(1.0), math.nan)
+
 
 class TestEmpiricalTail:
+    @pytest.mark.parametrize("specs", [[d.Normal(0.0, 1.0)], [d.Uniform01(), d.Exponential(2.0)]])
+    def test_counts_come_from_split_stream_chunks(self, monkeypatch, specs):
+        # chunks of 1000 // len(specs) draws, the last one partial
+        monkeypatch.setattr(rng, "_CHUNK_NUMBERS", 1000)
+        chunk, n = 1000 // len(specs), 2300
+        center, grid = 0.4, np.array([0.0, 0.3, 1.0, 2.5])
+        root = RandomStream(64)
+        counts = np.zeros(grid.size, dtype=np.int64)
+        for c, take in enumerate([chunk] * (n // chunk) + [n % chunk]):
+            stream = root.split(c)
+            x = sum(d.dist_sample(s, stream, take) for s in specs)
+            counts += (np.abs(x - center)[:, None] >= grid).sum(axis=0)
+        spec = specs[0] if len(specs) == 1 else specs
+        res = con.empirical_tail(spec, center, grid, n, root)
+        assert np.array_equal(res.frequency, counts / n)
+
+    def test_no_distribution(self, stream):
+        with pytest.raises(DomainError, match="need at least one distribution"):
+            con.empirical_tail([], 0.5, [0.1, 1.0], 1000, stream)
+
     def test_zero_deviation_has_frequency_one(self, stream):
         res = con.empirical_tail(d.Normal(0.0, 1.0), 0.0, [0.0, 1.0], 10_000, stream)
         assert res.frequency[0] == 1.0

@@ -393,6 +393,10 @@ class TestMonteCarloMean:
         assert res.degenerate
         assert res.ci.half_width == 0.0
 
+    def test_no_distribution(self, stream):
+        with pytest.raises(DomainError, match="need at least one distribution"):
+            est.monte_carlo_mean(lambda x: x.sum(axis=1), [], 1000, 0.05, stream)
+
     def test_symmetric_indicator(self, stream):
         res = est.monte_carlo_mean(lambda xy: (xy[:, 0] < xy[:, 1]).astype(float),
                                    [d.Uniform01(), d.Uniform01()],

@@ -8,7 +8,9 @@ import pytest
 from scipy import integrate
 
 from statforge import distributions as d
+from statforge import rng
 from statforge import stochastic as sto
+from statforge.estimation import monte_carlo_mean
 from statforge.errors import DomainError
 from statforge.rng import RandomStream
 
@@ -252,19 +254,34 @@ class TestFeynmanKac:
         assert abs(res.estimate) <= math.exp(-0.3 * 2.0) + 4.0 * res.standard_error
 
     def test_reduces_to_plain_monte_carlo(self):
-        from statforge.estimation import monte_carlo_mean
-
+        # one step of variance 4 is a Normal(0, 4) draw, chunked alike
         root = RandomStream(10)
         n = 5000
         res = sto.feynman_kac_mc(lambda x: np.zeros(len(x)),
                                  lambda x: x[:, 0] ** 2, 4.0, 0.0, 1,
                                  n, 1, root)
-        twin = monte_carlo_mean(lambda x: x ** 2, d.Normal(0.0, 4.0), n, 0.05,
-                                root.split(0))
+        twin = monte_carlo_mean(lambda x: x ** 2, d.Normal(0.0, 4.0), n, 0.05, root)
         assert res.estimate == twin.estimate
+        assert res.standard_error * math.sqrt(n) == twin.standard_deviation
 
-    @pytest.mark.parametrize("dim,n_paths,steps", [(1, 1001, 3), (2, sto.PATH_CHUNK + 7, 5)])
-    def test_equals_out_of_place_paths_bitwise(self, dim, n_paths, steps):
+    def test_standard_error_is_stable_under_an_offset(self, monkeypatch):
+        # chunks of 4096 paths, so that the chunks' means are joined too
+        monkeypatch.setattr(rng, "_CHUNK_NUMBERS", 4096)
+        n = 50_000
+        errors = [sto.feynman_kac_mc(lambda x: np.zeros(len(x)), lambda x: c + x[:, 0], 1.0,
+                                     0.0, 1, n, 1, RandomStream(14)).standard_error
+                  for c in (0.0, 1e8)]
+        assert errors[1] == pytest.approx(errors[0], rel=1e-9)
+        deviations = [monte_carlo_mean(lambda x: c + x, d.Normal(0.0, 1.0), n, 0.05,
+                                       RandomStream(14)).standard_deviation
+                      for c in (0.0, 1e8)]
+        assert deviations[1] == pytest.approx(deviations[0], rel=1e-9)
+
+    @pytest.mark.parametrize("dim,n_paths,steps", [(1, 1001, 3), (2, 65_543, 5)])
+    def test_equals_out_of_place_paths_bitwise(self, monkeypatch, dim, n_paths, steps):
+        # chunks of 65,536 paths: one chunk, and a full chunk and one of 7
+        monkeypatch.setattr(rng, "_CHUNK_NUMBERS", (1 << 16) * steps * dim)
+        chunk = rng._CHUNK_NUMBERS // (steps * dim)
         x0 = np.array([0.3, -0.2])[:dim]
         potential = lambda x: (x ** 2).sum(axis=1)
         payoff = lambda x: np.cos(x[:, 0])
@@ -273,9 +290,9 @@ class TestFeynmanKac:
         # chunk c of the paths from root.split(c), each path from scaled,
         # summed and shifted copies of its normals
         dt = 0.8 / steps
-        sums, sums_sq = [], []
-        for c, start in enumerate(range(0, n_paths, sto.PATH_CHUNK)):
-            take = min(sto.PATH_CHUNK, n_paths - start)
+        takes, sums, m2 = [], [], []
+        for c, start in enumerate(range(0, n_paths, chunk)):
+            take = min(chunk, n_paths - start)
             z = root.split(c).normals(take * steps * dim).reshape(take, steps, dim)
             paths = np.cumsum(z * math.sqrt(dt), axis=1) + x0
             integral = potential(np.broadcast_to(x0, (take, dim))).copy()
@@ -283,10 +300,13 @@ class TestFeynmanKac:
                 integral += potential(paths[:, j, :])
             integral *= dt
             values = np.exp(-integral) * payoff(paths[:, -1, :])
+            takes.append(take)
             sums.append(float(values.sum()))
-            sums_sq.append(float((values ** 2).sum()))
+            m2.append(float(((values - values.sum() / take) ** 2).sum()))
+        assert takes == [chunk] * (n_paths // chunk) + [n_paths % chunk]
         mean = math.fsum(sums) / n_paths
-        var = (math.fsum(sums_sq) - n_paths * mean * mean) / (n_paths - 1)
+        var = math.fsum(q + t * (s / t - mean) ** 2
+                        for t, s, q in zip(takes, sums, m2)) / (n_paths - 1)
         assert res.estimate == mean
         assert res.standard_error == math.sqrt(var / n_paths)
 
@@ -407,12 +427,15 @@ class TestGaussianConcentration:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunks_come_from_split_streams(self, workers):
-        # 100,000 samples of k = 100 make two chunks of 2**23 // 100 = 83,886
-        k, n, chunk = 100, 100_000, (1 << 23) // 100
+        # 100,000 samples of k = 100 make two chunks of 2**22 // 100 = 41,943
+        # and a partial third
+        k, n = 100, 100_000
+        chunk = rng._CHUNK_NUMBERS // k
         root = RandomStream(21)
+        takes = [chunk] * (n // chunk) + [n % chunk]
         values = np.concatenate([
             np.sqrt((root.split(c).normals(take * k).reshape(take, k) ** 2).sum(axis=1))
-            for c, take in enumerate((chunk, n - chunk))])
+            for c, take in enumerate(takes)])
         grid = np.linspace(0.0, 4.0, 9)
         res = sto.gaussian_concentration_experiment("norm", k, n, grid, root, workers)
         assert res.center == values.mean()
