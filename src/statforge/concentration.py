@@ -159,8 +159,9 @@ def empirical_tail(
     """Frequency of ``|X - center| >= t`` per grid point.
 
     ``spec`` may be a sequence of specs, in which case X is the sum of one
-    independent draw from each. Chunk ``c`` of ``max(1, 2**22 // len(specs))``
-    draws of each spec comes from ``stream.split(c)`` (``rng.replicate_chunks``).
+    independent draw from each. Chunk ``c`` of ``max(1, 2**22 // (len(specs) + 2))``
+    draws of each spec comes from ``stream.split(c)`` (``rng.replicate_chunks``):
+    an item holds the sum, each spec's value and the sort's copy.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
@@ -177,7 +178,8 @@ def empirical_tail(
         # count of dev >= t for each t, as a column
         return (take - np.searchsorted(dev, t_grid, side="left"))[:, None]
 
-    counts = replicate_chunks(tail_counts, n_samples, stream, width=len(specs)).sum(axis=-1)
+    counts = replicate_chunks(tail_counts, n_samples, stream,
+                              width=len(specs) + 2).sum(axis=-1)
     freq = counts / n_samples
     se = np.sqrt(freq * (1.0 - freq) / n_samples)
     return EmpiricalTail(t_grid=t_grid, frequency=freq, standard_error=se,

@@ -25,6 +25,7 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import concentration as con
 from . import distributions as d
@@ -583,10 +584,15 @@ def _run_gauss_conc(p, root, workers):
                                                 grid, _aux(root, 1), workers)
     excess = res.empirical - (res.bound + 3.0 * res.standard_error)
     # The excess peaks at the last grid point at every seed (-2 exp(-8) at
-    # tau = 4); the centre is a function of every draw.
+    # tau = 4), so the tail bound cannot tell a wrong law. The centre can:
+    # E||X|| = sqrt(2) Gamma((k + 1) / 2) / Gamma(k / 2) for X ~ N(0, I_k).
+    exact = math.sqrt(2.0) * math.exp(gammaln((p["k"] + 1) / 2.0) - gammaln(p["k"] / 2.0))
+    se = res.center_standard_error
     return [_at_most("max_excess_over_bound", float(excess.max()), 0.0,
                      method="lipschitz_tail_bound"),
-            Metric(name="functional_mean", value=res.center, method="empirical_center")]
+            Metric(name="functional_mean", value=res.center, method="empirical_center"),
+            _within("exact_norm_mean", res.center, exact, 4.0 * se,
+                    method="chi_mean", se=se)]
 
 
 def _kernel_js_loss(dim, batch):

@@ -286,6 +286,13 @@ def glm_fit_stack(spec: ExpFamilySpec, design, y) -> GLMFit:
         raise DomainError("response length must match the design")
     spec.validate_y(y)
     require_full_rank(m)
+    return _fit_full_rank(spec, m, y, has_intercept)
+
+
+def _fit_full_rank(spec: ExpFamilySpec, m: np.ndarray, y: np.ndarray,
+                   has_intercept: bool) -> GLMFit:
+    """:func:`glm_fit_stack`'s scoring, on a contiguous ``m`` whose rank and
+    responses ``y`` have already been checked."""
     beta, mu, info, iterations, ll, trace = _scoring(
         spec, m, y, spec.start(m, y, has_intercept))
     return GLMFit(beta=beta, mu=mu, fisher_info=info,

@@ -26,6 +26,7 @@ from statforge import glm
 from statforge import hypothesis as hyp
 from statforge import regression as reg
 from statforge import rng
+from statforge import stochastic as sto
 from statforge.errors import DomainError
 from statforge.rng import RandomStream
 
@@ -159,7 +160,7 @@ _WORKER_CASES = [
     # two chunks each, the second partial, so that it lands on the second worker
     ("feynman-kac", {"paths": _two_chunks(3), "paths_control": 500, "steps": 3}),
     ("bs-price", {"paths": _two_chunks(1)}),
-    ("gauss-conc", {"k": 100, "samples": _two_chunks(100)}),
+    ("gauss-conc", {"k": 100, "samples": _two_chunks(sto._DRAW_WIDTH)}),
     ("mse-variance", {"replicates": _two_chunks(10)}),
 ]
 _CHUNKED_CASES = ["feynman-kac", "bs-price", "gauss-conc", "mse-variance"]
@@ -186,7 +187,7 @@ _DIGEST_PINS = {
     "lasso-bound": "30fee58d80cf",
     "feynman-kac": "d50b8fefec4c",
     "bs-price": "aa88995452c8",
-    "gauss-conc": "021577f73f9f",
+    "gauss-conc": "7743c89068e6",
     "mse-variance": "e356cdac1ac2",
 }
 
@@ -240,6 +241,21 @@ class TestEnvelope:
             experiment="gauss-conc", seed=seed, params={"samples": 2000, "k": 10})).metrics]
             for seed in (5, 6)]
         assert values[0] != values[1]
+
+    def test_gauss_conc_centre_fails_under_a_wrong_law(self, monkeypatch):
+        # norms drawn from chi_{k+1} in place of chi_k: E chi_101 - E chi_100 is
+        # about 0.0499, some 18 standard errors at 65,536 samples in expectation
+        def wrong_norms(func_tag, k, stream, take):
+            return np.sqrt(d.dist_sample(d.ChiSquared(k + 1), stream, take))
+        config = xp.ExperimentConfig(experiment="gauss-conc", seed=20260810,
+                                     params={"samples": 65_536})
+        assert xp.run_experiment(config).passed
+        monkeypatch.setattr(sto, "_functional_values", wrong_norms)
+        metrics = {m.name: m for m in xp.run_experiment(config).metrics}
+        assert metrics["max_excess_over_bound"].passed
+        gate = metrics["exact_norm_mean"]
+        assert not gate.passed
+        assert (gate.value - gate.target) / gate.se > 15.0
 
     def test_every_metric_carries_method_tag(self):
         env = xp.run_experiment(xp.ExperimentConfig(

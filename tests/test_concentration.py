@@ -58,9 +58,9 @@ class TestTailBoundFormulas:
 class TestEmpiricalTail:
     @pytest.mark.parametrize("specs", [[d.Normal(0.0, 1.0)], [d.Uniform01(), d.Exponential(2.0)]])
     def test_counts_come_from_split_stream_chunks(self, monkeypatch, specs):
-        # chunks of 1000 // len(specs) draws, the last one partial
+        # chunks of 1000 // (len(specs) + 2) draws, the last one partial
         monkeypatch.setattr(rng, "_CHUNK_NUMBERS", 1000)
-        chunk, n = 1000 // len(specs), 2300
+        chunk, n = 1000 // (len(specs) + 2), 2300
         center, grid = 0.4, np.array([0.0, 0.3, 1.0, 2.5])
         root = RandomStream(64)
         counts = np.zeros(grid.size, dtype=np.int64)

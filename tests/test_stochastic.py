@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special, stats
 
 from statforge import distributions as d
 from statforge import rng
@@ -427,20 +427,47 @@ class TestGaussianConcentration:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunks_come_from_split_streams(self, workers):
-        # 100,000 samples of k = 100 make two chunks of 2**22 // 100 = 41,943
-        # and a partial third
-        k, n = 100, 100_000
-        chunk = rng._CHUNK_NUMBERS // k
+        # 1,000,000 samples make two chunks of 2**22 // 10 = 419,430 and a
+        # partial third; each norm is the root of one chi-squared draw
+        k, n = 100, 1_000_000
+        chunk = rng._CHUNK_NUMBERS // sto._DRAW_WIDTH
         root = RandomStream(21)
         takes = [chunk] * (n // chunk) + [n % chunk]
-        values = np.concatenate([
-            np.sqrt((root.split(c).normals(take * k).reshape(take, k) ** 2).sum(axis=1))
-            for c, take in enumerate(takes)])
+        values = np.concatenate([np.sqrt(d.dist_sample(d.ChiSquared(k), root.split(c), take))
+                                 for c, take in enumerate(takes)])
         grid = np.linspace(0.0, 4.0, 9)
         res = sto.gaussian_concentration_experiment("norm", k, n, grid, root, workers)
         assert res.center == values.mean()
+        assert res.center_standard_error == values.std(ddof=1) / math.sqrt(n)
         deviations = np.abs(values - values.mean())
         assert np.array_equal(res.empirical, (deviations[:, None] > grid).sum(axis=0) / n)
+
+    def test_norm_squares_follow_chi_squared(self):
+        k = 100
+        norms = sto._functional_values("norm", k, RandomStream(22), 50_000)
+        assert stats.kstest(norms ** 2, lambda x: d.dist_cdf(d.ChiSquared(k), x)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("k", [1, 100])
+    def test_max_follows_phi_to_the_k(self, k):
+        maxima = sto._functional_values("max", k, RandomStream(24), 50_000)
+        cdf = lambda x: np.exp(k * special.log_ndtr(x))  # noqa: E731
+        assert stats.kstest(maxima, cdf).pvalue > 1e-3
+
+    def test_max_keeps_its_upper_tail(self, monkeypatch):
+        # U = 1 - 2**-40 gives the tail 1 - U^(1/k) = 2**-40 / k to first order,
+        # which 1 - U ** (1 / k) misses by 1e-3 relative; U = 1 stays finite
+        k = 100
+        u = np.array([1.0 - 2.0 ** -40, 1.0, 0.5])
+        monkeypatch.setattr(RandomStream, "uniforms_open", lambda self, count: u[:count])
+        top, at_one, mid = sto._functional_values("max", k, RandomStream(0), 3)
+        assert top == pytest.approx(-special.ndtri(2.0 ** -40 / k), rel=1e-12)
+        assert np.isfinite(at_one) and at_one > top
+        assert mid == pytest.approx(special.ndtri(0.5 ** (1.0 / k)), rel=1e-12)
+
+    def test_constant_draws_nothing(self):
+        stream = RandomStream(25)
+        assert np.array_equal(sto._functional_values("constant", 10, stream, 4), np.zeros(4))
+        assert stream.counter == 0
 
     def test_unknown_tag(self, stream):
         with pytest.raises(DomainError):
