@@ -10,7 +10,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distributions import DistributionSpec, dist_sample
+from .distributions import DistributionSpec, _spec_list, dist_sample
 from .errors import DomainError
 from .results import _read_csv, _require_rows
 from .rng import RandomStream, replicate_chunks
@@ -166,9 +166,7 @@ def empirical_tail(
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    specs = [spec] if isinstance(spec, DistributionSpec) else list(spec)
-    if not specs:
-        raise DomainError("need at least one distribution")
+    specs = _spec_list(spec)
 
     def tail_counts(chunk_stream, take):
         x = np.zeros(take)

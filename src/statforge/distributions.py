@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy import special as sp
@@ -110,6 +110,13 @@ class DistributionSpec:
 
     def _support_min(self) -> int:
         return 0
+
+
+def _spec_list(spec) -> list:
+    """A spec, or a sequence of specs, as a non-empty list of specs."""
+    specs = [spec] if isinstance(spec, DistributionSpec) else list(spec)
+    _require(bool(specs), "need at least one distribution")
+    return specs
 
 
 # -- continuous families ----------------------------------------------------
@@ -575,9 +582,14 @@ class Poisson(DistributionSpec):
         return out
 
     def _sample(self, stream, count):
-        if self.lam <= 30.0:
-            return _poisson_inversion(stream, self.lam, count)
-        return _poisson_ptrs(stream, self.lam, count)
+        if self.lam > 30.0:
+            return _poisson_ptrs(stream, self.lam, count)
+        # inversion: the smallest k with cdf(k) >= u, as ``dist_quantile``
+        # gives, with the tail past the cap cut off: P(X > lam + 40*sqrt(lam))
+        # is negligible against the 2**-53 resolution of the uniforms
+        cap = int(self.lam + 40.0 * math.sqrt(self.lam) + 50.0)
+        cdf = self._cdf(np.arange(cap, dtype=float))
+        return np.searchsorted(cdf, stream.uniforms(count)).astype(float)
 
 
 @dataclass(frozen=True)
@@ -619,6 +631,19 @@ class Geometric(DistributionSpec):
 # -- samplers shared between families ----------------------------------------
 
 
+def _rejection(count: int, attempt: Callable[[int], tuple]) -> np.ndarray:
+    """``count`` accepted candidates: ``attempt(size)`` draws ``size``
+    candidates and returns them with their acceptance flags, and the items
+    still pending draw afresh until each has accepted one."""
+    out = np.empty(count)
+    pending = np.arange(count)
+    while pending.size:
+        values, ok = attempt(pending.size)
+        out[pending[ok]] = values[ok]
+        pending = pending[~ok]
+    return out
+
+
 def _standard_gamma(stream: RandomStream, shape: float, count: int) -> np.ndarray:
     """Unit-rate gamma draws; Marsaglia-Tsang squeeze for any shape."""
     if count == 0:
@@ -628,37 +653,19 @@ def _standard_gamma(stream: RandomStream, shape: float, count: int) -> np.ndarra
         return _standard_gamma(stream, shape + 1.0, count) * boost
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(count)
-    pending = np.arange(count)
-    while pending.size:
-        z = stream.normals(pending.size)
-        u = stream.uniforms_open(pending.size)
+
+    def attempt(size):
+        z = stream.normals(size)
+        u = stream.uniforms_open(size)
         v = (1.0 + c * z) ** 3
         ok = (z > -1.0 / c) & (
             np.log(u) < 0.5 * z * z + d - d * np.where(v > 0, v, 1.0)
             + d * np.log(np.where(v > 0, v, 1.0))
         )
-        out[pending[ok]] = d * v[ok]
-        pending = pending[~ok]
-    return out
+        return v, ok
 
-
-def _poisson_inversion(stream: RandomStream, lam: float, count: int) -> np.ndarray:
-    u = stream.uniforms(count)
-    out = np.zeros(count)
-    pmf = np.full(count, math.exp(-lam))
-    cum = pmf.copy()
-    k = 0
-    active = cum < u
-    # Exceedingly deep tails are cut off; P(X > lam + 40*sqrt(lam)) is
-    # negligible against the 2**-53 resolution of the uniforms.
-    cap = int(lam + 40.0 * math.sqrt(lam) + 50.0)
-    while np.any(active) and k < cap:
-        k += 1
-        pmf[active] *= lam / k
-        cum[active] += pmf[active]
-        out[active] = k
-        active = cum < u
+    out = _rejection(count, attempt)
+    out *= d  # only the accepted candidates are scaled
     return out
 
 
@@ -669,28 +676,22 @@ def _poisson_ptrs(stream: RandomStream, lam: float, count: int) -> np.ndarray:
     a = -0.059 + 0.02483 * b
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
     v_r = 0.9277 - 3.6224 / (b - 2.0)
-    out = np.empty(count)
-    pending = np.arange(count)
-    while pending.size:
-        u = stream.uniforms(pending.size) - 0.5
-        v = stream.uniforms_open(pending.size)
+
+    def attempt(size):
+        u = stream.uniforms(size) - 0.5
+        v = stream.uniforms_open(size)
         us = 0.5 - np.abs(u)
         k = np.floor((2.0 * a / us + b) * u + lam + 0.43)
-        accept = np.zeros(pending.size, dtype=bool)
-        fast = (us >= 0.07) & (v <= v_r)
-        accept |= fast
-        maybe = ~fast & (k >= 0) & ((us >= 0.013) | (v <= us))
+        accept = (us >= 0.07) & (v <= v_r)
+        maybe = ~accept & (k >= 0) & ((us >= 0.013) | (v <= us))
         if np.any(maybe):
             km = k[maybe]
             lhs = np.log(v[maybe] * inv_alpha / (a / (us[maybe] ** 2) + b))
             rhs = -lam + km * log_lam - sp.gammaln(km + 1.0)
-            sub = np.zeros(pending.size, dtype=bool)
-            sub[np.flatnonzero(maybe)[lhs <= rhs]] = True
-            accept |= sub
-        accept &= k >= 0
-        out[pending[accept]] = k[accept]
-        pending = pending[~accept]
-    return out
+            accept[np.flatnonzero(maybe)[lhs <= rhs]] = True
+        return k, accept & (k >= 0)
+
+    return _rejection(count, attempt)
 
 
 # -- module-level operations --------------------------------------------------

@@ -11,9 +11,9 @@ from typing import Callable, Union
 import numpy as np
 from scipy import special as sp
 
-from .distributions import DistributionSpec, Normal, StudentT, dist_sample
+from .distributions import DistributionSpec, Normal, StudentT, _spec_list, dist_sample
 from .errors import ConvergenceError, DegenerateSampleError, DomainError
-from .results import ConfidenceInterval, _read_csv, interval_quantile
+from .results import ConfidenceInterval, _number, _read_csv, interval_quantile
 from .rng import RandomStream, replicate_chunks
 
 __all__ = [
@@ -44,14 +44,16 @@ class VarianceFamilyEstimate:
 
 
 def variance_family(sample, c: float) -> VarianceFamilyEstimate:
-    """Scaled sum of squared deviations around the sample mean."""
+    """Scaled sum of squared deviations around the sample mean; a ``(..., n)``
+    sample gives one estimate per row, a single sample a Python float."""
     if c <= 0:
         raise DomainError("scale factor c must be positive")
-    x = np.asarray(sample, dtype=float)
-    if x.size < 2:
+    x = np.atleast_1d(np.asarray(sample, dtype=float))
+    n = x.shape[-1]
+    if n < 2:
         raise DegenerateSampleError("variance estimation needs n >= 2")
-    estimate = float(c * ((x - x.mean()) ** 2).sum())
-    return VarianceFamilyEstimate(estimate=estimate, n=x.size, c=c)
+    estimate = c * ((x - x.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1)
+    return VarianceFamilyEstimate(estimate=_number(estimate), n=n, c=c)
 
 
 def variance_bias(n: int, c: float, sigma2: float) -> float:
@@ -448,9 +450,7 @@ def monte_carlo_mean(f: Callable, spec, n: int, delta: float,
     """
     if n < 2:
         raise DegenerateSampleError("need n >= 2 draws")
-    specs = [spec] if isinstance(spec, DistributionSpec) else list(spec)
-    if not specs:
-        raise DomainError("need at least one distribution")
+    specs = _spec_list(spec)
     z = interval_quantile(_STD_NORMAL, delta)
 
     def sample(chunk_stream, take):

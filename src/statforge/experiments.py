@@ -207,8 +207,7 @@ def _at_least(name, value, floor, method, se=None) -> Metric:
 def _sum_squares(n, stream, take):
     """Each of ``take`` samples of ``n`` normals' sum of squared deviations
     from its mean."""
-    draws = stream.normals(take * n).reshape(take, n)
-    return ((draws - draws.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    return est.variance_family(stream.normals(take * n).reshape(take, n), 1.0).estimate
 
 
 def _run_mse_variance(p, root, workers):
@@ -395,8 +394,8 @@ def _run_glm(p, root, workers):
     covariates = _aux(root, 1).normals(n * n_slopes).reshape(n, n_slopes)
     design = reg.design_matrix(covariates)
     beta = np.concatenate([[0.3], np.linspace(-0.5, 0.8, n_slopes)])
-    prob = 1.0 / (1.0 + np.exp(-(design.matrix @ beta)))
     spec = glm.bernoulli_logit()
+    prob = spec.mean(design.matrix @ beta)
     residuals, covered = replicate(partial(_kernel_glm, spec, design, beta, prob),
                                    reps, root, workers, width=n)
     coverage = covered.mean()

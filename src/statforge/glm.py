@@ -56,10 +56,7 @@ class ExpFamilySpec:
     def mean_slope(self, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # link side ----------------------------------------------------------------
-
-    def link(self, mu: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    # response side ------------------------------------------------------------
 
     def validate_y(self, y: np.ndarray) -> None:
         raise NotImplementedError
@@ -89,9 +86,6 @@ class _BernoulliLogit(ExpFamilySpec):
     def mean_slope(self, xi):
         mu = sp.expit(xi)
         return mu * (1.0 - mu)
-
-    def link(self, mu):
-        return sp.logit(mu)
 
     def validate_y(self, y):
         if not np.all((y == 0.0) | (y == 1.0)):
@@ -127,9 +121,6 @@ class _PoissonLog(ExpFamilySpec):
     def mean_slope(self, xi):
         return np.exp(xi)
 
-    def link(self, mu):
-        return np.log(mu)
-
     def validate_y(self, y):
         if np.any(y < 0) or np.any(y != np.floor(y)):
             raise DomainError("count family needs nonnegative integer responses")
@@ -147,9 +138,6 @@ class _NormalIdentity(ExpFamilySpec):
 
     def mean_slope(self, xi):
         return np.ones_like(xi)
-
-    def link(self, mu):
-        return mu
 
     def validate_y(self, y):
         if not np.all(np.isfinite(y)):

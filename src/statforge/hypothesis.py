@@ -206,7 +206,7 @@ def _logistic_gaps(n: int, batch) -> np.ndarray:
     spec = bernoulli_logit()
     covariates = batch.normals(n * 3).reshape(-1, n, 3)
     design = np.concatenate([np.ones((len(covariates), n, 1)), covariates], axis=-1)
-    prob = 1.0 / (1.0 + np.exp(-(design @ beta_true)))
+    prob = spec.mean(design @ beta_true)
     y = (batch.uniforms(n) < prob).astype(float)
     full = glm_fit_stack(spec, design, y).log_likelihood
     # The null design's columns are a subset of the full one's, so by Cauchy

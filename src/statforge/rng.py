@@ -130,12 +130,13 @@ class _Draws:
     _bases: np.ndarray
     _lead: tuple  # shape before the word axis: () for one stream, (R,) for a batch
 
-    def _raw_rows(self, count: int) -> np.ndarray:
+    def raw(self, count: int) -> np.ndarray:
+        """Next ``count`` raw uint64 words of every stream."""
         if count < 0:
             raise ValueError("count must be nonnegative")
         out = _words(self._bases, self.counter, count)
         self.counter += count
-        return out
+        return out.reshape(self._lead + (count,))
 
     def uniforms(self, count: int) -> np.ndarray:
         """i.i.d. uniforms on [0, 1)."""
@@ -245,10 +246,6 @@ class RandomStream(_Draws):
         self._bases = np.array([_stream_base(self.root_seed, self.stream_id)],
                                dtype=np.uint64)
 
-    def raw(self, count: int) -> np.ndarray:
-        """Next ``count`` raw uint64 words."""
-        return self._raw_rows(count)[0]
-
     def split(self, child_id: int) -> "RandomStream":
         """Child stream keyed by this stream's identity and ``child_id``."""
         return RandomStream(self.root_seed, _child_id(self.stream_id, child_id))
@@ -285,10 +282,6 @@ class StreamBatch(_Draws):
             child = self.parent.split(i)
             child.counter = self.counter
             yield child
-
-    def raw(self, count: int) -> np.ndarray:
-        """Next ``count`` raw uint64 words of every stream, ``(R, count)``."""
-        return self._raw_rows(count)
 
 
 # -- replicates -------------------------------------------------------------------

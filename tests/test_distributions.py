@@ -1,5 +1,6 @@
 """Distribution families: closed-form values, numeric invariants, sampling laws."""
 
+import hashlib
 import math
 import warnings
 
@@ -272,6 +273,36 @@ class TestSampling:
         x = d.dist_sample(spec, RandomStream(23), 100_000)
         assert abs(x.mean() - 80.0) < 4.0 * math.sqrt(80.0 / 1e5)
         assert abs(x.var() - 80.0) < 4.0 * 80.0 * math.sqrt(2.0 / 1e5)
+
+    # sha256 of the bytes of 4096 draws from RandomStream(7): the rejection
+    # samplers' draw sequences. They hold for the numpy and scipy builds they
+    # were made with (numpy 2.4.6, scipy 1.17.1, AVX512 dispatch), as the
+    # report digest pins of test_cli do.
+    @pytest.mark.parametrize("spec,digest", [
+        (d.Gamma(1.0, 0.3), "fcc1ef55764a3fd4a19441e3affe4e05f91ca9b9f770f4a04bb835ec621edd30"),
+        (d.Gamma(1.0, 1.0), "21b04a47c25542f46bef25e1062b3f381ec40afb82ebf72640e4ea82348ccfb8"),
+        (d.Gamma(2.0, 2.5), "59f48d7a37da7b5f10b4e832591fe21898c94bdf936972872cde3a6178154bcd"),
+        (d.Gamma(1.0, 50.0), "178333ccc990038fd769d70b7eedf918fbbe0cee9c1aede478540994cd8f8d19"),
+        (d.ChiSquared(100), "3848046153a6dc926e71e9b8a375ce4ef5fb1db7dc131055aaa9fd340bebaeb6"),
+        (d.StudentT(5), "7d515eea1e29051bdc28ca32de2be503f815de3f2c7b29ffcb1333f2bad5ed0c"),
+        (d.Beta(2.0, 3.0), "008fcd2c3465849d0454e2d9d4dd01cf41d10ac92a28f0781c6efd125208cdc2"),
+        (d.FisherF(4, 9), "2e2c3bd9ddcebf119d7d78d54873fc65634d30b09249860fa13c8e47962d8085"),
+        (d.Poisson(31.0), "b6b4c2bb60f959d8b069cf01e4e45e39af5a781caf3fd9f93263400fa4f47445"),
+        (d.Poisson(80.0), "38d7e870717e5f535e9b5382de4e0d542bd3dfc38e925d3efcc384ee601fdc43"),
+        (d.Poisson(1e4), "ece49fcb7a08bca89bd22fb98309fda83086bc64998b9680ef59c0cee2bc0b21"),
+    ])
+    def test_rejection_draws_are_pinned(self, spec, digest):
+        x = d.dist_sample(spec, RandomStream(7), 4096)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == digest
+
+    # conftest's Poisson range capped at 30, where the sampler inverts the cdf
+    @PROPERTY
+    @given(spec=st.builds(d.Poisson, st.floats(1e-2, 30.0)), seed=st.integers(0, 2 ** 64 - 1))
+    def test_small_poisson_draw_is_the_quantile_of_its_uniform(self, spec, seed):
+        x = d.dist_sample(spec, RandomStream(seed), 200)
+        u = RandomStream(seed).uniforms(200)
+        inside = u > 0.0
+        assert np.array_equal(x[inside], d.dist_quantile(spec, u[inside]))
 
 
 class TestDistributionalRelations:

@@ -47,6 +47,14 @@ class TestVarianceFamily:
         with pytest.raises(DegenerateSampleError):
             est.variance_family([1.0], c=0.5)
 
+    def test_rows_equal_one_row_calls(self):
+        draws = RandomStream(62).normals(7 * 13).reshape(7, 13)
+        stacked = est.variance_family(draws, 0.1)
+        singles = [est.variance_family(row, 0.1) for row in draws]
+        assert stacked.n == 13 and stacked.estimate.shape == (7,)
+        assert stacked.estimate.tobytes() == np.array([s.estimate for s in singles]).tobytes()
+        assert all(type(s.estimate) is float for s in singles)
+
 
 class TestMLE:
     def test_exponential_two_ones(self):
