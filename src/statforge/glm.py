@@ -107,8 +107,10 @@ class _BernoulliLogit(ExpFamilySpec):
 
     def weights(self, eta, mu):
         # clamp only inside the weights; reported means are untouched
-        mu = np.clip(mu, _PROB_CLAMP, 1.0 - _PROB_CLAMP)
-        return mu * (1.0 - mu) / self.dispersion
+        w = np.clip(mu, _PROB_CLAMP, 1.0 - _PROB_CLAMP)
+        w *= 1.0 - w
+        w /= self.dispersion
+        return w
 
 
 @dataclass(frozen=True)
@@ -291,8 +293,12 @@ def _scoring(spec, m, y, beta):
     """Scoring iterations on a stack of rows from the starts ``beta``.
 
     Every pass evaluates all rows; rows that have converged are frozen, as
-    only the rows still iterating are written."""
+    only the rows still iterating are written. The information
+    ``mt @ (m * w[..., None])`` is formed with the weights ``w`` scaling the
+    contiguous ``columns`` of ``m``: the same products with the same bits,
+    without a strided ``(R, n, k)`` temporary."""
     mt = np.swapaxes(m, -1, -2)
+    columns = np.ascontiguousarray(mt)
     eta = _matvec(m, beta)
     ll = spec.loglik(y, eta)
     trace = [ll]
@@ -304,7 +310,8 @@ def _scoring(spec, m, y, beta):
         mu = spec.mean(eta)
         residual = y - mu
         score = _matvec(mt, residual) / spec.dispersion
-        info = mt @ (m * spec.weights(eta, mu)[..., None])
+        weighted = columns * spec.weights(eta, mu)[..., None, :]
+        info = mt @ np.swapaxes(weighted, -1, -2)
         done = active & (np.abs(score).max(axis=-1) <= tol)
         if spec.separable and done.any() and np.any(
                 done & (np.abs(residual).max(axis=-1) < 1e-6)):
@@ -342,8 +349,9 @@ def _scoring(spec, m, y, beta):
 def _halved_steps(spec, m, y, beta, eta, ll, step, pending):
     """Move each ``pending`` row by the first of ``step``, ``step / 2``, ...
     that stays in the natural domain and does not lower its log-likelihood;
-    returns the new ``beta``, ``eta``, ``ll`` and the rows that found none."""
-    new_beta, new_eta, new_ll = beta.copy(), eta.copy(), ll.copy()
+    returns the new ``beta``, ``eta``, ``ll`` and the rows that found none.
+    Accepted rows are written into the caller's ``eta``, which is returned."""
+    new_beta, new_ll = beta.copy(), ll.copy()
     pending = pending.copy()
     floor = ll - 1e-13 * (1.0 + np.abs(ll))
     scale = 1.0
@@ -354,13 +362,13 @@ def _halved_steps(spec, m, y, beta, eta, ll, step, pending):
             candidate_ll = spec.loglik(y, candidate_eta)
         accept = pending & spec.natural_ok(candidate_eta) & (candidate_ll >= floor)
         new_beta[accept] = candidate[accept]
-        new_eta[accept] = candidate_eta[accept]
+        np.copyto(eta, candidate_eta, where=accept[:, None])
         new_ll[accept] = candidate_ll[accept]
         pending &= ~accept
         if not pending.any():
             break
         scale *= 0.5
-    return new_beta, new_eta, new_ll, pending
+    return new_beta, eta, new_ll, pending
 
 
 def glm_wald_ci(fit, j: int, delta: float) -> ConfidenceInterval:

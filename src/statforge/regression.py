@@ -56,12 +56,17 @@ class DesignMatrix:
 def require_full_rank(matrix: np.ndarray) -> None:
     """Raise :class:`SingularDesignError` naming the dependent columns of the
     first rank-deficient design in ``matrix``, one ``(n, k)`` design or a
-    stack ``(R, n, k)`` checked with one batched SVD."""
+    stack ``(R, n, k)``, and :class:`DomainError` on a non-finite entry. The
+    check is one batched SVD of the designs' ``(k, k)`` QR factors R, whose
+    singular values are the designs' (Chan, 1982), at a fraction of the
+    cost of the tall designs' SVD."""
     n, k = matrix.shape[-2:]
     if not 1 <= k <= n:
         raise SingularDesignError(
             f"singular design: {k} columns on {n} rows; a fit needs 1 to {n} columns")
-    sv = np.linalg.svd(matrix, compute_uv=False)
+    if not np.all(np.isfinite(matrix)):
+        raise DomainError("design entries must be finite")
+    sv = np.linalg.svd(np.linalg.qr(matrix, mode="r"), compute_uv=False)
     deficient = np.flatnonzero(sv[..., -1] <= _RANK_RTOL * sv[..., 0])
     if deficient.size:
         _, _, vt = np.linalg.svd(matrix.reshape(-1, *matrix.shape[-2:])[deficient[0]])

@@ -319,6 +319,85 @@ class TestGLMFitStack:
             assert (stack.lo[r], stack.hi[r]) == (single.lo, single.hi)
 
 
+def _copying_halved_steps(spec, m, y, beta, eta, ll, step, pending):
+    """``glm._halved_steps`` written with copies and gather-and-scatter
+    writes, the reference that its in-place writes must match."""
+    new_beta, new_eta, new_ll = beta.copy(), eta.copy(), ll.copy()
+    pending = pending.copy()
+    floor = ll - 1e-13 * (1.0 + np.abs(ll))
+    scale = 1.0
+    for _ in range(glm._MAX_HALVINGS):
+        candidate = beta + scale * step
+        candidate_eta = (m @ candidate[..., None])[..., 0]
+        with np.errstate(all="ignore"):
+            candidate_ll = spec.loglik(y, candidate_eta)
+        accept = pending & spec.natural_ok(candidate_eta) & (candidate_ll >= floor)
+        new_beta[accept] = candidate[accept]
+        new_eta[accept] = candidate_eta[accept]
+        new_ll[accept] = candidate_ll[accept]
+        pending &= ~accept
+        if not pending.any():
+            break
+        scale *= 0.5
+    return new_beta, new_eta, new_ll, pending
+
+
+class TestScoringPass:
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("rows", [1, 7, 32])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_information_is_the_weighted_gram(self, k, rows, shared, monkeypatch):
+        # the last pass's information against mt @ (m * w[..., None]) at the
+        # weights that pass used, and those weights against c (1 - c) of the
+        # clamped means c
+        n = 2000
+        root = RandomStream(520 + k)
+        count = 1 if shared else rows
+        covariates = root.normals(count * n * (k - 1)).reshape(count, n, k - 1)
+        designs = np.concatenate([np.ones((count, n, 1)), covariates], axis=-1)
+        m = designs[0] if shared else designs
+        xi = designs @ np.linspace(0.4, -0.6, k)
+        y = (root.uniforms(rows * n).reshape(rows, n) < sp.expit(xi)).astype(float)
+        spec = glm.bernoulli_logit()
+        seen = []
+        weights = glm._BernoulliLogit.weights
+
+        def recorded(self, eta, mu):
+            seen.append((mu.copy(), weights(self, eta, mu)))
+            return seen[-1][1]
+        monkeypatch.setattr(glm._BernoulliLogit, "weights", recorded)
+        info = glm._scoring(spec, m, y, spec.start(m, y, True))[2]
+        mu, w = seen[-1]
+        clamped = np.clip(mu, glm._PROB_CLAMP, 1.0 - glm._PROB_CLAMP)
+        assert w.tobytes() == (clamped * (1.0 - clamped)).tobytes()
+        expected = np.swapaxes(m, -1, -2) @ (m * w[..., None])
+        assert info.shape == (rows, k, k)
+        assert info.tobytes() == expected.tobytes()
+
+    def test_halving_writes_accepted_rows_in_place(self):
+        spec, designs, y = _family_rows("poisson", 200, 6, RandomStream(521), shared=True)
+        m = designs[0]
+        beta = np.zeros((6, 3))
+        eta = (m @ beta[..., None])[..., 0]
+        ll = spec.loglik(y, eta)
+        gradient = (m.T @ (y - 1.0)[..., None])[..., 0]
+        # full Newton steps from zero, which overshoot, and a downhill step
+        # on row 0, which no halving makes acceptable
+        step = np.linalg.solve(m.T @ m, gradient[..., None])[..., 0]
+        step[0] = -gradient[0]
+        pending = np.array([True, True, False, True, False, True])
+        with np.errstate(over="ignore"):
+            assert np.all(spec.loglik(y, (m @ (beta + step)[..., None])[..., 0])[pending] < ll[pending])
+        expected = _copying_halved_steps(spec, m, y, beta, eta, ll, step, pending)
+        given_eta, given_pending = eta.copy(), pending.copy()
+        got = glm._halved_steps(spec, m, y, beta, given_eta, ll, step, given_pending)
+        assert got[1] is given_eta and np.array_equal(given_pending, pending)
+        for one, other in zip(got, expected):
+            assert one.tobytes() == other.tobytes()
+        assert got[3].tolist() == [True, False, False, False, False, False]
+        assert got[1][~pending].tobytes() == eta[~pending].tobytes()
+
+
 class TestWald:
     def test_normal_identity_matches_z_interval(self):
         from statforge.estimation import ci_mean_z

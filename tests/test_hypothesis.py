@@ -1,5 +1,6 @@
 """Likelihood-ratio tests, ANOVA, variance ratios, chi-squared asymptotics."""
 
+import hashlib
 import math
 from functools import partial
 
@@ -330,6 +331,16 @@ class TestWilksSimulation:
         res = hyp.wilks_null_simulation("logistic", n=n, replicates=reps, stream=stream)
         assert res.ks_distance == hyp.ks_statistic(expected, d.ChiSquared(2))
         assert res.qq_table[:, 1].tobytes() == np.quantile(expected, res.qq_table[:, 0]).tobytes()
+
+    def test_logistic_statistics_are_pinned(self):
+        # sha256 of the statistics' bytes at the benchmark's n: the whole
+        # logistic IRLS path, rank check, full and null fits. It holds for
+        # the builds of test_cli's digest pins (numpy 2.4.6, scipy 1.17.1,
+        # AVX512 dispatch, OpenBLAS SkylakeX kernels).
+        gaps = replicate(partial(hyp._logistic_gaps, 2000), 64, RandomStream(20260810),
+                         width=2000)
+        assert hashlib.sha256(gaps.tobytes()).hexdigest() == \
+            "13065161188c41b31eb934fc160d1397fb3ec9f3049a35ff34eb9c6ad97eacd5"
 
     def test_replicate_floor(self):
         with pytest.raises(DomainError):

@@ -71,6 +71,37 @@ class TestOLS:
         with pytest.raises(SingularDesignError, match="columns"):
             reg.ols_fit(reg.design_matrix(x), np.arange(6.0))
 
+    def test_rank_check_at_the_threshold(self):
+        # one column is another plus delta * noise, delta from 1e-14 to 1e-6,
+        # so the smallest singular values straddle the relative threshold:
+        # the check on the R factor decides as the tall designs' SVD does
+        deltas = np.logspace(-14.0, -6.0, 33)
+        decisions = []
+        for r in range(64):
+            stream = RandomStream(540).split(r)
+            n, k = (8, 30, 150)[r % 3], 2 + r % 3
+            base = stream.normals(n * k).reshape(n, k)
+            noise = stream.normals(n)
+            designs = np.repeat(base[None], len(deltas), axis=0)
+            designs[:, :, -1] = base[:, 0] + deltas[:, None] * noise
+            sv = np.linalg.svd(designs, compute_uv=False)
+            for m, deficient in zip(designs, sv[:, -1] <= reg._RANK_RTOL * sv[:, 0]):
+                try:
+                    reg.require_full_rank(m)
+                except SingularDesignError:
+                    decisions.append((deficient, True))
+                else:
+                    decisions.append((deficient, False))
+        assert len(decisions) == 2112
+        assert all(want == got for want, got in decisions)
+        assert {want for want, _ in decisions} == {False, True}
+
+    def test_non_finite_design_rejected(self):
+        x = np.arange(6.0)
+        x[2] = np.inf
+        with pytest.raises(DomainError, match="finite"):
+            reg.ols_fit(reg.design_matrix(x), np.arange(6.0))
+
     @pytest.mark.parametrize("shape", [(4, 0), (3, 4)])
     def test_design_without_enough_rows_named(self, shape):
         design = reg.DesignMatrix(np.ones(shape), has_intercept=False)
