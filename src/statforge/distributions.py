@@ -92,21 +92,37 @@ class DistributionSpec:
         on arrays."""
         raise NotImplementedError
 
-    def _discrete_quantile(self, u: float) -> int:
-        """Smallest support point with cdf >= u."""
-        lo = self._support_min() - 1  # cdf(lo) = 0 by convention
-        hi = self._support_min()
-        while float(self._cdf(np.array([float(hi)]))[0]) < u:
-            lo = hi
-            hi = 2 * hi + 1
-            _require(hi <= sys.float_info.max, "quantile lies past the float range")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if float(self._cdf(np.array([float(mid)]))[0]) < u:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+    def _discrete_quantile(self, u: np.ndarray) -> np.ndarray:
+        """Smallest support point with cdf >= u, at each point of ``u``.
+
+        Each point doubles an upper bound from the support's minimum until
+        its cdf reaches the point, then bisects between the last two bounds.
+        The doubling bounds are the same for every point, so each doubling
+        step is one cdf value, and each bisection step is one ``_cdf`` call
+        on the points still open: every point takes the path, and gets the
+        value, of its own one-point search."""
+        flat = u.ravel()
+        edges = [self._support_min() - 1, self._support_min()]  # cdf(edges[0]) = 0
+        doublings = np.zeros(flat.shape, dtype=np.intp)
+        short = np.ones(flat.shape, dtype=bool)
+        while True:
+            short &= self._cdf(np.array([float(edges[-1])]))[0] < flat
+            if not short.any():
+                break
+            doublings += short
+            edges.append(2 * edges[-1] + 1)
+            _require(edges[-1] <= sys.float_info.max, "quantile lies past the float range")
+        # bisection on Python ints, exact past 2**63 as the one-point search is
+        edges = np.array(edges, dtype=object)
+        lo, hi = edges[doublings], edges[doublings + 1]
+        while True:
+            open_ = np.flatnonzero(hi - lo > 1)
+            if not open_.size:
+                return hi.astype(float).reshape(u.shape)
+            mid = (lo[open_] + hi[open_]) // 2
+            below = self._cdf(mid.astype(float)) < flat[open_]
+            lo[open_[below]] = mid[below]
+            hi[open_[~below]] = mid[~below]
 
     def _support_min(self) -> int:
         return 0
@@ -724,8 +740,7 @@ def dist_quantile(spec: DistributionSpec, u) -> Union[float, np.ndarray]:
     if not np.all((0.0 < arr) & (arr < 1.0)):
         raise DomainError("quantile argument must lie strictly inside (0, 1)")
     if spec.is_discrete:
-        return _maybe_scalar(np.array([spec._discrete_quantile(ui) for ui in arr],
-                                      dtype=float), scalar)
+        return _maybe_scalar(spec._discrete_quantile(arr), scalar)
     with np.errstate(over="ignore"):
         values = spec._ppf(arr)
     _require(np.all(np.isfinite(values)), "quantile lies past the float range")

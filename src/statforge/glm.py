@@ -280,11 +280,15 @@ def glm_fit_stack(spec: ExpFamilySpec, design, y) -> GLMFit:
 
 
 def _fit_full_rank(spec: ExpFamilySpec, m: np.ndarray, y: np.ndarray,
-                   has_intercept: bool) -> GLMFit:
+                   has_intercept: bool, start: np.ndarray | None = None) -> GLMFit:
     """:func:`glm_fit_stack`'s scoring, on a contiguous ``m`` whose rank and
-    responses ``y`` have already been checked."""
-    beta, mu, info, iterations, ll, trace = _scoring(
-        spec, m, y, spec.start(m, y, has_intercept))
+    responses ``y`` have already been checked, from the family's starts or
+    from ``start``, an ``(R, k)`` array of coefficients such as a larger
+    model's fit restricted to ``m``'s columns. Scoring moves each row from
+    its own start, so a row's result does not depend on the other rows."""
+    if start is None:
+        start = spec.start(m, y, has_intercept)
+    beta, mu, info, iterations, ll, trace = _scoring(spec, m, y, start)
     return GLMFit(beta=beta, mu=mu, fisher_info=info,
                   iterations=iterations, log_likelihood=ll, loglik_trace=trace)
 

@@ -59,7 +59,8 @@ def require_full_rank(matrix: np.ndarray) -> None:
     stack ``(R, n, k)``, and :class:`DomainError` on a non-finite entry. The
     check is one batched SVD of the designs' ``(k, k)`` QR factors R, whose
     singular values are the designs' (Chan, 1982), at a fraction of the
-    cost of the tall designs' SVD."""
+    cost of the tall designs' SVD. The columns are named from the last right
+    singular vector of a thin SVD, which builds no ``(n, n)`` factor."""
     n, k = matrix.shape[-2:]
     if not 1 <= k <= n:
         raise SingularDesignError(
@@ -69,7 +70,8 @@ def require_full_rank(matrix: np.ndarray) -> None:
     sv = np.linalg.svd(np.linalg.qr(matrix, mode="r"), compute_uv=False)
     deficient = np.flatnonzero(sv[..., -1] <= _RANK_RTOL * sv[..., 0])
     if deficient.size:
-        _, _, vt = np.linalg.svd(matrix.reshape(-1, *matrix.shape[-2:])[deficient[0]])
+        _, _, vt = np.linalg.svd(matrix.reshape(-1, *matrix.shape[-2:])[deficient[0]],
+                                 full_matrices=False)
         null = np.abs(vt[-1])
         involved = np.flatnonzero(null > 0.1 * null.max())
         raise SingularDesignError(

@@ -30,6 +30,23 @@ CONTINUOUS_CASES = [
     d.Uniform01(),
 ]
 
+
+def _one_point_quantile(spec, u):
+    """The smallest support point with cdf >= ``u`` by a search of its own:
+    doubling from the support's minimum, then bisection, one cdf value a
+    step."""
+    lo, hi = spec._support_min() - 1, spec._support_min()
+    while spec._cdf(np.array([float(hi)]))[0] < u:
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if spec._cdf(np.array([float(mid)]))[0] < u:
+            lo = mid
+        else:
+            hi = mid
+    return float(hi)
+
+
 DISCRETE_CASES = [
     d.Bernoulli(0.3),
     d.Binomial(0.4, 11),
@@ -202,6 +219,26 @@ class TestQuantile:
             q = d.dist_quantile(spec, u)
             assert d.dist_cdf(spec, q) >= u
             assert d.dist_cdf(spec, q - 1.0) < u
+
+    @pytest.mark.parametrize("spec", [
+        d.Bernoulli(0.3), d.Binomial(0.4, 11), d.Binomial(0.02, 5000),
+        *[d.Poisson(lam) for lam in (0.01, 0.5, 3.0, 29.9, 31.0, 700.0, 1e4)],
+        d.Geometric(0.25), d.Geometric(1e-6), d.Geometric(1e-19),
+    ], ids=repr)
+    def test_discrete_quantile_equals_the_one_point_search(self, spec):
+        # a grid over (0, 1), each cdf value of the first support points and
+        # its two neighbours: the array search gives each point the value of
+        # its own doubling-and-bisection search
+        start = spec._support_min()
+        cdf = d.dist_cdf(spec, np.arange(start, start + 60, dtype=float))
+        cdf = cdf[(0.0 < cdf) & (cdf < 1.0)]
+        u = np.concatenate([[1e-300, 1e-12, 1e-6], np.linspace(0.001, 0.999, 499),
+                            [1.0 - 1e-6, 1.0 - 1e-12], cdf, np.nextafter(cdf, 0.0),
+                            np.nextafter(cdf, 1.0)])
+        u = u[u < 1.0]
+        q = d.dist_quantile(spec, u)
+        assert q.tobytes() == np.array([_one_point_quantile(spec, ui) for ui in u]).tobytes()
+        assert d.dist_quantile(spec, u.reshape(-1, 1)).tobytes() == q.tobytes()
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @PROPERTY

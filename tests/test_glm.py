@@ -15,6 +15,7 @@ from statforge import regression as reg
 from statforge import rng
 from statforge.errors import (DomainError, NoFiniteMLEError, SeparationError,
                               SingularDesignError)
+from statforge.results import first_row
 from statforge.rng import RandomStream
 
 
@@ -280,6 +281,23 @@ class TestGLMFitStack:
         stack = glm.glm_fit_stack(spec, designs, y)
         for r in (0, rows - 4, rows - 3, rows - 1):
             _assert_row_equals_single(stack, r, glm.glm_fit(spec, reg.DesignMatrix(designs[r]), y[r]))
+
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson"])
+    def test_given_starts_are_per_row(self, family):
+        # each row of a fit from given starts equals that row's one-row fit
+        # from its own start, and the starts are left as they were
+        spec, designs, y = _family_rows(family, 200, 7, RandomStream(517))
+        start = 0.1 * RandomStream(518).normals(7 * 3).reshape(7, 3)
+        given = start.copy()
+        stack = glm._fit_full_rank(spec, designs, y, True, start=given)
+        assert given.tobytes() == start.tobytes()
+        for r in range(7):
+            single = glm._fit_full_rank(spec, designs[r:r + 1], y[r:r + 1], True,
+                                        start=start[r:r + 1])
+            _assert_row_equals_single(stack, r, first_row(single))
+        cold = glm._fit_full_rank(spec, designs, y, True)
+        assert not np.array_equal(cold.loglik_trace[:, 0], stack.loglik_trace[:, 0])
+        np.testing.assert_allclose(stack.beta, cold.beta, rtol=0.0, atol=1e-8)
 
     def test_one_separated_row_raises(self):
         x = np.linspace(-1.0, 1.0, 40)

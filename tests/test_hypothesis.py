@@ -324,8 +324,11 @@ class TestWilksSimulation:
             prob = 1.0 / (1.0 + np.exp(-(design_full.matrix @ beta_true)))
             y = (sub.uniforms(n) < prob).astype(float)
             full = glm.glm_fit(spec, design_full, y)
-            null = glm.glm_fit(spec, reg.design_matrix(covariates[:, :1]), y)
-            expected[r] = hyp.lrt_generic(full.log_likelihood, null.log_likelihood, 2).statistic
+            # the null fit starts from this row's full-fit intercept and slope
+            null = glm._fit_full_rank(spec, np.ascontiguousarray(design_full.matrix[None, :, :2]),
+                                      y[None], True, start=full.beta[None, :2])
+            expected[r] = hyp.lrt_generic(full.log_likelihood, null.log_likelihood[0],
+                                          2).statistic
         gaps = replicate(partial(hyp._logistic_gaps, n), reps, stream, width=n)
         assert gaps.tobytes() == expected.tobytes()
         res = hyp.wilks_null_simulation("logistic", n=n, replicates=reps, stream=stream)
@@ -340,7 +343,41 @@ class TestWilksSimulation:
         gaps = replicate(partial(hyp._logistic_gaps, 2000), 64, RandomStream(20260810),
                          width=2000)
         assert hashlib.sha256(gaps.tobytes()).hexdigest() == \
-            "13065161188c41b31eb934fc160d1397fb3ec9f3049a35ff34eb9c6ad97eacd5"
+            "1447943d78436df67d64d5563124b3c8bf9f4bc005a4ccce096d01ea3cd0d214"
+
+    @staticmethod
+    def _null_fits(monkeypatch, n, reps, seed):
+        """``(m, y, start, fit)`` of each null fit of the logistic kernel's
+        blocks, in order."""
+        calls = []
+
+        def recorded(spec, m, y, has_intercept, start=None):
+            fit = glm._fit_full_rank(spec, m, y, has_intercept, start=start)
+            calls.append((m, y, start, fit))
+            return fit
+        monkeypatch.setattr(hyp, "_fit_full_rank", recorded)
+        replicate(partial(hyp._logistic_gaps, n), reps, RandomStream(seed), width=n)
+        return calls
+
+    @pytest.mark.parametrize("n", [300, 2000])
+    def test_warm_null_fits_equal_cold_ones(self, monkeypatch, n):
+        # the null fit from the full fit's first two coefficients reaches the
+        # null MLE found from zero, up to the last few ulps
+        spec = glm.bernoulli_logit()
+        calls = self._null_fits(monkeypatch, n, 100, 24)
+        assert sum(len(y) for _, y, _, _ in calls) == 100
+        for m, y, start, warm in calls:
+            assert start.shape == (len(y), 2) and start.flags.c_contiguous
+            cold = glm._fit_full_rank(spec, m, y, True)
+            gap = np.abs(warm.log_likelihood - cold.log_likelihood)
+            assert np.all(gap <= 1e-12 * (1.0 + np.abs(cold.log_likelihood)))
+            np.testing.assert_allclose(warm.beta, cold.beta, rtol=0.0, atol=1e-8)
+
+    def test_warm_null_fits_take_three_passes(self, monkeypatch):
+        # from zero every row takes 5 passes at this size and seed
+        calls = self._null_fits(monkeypatch, 2000, 64, 20260810)
+        iterations = np.concatenate([fit.iterations for *_, fit in calls])
+        assert iterations.size == 64 and np.all(iterations == 3)
 
     def test_replicate_floor(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -95,6 +96,24 @@ class TestOLS:
         assert len(decisions) == 2112
         assert all(want == got for want, got in decisions)
         assert {want for want, _ in decisions} == {False, True}
+
+    def test_dependent_columns_named_as_by_the_full_svd(self):
+        # a duplicated column, a column that is the sum of two others, and a
+        # stack whose third design is the first deficient one: the names
+        # are those of the full SVD's last right singular vector
+        x = RandomStream(541).normals(2000 * 4).reshape(2000, 4)
+        duplicated = x.copy()
+        duplicated[:, 3] = duplicated[:, 1]
+        summed = x.copy()
+        summed[:, 2] = summed[:, 0] + summed[:, 3]
+        cases = [(duplicated, duplicated, [1, 3]), (summed, summed, [0, 2, 3]),
+                 (np.stack([x, x[::-1], summed, duplicated]), summed, [0, 2, 3])]
+        for matrix, first_deficient, columns in cases:
+            null = np.abs(np.linalg.svd(first_deficient)[2][-1])
+            assert np.flatnonzero(null > 0.1 * null.max()).tolist() == columns
+            with pytest.raises(SingularDesignError,
+                               match=re.escape(f"columns {columns} are linearly dependent")):
+                reg.require_full_rank(matrix)
 
     def test_non_finite_design_rejected(self):
         x = np.arange(6.0)
