@@ -81,10 +81,18 @@ class _BernoulliLogit(ExpFamilySpec):
     separable = True
 
     def mean(self, xi):
-        return sp.expit(xi)
+        # expit's 1 / (1 + e^-xi), on numpy's vector exp and formed in place
+        # (a float array even for scalars and integers, as expit takes them);
+        # e^-xi overflows to inf below xi = -709.78, where the mean is 0
+        mu = np.negative(xi, out=np.empty(np.shape(xi)))
+        with np.errstate(over="ignore"):
+            np.exp(mu, out=mu)
+        mu += 1.0
+        np.reciprocal(mu, out=mu)
+        return mu
 
     def mean_slope(self, xi):
-        mu = sp.expit(xi)
+        mu = self.mean(xi)
         return mu * (1.0 - mu)
 
     def validate_y(self, y):
@@ -411,6 +419,11 @@ class IRTItemBank:
         return self.a.size
 
     def success_probability(self, ability: float) -> np.ndarray:
+        """Each item's chance of a correct answer at ``ability``, from
+        ``scipy.special.expit``, whose bits do not depend on the host's SIMD
+        kernels. irt draws its responses from these once per run, so numpy's
+        vector ``exp``, which the fitted means use, would move irt's draws
+        for no speed."""
         return sp.expit(self.a * (ability - self.b))
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,38 @@ def test_bernoulli_loglik_matches_logaddexp_on_stacks():
     want = np.sum(y * xi - np.logaddexp(0.0, xi), axis=-1)
     got = glm.bernoulli_logit().loglik(y, xi)
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_bernoulli_mean_saturates_quietly():
+    # e^-xi overflows below xi = -709.78: the mean is exactly 0 there, with
+    # no overflow warning; NaN stays NaN
+    xi = np.array([710.0, -710.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu = glm.bernoulli_logit().mean(xi)
+    assert mu[:6].tolist() == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+    assert np.isnan(mu[6])
+
+
+def test_bernoulli_mean_matches_expit():
+    # both are 1 / (1 + e^-xi): each exp is within 1 ulp of e^-xi, and the
+    # sum and the reciprocal round once on each side, so they differ by at
+    # most 4 ulp (near xi = -36.8, where e^-xi passes 2^53, they do)
+    xi = np.linspace(-745.0, 40.0, 785_001)
+    want = sp.expit(xi)
+    got = glm.bernoulli_logit().mean(xi)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+    # scalars and integers work, as they do for expit
+    scalar = glm.bernoulli_logit().mean(3)
+    assert abs(scalar - sp.expit(3.0)) <= 4 * np.spacing(sp.expit(3.0))
+
+
+def test_offset_logit_slope_takes_its_offset():
+    offset = np.array([-1.5, 0.0, 2.0])
+    xi = np.full(3, 0.5)
+    spec = glm._OffsetLogit(dispersion=1.0, offset=offset)
+    want = glm.bernoulli_logit().mean_slope(xi + offset)
+    assert spec.mean_slope(xi).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(1, 21))
