@@ -217,19 +217,15 @@ class JLConfig:
         object.__setattr__(self, "m", jl_target_dim(self.n_points, self.epsilon, self.delta))
 
 
-def jl_projection_matrix(ambient_dim: int, m: int, stream: RandomStream) -> np.ndarray:
-    """The random linear map as an (m, ambient_dim) matrix, scaled by 1/sqrt(m)."""
-    if m < 1 or ambient_dim < 1:
-        raise DomainError("dimensions must be >= 1")
-    a = stream.normals(m * ambient_dim).reshape(m, ambient_dim)
-    return a / math.sqrt(m)
-
-
 def jl_project(points: np.ndarray, m: int, stream: RandomStream) -> np.ndarray:
-    """Project each row of ``points`` through one random Gaussian map."""
+    """Project each row of ``points`` through one random Gaussian map, an
+    (m, dim) matrix of standard normals scaled by 1/sqrt(m)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    f = jl_projection_matrix(points.shape[1], m, stream)
-    return points @ f.T
+    dim = points.shape[1]
+    if m < 1 or dim < 1:
+        raise DomainError("dimensions must be >= 1")
+    a = stream.normals(m * dim).reshape(m, dim)
+    return points @ (a / math.sqrt(m)).T
 
 
 @dataclass(frozen=True)

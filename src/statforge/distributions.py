@@ -57,6 +57,7 @@ class DistributionSpec:
     module functions ``dist_*`` call."""
 
     is_discrete = False
+    _support_min = 0  # smallest support point of a discrete family
 
     def __post_init__(self):
         # finite as a float: NaN and +-inf fail, and so does an int too large
@@ -83,10 +84,6 @@ class DistributionSpec:
     def _sample(self, stream: RandomStream, count: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _support(self) -> tuple[float, float]:
-        """Open interval carrying all mass (continuous families)."""
-        raise NotImplementedError
-
     def _ppf(self, u):
         """Inverse cdf of a continuous family at ``u`` in (0,1); elementwise
         on arrays."""
@@ -102,7 +99,7 @@ class DistributionSpec:
         on the points still open: every point takes the path, and gets the
         value, of its own one-point search."""
         flat = u.ravel()
-        edges = [self._support_min() - 1, self._support_min()]  # cdf(edges[0]) = 0
+        edges = [self._support_min - 1, self._support_min]  # cdf(edges[0]) = 0
         doublings = np.zeros(flat.shape, dtype=np.intp)
         short = np.ones(flat.shape, dtype=bool)
         while True:
@@ -123,9 +120,6 @@ class DistributionSpec:
             below = self._cdf(mid.astype(float)) < flat[open_]
             lo[open_[below]] = mid[below]
             hi[open_[~below]] = mid[~below]
-
-    def _support_min(self) -> int:
-        return 0
 
 
 def _spec_list(spec) -> list:
@@ -160,9 +154,6 @@ class Normal(DistributionSpec):
     def _ppf(self, u):
         return self.mu + math.sqrt(self.sigma2) * sp.ndtri(u)
 
-    def _support(self):
-        return (-math.inf, math.inf)
-
     def _sample(self, stream, count):
         return self.mu + math.sqrt(self.sigma2) * stream.normals(count)
 
@@ -196,9 +187,6 @@ class LogNormal(DistributionSpec):
 
     def _ppf(self, u):
         return np.exp(self.mu + math.sqrt(self.sigma2) * sp.ndtri(u))
-
-    def _support(self):
-        return (0.0, math.inf)
 
     def _sample(self, stream, count):
         return np.exp(self.mu + math.sqrt(self.sigma2) * stream.normals(count))
@@ -245,9 +233,6 @@ class Gamma(DistributionSpec):
     def _ppf(self, u):
         return sp.gammaincinv(self.lam, u) / self.alpha
 
-    def _support(self):
-        return (0.0, math.inf)
-
     def _sample(self, stream, count):
         return _standard_gamma(stream, self.lam, count) / self.alpha
 
@@ -278,9 +263,6 @@ class ChiSquared(DistributionSpec):
     def sf(self, x):
         """Upper tail ``P(X > x)``, accurate where the cdf rounds to 1."""
         return sp.gammaincc(self.k / 2.0, 0.5 * np.maximum(x, 0.0))
-
-    def _support(self):
-        return (0.0, math.inf)
 
     def _sample(self, stream, count):
         return 2.0 * _standard_gamma(stream, self.k / 2.0, count)
@@ -313,9 +295,6 @@ class StudentT(DistributionSpec):
 
     def _ppf(self, u):
         return sp.stdtrit(self.k, u)
-
-    def _support(self):
-        return (-math.inf, math.inf)
 
     def _sample(self, stream, count):
         z = stream.normals(count)
@@ -377,9 +356,6 @@ class FisherF(DistributionSpec):
         k1, k2 = float(self.k1), float(self.k2)
         return sp.betainc(k2 / 2.0, k1 / 2.0, k2 / (k1 * np.maximum(x, 0.0) + k2))
 
-    def _support(self):
-        return (0.0, math.inf)
-
     def _sample(self, stream, count):
         w1 = 2.0 * _standard_gamma(stream, self.k1 / 2.0, count)
         w2 = 2.0 * _standard_gamma(stream, self.k2 / 2.0, count)
@@ -433,9 +409,6 @@ class Beta(DistributionSpec):
                 np.abs(sp.betainc(a, b, stepped) - u) < np.abs(miss))
         return np.where(mend, stepped, q)
 
-    def _support(self):
-        return (0.0, 1.0)
-
     def _sample(self, stream, count):
         ga = _standard_gamma(stream, self.alpha, count)
         gb = _standard_gamma(stream, self.beta, count)
@@ -464,9 +437,6 @@ class Exponential(DistributionSpec):
         out[on] = -np.expm1(-self.lam * x[on])
         return out
 
-    def _support(self):
-        return (0.0, math.inf)
-
     def _ppf(self, u):
         return -np.log1p(-u) / self.lam
 
@@ -485,9 +455,6 @@ class Uniform01(DistributionSpec):
 
     def _cdf(self, x):
         return np.clip(x, 0.0, 1.0)
-
-    def _support(self):
-        return (0.0, 1.0)
 
     def _ppf(self, u):
         return u.copy()  # a new array, never the caller's
@@ -614,6 +581,7 @@ class Geometric(DistributionSpec):
 
     p: float
     is_discrete = True
+    _support_min = 1
 
     def _check(self):
         _require(0.0 < self.p < 1.0, "Geometric requires p in (0,1)")
@@ -634,9 +602,6 @@ class Geometric(DistributionSpec):
         on = k >= 1
         out[on] = -np.expm1(k[on] * math.log1p(-self.p))
         return out
-
-    def _support_min(self):
-        return 1
 
     def _sample(self, stream, count):
         u = stream.uniforms_open(count)
@@ -674,10 +639,8 @@ def _standard_gamma(stream: RandomStream, shape: float, count: int) -> np.ndarra
         z = stream.normals(size)
         u = stream.uniforms_open(size)
         v = (1.0 + c * z) ** 3
-        ok = (z > -1.0 / c) & (
-            np.log(u) < 0.5 * z * z + d - d * np.where(v > 0, v, 1.0)
-            + d * np.log(np.where(v > 0, v, 1.0))
-        )
+        w = np.where(v > 0, v, 1.0)
+        ok = (z > -1.0 / c) & (np.log(u) < 0.5 * z * z + d - d * w + d * np.log(w))
         return v, ok
 
     out = _rejection(count, attempt)

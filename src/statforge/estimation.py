@@ -84,17 +84,6 @@ class FitResult:
             raise DomainError("no asymptotic covariance at a boundary estimate")
         return np.sqrt(np.diag(self.asymptotic_cov))
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "estimate": dict(zip(self.param_names, self.estimate.tolist())),
-            "log_likelihood": self.log_likelihood,
-            "fisher_info": None if self.fisher_info is None else self.fisher_info.tolist(),
-            "asymptotic_cov": None if self.asymptotic_cov is None else self.asymptotic_cov.tolist(),
-            "iterations": self.iterations,
-            "boundary": self.boundary,
-        }
-
 
 def _finish_fit(family, estimate, names, loglik, n, iterations=0, boundary=False):
     estimate = np.asarray(estimate, dtype=float)

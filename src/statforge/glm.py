@@ -70,7 +70,7 @@ class ExpFamilySpec:
         """Working weights of the Fisher information at ``eta``, whose means are ``mu``."""
         return self.mean_slope(eta) / self.dispersion
 
-    def start(self, m: np.ndarray, y: np.ndarray, has_intercept: bool) -> np.ndarray:
+    def start(self, m: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Starting coefficients, one row per response row."""
         return np.zeros((len(y), m.shape[-1]))
 
@@ -191,8 +191,8 @@ class _GammaNegLog(ExpFamilySpec):
         return np.sum(lam * np.log(alpha) - sp.gammaln(lam)
                       + (lam - 1.0) * np.log(y) - alpha * y, axis=-1)
 
-    def start(self, m, y, has_intercept):
-        beta = super().start(m, y, has_intercept)
+    def start(self, m, y):
+        beta = super().start(m, y)
         for r, row in enumerate(y):
             design = m if m.ndim == 2 else m[r]
             # start from a response-driven predictor to keep eta negative
@@ -200,8 +200,8 @@ class _GammaNegLog(ExpFamilySpec):
             guess, *_ = np.linalg.lstsq(design, eta0, rcond=None)
             if self.natural_ok(design @ guess):
                 beta[r] = guess
-            elif has_intercept:
-                # fall back to a constant negative predictor
+            elif np.all(design[:, 0] == 1.0):
+                # fall back to a constant negative predictor on the intercept
                 beta[r, 0] = float(self.link(np.array([row.mean()]))[0])
         return beta
 
@@ -266,51 +266,41 @@ def glm_fit(spec: ExpFamilySpec, x: DesignMatrix, y) -> GLMFit:
 
 def glm_fit_stack(spec: ExpFamilySpec, design, y) -> GLMFit:
     """:func:`glm_fit` on each row of ``y`` ``(R, n)``, against one shared
-    :class:`DesignMatrix` or one design per row, an ``(R, n, k)`` array
-    whose rows count as intercept designs when every column 0 is all ones.
+    :class:`DesignMatrix` or one design per row, an ``(R, n, k)`` array.
 
     Each row follows the single fit's iterations, checks and errors exactly,
     and its results are bit-identical to it."""
     y = np.asarray(y, dtype=float)
     if isinstance(design, DesignMatrix):
-        m, has_intercept = design.matrix, design.has_intercept
+        m = design.matrix
     else:
         m = np.ascontiguousarray(design, dtype=float)
         if m.ndim != 3:
             raise DomainError("per-row designs must form an (R, n, k) array")
-        has_intercept = bool(np.all(m[..., 0] == 1.0))
     if y.ndim != 2 or y.shape[0] < 1 or y.shape[1:] != m.shape[-2:-1] \
             or (m.ndim == 3 and len(m) != len(y)):
         raise DomainError("response length must match the design")
     spec.validate_y(y)
     require_full_rank(m)
-    return _fit_full_rank(spec, m, y, has_intercept)
+    return _scoring(spec, m, y, spec.start(m, y))
 
 
-def _fit_full_rank(spec: ExpFamilySpec, m: np.ndarray, y: np.ndarray,
-                   has_intercept: bool, start: np.ndarray | None = None) -> GLMFit:
+def _scoring(spec: ExpFamilySpec, m: np.ndarray, y: np.ndarray,
+             start: np.ndarray) -> GLMFit:
     """:func:`glm_fit_stack`'s scoring, on a contiguous ``m`` whose rank and
-    responses ``y`` have already been checked, from the family's starts or
-    from ``start``, an ``(R, k)`` array of coefficients such as a larger
-    model's fit restricted to ``m``'s columns. Scoring moves each row from
-    its own start, so a row's result does not depend on the other rows."""
-    if start is None:
-        start = spec.start(m, y, has_intercept)
-    beta, mu, info, iterations, ll, trace = _scoring(spec, m, y, start)
-    return GLMFit(beta=beta, mu=mu, fisher_info=info,
-                  iterations=iterations, log_likelihood=ll, loglik_trace=trace)
-
-
-def _scoring(spec, m, y, beta):
-    """Scoring iterations on a stack of rows from the starts ``beta``.
+    responses ``y`` have already been checked, from ``start``, an ``(R, k)``
+    array of coefficients: the family's starts, or a larger model's fit
+    restricted to ``m``'s columns.
 
     Every pass evaluates all rows; rows that have converged are frozen, as
-    only the rows still iterating are written. The information
-    ``mt @ (m * w[..., None])`` is formed with the weights ``w`` scaling the
-    contiguous ``columns`` of ``m``: the same products with the same bits,
-    without a strided ``(R, n, k)`` temporary."""
+    only the rows still iterating are written, so a row's result does not
+    depend on the other rows. The information ``mt @ (m * w[..., None])``
+    is formed with the weights ``w`` scaling the contiguous ``columns`` of
+    ``m``: the same products with the same bits, without a strided
+    ``(R, n, k)`` temporary."""
     mt = np.swapaxes(m, -1, -2)
     columns = np.ascontiguousarray(mt)
+    beta = start
     eta = _matvec(m, beta)
     ll = spec.loglik(y, eta)
     trace = [ll]
@@ -355,7 +345,8 @@ def _scoring(spec, m, y, beta):
     else:
         raise ConvergenceError("scoring iterations exhausted",
                                last_iterate=beta[np.argmax(active)])
-    return beta, mu, info, iterations, ll, np.stack(trace, axis=-1)
+    return GLMFit(beta=beta, mu=mu, fisher_info=info, iterations=iterations,
+                  log_likelihood=ll, loglik_trace=np.stack(trace, axis=-1))
 
 
 def _halved_steps(spec, m, y, beta, eta, ll, step, pending):

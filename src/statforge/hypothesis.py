@@ -13,7 +13,7 @@ import numpy as np
 
 from .distributions import ChiSquared, DistributionSpec, FisherF, dist_cdf, dist_quantile
 from .errors import DegenerateSampleError, DomainError, NestingError
-from .glm import _fit_full_rank, bernoulli_logit, glm_fit_stack
+from .glm import _scoring, bernoulli_logit, glm_fit_stack
 from .results import TestReport, _read_csv
 from .rng import RandomStream, replicate, replicate_chunks
 
@@ -219,6 +219,6 @@ def _logistic_gaps(n: int, batch) -> np.ndarray:
     # The null design's columns are a subset of the full one's, so by Cauchy
     # interlacing its singular values pass the rank test that the full
     # design's passed: no second SVD.
-    null = _fit_full_rank(spec, np.ascontiguousarray(design[..., :2]), y, True,
-                          start=np.ascontiguousarray(full.beta[:, :2]))
+    null = _scoring(spec, np.ascontiguousarray(design[..., :2]), y,
+                    np.ascontiguousarray(full.beta[:, :2]))
     return lrt_generic(full.log_likelihood, null.log_likelihood, 2).statistic

@@ -134,9 +134,6 @@ class ConfidenceInterval:
     def covers(self, value: float) -> bool:
         return (self.lo <= value) & (value <= self.hi)
 
-    def to_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "level": self.level, "kind": self.kind}
-
 
 @dataclass(frozen=True)
 class TestReport:

@@ -247,21 +247,12 @@ class BSParams:
     def time_left(self) -> float:
         return self.maturity - self.valuation_time
 
-    def to_dict(self) -> dict:
-        return {"spot": self.spot, "strike": self.strike, "rate": self.rate,
-                "volatility": self.volatility, "maturity": self.maturity,
-                "valuation_time": self.valuation_time}
-
 
 @dataclass(frozen=True)
 class BSPrice:
     price: float
     delta: float
     bond_position: float
-
-
-def _phi(x: float) -> float:
-    return float(sp.ndtr(x))
 
 
 def black_scholes_price(params: BSParams) -> BSPrice:
@@ -288,8 +279,8 @@ def black_scholes_price(params: BSParams) -> BSPrice:
         root_tau = math.sqrt(tau)
         g = (math.log(s / k) + (r + 0.5 * sigma * sigma) * tau) / (sigma * root_tau)
         h = g - sigma * root_tau
-        price = s * _phi(g) - k * math.exp(-r * tau) * _phi(h)
-        delta = _phi(g)
+        delta = float(sp.ndtr(g))
+        price = s * delta - k * math.exp(-r * tau) * float(sp.ndtr(h))
     bond_value = price - delta * s
     bond_position = bond_value * math.exp(-r * params.valuation_time)
     return BSPrice(price=price, delta=delta, bond_position=bond_position)

@@ -4,13 +4,18 @@ The KS and quadrature helpers here are deliberately independent of the
 package code they are used to check.
 """
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import settings
 from hypothesis import strategies as st
+from numpy._core import _multiarray_umath
 
 from statforge import distributions as d
-from statforge.rng import RandomStream
+from statforge.rng import _OPENBLAS, RandomStream
 
 # Every distribution family, keyed by its ``dist`` tag name, over a broad
 # range of its parameters. Gamma and beta shapes
@@ -55,3 +60,24 @@ def trapezoid_mass(pdf, lo, hi, n=200_001):
 @pytest.fixture
 def stream():
     return RandomStream(20260810)
+
+
+def pytest_report_header(config):
+    """The builds that report bits depend on: the digest pins of
+    ``test_cli`` hold only for numpy's AVX512 kernels and OpenBLAS's
+    SkylakeX ones, so a pin failure elsewhere shows its cause here."""
+    features = _multiarray_umath.__cpu_features__
+    simd = [t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t)]
+    lines = [f"numpy {np.__version__}, scipy {scipy.__version__}",
+             f"numpy SIMD dispatch: {' '.join(simd)}"]
+    # found as rng._one_blas_thread finds its setters; a missing one is skipped
+    for package, pattern, setter in _OPENBLAS:
+        for path in Path(package.__file__).parents[1].glob(pattern):
+            try:
+                corename = getattr(ctypes.CDLL(str(path)),
+                                   setter.replace("set_num_threads", "get_corename"))
+            except (OSError, AttributeError):
+                continue
+            corename.restype = ctypes.c_char_p
+            lines.append(f"{package.__name__}'s OpenBLAS core: {corename().decode()}")
+    return lines

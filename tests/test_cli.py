@@ -172,7 +172,8 @@ _CHUNKED_CASES = ["feynman-kac", "bs-price", "gauss-conc", "mse-variance"]
 # with (numpy 2.4.6, scipy 1.17.1), under the kernels those builds chose on
 # an AVX-512 host: numpy's dispatch up to AVX512_SPR and OpenBLAS' SkylakeX
 # core. numpy's exp, log, log1p and power, and OpenBLAS' stacked products,
-# give other bits at other levels, so some pins do not hold there.
+# give other bits at other levels, so some pins do not hold there; the
+# session header (conftest.pytest_report_header) names the running ones.
 _DIGEST_PINS = {
     "bayes": "6b28c3f1d856",
     "test-size": "779d511fa5bc",
@@ -807,3 +808,35 @@ class TestSmallRunsOfHeavyExperiments:
             experiment=tag, seed=20260810, params=self.SMALL[tag]))
         failed = [m.name for m in env.metrics if m.passed is False]
         assert not failed, f"{tag} failed metrics: {failed}"
+
+
+# perfbench's tracer, installed as its traced runs install it, then the
+# experiments whose results feed its counters, at toy sizes
+_TRACED_RUN = """
+import json, sys
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from statforge import experiments as xp
+for tag, params in json.loads(sys.argv[1]).items():
+    xp.run_experiment(xp.ExperimentConfig(experiment=tag, seed=20260810, params=params))
+print(json.dumps(tracer.summary()["counts"]))
+"""
+
+
+def test_perfbench_tracer_counts_traced_runs():
+    # the tracer reads result fields that no package code reads
+    # (ErdosRenyiGraph.n_vertices and edges, BrownianPath.values,
+    # MCEstimate.n_paths, GLMFit.iterations): a traced run must still count
+    root = Path(__file__).resolve().parents[1]
+    small = TestSmallRunsOfHeavyExperiments.SMALL
+    tags = ["er", "jl", "brownian", "feynman-kac", "bs-price", "glm", "lasso-bound"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    done = subprocess.run([sys.executable, "-c", _TRACED_RUN,
+                           json.dumps({tag: small[tag] for tag in tags})],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout)
+    for name in ("concentration.graphs", "concentration.jl_trials", "stochastic.paths",
+                 "glm.fits", "regression.fits"):
+        assert counts.get(name, 0) > 0, name

@@ -423,15 +423,12 @@ class TestMonteCarloMean:
         assert res.n_clt == pytest.approx(14_979, rel=0.01)
 
 
-def test_sample_csv_and_fit_serialization(tmp_path):
+def test_sample_csv_and_fit(tmp_path):
     path = tmp_path / "sample.csv"
     path.write_text("1.5\n2.5\n0.5\n3.0\n")
     sample = est.load_sample_csv(path)
     assert sample.shape == (4,)
     fit = est.mle_fit("normal", sample)
-    payload = fit.to_dict()
-    assert payload["family"] == "normal"
-    assert set(payload["estimate"]) == {"mu", "sigma2"}
-    assert payload["estimate"]["mu"] == pytest.approx(sample.mean())
-    ci = est.ci_mean_t(sample, 0.05)
-    assert set(ci.to_dict()) == {"lo", "hi", "level", "kind"}
+    assert fit.family == "normal"
+    assert fit.param_names == ("mu", "sigma2")
+    assert fit.estimate[0] == pytest.approx(sample.mean())

@@ -125,6 +125,24 @@ class TestGLMFit:
         cov = np.linalg.inv(fit.fisher_info)
         assert np.all(np.abs(fit.beta - beta) <= 4.0 * np.sqrt(np.diag(cov)))
 
+    def test_gamma_start_reads_the_design_not_its_flag(self):
+        # the least-squares start leaves the natural domain here, and the
+        # constant-predictor fallback needs only an all-ones column 0: the
+        # design's intercept flag does not change the fit
+        m = np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]])
+        y = [100.0, 100.0, 100.0, 0.01]
+        spec = glm.gamma_neglog(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flagged = glm.glm_fit(spec, reg.DesignMatrix(m, has_intercept=True), y)
+            unflagged = glm.glm_fit(spec, reg.DesignMatrix(m, has_intercept=False), y)
+        np.testing.assert_allclose(flagged.beta, [-0.015087, -0.011578], atol=1e-6)
+        assert flagged.iterations == 7
+        for name in ("beta", "mu", "fisher_info", "loglik_trace"):
+            assert getattr(unflagged, name).tobytes() == getattr(flagged, name).tobytes()
+        assert (unflagged.iterations, unflagged.log_likelihood) == \
+            (flagged.iterations, flagged.log_likelihood)
+
     def test_loglik_trace_monotone(self, logistic_data):
         design, y, _ = logistic_data
         fit = glm.glm_fit(glm.bernoulli_logit(), design, y)
@@ -322,13 +340,12 @@ class TestGLMFitStack:
         spec, designs, y = _family_rows(family, 200, 7, RandomStream(517))
         start = 0.1 * RandomStream(518).normals(7 * 3).reshape(7, 3)
         given = start.copy()
-        stack = glm._fit_full_rank(spec, designs, y, True, start=given)
+        stack = glm._scoring(spec, designs, y, given)
         assert given.tobytes() == start.tobytes()
         for r in range(7):
-            single = glm._fit_full_rank(spec, designs[r:r + 1], y[r:r + 1], True,
-                                        start=start[r:r + 1])
+            single = glm._scoring(spec, designs[r:r + 1], y[r:r + 1], start[r:r + 1])
             _assert_row_equals_single(stack, r, first_row(single))
-        cold = glm._fit_full_rank(spec, designs, y, True)
+        cold = glm.glm_fit_stack(spec, designs, y)
         assert not np.array_equal(cold.loglik_trace[:, 0], stack.loglik_trace[:, 0])
         np.testing.assert_allclose(stack.beta, cold.beta, rtol=0.0, atol=1e-8)
 
@@ -417,7 +434,7 @@ class TestScoringPass:
             seen.append((mu.copy(), weights(self, eta, mu)))
             return seen[-1][1]
         monkeypatch.setattr(glm._BernoulliLogit, "weights", recorded)
-        info = glm._scoring(spec, m, y, spec.start(m, y, True))[2]
+        info = glm._scoring(spec, m, y, spec.start(m, y)).fisher_info
         mu, w = seen[-1]
         clamped = np.clip(mu, glm._PROB_CLAMP, 1.0 - glm._PROB_CLAMP)
         assert w.tobytes() == (clamped * (1.0 - clamped)).tobytes()

@@ -325,8 +325,8 @@ class TestWilksSimulation:
             y = (sub.uniforms(n) < prob).astype(float)
             full = glm.glm_fit(spec, design_full, y)
             # the null fit starts from this row's full-fit intercept and slope
-            null = glm._fit_full_rank(spec, np.ascontiguousarray(design_full.matrix[None, :, :2]),
-                                      y[None], True, start=full.beta[None, :2])
+            null = glm._scoring(spec, np.ascontiguousarray(design_full.matrix[None, :, :2]),
+                                y[None], full.beta[None, :2])
             expected[r] = hyp.lrt_generic(full.log_likelihood, null.log_likelihood[0],
                                           2).statistic
         gaps = replicate(partial(hyp._logistic_gaps, n), reps, stream, width=n)
@@ -351,11 +351,11 @@ class TestWilksSimulation:
         blocks, in order."""
         calls = []
 
-        def recorded(spec, m, y, has_intercept, start=None):
-            fit = glm._fit_full_rank(spec, m, y, has_intercept, start=start)
+        def recorded(spec, m, y, start):
+            fit = glm._scoring(spec, m, y, start)
             calls.append((m, y, start, fit))
             return fit
-        monkeypatch.setattr(hyp, "_fit_full_rank", recorded)
+        monkeypatch.setattr(hyp, "_scoring", recorded)
         replicate(partial(hyp._logistic_gaps, n), reps, RandomStream(seed), width=n)
         return calls
 
@@ -368,7 +368,7 @@ class TestWilksSimulation:
         assert sum(len(y) for _, y, _, _ in calls) == 100
         for m, y, start, warm in calls:
             assert start.shape == (len(y), 2) and start.flags.c_contiguous
-            cold = glm._fit_full_rank(spec, m, y, True)
+            cold = glm.glm_fit_stack(spec, m, y)
             gap = np.abs(warm.log_likelihood - cold.log_likelihood)
             assert np.all(gap <= 1e-12 * (1.0 + np.abs(cold.log_likelihood)))
             np.testing.assert_allclose(warm.beta, cold.beta, rtol=0.0, atol=1e-8)

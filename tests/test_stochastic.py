@@ -481,10 +481,3 @@ def test_path_csv_export(stream):
     lines = buffer.getvalue().strip().splitlines()
     assert lines[0] == "t,x0,x1"
     assert len(lines) == 6
-
-
-def test_bs_params_round_trip_dict():
-    params = sto.BSParams(100.0, 95.0, 0.05, 0.2, 1.0)
-    payload = params.to_dict()
-    assert payload["strike"] == 95.0
-    assert sto.BSParams(**payload) == params
