@@ -19,8 +19,8 @@ from .rng import RandomStream, replicate_chunks
 __all__ = [
     "VarianceFamilyEstimate", "variance_family", "variance_bias", "variance_mse",
     "FitResult", "mle_fit", "fisher_information",
-    "ci_parametric", "ci_mean_z", "ci_mean_t", "ci_variance_asymptotic",
-    "ci_mle_asymptotic", "ci_two_sample_t", "ci_delta_method",
+    "ci_mean_z", "ci_mean_t", "ci_variance_asymptotic", "ci_mle_asymptotic",
+    "ci_two_sample_t", "ci_delta_method",
     "james_stein", "BetaPosterior", "NormalPosterior", "conjugate_update",
     "MonteCarloMean", "monte_carlo_mean", "load_sample_csv",
 ]
@@ -290,25 +290,6 @@ def ci_delta_method(theta_hat: float, fisher_total: float, g: Callable,
     center = g(theta_hat)
     return ConfidenceInterval(center - half, center + half, 1.0 - delta,
                               "delta_method")
-
-
-_CI_KINDS = {
-    "mean_z": ci_mean_z,
-    "mean_t": ci_mean_t,
-    "variance_asymptotic": ci_variance_asymptotic,
-    "mle_asymptotic": ci_mle_asymptotic,
-    "two_sample_t": ci_two_sample_t,
-    "delta_method": ci_delta_method,
-}
-
-
-def ci_parametric(kind: str, delta: float, **inputs) -> ConfidenceInterval:
-    """Dispatch to one of the interval constructions by tag."""
-    try:
-        builder = _CI_KINDS[kind]
-    except KeyError:
-        raise DomainError(f"unknown interval kind {kind!r}") from None
-    return builder(delta=delta, **inputs)
 
 
 # -- shrinkage --------------------------------------------------------------------

@@ -18,11 +18,12 @@ shape an array, is refused with :class:`DomainError`.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from functools import cache, partial
+from typing import Optional, get_type_hints
 
 import numpy as np
 from scipy.special import gammaln
@@ -49,6 +50,17 @@ __all__ = ["ExperimentConfig", "Metric", "ReportEnvelope", "run_experiment",
 _PROBABILITY_KEYS = ("delta", "max_freq_low", "min_freq_high", "min_rate")
 
 
+@cache
+def _config_keys(tag: str) -> dict:
+    """An experiment's config keys, name -> (type, default): the keyword-only
+    parameters of its runner."""
+    runner = EXPERIMENTS[tag]
+    types = get_type_hints(runner)
+    return {name: (types[name], param.default)
+            for name, param in inspect.signature(runner).parameters.items()
+            if param.kind is param.KEYWORD_ONLY}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -58,17 +70,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise DomainError(f"unknown experiment tag {self.experiment!r}")
-        schema = EXPERIMENTS[self.experiment].schema
+        keys = _config_keys(self.experiment)
         for key in self.params:
-            if key not in schema:
+            if key not in keys:
                 raise DomainError(
                     f"unknown key {key!r} for experiment {self.experiment!r}")
 
     def resolved_params(self) -> dict:
-        schema = EXPERIMENTS[self.experiment].schema
-        values = {name: default for name, (_, default) in schema.items()}
+        keys = _config_keys(self.experiment)
+        values = {name: default for name, (_, default) in keys.items()}
         values.update(self.params)
-        for name, (kind, _) in schema.items():
+        for name, (kind, _) in keys.items():
             value = values[name]
             if kind is float and type(value) is int:
                 try:
@@ -210,11 +222,12 @@ def _sum_squares(n, stream, take):
     return est.variance_family(stream.normals(take * n).reshape(take, n), 1.0).estimate
 
 
-def _run_mse_variance(p, root, workers):
-    n, reps, sigma2 = p["n"], p["replicates"], 1.0
+def _run_mse_variance(root, workers, *, n: int = 10, replicates: int = 200_000,
+                      rel_tol: float = 0.02):
+    sigma2 = 1.0
     if n < 2:
         raise DomainError(f"key 'n' must be at least 2, got {n}")
-    ss = replicate_chunks(partial(_sum_squares, n), reps, root, workers, width=n)
+    ss = replicate_chunks(partial(_sum_squares, n), replicates, root, workers, width=n)
     cs = [1.0 / (n + 1), 1.0 / n, 1.0 / (n - 1)]
     labels = ["c_over_n_plus_1", "c_over_n", "c_over_n_minus_1"]
     metrics = []
@@ -223,7 +236,7 @@ def _run_mse_variance(p, root, workers):
         emp = float(((c * ss - sigma2) ** 2).mean())
         empirical.append(emp)
         theory = est.variance_mse(n, c, sigma2)
-        metrics.append(_within(f"mse_{label}", emp, theory, p["rel_tol"] * theory,
+        metrics.append(_within(f"mse_{label}", emp, theory, rel_tol * theory,
                                method="scaled_deviation_mse"))
     metrics.append(Metric(name="empirical_min_at_shrunk_scale",
                           value=float(np.argmin(empirical)), target=0.0,
@@ -236,11 +249,11 @@ def _kernel_ci_cover(n, delta, batch):
     return est.ci_mean_t(batch.normals(n), delta).covers(0.0)
 
 
-def _run_ci_coverage(p, root, workers):
-    hits = replicate(partial(_kernel_ci_cover, p["n"], p["delta"]),
-                     p["replicates"], root, workers)
+def _run_ci_coverage(root, workers, *, n: int = 5, delta: float = 0.05,
+                     replicates: int = 100_000, tolerance: float = 0.01):
+    hits = replicate(partial(_kernel_ci_cover, n, delta), replicates, root, workers)
     rate = float(np.mean(hits))
-    return [_within("coverage", rate, 1.0 - p["delta"], p["tolerance"],
+    return [_within("coverage", rate, 1.0 - delta, tolerance,
                     method="studentized_interval",
                     se=math.sqrt(rate * (1 - rate) / hits.size))]
 
@@ -249,11 +262,12 @@ def _jl_success(cfg, stream):
     return con.jl_trial(cfg, stream).success
 
 
-def _run_jl(p, root, workers):
-    cfg = con.JLConfig(n_points=p["n_points"], ambient_dim=p["ambient_dim"],
-                       epsilon=p["epsilon"], delta=p["delta"])
+def _run_jl(root, workers, *, n_points: int = 50, ambient_dim: int = 1000,
+            epsilon: float = 0.25, delta: float = 0.05, replicates: int = 200):
+    cfg = con.JLConfig(n_points=n_points, ambient_dim=ambient_dim,
+                       epsilon=epsilon, delta=delta)
     wins = replicate(partial(_each_row, partial(_jl_success, cfg)),
-                     p["replicates"], root, workers)
+                     replicates, root, workers)
     rate = float(np.mean(wins))
     return [
         Metric(name="target_dim", value=float(cfg.m), method="distortion_dim_rule"),
@@ -267,17 +281,18 @@ def _er_connected(n_vertices, prob, stream):
     return con.er_metrics(con.er_sample(n_vertices, prob, stream)).is_connected
 
 
-def _run_er(p, root, workers):
-    n = p["n_vertices"]
+def _run_er(root, workers, *, n_vertices: int = 2000, graphs: int = 200,
+            c_low: float = 0.7, c_high: float = 1.3, max_freq_low: float = 0.05,
+            min_freq_high: float = 0.8):
     metrics = []
     for label, c, check, floor_or_ceil in (
-        ("subcritical", p["c_low"], _at_most, p["max_freq_low"]),
-        ("supercritical", p["c_high"], _at_least, p["min_freq_high"]),
+        ("subcritical", c_low, _at_most, max_freq_low),
+        ("supercritical", c_high, _at_least, min_freq_high),
     ):
-        prob = min(1.0, c * math.log(n) / n)
-        kernel = partial(_each_row, partial(_er_connected, n, prob))
+        prob = min(1.0, c * math.log(n_vertices) / n_vertices)
+        kernel = partial(_each_row, partial(_er_connected, n_vertices, prob))
         sub_root = _aux(root, 1 if label == "subcritical" else 2)
-        hits = replicate(kernel, p["graphs"], sub_root, workers)
+        hits = replicate(kernel, graphs, sub_root, workers)
         freq = float(np.mean(hits))
         metrics.append(check(f"connectivity_{label}", freq, floor_or_ceil,
                              method="edge_threshold_scan"))
@@ -289,11 +304,12 @@ def _mle_standardized(alpha, lam, n, stream):
     return (fit.estimate - np.array([alpha, lam])) / fit.standard_errors()
 
 
-def _run_mle(p, root, workers):
-    task = partial(_mle_standardized, p["alpha"], p["lam"], p["n"])
-    standardized = replicate(partial(_each_row, task), p["replicates"], root, workers)
+def _run_mle(root, workers, *, alpha: float = 3.0, lam: float = 2.0, n: int = 5000,
+             replicates: int = 500, ks_tol: float = 0.05):
+    task = partial(_mle_standardized, alpha, lam, n)
+    standardized = replicate(partial(_each_row, task), replicates, root, workers)
     return [_at_most(f"ks_{name}_component", hyp.ks_statistic(row, d.Normal(0.0, 1.0)),
-                     p["ks_tol"], method="standardized_mle_ks")
+                     ks_tol, method="standardized_mle_ks")
             for name, row in zip(("rate", "shape"), standardized)]
 
 
@@ -310,29 +326,30 @@ def _kernel_regression(design, null_design, beta, batch):
                       report.reject(0.05)])
 
 
-def _run_regression(p, root, workers):
-    n, n_slopes, reps = p["n"], p["n_slopes"], p["replicates"]
+def _run_regression(root, workers, *, n: int = 50, n_slopes: int = 3,
+                    replicates: int = 10_000, ks_tol: float = 0.02,
+                    coverage_tol: float = 0.01, size_tol: float = 0.007):
     design = reg.design_matrix(_aux(root, 1).normals(n * n_slopes).reshape(n, n_slopes))
     beta = np.concatenate([[1.0], np.linspace(0.5, 1.5, n_slopes)])
     null_design = reg.design_matrix(design.matrix[:, 1:2], intercept=True)
     df = n - n_slopes - 1
     *coefs, scaled_var, covered, size_hits = replicate(
-        partial(_kernel_regression, design, null_design, beta), reps, root, workers)
+        partial(_kernel_regression, design, null_design, beta), replicates, root, workers)
     estimates = np.column_stack(coefs)  # (R, k) in C order: sums run over replicates
-    se_beta = estimates.std(axis=0, ddof=1) / math.sqrt(reps)
+    se_beta = estimates.std(axis=0, ddof=1) / math.sqrt(replicates)
     bias = np.abs(estimates.mean(axis=0) - beta)
     ks = hyp.ks_statistic(scaled_var, d.ChiSquared(df))
     coverage, size = covered.mean(), size_hits.mean()
     return [
         _at_most("max_beta_bias_in_se", float((bias / se_beta).max()), 4.0,
                  method="unbiasedness_check"),
-        _at_most("sigma2_ks", ks, p["ks_tol"], method="residual_chi2_law"),
-        _within("coef_coverage", coverage, 0.95, p["coverage_tol"],
+        _at_most("sigma2_ks", ks, ks_tol, method="residual_chi2_law"),
+        _within("coef_coverage", coverage, 0.95, coverage_tol,
                 method="coef_t_interval",
-                se=math.sqrt(coverage * (1 - coverage) / reps)),
-        _within("nested_f_size", size, 0.05, p["size_tol"],
+                se=math.sqrt(coverage * (1 - coverage) / replicates)),
+        _within("nested_f_size", size, 0.05, size_tol,
                 method="nested_f_test",
-                se=math.sqrt(size * (1 - size) / reps)),
+                se=math.sqrt(size * (1 - size) / replicates)),
     ]
 
 
@@ -345,24 +362,23 @@ def _kernel_lasso_error(true_beta, design, penalty, batch):
     return (gap ** 2).sum(axis=-1) / design.n
 
 
-def _run_lasso_bound(p, root, workers):
-    n, n_regressors, sparsity, t = p["n"], p["p"], p["s"], p["t"]
-    if sparsity > n_regressors:
-        raise DomainError(f"key 's' must be at most 'p' = {n_regressors}, got {sparsity}")
-    m = _aux(root, 1).normals(n * n_regressors).reshape(n, n_regressors)
+def _run_lasso_bound(root, workers, *, n: int = 100, p: int = 200, s: int = 3,
+                     t: float = 2.0, replicates: int = 200, re_probes: int = 2000):
+    if s > p:
+        raise DomainError(f"key 's' must be at most 'p' = {p}, got {s}")
+    m = _aux(root, 1).normals(n * p).reshape(n, p)
     m /= np.sqrt((m ** 2).sum(axis=0) / n)
-    beta = np.zeros(n_regressors)
-    beta[:sparsity] = np.linspace(1.0, 2.0, sparsity)
+    beta = np.zeros(p)
+    beta[:s] = np.linspace(1.0, 2.0, s)
     design = reg.DesignMatrix(m, has_intercept=False)
-    penalty = reg.lasso_penalty_rule(n, n_regressors, 1.0, t)
-    kappa = reg.estimate_restricted_eigenvalue(design, np.arange(sparsity),
-                                               p["re_probes"], _aux(root, 2))
-    bound = 9.0 * penalty ** 2 * sparsity / kappa
+    penalty = reg.lasso_penalty_rule(n, p, 1.0, t)
+    kappa = reg.estimate_restricted_eigenvalue(design, np.arange(s),
+                                               re_probes, _aux(root, 2))
+    bound = 9.0 * penalty ** 2 * s / kappa
     errors = replicate(partial(_kernel_lasso_error, beta, design, penalty),
-                       p["replicates"], root, workers, width=n + n_regressors)
+                       replicates, root, workers, width=n + p)
     violation = float(np.mean(errors > bound))
-    ceiling = 2.0 * math.exp(-t * t / 2.0) + 3.0 * math.sqrt(
-        0.25 / p["replicates"])
+    ceiling = 2.0 * math.exp(-t * t / 2.0) + 3.0 * math.sqrt(0.25 / replicates)
     q, _ = np.linalg.qr(_aux(root, 3).normals(40 * 4).reshape(40, 4))
     ortho = q * math.sqrt(40)
     y = ortho @ np.array([1.0, -0.5, 0.0, 0.0]) + _aux(root, 4).normals(40)
@@ -389,15 +405,15 @@ def _kernel_glm(spec, design, beta, prob, batch):
     return np.array([residual / scale, glm.glm_wald_ci(fit, 1, 0.05).covers(beta[1])])
 
 
-def _run_glm(p, root, workers):
-    n, n_slopes, reps = p["n"], p["n_slopes"], p["replicates"]
+def _run_glm(root, workers, *, n: int = 2000, n_slopes: int = 3, replicates: int = 5000,
+             coverage_tol: float = 0.015):
     covariates = _aux(root, 1).normals(n * n_slopes).reshape(n, n_slopes)
     design = reg.design_matrix(covariates)
     beta = np.concatenate([[0.3], np.linspace(-0.5, 0.8, n_slopes)])
     spec = glm.bernoulli_logit()
     prob = spec.mean(design.matrix @ beta)
     residuals, covered = replicate(partial(_kernel_glm, spec, design, beta, prob),
-                                   reps, root, workers, width=n)
+                                   replicates, root, workers, width=n)
     coverage = covered.mean()
     y = (_aux(root, 2).uniforms(n) < prob).astype(float)
     fit = glm.glm_fit(spec, design, y)
@@ -417,9 +433,9 @@ def _run_glm(p, root, workers):
     return [
         _at_most("max_score_residual", residuals.max(), 1e-8,
                  method="canonical_score"),
-        _within("wald_coverage", coverage, 0.95, p["coverage_tol"],
+        _within("wald_coverage", coverage, 0.95, coverage_tol,
                 method="wald_interval",
-                se=math.sqrt(coverage * (1 - coverage) / reps)),
+                se=math.sqrt(coverage * (1 - coverage) / replicates)),
         _at_most("information_fd_gap", info_gap, 1e-4,
                  method="observed_information"),
     ]
@@ -437,16 +453,16 @@ def _kernel_irt(bank, gamma_true, prob, batch):
     return np.array([usable, inside])
 
 
-def _run_irt(p, root, workers):
-    items = p["items"]
+def _run_irt(root, workers, *, items: int = 40, examinees: int = 10_000,
+             ability: float = 0.5, min_rate: float = 0.99):
     bank = glm.IRTItemBank(a=0.5 + _aux(root, 1).uniforms(items) * 1.5,
                            b=_aux(root, 2).normals(items))
-    kernel = partial(_kernel_irt, bank, p["ability"], bank.success_probability(p["ability"]))
-    usable, inside = replicate(kernel, p["examinees"], root, workers, width=items)
+    kernel = partial(_kernel_irt, bank, ability, bank.success_probability(ability))
+    usable, inside = replicate(kernel, examinees, root, workers, width=items)
     if not usable.any():
         raise DomainError("no examinee answered both right and wrong; raise 'items' or 'examinees'")
     return [_at_least("three_se_capture_rate", inside.sum() / usable.sum(),
-                      p["min_rate"], method="ability_newton_solve")]
+                      min_rate, method="ability_newton_solve")]
 
 
 _TEST_SIZE_LEVELS = (0.05, 0.01)
@@ -463,28 +479,31 @@ def _kernel_test_size(n, batch):
                      for alpha in _TEST_SIZE_LEVELS])
 
 
-def _run_test_size(p, root, workers):
-    reps = p["replicates"]
-    rejections = replicate(partial(_kernel_test_size, p["n"]), reps, root, workers)
+def _run_test_size(root, workers, *, n: int = 10, replicates: int = 10_000):
+    rejections = replicate(partial(_kernel_test_size, n), replicates, root, workers)
     names = [(name, alpha) for name in ("z", "t", "f", "anova")
              for alpha in _TEST_SIZE_LEVELS]
     metrics = []
     for (name, alpha), hits in zip(names, rejections):
-        rate = int(hits.sum()) / reps
-        se = math.sqrt(alpha * (1 - alpha) / reps)
+        rate = int(hits.sum()) / replicates
+        se = math.sqrt(alpha * (1 - alpha) / replicates)
         metrics.append(_within(f"size_{name}_{alpha}", rate, alpha, 3.0 * se,
                                method="null_rejection_rate", se=se))
     return metrics
 
 
-def _run_wilks(p, root, workers):
+def _run_wilks(root, workers, *, n_z: int = 8, replicates_z: int = 20_000,
+               n_t: int = 200, replicates_t: int = 20_000, n_logistic: int = 2000,
+               replicates_logistic: int = 5000, ks_z_tol: float = 0.01,
+               ks_t_tol: float = 0.02, ks_logistic_tol: float = 0.02):
     metrics = []
-    for k, (scenario, method) in enumerate((("z", "exact_chi2_law"), ("t", "large_sample_chi2"),
-                                            ("logistic", "large_sample_chi2")), start=1):
-        res = hyp.wilks_null_simulation(scenario, p[f"n_{scenario}"],
-                                        p[f"replicates_{scenario}"], _aux(root, k), workers)
-        metrics.append(_at_most(f"ks_{scenario}", res.ks_distance, p[f"ks_{scenario}_tol"],
-                                method=method))
+    for k, (scenario, n, replicates, ks_tol, method) in enumerate((
+            ("z", n_z, replicates_z, ks_z_tol, "exact_chi2_law"),
+            ("t", n_t, replicates_t, ks_t_tol, "large_sample_chi2"),
+            ("logistic", n_logistic, replicates_logistic, ks_logistic_tol,
+             "large_sample_chi2")), start=1):
+        res = hyp.wilks_null_simulation(scenario, n, replicates, _aux(root, k), workers)
+        metrics.append(_at_most(f"ks_{scenario}", res.ks_distance, ks_tol, method=method))
     return metrics
 
 
@@ -492,16 +511,17 @@ def _qv_gap(grid, horizon, stream):
     return abs(sto.quadratic_variation(sto.brownian_sample(grid, 1, stream)) - horizon)
 
 
-def _run_brownian(p, root, workers):
-    task = partial(_qv_gap, sto.uniform_grid(p["horizon"], p["steps"]), p["horizon"])
-    qv_gaps = replicate(partial(_each_row, task), p["paths"], root, workers)
-    terminal = sto.brownian_sample(sto.uniform_grid(p["horizon"], 2), 100_000,
+def _run_brownian(root, workers, *, horizon: float = 1.0, steps: int = 100_000,
+                  paths: int = 100, qv_tol: float = 0.02):
+    task = partial(_qv_gap, sto.uniform_grid(horizon, steps), horizon)
+    qv_gaps = replicate(partial(_each_row, task), paths, root, workers)
+    terminal = sto.brownian_sample(sto.uniform_grid(horizon, 2), 100_000,
                                    _aux(root, 1)).values[-1]
-    var_tol = 4.0 * math.sqrt(2.0) * p["horizon"] / math.sqrt(terminal.size)
+    var_tol = 4.0 * math.sqrt(2.0) * horizon / math.sqrt(terminal.size)
     return [
-        _at_most("mean_qv_gap", float(np.mean(qv_gaps)), p["qv_tol"],
+        _at_most("mean_qv_gap", float(np.mean(qv_gaps)), qv_tol,
                  method="squared_increment_sum"),
-        _within("terminal_variance", float(terminal.var()), p["horizon"], var_tol,
+        _within("terminal_variance", float(terminal.var()), horizon, var_tol,
                 method="increment_accumulation"),
     ]
 
@@ -514,16 +534,17 @@ def _ito_integral_gap(grid, stream):
     return value, abs(value - (0.5 * b[-1] ** 2 - 0.5))
 
 
-def _run_ito(p, root, workers):
+def _run_ito(root, workers, *, steps: int = 100_000, paths: int = 100,
+            identity_tol: float = 0.02):
     integrals, identity_gaps = replicate(
-        partial(_each_row, partial(_ito_integral_gap, sto.uniform_grid(1.0, p["steps"]))),
-        p["paths"], root, workers)
+        partial(_each_row, partial(_ito_integral_gap, sto.uniform_grid(1.0, steps))),
+        paths, root, workers)
     se_mean = integrals.std(ddof=1) / math.sqrt(integrals.size)
     second = integrals ** 2
     se_second = second.std(ddof=1) / math.sqrt(second.size)
     return [
         _at_most("mean_identity_gap", float(np.mean(identity_gaps)),
-                 p["identity_tol"], method="left_endpoint_sum"),
+                 identity_tol, method="left_endpoint_sum"),
         _within("martingale_mean", float(integrals.mean()), 0.0, 4.0 * se_mean,
                 method="zero_expectation", se=se_mean),
         _within("second_moment", float(second.mean()), 0.5, 4.0 * se_second,
@@ -539,11 +560,12 @@ def _inside_unit_interval(x):
     return (np.abs(x[:, 0]) <= 1.0).astype(float)
 
 
-def _run_feynman_kac(p, root, workers):
+def _run_feynman_kac(root, workers, *, paths: int = 1_000_000,
+                     paths_control: int = 100_000, steps: int = 100):
     res, controlled = (
         sto.feynman_kac_mc(partial(_constant_potential, level), _inside_unit_interval, 1.0,
-                           0.0, 1, p[paths], p["steps"], _aux(root, k), workers)
-        for k, level, paths in ((1, 0.0, "paths"), (2, 0.5, "paths_control")))
+                           0.0, 1, count, steps, _aux(root, k), workers)
+        for k, level, count in ((1, 0.0, paths), (2, 0.5, paths_control)))
     target = float(d.dist_cdf(d.Normal(0.0, 1.0), 1.0) - d.dist_cdf(d.Normal(0.0, 1.0), -1.0))
     ceiling = math.exp(-0.5) + 4.0 * controlled.standard_error
     return [
@@ -555,14 +577,16 @@ def _run_feynman_kac(p, root, workers):
     ]
 
 
-def _run_bs_price(p, root, workers):
-    params = sto.BSParams(spot=p["spot"], strike=p["strike"], rate=p["rate"],
-                          volatility=p["volatility"], maturity=p["maturity"])
+def _run_bs_price(root, workers, *, spot: float = 100.0, strike: float = 100.0,
+                  rate: float = 0.05, volatility: float = 0.2, maturity: float = 1.0,
+                  paths: int = 1_000_000, pde_tol: float = 1e-5):
+    params = sto.BSParams(spot=spot, strike=strike, rate=rate,
+                          volatility=volatility, maturity=maturity)
     closed = sto.black_scholes_price(params)
-    mc = sto.bs_mc_price(params, p["paths"], _aux(root, 1), workers)
+    mc = sto.bs_mc_price(params, paths, _aux(root, 1), workers)
     residuals = [
         abs(sto.bs_pde_residual(sto.BSParams(
-            spot=x, strike=1.0, rate=p["rate"], volatility=p["volatility"],
+            spot=x, strike=1.0, rate=rate, volatility=volatility,
             maturity=1.0, valuation_time=t)))
         for x in np.linspace(0.6, 1.6, 10)
         for t in np.linspace(0.05, 0.9, 10)
@@ -572,20 +596,21 @@ def _run_bs_price(p, root, workers):
         Metric(name="delta", value=closed.delta, method="terminal_payoff_transform"),
         _within("mc_gap", mc.estimate, closed.price, 3.0 * mc.standard_error,
                 method="risk_neutral_mc", se=mc.standard_error),
-        _at_most("max_pde_residual", max(residuals), p["pde_tol"],
+        _at_most("max_pde_residual", max(residuals), pde_tol,
                  method="finite_difference_pde"),
     ]
 
 
-def _run_gauss_conc(p, root, workers):
-    grid = np.linspace(0.0, 4.0, p["grid_points"])
-    res = sto.gaussian_concentration_experiment("norm", p["k"], p["samples"],
+def _run_gauss_conc(root, workers, *, k: int = 100, samples: int = 1_000_000,
+                    grid_points: int = 17):
+    grid = np.linspace(0.0, 4.0, grid_points)
+    res = sto.gaussian_concentration_experiment("norm", k, samples,
                                                 grid, _aux(root, 1), workers)
     excess = res.empirical - (res.bound + 3.0 * res.standard_error)
     # The excess peaks at the last grid point at every seed (-2 exp(-8) at
     # tau = 4), so the tail bound cannot tell a wrong law. The centre can:
     # E||X|| = sqrt(2) Gamma((k + 1) / 2) / Gamma(k / 2) for X ~ N(0, I_k).
-    exact = math.sqrt(2.0) * math.exp(gammaln((p["k"] + 1) / 2.0) - gammaln(p["k"] / 2.0))
+    exact = math.sqrt(2.0) * math.exp(gammaln((k + 1) / 2.0) - gammaln(k / 2.0))
     se = res.center_standard_error
     return [_at_most("max_excess_over_bound", float(excess.max()), 0.0,
                      method="lipschitz_tail_bound"),
@@ -598,13 +623,13 @@ def _kernel_js_loss(dim, batch):
     return (est.james_stein(batch.normals(dim), 1.0) ** 2).sum(axis=-1)
 
 
-def _run_james_stein(p, root, workers):
-    losses = replicate(partial(_kernel_js_loss, p["dim"]), p["replicates"], root,
-                       workers)
+def _run_james_stein(root, workers, *, dim: int = 10, replicates: int = 100_000,
+                     tolerance: float = 0.05):
+    losses = replicate(partial(_kernel_js_loss, dim), replicates, root, workers)
     mse = float(np.mean(losses))
     # risk of the shrunk estimate at a zero mean: dim - (dim - 2) = 2
-    return [_within("shrunk_mse", mse, p["dim"] - (p["dim"] - 2.0),
-                    p["tolerance"], method="quadratic_risk",
+    return [_within("shrunk_mse", mse, dim - (dim - 2.0),
+                    tolerance, method="quadratic_risk",
                     se=float(np.std(losses, ddof=1) / math.sqrt(losses.size)))]
 
 
@@ -617,13 +642,12 @@ def _kernel_bayes_losses(n, prior, batch):
     return np.stack([(post.mean - mu) ** 2, (xbar - mu) ** 2])
 
 
-def _run_bayes(p, root, workers):
-    n = p["n"]
+def _run_bayes(root, workers, *, n: int = 50, replicates: int = 2000):
     succ = est.conjugate_update(est.BetaPosterior(1.0, 1.0), successes=n, trials=n)
     rule = succ.predictive_success
     prior = est.NormalPosterior(mean=0.0, variance=1.0)
     post_losses, mle_losses = replicate(partial(_kernel_bayes_losses, n, prior),
-                                        p["replicates"], root, workers)
+                                        replicates, root, workers)
     return [
         _within("rule_of_succession", rule, (n + 1.0) / (n + 2.0), 1e-12,
                 method="conjugate_posterior_mean"),
@@ -636,77 +660,25 @@ def _run_bayes(p, root, workers):
 # -- registry -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Experiment:
-    tag: str
-    runner: Callable
-    schema: dict  # name -> (type, default)
-
-
 EXPERIMENTS = {
-    e.tag: e for e in [
-        Experiment("mse-variance", _run_mse_variance,
-                   {"n": (int, 10), "replicates": (int, 200_000),
-                    "rel_tol": (float, 0.02)}),
-        Experiment("ci-coverage", _run_ci_coverage,
-                   {"n": (int, 5), "delta": (float, 0.05),
-                    "replicates": (int, 100_000), "tolerance": (float, 0.01)}),
-        Experiment("jl", _run_jl,
-                   {"n_points": (int, 50), "ambient_dim": (int, 1000),
-                    "epsilon": (float, 0.25), "delta": (float, 0.05),
-                    "replicates": (int, 200)}),
-        Experiment("er", _run_er,
-                   {"n_vertices": (int, 2000), "graphs": (int, 200),
-                    "c_low": (float, 0.7), "c_high": (float, 1.3),
-                    "max_freq_low": (float, 0.05), "min_freq_high": (float, 0.8)}),
-        Experiment("mle", _run_mle,
-                   {"alpha": (float, 3.0), "lam": (float, 2.0), "n": (int, 5000),
-                    "replicates": (int, 500), "ks_tol": (float, 0.05)}),
-        Experiment("regression", _run_regression,
-                   {"n": (int, 50), "n_slopes": (int, 3),
-                    "replicates": (int, 10_000), "ks_tol": (float, 0.02),
-                    "coverage_tol": (float, 0.01), "size_tol": (float, 0.007)}),
-        Experiment("lasso-bound", _run_lasso_bound,
-                   {"n": (int, 100), "p": (int, 200), "s": (int, 3),
-                    "t": (float, 2.0), "replicates": (int, 200),
-                    "re_probes": (int, 2000)}),
-        Experiment("glm", _run_glm,
-                   {"n": (int, 2000), "n_slopes": (int, 3),
-                    "replicates": (int, 5000), "coverage_tol": (float, 0.015)}),
-        Experiment("irt", _run_irt,
-                   {"items": (int, 40), "examinees": (int, 10_000),
-                    "ability": (float, 0.5), "min_rate": (float, 0.99)}),
-        Experiment("test-size", _run_test_size,
-                   {"n": (int, 10), "replicates": (int, 10_000)}),
-        Experiment("wilks", _run_wilks,
-                   {"n_z": (int, 8), "replicates_z": (int, 20_000),
-                    "n_t": (int, 200), "replicates_t": (int, 20_000),
-                    "n_logistic": (int, 2000), "replicates_logistic": (int, 5000),
-                    "ks_z_tol": (float, 0.01), "ks_t_tol": (float, 0.02),
-                    "ks_logistic_tol": (float, 0.02)}),
-        Experiment("brownian", _run_brownian,
-                   {"horizon": (float, 1.0), "steps": (int, 100_000),
-                    "paths": (int, 100), "qv_tol": (float, 0.02)}),
-        Experiment("ito", _run_ito,
-                   {"steps": (int, 100_000), "paths": (int, 100),
-                    "identity_tol": (float, 0.02)}),
-        Experiment("feynman-kac", _run_feynman_kac,
-                   {"paths": (int, 1_000_000), "paths_control": (int, 100_000),
-                    "steps": (int, 100)}),
-        Experiment("bs-price", _run_bs_price,
-                   {"spot": (float, 100.0), "strike": (float, 100.0),
-                    "rate": (float, 0.05), "volatility": (float, 0.2),
-                    "maturity": (float, 1.0), "paths": (int, 1_000_000),
-                    "pde_tol": (float, 1e-5)}),
-        Experiment("gauss-conc", _run_gauss_conc,
-                   {"k": (int, 100), "samples": (int, 1_000_000),
-                    "grid_points": (int, 17)}),
-        Experiment("james-stein", _run_james_stein,
-                   {"dim": (int, 10), "replicates": (int, 100_000),
-                    "tolerance": (float, 0.05)}),
-        Experiment("bayes", _run_bayes,
-                   {"n": (int, 50), "replicates": (int, 2000)}),
-    ]
+    "mse-variance": _run_mse_variance,
+    "ci-coverage": _run_ci_coverage,
+    "jl": _run_jl,
+    "er": _run_er,
+    "mle": _run_mle,
+    "regression": _run_regression,
+    "lasso-bound": _run_lasso_bound,
+    "glm": _run_glm,
+    "irt": _run_irt,
+    "test-size": _run_test_size,
+    "wilks": _run_wilks,
+    "brownian": _run_brownian,
+    "ito": _run_ito,
+    "feynman-kac": _run_feynman_kac,
+    "bs-price": _run_bs_price,
+    "gauss-conc": _run_gauss_conc,
+    "james-stein": _run_james_stein,
+    "bayes": _run_bayes,
 }
 
 
@@ -724,7 +696,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ReportEnvelope
     root = RandomStream(config.seed)
     start = time.perf_counter()
     try:
-        metrics = EXPERIMENTS[config.experiment].runner(params, root, workers)
+        metrics = EXPERIMENTS[config.experiment](root, workers, **params)
     except ValueError as err:
         if not any(text in str(err) for text in _NUMPY_SIZE_ERRORS):
             raise

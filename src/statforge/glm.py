@@ -198,11 +198,12 @@ class _GammaNegLog(ExpFamilySpec):
             # start from a response-driven predictor to keep eta negative
             eta0 = self.link(np.maximum(row, np.percentile(row, 5)))
             guess, *_ = np.linalg.lstsq(design, eta0, rcond=None)
+            if not self.natural_ok(design @ guess):
+                # fall back to the design's fit of a constant negative predictor
+                eta0 = np.full(len(row), self.link(row.mean()))
+                guess, *_ = np.linalg.lstsq(design, eta0, rcond=None)
             if self.natural_ok(design @ guess):
                 beta[r] = guess
-            elif np.all(design[:, 0] == 1.0):
-                # fall back to a constant negative predictor on the intercept
-                beta[r, 0] = float(self.link(np.array([row.mean()]))[0])
         return beta
 
 

@@ -3,11 +3,14 @@
 import ctypes
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -95,7 +98,7 @@ class TestConfigParsing:
     @given(data=st.data(), tag=st.sampled_from(sorted(xp.EXPERIMENTS)),
            seed=st.integers(0, 2 ** 63 - 1))
     def test_config_text_round_trip(self, data, tag, seed):
-        schema = xp.EXPERIMENTS[tag].schema
+        schema = xp._config_keys(tag)
         keys = data.draw(st.lists(st.sampled_from(sorted(schema)), unique=True))
         params = {key: data.draw(_config_values(key, schema[key][0])) for key in keys}
         text = f'experiment = "{tag}"\nseed = {seed}\n'
@@ -120,6 +123,30 @@ class TestConfigParsing:
     def test_out_is_an_unknown_key(self):
         with pytest.raises(DomainError, match="unknown key 'out'"):
             xp.parse_config_text('experiment = "bayes"\nseed = 1\nout = "reports"\n')
+
+    @pytest.mark.parametrize("tag", sorted(xp.EXPERIMENTS))
+    def test_config_keys_are_the_runners_keyword_parameters(self, tag):
+        runner = xp.EXPERIMENTS[tag]
+        root, workers, *keys = inspect.signature(runner).parameters.values()
+        assert [(root.name, root.kind), (workers.name, workers.kind)] == [
+            ("root", root.POSITIONAL_OR_KEYWORD), ("workers", workers.POSITIONAL_OR_KEYWORD)]
+        hints = typing.get_type_hints(runner)
+        assert keys
+        for key in keys:
+            assert key.kind is key.KEYWORD_ONLY, key.name
+            assert hints[key.name] in (int, float), key.name
+            assert type(key.default) is hints[key.name], key.name
+        resolved = xp.ExperimentConfig(tag, 1, {}).resolved_params()
+        assert [(name, type(value), value) for name, value in resolved.items()] == \
+            [(key.name, type(key.default), key.default) for key in keys]
+
+
+def test_readme_lists_the_experiment_tags_and_probability_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tags = readme.split("Experiment tags:", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`([\w-]+)`", tags) == sorted(xp.EXPERIMENTS)
+    probability = readme.split("a probability key (", 1)[1].split(")", 1)[0]
+    assert tuple(re.findall(r"`(\w+)`", probability)) == xp._PROBABILITY_KEYS
 
 
 def _config_values(key, kind):

@@ -190,7 +190,7 @@ def _fd_hessian(f, theta, h):
 
 class TestConfidenceIntervals:
     def test_mean_z_example(self):
-        ci = est.ci_parametric("mean_z", 0.05, sample_mean=0.0, sigma=1.0, n=100)
+        ci = est.ci_mean_z(0.0, 1.0, 100, 0.05)
         assert ci.lo == pytest.approx(-0.196, abs=5e-4)
         assert ci.hi == pytest.approx(0.196, abs=5e-4)
 
@@ -237,10 +237,6 @@ class TestConfidenceIntervals:
     def test_bad_delta(self):
         with pytest.raises(DomainError):
             est.ci_mean_z(0.0, 1.0, 10, delta=1.5)
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            est.ci_parametric("bootstrap", 0.05)
 
 
     def test_t_interval_rows_match_single_samples(self):

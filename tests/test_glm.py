@@ -127,7 +127,7 @@ class TestGLMFit:
 
     def test_gamma_start_reads_the_design_not_its_flag(self):
         # the least-squares start leaves the natural domain here, and the
-        # constant-predictor fallback needs only an all-ones column 0: the
+        # fallback fits the constant predictor on the design's columns: the
         # design's intercept flag does not change the fit
         m = np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]])
         y = [100.0, 100.0, 100.0, 0.01]
@@ -142,6 +142,23 @@ class TestGLMFit:
             assert getattr(unflagged, name).tobytes() == getattr(flagged, name).tobytes()
         assert (unflagged.iterations, unflagged.log_likelihood) == \
             (flagged.iterations, flagged.log_likelihood)
+
+    def test_gamma_start_fits_the_constant_on_any_spanning_design(self):
+        # column 0 is all 2s, so the constant predictor lies in the design's
+        # span without an all-ones column: the fit halves the intercept and
+        # keeps the means of the all-ones design
+        y = [100.0, 100.0, 100.0, 0.01]
+        spec = glm.gamma_neglog(2.0)
+        slope = [0.0, 1.0, 2.0, 3.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            twos = glm.glm_fit(spec, reg.DesignMatrix(
+                np.column_stack([2.0 * np.ones(4), slope]), has_intercept=False), y)
+            ones = glm.glm_fit(spec, reg.DesignMatrix(
+                np.column_stack([np.ones(4), slope]), has_intercept=True), y)
+        np.testing.assert_allclose(twos.beta, [-0.0075435, -0.011578], atol=1e-6)
+        assert twos.iterations == 7
+        np.testing.assert_allclose(twos.mu, ones.mu, rtol=1e-14)
 
     def test_loglik_trace_monotone(self, logistic_data):
         design, y, _ = logistic_data

@@ -32,7 +32,7 @@ def _logit(y):
 
 
 # Each case builds its report or interval from one sample ``y`` (n,) or from
-# a stack (R, n); the last six take a single sample only.
+# a stack (R, n); the last five take a single sample only.
 CASES = {
     "lrt_mean_z": lambda y: hyp.lrt_mean(y, 0.1, sigma_known=1.0),
     "lrt_mean_t": lambda y: hyp.lrt_mean(y, 0.1),
@@ -54,12 +54,11 @@ CASES = {
     "ci_mle_asymptotic": lambda y: est.ci_mle_asymptotic(y.mean(), 50.0, 0.05),
     "ci_two_sample_t": lambda y: est.ci_two_sample_t(y[:15], y[15:], 2.0, 0.05),
     "ci_delta_method": lambda y: est.ci_delta_method(y.mean(), 50.0, np.exp, np.exp, 0.05),
-    "ci_parametric": lambda y: est.ci_parametric("mean_t", 0.05, sample=y),
     "monte_carlo_mean": lambda y: est.monte_carlo_mean(
         np.square, Normal(0.0, 1.0), _N, 0.05, RandomStream(531)).ci,
 }
 SINGLE_ONLY = {"ci_variance_asymptotic", "ci_mle_asymptotic", "ci_two_sample_t",
-               "ci_delta_method", "ci_parametric", "monte_carlo_mean"}
+               "ci_delta_method", "monte_carlo_mean"}
 
 
 def _numbers(result) -> dict:
