@@ -143,10 +143,8 @@ def tail_bound(kind: TailBoundKind, t: float) -> TailBound:
 
 @dataclass(frozen=True)
 class EmpiricalTail:
-    t_grid: np.ndarray
     frequency: np.ndarray
     standard_error: np.ndarray
-    n_samples: int
 
 
 def empirical_tail(
@@ -156,7 +154,7 @@ def empirical_tail(
     n_samples: int,
     stream: RandomStream,
 ) -> EmpiricalTail:
-    """Frequency of ``|X - center| >= t`` per grid point.
+    """Frequency of ``|X - center| >= t`` per grid point, in the grid's order.
 
     ``spec`` may be a sequence of specs, in which case X is the sum of one
     independent draw from each. Chunk ``c`` of ``max(1, 2**22 // (len(specs) + 2))``
@@ -165,7 +163,7 @@ def empirical_tail(
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    t_grid = np.sort(np.asarray(t_grid, dtype=float))
+    t_grid = np.asarray(t_grid, dtype=float)
     specs = _spec_list(spec)
 
     def tail_counts(chunk_stream, take):
@@ -180,8 +178,7 @@ def empirical_tail(
                               width=len(specs) + 2).sum(axis=-1)
     freq = counts / n_samples
     se = np.sqrt(freq * (1.0 - freq) / n_samples)
-    return EmpiricalTail(t_grid=t_grid, frequency=freq, standard_error=se,
-                         n_samples=n_samples)
+    return EmpiricalTail(frequency=freq, standard_error=se)
 
 
 # -- Johnson-Lindenstrauss ------------------------------------------------------

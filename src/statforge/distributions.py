@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, UndefinedMomentError
-from .rng import _CHUNK_NUMBERS, RandomStream
+from .rng import RandomStream
 
 __all__ = [
     "Normal", "LogNormal", "Gamma", "ChiSquared", "StudentT", "FisherF",
@@ -88,6 +88,13 @@ class DistributionSpec:
         """Inverse cdf of a continuous family at ``u`` in (0,1); elementwise
         on arrays."""
         raise NotImplementedError
+
+    def _inverted_draws(self, stream: RandomStream, count: int, size: int) -> np.ndarray:
+        """``count`` draws of a family supported from 0, each the smallest
+        ``k`` in ``0 ... size - 1`` with cdf(k) >= its uniform, as
+        ``dist_quantile`` gives; a uniform above cdf(size - 1) draws ``size``."""
+        cdf = self._cdf(np.arange(size, dtype=float))
+        return np.searchsorted(cdf, stream.uniforms(count)).astype(float)
 
     def _discrete_quantile(self, u: np.ndarray) -> np.ndarray:
         """Smallest support point with cdf >= u, at each point of ``u``.
@@ -529,13 +536,7 @@ class Binomial(DistributionSpec):
         return out
 
     def _sample(self, stream, count):
-        out = np.zeros(count)
-        chunk = max(1, _CHUNK_NUMBERS // max(1, self.n))
-        for start in range(0, count, chunk):
-            stop = min(start + chunk, count)
-            u = stream.uniforms((stop - start) * self.n)
-            out[start:stop] = (u.reshape(stop - start, self.n) < self.p).sum(axis=1)
-        return out
+        return self._inverted_draws(stream, count, self.n + 1)  # cdf(n) = 1
 
 
 @dataclass(frozen=True)
@@ -567,12 +568,10 @@ class Poisson(DistributionSpec):
     def _sample(self, stream, count):
         if self.lam > 30.0:
             return _poisson_ptrs(stream, self.lam, count)
-        # inversion: the smallest k with cdf(k) >= u, as ``dist_quantile``
-        # gives, with the tail past the cap cut off: P(X > lam + 40*sqrt(lam))
-        # is negligible against the 2**-53 resolution of the uniforms
+        # the tail past the cap is cut off: P(X > lam + 40*sqrt(lam)) is
+        # negligible against the 2**-53 resolution of the uniforms
         cap = int(self.lam + 40.0 * math.sqrt(self.lam) + 50.0)
-        cdf = self._cdf(np.arange(cap, dtype=float))
-        return np.searchsorted(cdf, stream.uniforms(count)).astype(float)
+        return self._inverted_draws(stream, count, cap)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ def load_sample_csv(path) -> np.ndarray:
 class VarianceFamilyEstimate:
     estimate: float
     n: int
-    c: float
 
 
 def variance_family(sample, c: float) -> VarianceFamilyEstimate:
@@ -53,7 +52,7 @@ def variance_family(sample, c: float) -> VarianceFamilyEstimate:
     if n < 2:
         raise DegenerateSampleError("variance estimation needs n >= 2")
     estimate = c * ((x - x.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1)
-    return VarianceFamilyEstimate(estimate=_number(estimate), n=n, c=c)
+    return VarianceFamilyEstimate(estimate=_number(estimate), n=n)
 
 
 def variance_bias(n: int, c: float, sigma2: float) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import inspect
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, partial
 from typing import Optional, get_type_hints
 
@@ -163,9 +163,6 @@ class Metric:
     se: Optional[float] = None
     passed: Optional[bool] = None
 
-    def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
-
 
 @dataclass(frozen=True)
 class ReportEnvelope:
@@ -180,14 +177,7 @@ class ReportEnvelope:
         return all(m.passed is not False for m in self.metrics)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "params": self.params,
-            "metrics": [m.to_dict() for m in self.metrics],
-            "passed": self.passed,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _aux(root: RandomStream, k: int) -> RandomStream:
@@ -238,10 +228,8 @@ def _run_mse_variance(root, workers, *, n: int = 10, replicates: int = 200_000,
         theory = est.variance_mse(n, c, sigma2)
         metrics.append(_within(f"mse_{label}", emp, theory, rel_tol * theory,
                                method="scaled_deviation_mse"))
-    metrics.append(Metric(name="empirical_min_at_shrunk_scale",
-                          value=float(np.argmin(empirical)), target=0.0,
-                          tolerance=0.0, method="mse_minimizer",
-                          passed=bool(np.argmin(empirical) == 0)))
+    metrics.append(_within("empirical_min_at_shrunk_scale", np.argmin(empirical), 0.0, 0.0,
+                           method="mse_minimizer"))
     return metrics
 
 

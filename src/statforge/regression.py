@@ -241,13 +241,11 @@ def f_test_nested(fit_full, fit_null) -> TestReport:
         raise DegenerateSampleError("full fit has no residual degrees of freedom")
     if df_diff == 0:
         zero = np.zeros_like(fit_full.ss_res)
-        return TestReport(zero, FisherF(1, df_res), zero + 1.0, kind="f_nested",
-                          extras={"df_diff": 0})
+        return TestReport(zero, zero + 1.0, kind="f_nested", extras={"df_diff": 0})
     stat = ((fit_null.ss_res - fit_full.ss_res) / df_diff) / (fit_full.ss_res / df_res)
     # fmax, like max(0.0, .), maps a nan statistic to 0
     stat = np.fmax(0.0, stat)
-    law = FisherF(df_diff, df_res)
-    return TestReport(stat, law, law.sf(stat), kind="f_nested",
+    return TestReport(stat, FisherF(df_diff, df_res).sf(stat), kind="f_nested",
                       extras={"df_diff": df_diff})
 
 
@@ -259,7 +257,6 @@ class RidgeFit:
     beta: np.ndarray
     fitted: np.ndarray
     residuals: np.ndarray
-    penalty: float
 
 
 def ridge_fit(x: DesignMatrix, y, penalty: float) -> RidgeFit:
@@ -278,7 +275,7 @@ def ridge_fit(x: DesignMatrix, y, penalty: float) -> RidgeFit:
     gram = x.matrix.T @ x.matrix + 2.0 * penalty * np.eye(x.n_columns)
     beta = np.linalg.solve(gram, x.matrix.T @ y)
     fitted = x.matrix @ beta
-    return RidgeFit(beta=beta, fitted=fitted, residuals=y - fitted, penalty=penalty)
+    return RidgeFit(beta=beta, fitted=fitted, residuals=y - fitted)
 
 
 # -- lasso ------------------------------------------------------------------------
@@ -363,13 +360,13 @@ def lasso_fit(x: DesignMatrix, y, penalty: float, tol: float = 1e-10,
                            last_iterate=beta[np.argmax(active)])
 
 
-def lasso_penalty_rule(n: int, p: int, sigma: float, t: float,
-                       column_bound: float = 1.0) -> float:
+def lasso_penalty_rule(n: int, p: int, sigma: float, t: float) -> float:
     """Penalty level that dominates the correlation of noise with any
-    normalized column, up to failure probability 2 exp(-t^2 / 2)."""
-    if n < 1 or p < 1 or sigma <= 0 or t <= 0 or column_bound <= 0:
+    column normalized to ``||x_j||^2 / n = 1``, up to failure probability
+    2 exp(-t^2 / 2)."""
+    if n < 1 or p < 1 or sigma <= 0 or t <= 0:
         raise DomainError("all rule inputs must be positive")
-    lam2 = 8.0 * column_bound ** 2 * sigma ** 2 * (math.log(p) / n + t * t / (2.0 * n))
+    lam2 = 8.0 * sigma ** 2 * (math.log(p) / n + t * t / (2.0 * n))
     return math.sqrt(lam2)
 
 

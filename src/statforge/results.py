@@ -147,7 +147,6 @@ class TestReport:
     """
 
     statistic: float
-    null_law: DistributionSpec
     p_value: float
     kind: str
     extras: dict = field(default_factory=dict)

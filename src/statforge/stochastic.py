@@ -110,27 +110,24 @@ def brownian_sample(grid: TimeGrid, dim: int, stream: RandomStream) -> BrownianP
     return BrownianPath(grid=grid, values=values)
 
 
-def quadratic_variation(path: BrownianPath, coordinate: int = 0) -> float:
-    """Sum of squared increments along the grid."""
-    if not 0 <= coordinate < path.dim:
-        raise DomainError("coordinate out of range")
-    steps = np.diff(path.values[:, coordinate])
+def quadratic_variation(path: BrownianPath) -> float:
+    """Sum of squared increments of the path's first coordinate along the grid."""
+    steps = np.diff(path.values[:, 0])
     return float((steps ** 2).sum())
 
 
-def ito_integral(integrand, path: BrownianPath, coordinate: int = 0) -> float:
-    """Left-endpoint stochastic integral of an adapted integrand.
+def ito_integral(integrand, path: BrownianPath) -> float:
+    """Left-endpoint stochastic integral of an adapted integrand against the
+    path's first coordinate.
 
     ``integrand`` holds one value per increment, evaluated at the left grid
     point; adaptedness (value j computed from path history up to j) is the
     caller's contract.
     """
-    if not 0 <= coordinate < path.dim:
-        raise DomainError("coordinate out of range")
     f = np.asarray(integrand, dtype=float)
     if f.shape != (path.grid.n_steps,):
         raise DomainError("integrand needs one value per increment")
-    steps = np.diff(path.values[:, coordinate])
+    steps = np.diff(path.values[:, 0])
     # a numpy reduction, not a BLAS dot, whose rounding follows the thread count
     return float((f * steps).sum())
 
@@ -311,11 +308,13 @@ def _call_values(spot, strike, drift, spread, discount, stream, take):
     return discount * np.maximum(terminal - strike, 0.0)
 
 
-def bs_pde_residual(params: BSParams, step: float = 1e-4) -> float:
+def bs_pde_residual(params: BSParams) -> float:
     """Finite-difference residual of the pricing equation at the valuation
-    point: time derivative plus diffusion and drift terms minus discounting."""
+    point: time derivative plus diffusion and drift terms minus discounting,
+    with difference step 1e-4."""
     s, r, sigma = params.spot, params.rate, params.volatility
     t = params.valuation_time
+    step = 1e-4
 
     def u(tt, xx):
         return black_scholes_price(
@@ -362,11 +361,9 @@ def _functional_values(func_tag: str, k: int, stream: RandomStream, take: int) -
 
 @dataclass(frozen=True)
 class GaussianConcentrationResult:
-    tau_grid: np.ndarray
     empirical: np.ndarray
     standard_error: np.ndarray
     bound: np.ndarray
-    lipschitz: float
     center: float
     center_standard_error: float
 
@@ -383,19 +380,20 @@ def gaussian_concentration_experiment(func_tag: str, k: int, n_samples: int,
     ``Phi(x)^k`` at a uniform, and ``constant`` zero. Chunk ``c`` of
     ``max(1, 2**22 // 10)`` values comes from ``stream.split(c)``. Centering
     uses the empirical mean of the values, whose standard error is
-    ``center_standard_error``; the ``norm`` centre has the exact value
-    ``sqrt(2) Gamma((k + 1) / 2) / Gamma(k / 2)`` to compare it with.
+    ``center_standard_error`` (NaN for one value); the ``norm`` centre has
+    the exact value ``sqrt(2) Gamma((k + 1) / 2) / Gamma(k / 2)`` to compare
+    it with. The tail results follow the order of ``tau_grid``.
     """
     if func_tag not in _LIPSCHITZ:
         raise DomainError(f"unknown functional {func_tag!r}")
     if k < 1 or n_samples < 1:
         raise DomainError("need k >= 1 and n_samples >= 1")
     lipschitz = _LIPSCHITZ[func_tag]
-    tau_grid = np.sort(np.asarray(tau_grid, dtype=float))
+    tau_grid = np.asarray(tau_grid, dtype=float)
     values = replicate_chunks(partial(_functional_values, func_tag, k), n_samples, stream,
                               workers, width=_DRAW_WIDTH)
     center = float(values.mean())
-    center_se = float(values.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+    center_se = float(values.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else math.nan
     deviations = np.sort(np.abs(values - center))
     counts = n_samples - np.searchsorted(deviations, tau_grid, side="right")
     empirical = counts / n_samples
@@ -404,10 +402,8 @@ def gaussian_concentration_experiment(func_tag: str, k: int, n_samples: int,
         bound = 2.0 * np.exp(-tau_grid ** 2 / (2.0 * lipschitz ** 2))
     else:
         bound = np.where(tau_grid > 0.0, 0.0, 2.0)
-    return GaussianConcentrationResult(tau_grid=tau_grid, empirical=empirical,
-                                       standard_error=se, bound=bound,
-                                       lipschitz=lipschitz, center=center,
-                                       center_standard_error=center_se)
+    return GaussianConcentrationResult(empirical=empirical, standard_error=se, bound=bound,
+                                       center=center, center_standard_error=center_se)
 
 
 def write_path_csv(path_obj, file) -> None:

@@ -3,10 +3,12 @@
 import ctypes
 import dataclasses
 import hashlib
+import importlib
 import inspect
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import statforge
 from conftest import FAMILIES, PROPERTY
 from statforge import cli
 from statforge import distributions as d
@@ -147,6 +150,24 @@ def test_readme_lists_the_experiment_tags_and_probability_keys():
     assert re.findall(r"`([\w-]+)`", tags) == sorted(xp.EXPERIMENTS)
     probability = readme.split("a probability key (", 1)[1].split(")", 1)[0]
     assert tuple(re.findall(r"`(\w+)`", probability)) == xp._PROBABILITY_KEYS
+
+
+def test_readme_api_references_resolve():
+    # `module.name` for a statforge module, `Class.attr` for a statforge
+    # class; a glob such as `estimation.ci_*` does not match the pattern
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {info.name: importlib.import_module(f"statforge.{info.name}")
+               for info in pkgutil.iter_modules(statforge.__path__)
+               if not info.name.startswith("_")}
+    classes = {name: obj for module in modules.values()
+               for name, obj in vars(module).items() if inspect.isclass(obj)}
+    references = re.findall(r"`(\w+)\.(\w+)(?:\([^`]*\))?`", readme)
+    resolved = 0
+    for owner, name in references:
+        if owner in modules or owner[0].isupper():
+            assert hasattr(modules.get(owner) or classes.get(owner), name), f"{owner}.{name}"
+            resolved += 1
+    assert resolved >= 20
 
 
 def _config_values(key, kind):
@@ -287,6 +308,16 @@ class TestEnvelope:
         gate = metrics["exact_norm_mean"]
         assert not gate.passed
         assert (gate.value - gate.target) / gate.se > 15.0
+
+    def test_report_keys(self):
+        # to_dict follows the dataclass fields, so a new field would enter
+        # report.json unseen but for this check
+        report = xp.run_experiment(self._small_config()).to_dict()
+        assert set(report) == {"experiment", "seed", "params", "metrics", "passed",
+                               "wall_time_s"}
+        for metric in report["metrics"]:
+            assert set(metric) == {"name", "value", "method", "tolerance", "target", "se",
+                                   "passed"}
 
     def test_every_metric_carries_method_tag(self):
         env = xp.run_experiment(xp.ExperimentConfig(
@@ -668,6 +699,7 @@ class TestCLI:
          "metric 'penalty' has value inf"),
         ("ito", {"paths": 1, "steps": 100}, "metric 'martingale_mean' has tolerance nan"),
         ("james-stein", {"replicates": 1}, "metric 'shrunk_mse' has se nan"),
+        ("gauss-conc", {"samples": 1}, "metric 'exact_norm_mean' has tolerance nan"),
     ])
     def test_config_out_of_range_is_error(self, tmp_path, capsys, tag, params, message):
         # sizes and values out of range, which could raise a traceback or

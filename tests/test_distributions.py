@@ -354,6 +354,14 @@ class TestSampling:
         inside = u > 0.0
         assert np.array_equal(x[inside], d.dist_quantile(spec, u[inside]))
 
+    @PROPERTY
+    @given(spec=FAMILIES["binomial"], seed=st.integers(0, 2 ** 64 - 1))
+    def test_binomial_draw_is_the_quantile_of_its_uniform(self, spec, seed):
+        x = d.dist_sample(spec, RandomStream(seed), 200)
+        u = RandomStream(seed).uniforms(200)
+        inside = u > 0.0
+        assert np.array_equal(x[inside], d.dist_quantile(spec, u[inside]))
+
 
 class TestDistributionalRelations:
     """Laws tied together by transformation, checked sampler against cdf."""

@@ -94,7 +94,7 @@ def test_python_numbers_and_arrays_pass_through():
     assert (type(ci.lo), type(ci.hi)) == (int, float)
     rows = np.array([0.1, 0.2])
     assert ConfidenceInterval(rows, rows + 1.0, 0.95, "given").lo is rows
-    report = results.TestReport(np.float64(2.0), Normal(0.0, 1.0), np.array(0.5), "given",
+    report = results.TestReport(np.float64(2.0), np.array(0.5), "given",
                                 extras={"df": 3, "flag": np.bool_(True), "rows": rows})
     assert (type(report.statistic), type(report.p_value)) == (float, float)
     assert [type(value) for value in report.extras.values()] == [int, bool, np.ndarray]
