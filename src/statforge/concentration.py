@@ -4,13 +4,13 @@ and Erdos-Renyi random-graph experiments."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
 
-from .distributions import DistributionSpec, _spec_list, dist_sample
+from .distributions import DistributionSpec, _Parameters, _spec_list, dist_sample
 from .errors import DomainError
 from .results import _read_csv, _require_rows
 from .rng import RandomStream, replicate_chunks
@@ -28,50 +28,47 @@ __all__ = [
 # -- closed-form tail bounds ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Markov:
-    mean: float
+class _Bound(_Parameters):
+    """Base of the closed-form bounds: every parameter is positive, and a
+    parameter annotated ``int`` is an integer."""
 
-    def __post_init__(self):
-        if self.mean <= 0:
-            raise DomainError("Markov bound needs a positive mean")
+    def _check(self):
+        for param in fields(self):
+            value = getattr(self, param.name)
+            integer = param.type == "int"
+            if not value > 0 or integer and not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{type(self).__name__} bound needs a positive "
+                                  f"{'integer ' if integer else ''}{param.name}")
+
+
+@dataclass(frozen=True)
+class Markov(_Bound):
+    mean: float
 
     def raw(self, t: float) -> float:
         return self.mean / t
 
 
 @dataclass(frozen=True)
-class Chebyshev:
+class Chebyshev(_Bound):
     variance: float
-
-    def __post_init__(self):
-        if self.variance <= 0:
-            raise DomainError("Chebyshev bound needs a positive variance")
 
     def raw(self, t: float) -> float:
         return self.variance / t ** 2
 
 
 @dataclass(frozen=True)
-class SubGaussian:
+class SubGaussian(_Bound):
     sigma: float
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise DomainError("sub-Gaussian parameter must be positive")
 
     def raw(self, t: float) -> float:
         return 2.0 * math.exp(-t * t / (2.0 * self.sigma ** 2))
 
 
 @dataclass(frozen=True)
-class SubExponential:
+class SubExponential(_Bound):
     nu: float
     beta: float
-
-    def __post_init__(self):
-        if self.nu <= 0 or self.beta <= 0:
-            raise DomainError("sub-exponential parameters must be positive")
 
     def raw(self, t: float) -> float:
         # Gaussian branch for small deviations, exponential branch past nu^2/beta.
@@ -81,14 +78,10 @@ class SubExponential:
 
 
 @dataclass(frozen=True)
-class ChiSquaredRelative:
+class ChiSquaredRelative(_Bound):
     """Deviation of a chi-squared variable from its mean, per degree of freedom."""
 
     k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise DomainError("degrees of freedom must be >= 1")
 
     def raw(self, t: float) -> float:
         if t < 1.0:
@@ -97,17 +90,13 @@ class ChiSquaredRelative:
 
 
 @dataclass(frozen=True)
-class ChernoffBinomial:
+class ChernoffBinomial(_Bound):
     """Multiplicative deviation of a binomial/Poisson count from its mean lam.
 
     ``t`` is the absolute deviation; the bound applies for t < lam.
     """
 
     lam: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise DomainError("mean count must be positive")
 
     def raw(self, t: float) -> float:
         eps = t / self.lam

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -28,6 +28,8 @@ __all__ = [
     "Uniform01", "DistributionSpec", "Moments",
     "dist_moments", "dist_pdf", "dist_cdf", "dist_quantile", "dist_sample",
 ]
+
+_FLOAT_MAX = sys.float_info.max
 
 @dataclass(frozen=True)
 class Moments:
@@ -52,23 +54,31 @@ def _maybe_scalar(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
-class DistributionSpec:
+class _Parameters:
+    """Base of the parameter types, each a frozen dataclass: every field must
+    be finite, a number or an array of numbers, and then the type's own
+    ``_check`` runs."""
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:  # no parameter type has a ClassVar
+            # finite as a float: NaN and +-inf fail, and so does an int too
+            # large to convert (the comparison of an int with a float is exact)
+            finite = abs(getattr(self, name)) <= _FLOAT_MAX
+            if finite is not True and not (
+                    finite.all() if isinstance(finite, np.ndarray) else finite):
+                raise DomainError(f"{type(self).__name__} requires a finite {name}")
+        self._check()
+
+    def _check(self) -> None:
+        """The type's own checks of its fields, which are finite."""
+
+
+class DistributionSpec(_Parameters):
     """Base of the families: each fills in the private hooks, which the
     module functions ``dist_*`` call."""
 
     is_discrete = False
     _support_min = 0  # smallest support point of a discrete family
-
-    def __post_init__(self):
-        # finite as a float: NaN and +-inf fail, and so does an int too large
-        # to convert (the comparison of an int with a float is exact)
-        for field in fields(self):
-            _require(abs(getattr(self, field.name)) <= sys.float_info.max,
-                     f"{type(self).__name__} requires a finite {field.name}")
-        self._check()
-
-    def _check(self) -> None:
-        """The family's own checks of its parameters, which are finite."""
 
     def moments(self) -> Moments:
         raise NotImplementedError
@@ -115,7 +125,7 @@ class DistributionSpec:
                 break
             doublings += short
             edges.append(2 * edges[-1] + 1)
-            _require(edges[-1] <= sys.float_info.max, "quantile lies past the float range")
+            _require(edges[-1] <= _FLOAT_MAX, "quantile lies past the float range")
         # bisection on Python ints, exact past 2**63 as the one-point search is
         edges = np.array(edges, dtype=object)
         lo, hi = edges[doublings], edges[doublings + 1]

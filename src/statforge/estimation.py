@@ -11,7 +11,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy import special as sp
 
-from .distributions import DistributionSpec, Normal, StudentT, _spec_list, dist_sample
+from .distributions import DistributionSpec, Normal, StudentT, _Parameters, _spec_list, dist_sample
 from .errors import ConvergenceError, DegenerateSampleError, DomainError
 from .results import ConfidenceInterval, _number, _read_csv, interval_quantile
 from .rng import RandomStream, replicate_chunks
@@ -103,6 +103,8 @@ def mle_fit(family: str, sample) -> FitResult:
     n = x.size
     if n == 0:
         raise DegenerateSampleError("empty sample")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("sample must be finite")
     if family == "normal":
         mu = x.mean()
         s2 = float(((x - mu) ** 2).mean())
@@ -316,11 +318,11 @@ def james_stein(x, sigma2: float, shrink_target=None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BetaPosterior:
+class BetaPosterior(_Parameters):
     alpha: float
     beta: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.alpha <= 0 or self.beta <= 0:
             raise DomainError("beta shapes must be positive")
 
@@ -335,11 +337,11 @@ class BetaPosterior:
 
 
 @dataclass(frozen=True)
-class NormalPosterior:
+class NormalPosterior(_Parameters):
     mean: float
     variance: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.variance <= 0:
             raise DomainError("posterior variance must be positive")
 
@@ -355,21 +357,26 @@ def conjugate_update(prior: PosteriorSpec, **data) -> PosteriorSpec:
     number, or an array of one sample mean per replicate), ``n``,
     ``noise_variance``.
     """
+    keys = {BetaPosterior: ("successes", "trials"),
+            NormalPosterior: ("sample_mean", "n", "noise_variance")}.get(type(prior))
+    if keys is None:
+        raise DomainError(f"unsupported prior {type(prior).__name__}")
+    if set(data) != set(keys):
+        raise DomainError(f"a {type(prior).__name__} update takes the data "
+                          f"{', '.join(keys)}; got {', '.join(data) or 'none'}")
     if isinstance(prior, BetaPosterior):
-        s, n = data["successes"], data["trials"]
+        s, n = (data[key] for key in keys)
         if s < 0 or n < 0 or s > n:
             raise DomainError("need 0 <= successes <= trials")
         return BetaPosterior(prior.alpha + s, prior.beta + n - s)
-    if isinstance(prior, NormalPosterior):
-        xbar, n, s2 = data["sample_mean"], data["n"], data["noise_variance"]
-        if n < 1 or s2 <= 0:
-            raise DomainError("need n >= 1 and a positive noise variance")
-        noise = s2 / n
-        weight = prior.variance / (prior.variance + noise)
-        mean = (1.0 - weight) * prior.mean + weight * xbar
-        variance = prior.variance * noise / (prior.variance + noise)
-        return NormalPosterior(mean, variance)
-    raise DomainError(f"unsupported prior {type(prior).__name__}")
+    xbar, n, s2 = (data[key] for key in keys)
+    if n < 1 or s2 <= 0:
+        raise DomainError("need n >= 1 and a positive noise variance")
+    noise = s2 / n
+    weight = prior.variance / (prior.variance + noise)
+    mean = (1.0 - weight) * prior.mean + weight * xbar
+    variance = prior.variance * noise / (prior.variance + noise)
+    return NormalPosterior(mean, variance)
 
 
 # -- Monte Carlo means ---------------------------------------------------------------

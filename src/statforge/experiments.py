@@ -8,7 +8,7 @@ over workers; ``feynman-kac``, ``bs-price``, ``gauss-conc``,
 row per chunk of samples. The ``glm`` and ``irt`` kernels and the logistic
 scenario of ``wilks`` fit whole blocks of replicates as stacks through
 :func:`statforge.glm.glm_fit_stack`, the ``regression`` kernel fits
-whole blocks through :func:`statforge.regression.ols_fit_stack`, and the
+whole blocks through :func:`statforge.regression.ols_fit`, and the
 ``lasso-bound`` kernel through :func:`statforge.regression.lasso_fit`.
 ``jl``, ``er``, ``mle``, ``brownian`` and ``ito`` run a per-stream task on
 each row of a block through :func:`statforge.rng._each_row`. A run whose
@@ -305,11 +305,10 @@ def _kernel_regression(design, null_design, beta, batch):
     """Each row's coefficients, scaled residual variance, slope coverage and
     F-test rejection, from three stacked fits of the block."""
     n = design.n
-    fit = reg.ols_fit_stack(design, design.matrix @ beta + batch.normals(n))
+    fit = reg.ols_fit(design, design.matrix @ beta + batch.normals(n))
     covered = reg.coef_interval(fit, 1, 0.05).covers(beta[1])
     y0 = 1.0 + 0.7 * design.matrix[:, 1] + batch.normals(n)
-    report = reg.f_test_nested(reg.ols_fit_stack(design, y0),
-                               reg.ols_fit_stack(null_design, y0))
+    report = reg.f_test_nested(reg.ols_fit(design, y0), reg.ols_fit(null_design, y0))
     return np.vstack([fit.beta.T, fit.df_residual * fit.sigma2_hat, covered,
                       report.reject(0.05)])
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .distributions import Moments, Normal
+from .distributions import Moments, Normal, _Parameters
 from .errors import (ConvergenceError, DomainError, NoFiniteMLEError,
                      SeparationError)
 from .regression import DesignMatrix, require_full_rank
@@ -27,7 +27,7 @@ _PROB_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
-class ExpFamilySpec:
+class ExpFamilySpec(_Parameters):
     """Canonical-link exponential family described by its cumulant function.
 
     ``mean``/``mean_slope`` are the first two derivatives of the cumulant
@@ -41,7 +41,7 @@ class ExpFamilySpec:
     dispersion: float
     separable = False
 
-    def __post_init__(self):
+    def _check(self):
         if self.dispersion <= 0:
             raise DomainError("dispersion must be positive")
 
@@ -164,8 +164,8 @@ class _GammaNegLog(ExpFamilySpec):
     name = "gamma_neglog"
     shape: float = 1.0
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
+        super()._check()
         if self.shape <= 0:
             raise DomainError("gamma shape must be positive")
 
@@ -390,21 +390,22 @@ def glm_wald_ci(fit, j: int, delta: float) -> ConfidenceInterval:
 
 
 @dataclass(frozen=True)
-class IRTItemBank:
+class IRTItemBank(_Parameters):
     """Calibrated items: discrimination ``a`` (positive) and difficulty ``b``."""
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        super().__post_init__()
+
+    def _check(self):
+        if self.a.shape != self.b.shape or self.a.ndim != 1 or self.a.size == 0:
             raise DomainError("item parameters must be matching nonempty vectors")
-        if np.any(a <= 0):
+        if np.any(self.a <= 0):
             raise DomainError("discriminations must be positive")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
     @property
     def n_items(self) -> int:

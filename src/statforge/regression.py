@@ -20,7 +20,7 @@ from .rng import RandomStream, replicate
 
 __all__ = [
     "DesignMatrix", "design_matrix", "require_full_rank", "LinearFit", "ols_fit",
-    "ols_fit_stack", "coef_interval", "response_band", "f_test_nested",
+    "coef_interval", "response_band", "f_test_nested",
     "RidgeFit", "ridge_fit", "LassoFit", "lasso_fit", "soft_threshold",
     "estimate_restricted_eigenvalue", "lasso_penalty_rule",
     "load_regression_csv",
@@ -129,20 +129,14 @@ def _require_responses(x: DesignMatrix, y: np.ndarray) -> None:
 
 
 def ols_fit(x: DesignMatrix, y) -> LinearFit:
-    """Least squares through a Householder QR factorization.
-
-    The Gram inverse is recovered from the triangular factor rather than by
-    forming and inverting the normal equations.
-    """
-    return first_row(ols_fit_stack(x, np.asarray(y, dtype=float)[None]),
-                     shared=("design", "gram_inverse", "hat_diagonal"))
-
-
-def ols_fit_stack(x: DesignMatrix, y) -> LinearFit:
-    """:func:`ols_fit` on each row of ``y`` ``(R, n)`` against one design:
-    one rank check, one QR, one Gram inverse and one hat diagonal serve
-    every row, and each row's results are bit-identical to the single fit."""
+    """Least squares through a Householder QR factorization, of one response
+    or of each row of a 2-d ``y`` ``(R, n)``, each row bit-identical to its
+    single fit: one rank check, one QR, one Gram inverse and one hat diagonal
+    serve every row. The Gram inverse is recovered from the triangular factor
+    rather than by forming and inverting the normal equations."""
     y = np.asarray(y, dtype=float)
+    if y.ndim == 1:
+        return first_row(ols_fit(x, y[None]), shared=("design", "gram_inverse", "hat_diagonal"))
     _require_responses(x, y)
     require_full_rank(x.matrix)
     q, r = np.linalg.qr(x.matrix)

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as sp
 
-from .distributions import ChiSquared, dist_sample
+from .distributions import ChiSquared, _Parameters, dist_sample
 from .errors import DomainError
 from .estimation import MCEstimate, _chunked_mean
 from .rng import RandomStream, replicate_chunks
@@ -85,15 +85,11 @@ class BrownianPath:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != self.grid.times.size:
-            raise DomainError("one value row per grid time required")
+        if v.ndim != 2 or v.shape[0] != self.grid.times.size or v.shape[1] < 1:
+            raise DomainError("one value row per grid time, of at least one coordinate, required")
         if np.any(v[0] != 0.0):
             raise DomainError("paths start at the origin")
         object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 def brownian_sample(grid: TimeGrid, dim: int, stream: RandomStream) -> BrownianPath:
@@ -214,7 +210,7 @@ def _feynman_kac_values(potential, payoff, t, x0, dim, steps, stream, take):
 
 
 @dataclass(frozen=True)
-class BSParams:
+class BSParams(_Parameters):
     """European call inputs. ``strike`` may be zero (the payoff degenerates
     to the asset itself) and ``volatility`` may be zero (deterministic
     growth); both limits are priced in closed form."""
@@ -226,7 +222,7 @@ class BSParams:
     maturity: float
     valuation_time: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.spot <= 0:
             raise DomainError("spot must be positive")
         if self.strike < 0:

@@ -54,6 +54,25 @@ class TestTailBoundFormulas:
         with pytest.raises(DomainError, match="deviation t must be positive"):
             con.tail_bound(con.SubGaussian(1.0), math.nan)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda v: con.Markov(v), "Markov bound needs a positive mean"),
+        (lambda v: con.Chebyshev(v), "Chebyshev bound needs a positive variance"),
+        (lambda v: con.SubGaussian(v), "SubGaussian bound needs a positive sigma"),
+        (lambda v: con.SubExponential(v, 1.0), "SubExponential bound needs a positive nu"),
+        (lambda v: con.SubExponential(1.0, v), "SubExponential bound needs a positive beta"),
+        (lambda v: con.ChiSquaredRelative(int(v)),
+         "ChiSquaredRelative bound needs a positive integer k"),
+        (lambda v: con.ChernoffBinomial(v), "ChernoffBinomial bound needs a positive lam"),
+    ])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nonpositive_parameter_rejected(self, build, message, value):
+        with pytest.raises(DomainError, match=message):
+            build(value)
+
+    def test_fractional_degrees_of_freedom_rejected(self):
+        with pytest.raises(DomainError, match="positive integer k"):
+            con.ChiSquaredRelative(2.5)
+
 
 class TestEmpiricalTail:
     @pytest.mark.parametrize("specs", [[d.Normal(0.0, 1.0)], [d.Uniform01(), d.Exponential(2.0)]])

@@ -1,5 +1,6 @@
 """Distribution families: closed-form values, numeric invariants, sampling laws."""
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -11,7 +12,11 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special as sp
 
+from statforge import concentration as con
 from statforge import distributions as d
+from statforge import estimation as est
+from statforge import glm
+from statforge import stochastic as sto
 from statforge.errors import DomainError, UndefinedMomentError
 from statforge.rng import RandomStream
 
@@ -428,3 +433,49 @@ class TestValidation:
     def test_out_of_domain_rejected(self, build):
         with pytest.raises(DomainError):
             build()
+
+
+# one valid build of each parameter type outside the distribution families
+PARAMETER_EXAMPLES = {
+    con.Markov: dict(mean=1.0),
+    con.Chebyshev: dict(variance=4.0),
+    con.SubGaussian: dict(sigma=1.0),
+    con.SubExponential: dict(nu=2.0, beta=1.0),
+    con.ChiSquaredRelative: dict(k=8),
+    con.ChernoffBinomial: dict(lam=300.0),
+    est.BetaPosterior: dict(alpha=1.0, beta=2.0),
+    est.NormalPosterior: dict(mean=np.array([0.0, 1.5]), variance=0.5),
+    sto.BSParams: dict(spot=100.0, strike=90.0, rate=0.05, volatility=0.2, maturity=1.0,
+                       valuation_time=0.25),
+    glm.ExpFamilySpec: dict(dispersion=1.0),
+    glm._BernoulliLogit: dict(dispersion=1.0),
+    glm._OffsetLogit: dict(dispersion=1.0, offset=np.array([0.5, -0.5])),
+    glm._PoissonLog: dict(dispersion=1.0),
+    glm._NormalIdentity: dict(dispersion=2.0),
+    glm._GammaNegLog: dict(dispersion=1.0, shape=3.0),
+    glm.IRTItemBank: dict(a=np.array([1.0, 2.0]), b=np.array([0.0, -1.0])),
+}
+
+
+def _parameter_types(base=d._Parameters):
+    """Every dataclass below ``base`` outside the distribution families."""
+    for cls in base.__subclasses__():
+        if not issubclass(cls, d.DistributionSpec):
+            if dataclasses.is_dataclass(cls):
+                yield cls
+            yield from _parameter_types(cls)
+
+
+def test_parameter_types_refuse_non_finite_fields():
+    types = set(_parameter_types())
+    assert types == set(PARAMETER_EXAMPLES), "every parameter type needs one example"
+    for cls in types:
+        example = cls(**PARAMETER_EXAMPLES[cls])
+        for field in dataclasses.fields(example):
+            for bad in (math.nan, math.inf, -math.inf):
+                value = np.array(getattr(example, field.name), dtype=float)
+                if value.ndim:
+                    value[-1] = bad  # one bad entry of an array field
+                message = f"{cls.__name__} requires a finite {field.name}"
+                with pytest.raises(DomainError, match=message):
+                    dataclasses.replace(example, **{field.name: value if value.ndim else bad})

@@ -109,6 +109,13 @@ class TestMLE:
         with pytest.raises(DomainError):
             est.mle_fit("cauchy", [1.0, 2.0])
 
+    @pytest.mark.parametrize("family, bad", [("exponential", math.inf), ("poisson", math.inf),
+                                             ("gamma", math.inf), ("normal", math.nan),
+                                             ("bernoulli", -math.inf)])
+    def test_non_finite_sample_rejected(self, family, bad):
+        with pytest.raises(DomainError, match="sample must be finite"):
+            est.mle_fit(family, [1.0, 2.0, bad])
+
 
 class TestFisherInformation:
     def test_bernoulli_value(self):
@@ -387,6 +394,15 @@ class TestConjugateBayes:
     def test_impossible_counts(self):
         with pytest.raises(DomainError):
             est.conjugate_update(est.BetaPosterior(1.0, 1.0), successes=7, trials=5)
+
+    def test_missing_or_unknown_data_keys(self):
+        beta, normal = est.BetaPosterior(1.0, 1.0), est.NormalPosterior(0.0, 1.0)
+        with pytest.raises(DomainError, match="successes, trials; got successes$"):
+            est.conjugate_update(beta, successes=3)
+        with pytest.raises(DomainError, match="got successes, trials, failures"):
+            est.conjugate_update(beta, successes=3, trials=5, failures=2)
+        with pytest.raises(DomainError, match="sample_mean, n, noise_variance; got none"):
+            est.conjugate_update(normal)
 
 
 class TestMonteCarloMean:

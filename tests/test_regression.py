@@ -495,8 +495,8 @@ class TestRestrictedEigenvalue:
 
 def _stack_rows(design, batch):
     """Every per-row array of one stacked fit of a block, one column per row."""
-    fit = reg.ols_fit_stack(design, design.matrix @ np.arange(1.0, design.n_columns + 1)
-                            + batch.normals(design.n))
+    fit = reg.ols_fit(design, design.matrix @ np.arange(1.0, design.n_columns + 1)
+                      + batch.normals(design.n))
     return np.vstack([fit.beta.T, fit.fitted.T, fit.residuals.T, fit.ss_total,
                       fit.ss_reg, fit.ss_res, fit.r2, fit.r2_adj, fit.sigma2_hat])
 
@@ -525,7 +525,7 @@ class TestOLSFitStack:
         root = RandomStream(502)
         design = reg.design_matrix(root.normals(n * k).reshape(n, k), intercept=intercept)
         y = root.normals(60 * n).reshape(60, n) * np.linspace(0.1, 50.0, 60)[:, None]
-        stack = reg.ols_fit_stack(design, y)
+        stack = reg.ols_fit(design, y)
         assert stack.gram_inverse.shape == (design.n_columns,) * 2
         q, tri = np.linalg.qr(design.matrix)
         for r, row in enumerate(y):
@@ -543,7 +543,7 @@ class TestOLSFitStack:
 
     def test_saturated_stack_has_no_inference(self):
         design = reg.DesignMatrix(np.array([[1.0, 2.0], [1.0, 3.0]]))
-        stack = reg.ols_fit_stack(design, np.array([[1.0, 2.0], [0.0, 5.0]]))
+        stack = reg.ols_fit(design, np.array([[1.0, 2.0], [0.0, 5.0]]))
         assert stack.sigma2_hat is None
         assert np.all(np.isnan(stack.r2_adj))
         assert stack.beta[1].tobytes() == reg.ols_fit(design, [0.0, 5.0]).beta.tobytes()
@@ -554,7 +554,7 @@ class TestOLSFitStack:
         covariates = root.normals(n * 3).reshape(n, 3)
         full, null = reg.design_matrix(covariates), reg.design_matrix(covariates[:, :1])
         y = 1.0 + 0.8 * covariates[:, 0] + root.normals(200 * n).reshape(200, n)
-        stack_full, stack_null = reg.ols_fit_stack(full, y), reg.ols_fit_stack(null, y)
+        stack_full, stack_null = reg.ols_fit(full, y), reg.ols_fit(null, y)
         ci = reg.coef_interval(stack_full, 1, 0.05)
         report = reg.f_test_nested(stack_full, stack_null)
         same = reg.f_test_nested(stack_full, stack_full)
@@ -575,7 +575,7 @@ class TestOLSFitStack:
         design = reg.design_matrix(root.normals(n * 8).reshape(n, 8))
         y = root.normals(50 * n).reshape(50, n) * 3.0 + 1.0
         x0 = np.concatenate([[1.0], root.normals(8)])
-        band = reg.response_band(reg.ols_fit_stack(design, y), x0, kind, 0.05)
+        band = reg.response_band(reg.ols_fit(design, y), x0, kind, 0.05)
         assert band.lo.shape == band.hi.shape == (50,)
         for r, row in enumerate(y):
             single = reg.response_band(reg.ols_fit(design, row), x0, kind, 0.05)
@@ -588,7 +588,7 @@ class TestOLSFitStack:
         root = RandomStream(505)
         design = reg.design_matrix(root.normals(n))
         y = root.normals(n)
-        single, stack = reg.ols_fit(design, y), reg.ols_fit_stack(design, y[None])
+        single, stack = reg.ols_fit(design, y), reg.ols_fit(design, y[None])
         assert type(single) is type(stack)
         for field in dataclasses.fields(single):
             one, rows = getattr(single, field.name), getattr(stack, field.name)
@@ -613,31 +613,30 @@ class TestOLSFitStack:
         with pytest.raises(SingularDesignError) as single:
             reg.ols_fit(design, np.arange(6.0))
         with pytest.raises(SingularDesignError) as stacked:
-            reg.ols_fit_stack(design, np.ones((3, 6)))
+            reg.ols_fit(design, np.ones((3, 6)))
         assert str(stacked.value) == str(single.value)
 
-    @pytest.mark.parametrize("shape", [(6,), (2, 7), (0, 6), (2, 3, 6)])
+    @pytest.mark.parametrize("shape", [(7,), (2, 7), (0, 6), (2, 3, 6)])
     def test_wrong_response_shape(self, shape):
         design = reg.design_matrix(np.arange(6.0))
         with pytest.raises(DomainError, match="response length"):
-            reg.ols_fit_stack(design, np.zeros(shape))
+            reg.ols_fit(design, np.zeros(shape))
 
     def test_non_finite_response(self):
         y = np.ones((2, 6))
         y[1, 3] = np.nan
         with pytest.raises(DomainError, match="finite"):
-            reg.ols_fit_stack(reg.design_matrix(np.arange(6.0)), y)
+            reg.ols_fit(reg.design_matrix(np.arange(6.0)), y)
 
     def test_nesting_checked_for_stacks(self):
         root = RandomStream(504)
         x = root.normals(20)
         y = root.normals(40).reshape(2, 20)
-        full = reg.ols_fit_stack(reg.design_matrix(x), y)
+        full = reg.ols_fit(reg.design_matrix(x), y)
         with pytest.raises(NestingError, match="column"):
-            reg.f_test_nested(full, reg.ols_fit_stack(reg.design_matrix(x + 1.0), y))
+            reg.f_test_nested(full, reg.ols_fit(reg.design_matrix(x + 1.0), y))
         with pytest.raises(NestingError, match="response"):
-            reg.f_test_nested(full, reg.ols_fit_stack(reg.design_matrix(np.empty((20, 0))),
-                                                      y[::-1]))
+            reg.f_test_nested(full, reg.ols_fit(reg.design_matrix(np.empty((20, 0))), y[::-1]))
 
 
 class TestPredictionError:
@@ -649,7 +648,7 @@ class TestPredictionError:
         n, p = 50, 3
         design = reg.design_matrix(root.normals(n * p).reshape(n, p))
         signal = design.matrix @ np.array([1.0, 2.0, -1.0, 0.5])
-        fit = reg.ols_fit_stack(design, signal + root.batch(np.arange(2000)).normals(n))
+        fit = reg.ols_fit(design, signal + root.batch(np.arange(2000)).normals(n))
         errors = ((fit.fitted - signal) ** 2).sum(axis=-1) / n
         se = errors.std(ddof=1) / math.sqrt(errors.size)
         assert errors.mean() == pytest.approx((p + 1) / n, abs=3.0 * se)
@@ -658,7 +657,7 @@ class TestPredictionError:
         root = RandomStream(67)
         design = reg.design_matrix(root.normals(40).reshape(20, 2))
         signal = design.matrix @ np.ones(3)
-        fit = reg.ols_fit_stack(design, np.tile(signal, (5, 1)))
+        fit = reg.ols_fit(design, np.tile(signal, (5, 1)))
         assert ((fit.fitted - signal) ** 2).sum(axis=-1).max() / 20 == \
             pytest.approx(0.0, abs=1e-20)
 

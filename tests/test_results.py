@@ -20,10 +20,6 @@ _NULL_DESIGN = reg.DesignMatrix(_DESIGN.matrix[:, :2])
 _X0 = np.array([1.0, 0.3, -0.2])
 
 
-def _ols(design, y):
-    return reg.ols_fit(design, y) if y.ndim == 1 else reg.ols_fit_stack(design, y)
-
-
 def _logit(y):
     binary = (y > 0.0).astype(float)
     spec = glm.bernoulli_logit()
@@ -39,14 +35,17 @@ CASES = {
     "f_test_variances": lambda y: hyp.f_test_variances(y[..., :15], y[..., 15:]),
     "anova_one_way": lambda y: hyp.anova_one_way([y[..., :10], y[..., 10:25], y[..., 25:]]),
     "lrt_generic": lambda y: hyp.lrt_generic(np.abs(y).sum(axis=-1), 0.0 * y.sum(axis=-1), 2),
-    "coef_interval": lambda y: reg.coef_interval(_ols(_DESIGN, y), 1, 0.05),
+    "coef_interval": lambda y: reg.coef_interval(reg.ols_fit(_DESIGN, y), 1, 0.05),
     "response_mean_pointwise": lambda y: reg.response_band(
-        _ols(_DESIGN, y), _X0, "mean_pointwise", 0.05),
+        reg.ols_fit(_DESIGN, y), _X0, "mean_pointwise", 0.05),
     "response_mean_scheffe": lambda y: reg.response_band(
-        _ols(_DESIGN, y), _X0, "mean_scheffe", 0.05),
-    "response_prediction": lambda y: reg.response_band(_ols(_DESIGN, y), _X0, "prediction", 0.05),
-    "f_test_nested": lambda y: reg.f_test_nested(_ols(_DESIGN, y), _ols(_NULL_DESIGN, y)),
-    "f_test_nested_same_design": lambda y: reg.f_test_nested(_ols(_DESIGN, y), _ols(_DESIGN, y)),
+        reg.ols_fit(_DESIGN, y), _X0, "mean_scheffe", 0.05),
+    "response_prediction": lambda y: reg.response_band(
+        reg.ols_fit(_DESIGN, y), _X0, "prediction", 0.05),
+    "f_test_nested": lambda y: reg.f_test_nested(
+        reg.ols_fit(_DESIGN, y), reg.ols_fit(_NULL_DESIGN, y)),
+    "f_test_nested_same_design": lambda y: reg.f_test_nested(
+        reg.ols_fit(_DESIGN, y), reg.ols_fit(_DESIGN, y)),
     "glm_wald_ci": lambda y: glm.glm_wald_ci(_logit(y), 1, 0.05),
     "ci_mean_z": lambda y: est.ci_mean_z(y.mean(axis=-1), 1.0, _N, 0.05),
     "ci_mean_t": lambda y: est.ci_mean_t(y, 0.05),

@@ -58,6 +58,11 @@ class TestBrownianSampling:
         path = sto.brownian_sample(sto.uniform_grid(1.0, 16), 3, stream)
         assert np.all(path.values[0] == 0.0)
 
+    def test_path_without_coordinates_rejected(self):
+        grid = sto.uniform_grid(1.0, 4)
+        with pytest.raises(DomainError, match="of at least one coordinate"):
+            sto.BrownianPath(grid, np.zeros((5, 0)))
+
     def test_terminal_variance(self, stream):
         n = 100_000
         values = _paths_matrix(sto.uniform_grid(1.0, 4), n, stream)
