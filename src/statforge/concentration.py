@@ -12,7 +12,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, _Parameters, _spec_list, dist_sample
 from .errors import DomainError
-from .results import _read_csv, _require_rows
+from .results import _read_csv, _require_rows, _sample
 from .rng import RandomStream, replicate_chunks
 
 __all__ = [
@@ -146,12 +146,14 @@ def empirical_tail(
     """Frequency of ``|X - center| >= t`` per grid point, in the grid's order.
 
     ``spec`` may be a sequence of specs, in which case X is the sum of one
-    independent draw from each. Chunk ``c`` of ``max(1, 2**22 // (len(specs) + 2))``
-    draws of each spec comes from ``stream.split(c)`` (``rng.replicate_chunks``):
-    an item holds the sum, each spec's value and the sort's copy.
+    independent draw from each. Draws come in the chunks of
+    :func:`statforge.rng.replicate_chunks` at ``width`` ``len(specs) + 2``: an
+    item holds the sum, each spec's value and the sort's copy.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
+    if not math.isfinite(center):
+        raise DomainError("center must be finite")
     t_grid = np.asarray(t_grid, dtype=float)
     specs = _spec_list(spec)
 
@@ -206,10 +208,10 @@ class JLConfig:
 def jl_project(points: np.ndarray, m: int, stream: RandomStream) -> np.ndarray:
     """Project each row of ``points`` through one random Gaussian map, an
     (m, dim) matrix of standard normals scaled by 1/sqrt(m)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.atleast_2d(_sample(points, what="points"))
     dim = points.shape[1]
-    if m < 1 or dim < 1:
-        raise DomainError("dimensions must be >= 1")
+    if m < 1:
+        raise DomainError("projection dimension must be >= 1")
     a = stream.normals(m * dim).reshape(m, dim)
     return points @ (a / math.sqrt(m)).T
 
@@ -250,12 +252,10 @@ def jl_trial(config: JLConfig, stream: RandomStream, points: np.ndarray | None =
     if points is None:
         points = stream.normals(n * config.ambient_dim).reshape(n, config.ambient_dim)
     else:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = _sample(points, what="points")
         if points.shape != (n, config.ambient_dim):
             raise DomainError(f"points must have shape ({n}, {config.ambient_dim}), "
                               f"got {points.shape}")
-        if not np.all(np.isfinite(points)):
-            raise DomainError("points must be finite")
     # differences of nearby doubles are exact, so a common offset of the
     # points leaves the centred cloud as it is
     shifted = points - points[0]

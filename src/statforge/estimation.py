@@ -13,7 +13,7 @@ from scipy import special as sp
 
 from .distributions import DistributionSpec, Normal, StudentT, _Parameters, _spec_list, dist_sample
 from .errors import ConvergenceError, DegenerateSampleError, DomainError
-from .results import ConfidenceInterval, _number, _read_csv, interval_quantile
+from .results import ConfidenceInterval, _number, _read_csv, _sample, interval_quantile
 from .rng import RandomStream, replicate_chunks
 
 __all__ = [
@@ -45,12 +45,10 @@ class VarianceFamilyEstimate:
 def variance_family(sample, c: float) -> VarianceFamilyEstimate:
     """Scaled sum of squared deviations around the sample mean; a ``(..., n)``
     sample gives one estimate per row, a single sample a Python float."""
-    if c <= 0:
+    if not c > 0:
         raise DomainError("scale factor c must be positive")
-    x = np.atleast_1d(np.asarray(sample, dtype=float))
+    x = _sample(sample, 2)
     n = x.shape[-1]
-    if n < 2:
-        raise DegenerateSampleError("variance estimation needs n >= 2")
     estimate = c * ((x - x.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1)
     return VarianceFamilyEstimate(estimate=_number(estimate), n=n)
 
@@ -99,12 +97,8 @@ def _finish_fit(family, estimate, names, loglik, n, iterations=0, boundary=False
 def mle_fit(family: str, sample) -> FitResult:
     """Closed-form maximum likelihood where available; Newton iteration on
     the profiled shape equation for the gamma family."""
-    x = np.asarray(sample, dtype=float)
+    x = _sample(sample)
     n = x.size
-    if n == 0:
-        raise DegenerateSampleError("empty sample")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("sample must be finite")
     if family == "normal":
         mu = x.mean()
         s2 = float(((x - mu) ** 2).mean())
@@ -217,7 +211,7 @@ def fisher_information(family: str, theta, n: int) -> np.ndarray:
 
 def ci_mean_z(sample_mean: float, sigma: float, n: int, delta: float) -> ConfidenceInterval:
     """Normal-mean interval with known noise scale."""
-    if sigma <= 0 or n < 1:
+    if not sigma > 0 or n < 1:
         raise DomainError("need sigma > 0 and n >= 1")
     half = interval_quantile(_STD_NORMAL, delta) * sigma / math.sqrt(n)
     return ConfidenceInterval(sample_mean - half, sample_mean + half,
@@ -227,11 +221,8 @@ def ci_mean_z(sample_mean: float, sigma: float, n: int, delta: float) -> Confide
 def ci_mean_t(sample, delta: float) -> ConfidenceInterval:
     """Studentized small-sample interval for a normal mean; a 2-d ``sample``
     gives one interval per row."""
-    x = np.atleast_1d(np.asarray(sample, dtype=float))
+    x = _sample(sample, 2)
     n = x.shape[-1]
-    if n < 2:
-        raise DegenerateSampleError("studentized interval needs n >= 2")
-
     quantile = interval_quantile(StudentT(n - 1), delta)
     half = quantile * x.std(axis=-1, ddof=1) / math.sqrt(n)
     center = x.mean(axis=-1)
@@ -241,9 +232,7 @@ def ci_mean_t(sample, delta: float) -> ConfidenceInterval:
 def ci_variance_asymptotic(sample, delta: float) -> ConfidenceInterval:
     """Large-sample interval for a normal variance, scaled off the ML
     estimate by its estimated information."""
-    x = np.asarray(sample, dtype=float)
-    if x.size < 2:
-        raise DegenerateSampleError("variance interval needs n >= 2")
+    x = _sample(sample, 2)
     s2 = float(((x - x.mean()) ** 2).mean())
     spread = math.sqrt(2.0 / x.size) * interval_quantile(_STD_NORMAL, delta)
     return ConfidenceInterval((1.0 - spread) * s2, (1.0 + spread) * s2,
@@ -252,7 +241,7 @@ def ci_variance_asymptotic(sample, delta: float) -> ConfidenceInterval:
 
 def ci_mle_asymptotic(theta_hat: float, fisher_total: float, delta: float) -> ConfidenceInterval:
     """Wald interval from the sample Fisher information at the estimate."""
-    if fisher_total <= 0:
+    if not fisher_total > 0:
         raise DomainError("information must be positive")
     half = interval_quantile(_STD_NORMAL, delta) / math.sqrt(fisher_total)
     return ConfidenceInterval(theta_hat - half, theta_hat + half,
@@ -261,12 +250,9 @@ def ci_mle_asymptotic(theta_hat: float, fisher_total: float, delta: float) -> Co
 
 def ci_two_sample_t(sample_x, sample_y, variance_ratio: float, delta: float) -> ConfidenceInterval:
     """Difference of two normal means when the variance ratio is known."""
-    x = np.asarray(sample_x, dtype=float)
-    y = np.asarray(sample_y, dtype=float)
+    x, y = _sample(sample_x, 2, "sample_x"), _sample(sample_y, 2, "sample_y")
     m, n = x.size, y.size
-    if m < 2 or n < 2:
-        raise DegenerateSampleError("both samples need at least two points")
-    if variance_ratio <= 0:
+    if not variance_ratio > 0:
         raise DomainError("variance ratio must be positive")
     eta = variance_ratio
     pooled = ((m - 1) * x.var(ddof=1) + (n - 1) * eta * y.var(ddof=1)) / (m + n - 2)
@@ -282,7 +268,7 @@ def ci_two_sample_t(sample_x, sample_y, variance_ratio: float, delta: float) -> 
 def ci_delta_method(theta_hat: float, fisher_total: float, g: Callable,
                     g_prime: Callable, delta: float) -> ConfidenceInterval:
     """Interval for a smooth transform of an asymptotically normal estimate."""
-    if fisher_total <= 0:
+    if not fisher_total > 0:
         raise DomainError("information must be positive")
     slope = abs(g_prime(theta_hat))
     if slope == 0.0:
@@ -299,10 +285,8 @@ def ci_delta_method(theta_hat: float, fisher_total: float, g: Callable,
 def james_stein(x, sigma2: float, shrink_target=None) -> np.ndarray:
     """Shrink an observed normal mean vector toward a target; a 2-d ``x``
     holds one vector per row."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim < 1 or x.shape[-1] < 1:
-        raise DomainError("expected a nonempty vector")
-    if sigma2 <= 0:
+    x = _sample(x, what="x")
+    if not sigma2 > 0:
         raise DomainError("sigma2 must be positive")
     target = np.zeros_like(x) if shrink_target is None else np.asarray(shrink_target, dtype=float)
     centered = x - target
@@ -422,7 +406,8 @@ def monte_carlo_mean(f: Callable, spec, n: int, delta: float,
     would require with and without appeal to asymptotic normality.
 
     ``spec`` may be a sequence of specs; ``f`` then receives an (n, d) array.
-    Chunk ``c`` of ``max(1, 2**22 // d)`` draws comes from ``stream.split(c)``.
+    Draws come in the chunks of :func:`statforge.rng.replicate_chunks` at
+    ``width`` d.
     """
     if n < 2:
         raise DegenerateSampleError("need n >= 2 draws")

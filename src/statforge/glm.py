@@ -11,7 +11,7 @@ from scipy import special as sp
 from .distributions import Moments, Normal, _Parameters
 from .errors import (ConvergenceError, DomainError, NoFiniteMLEError,
                      SeparationError)
-from .regression import DesignMatrix, require_full_rank
+from .regression import DesignMatrix, _responses, require_full_rank
 from .results import (ConfidenceInterval, _matvec, _read_csv, _require_rows,
                       first_row, interval_quantile)
 
@@ -59,7 +59,7 @@ class ExpFamilySpec(_Parameters):
     # response side ------------------------------------------------------------
 
     def validate_y(self, y: np.ndarray) -> None:
-        raise NotImplementedError
+        """Raise :class:`DomainError` on finite responses outside the family's support."""
 
     def loglik(self, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -148,10 +148,6 @@ class _NormalIdentity(ExpFamilySpec):
 
     def mean_slope(self, xi):
         return np.ones_like(xi)
-
-    def validate_y(self, y):
-        if not np.all(np.isfinite(y)):
-            raise DomainError("responses must be finite")
 
     def loglik(self, y, xi):
         s2 = self.dispersion
@@ -262,7 +258,7 @@ def glm_fit(spec: ExpFamilySpec, x: DesignMatrix, y) -> GLMFit:
     """Newton/Fisher scoring on the canonical score equations, with
     step-halving whenever a full step would lower the log-likelihood. A fit
     that does not converge raises."""
-    return first_row(glm_fit_stack(spec, x, np.asarray(y, dtype=float)[None]))
+    return first_row(glm_fit_stack(spec, x, [y]))
 
 
 def glm_fit_stack(spec: ExpFamilySpec, design, y) -> GLMFit:
@@ -271,16 +267,15 @@ def glm_fit_stack(spec: ExpFamilySpec, design, y) -> GLMFit:
 
     Each row follows the single fit's iterations, checks and errors exactly,
     and its results are bit-identical to it."""
-    y = np.asarray(y, dtype=float)
     if isinstance(design, DesignMatrix):
         m = design.matrix
     else:
         m = np.ascontiguousarray(design, dtype=float)
         if m.ndim != 3:
             raise DomainError("per-row designs must form an (R, n, k) array")
-    if y.ndim != 2 or y.shape[0] < 1 or y.shape[1:] != m.shape[-2:-1] \
-            or (m.ndim == 3 and len(m) != len(y)):
-        raise DomainError("response length must match the design")
+    y = _responses(y, m.shape[-2])
+    if m.ndim == 3 and len(m) != len(y):
+        raise DomainError("one design per response row required")
     spec.validate_y(y)
     require_full_rank(m)
     return _scoring(spec, m, y, spec.start(m, y))

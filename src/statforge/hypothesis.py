@@ -14,7 +14,7 @@ import numpy as np
 from .distributions import ChiSquared, DistributionSpec, FisherF, dist_cdf, dist_quantile
 from .errors import DegenerateSampleError, DomainError, NestingError
 from .glm import _scoring, bernoulli_logit, glm_fit_stack
-from .results import TestReport, _read_csv
+from .results import TestReport, _read_csv, _sample
 from .rng import RandomStream, replicate, replicate_chunks
 
 __all__ = [
@@ -57,19 +57,15 @@ def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport
     to F(1, n-1); the log-likelihood-ratio statistic ``h`` = n log(1 + t² / (n-1))
     is reported alongside. A 2-d ``sample`` is tested row by row.
     """
-    x = np.atleast_1d(np.asarray(sample, dtype=float))
+    x = _sample(sample, 1 if sigma_known is not None else 2)
     n = x.shape[-1]
     if sigma_known is not None:
-        if n < 1:
-            raise DegenerateSampleError("need at least one observation")
-        if sigma_known <= 0:
+        if not sigma_known > 0:
             raise DomainError("known sigma must be positive")
         gap = x.mean(axis=-1) - mu0
         stat = n * gap ** 2 / sigma_known ** 2
         return TestReport(stat, ChiSquared(1).sf(stat), kind="mean_z_squared",
                           extras={"z": gap / (sigma_known / math.sqrt(n))})
-    if n < 2:
-        raise DegenerateSampleError("studentized test needs n >= 2")
     s2 = x.var(axis=-1, ddof=1)
     if np.any(s2 == 0.0):
         raise DegenerateSampleError("zero sample standard deviation")
@@ -83,10 +79,7 @@ def lrt_mean(sample, mu0: float, sigma_known: float | None = None) -> TestReport
 def f_test_variances(sample_x, sample_y) -> TestReport:
     """Equal-tailed two-sided test of equality of two normal variances; 2-d
     samples are tested row by row."""
-    x = np.atleast_1d(np.asarray(sample_x, dtype=float))
-    y = np.atleast_1d(np.asarray(sample_y, dtype=float))
-    if x.shape[-1] < 2 or y.shape[-1] < 2:
-        raise DegenerateSampleError("both samples need at least two points")
+    x, y = _sample(sample_x, 2, "sample_x"), _sample(sample_y, 2, "sample_y")
     vx, vy = x.var(axis=-1, ddof=1), y.var(axis=-1, ddof=1)
     if np.any(vx == 0.0) or np.any(vy == 0.0):
         raise DegenerateSampleError("zero sample variance")
@@ -103,13 +96,11 @@ def anova_one_way(groups: Sequence) -> TestReport:
     of the pooled two-sample t statistic. Groups of 2-d arrays with equal
     row counts are tested row by row.
     """
-    arrays = [np.atleast_1d(np.asarray(g, dtype=float)) for g in groups]
+    arrays = [_sample(g, what="group") for g in groups]
     p = len(arrays)
     if p < 2:
         raise DomainError("need at least two groups")
     sizes = [a.shape[-1] for a in arrays]
-    if min(sizes) < 1:
-        raise DegenerateSampleError("every group needs at least one observation")
     n = sum(sizes)
     if n <= p:
         raise DegenerateSampleError("within-group degrees of freedom exhausted")
@@ -132,6 +123,7 @@ def lrt_generic(loglik_full, loglik_null, df_diff: int) -> TestReport:
     if df_diff < 1:
         raise DomainError("degrees-of-freedom difference must be >= 1")
     gap = np.asarray(loglik_full, dtype=float) - np.asarray(loglik_null, dtype=float)
+    _sample(gap, what="log-likelihood gap")  # checked only: a scalar gap stays 0-d
     if np.any(gap < -1e-8):
         raise NestingError(
             f"full log-likelihood below null by {-np.min(gap):.3e}; models are not nested"
@@ -164,8 +156,9 @@ def wilks_null_simulation(scenario: str, n: int, replicates: int,
     null models as stacks through :func:`statforge.glm.glm_fit_stack`, the
     null fit of each row starting from its full fit's intercept and first
     slope (at n = 2000, 3 scoring passes where a start from zero takes 5); ``z``
-    and ``t`` draw chunk ``c`` of ``max(1, 2**22 // n)`` samples from ``stream.split(c)``
-    and test them as one stack through :func:`lrt_mean`.
+    and ``t`` draw their samples in the chunks of
+    :func:`statforge.rng.replicate_chunks` at ``width`` n, and test each chunk
+    as one stack through :func:`lrt_mean`.
     """
     if replicates < 100:
         raise DomainError("need at least 100 replicates")

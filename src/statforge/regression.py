@@ -14,8 +14,8 @@ from scipy.linalg import get_lapack_funcs, solve_triangular
 from .distributions import FisherF, StudentT
 from .errors import (ConvergenceError, DegenerateSampleError, DomainError,
                      NestingError, SingularDesignError)
-from .results import (ConfidenceInterval, TestReport, _matvec, _read_csv, first_row,
-                      interval_quantile)
+from .results import (ConfidenceInterval, TestReport, _matvec, _read_csv, _sample,
+                      first_row, interval_quantile)
 from .rng import RandomStream, replicate
 
 __all__ = [
@@ -119,13 +119,13 @@ class LinearFit:
         return self.design.n - self.design.n_columns
 
 
-def _require_responses(x: DesignMatrix, y: np.ndarray) -> None:
-    """Raise :class:`DomainError` unless ``y`` is a finite ``(R, n)`` stack
-    of responses to ``x``."""
-    if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] != x.n:
+def _responses(y, n: int) -> np.ndarray:
+    """``y``, one response or a stack of them, as a finite ``(R, n)`` float
+    stack; any other shape raises :class:`DomainError`."""
+    stack = np.atleast_2d(np.asarray(y, dtype=float))
+    if stack.ndim != 2 or stack.shape[0] < 1 or stack.shape[1] != n:
         raise DomainError("response length must match the design")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("responses must be finite")
+    return _sample(stack, what="response")
 
 
 def ols_fit(x: DesignMatrix, y) -> LinearFit:
@@ -134,10 +134,8 @@ def ols_fit(x: DesignMatrix, y) -> LinearFit:
     single fit: one rank check, one QR, one Gram inverse and one hat diagonal
     serve every row. The Gram inverse is recovered from the triangular factor
     rather than by forming and inverting the normal equations."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        return first_row(ols_fit(x, y[None]), shared=("design", "gram_inverse", "hat_diagonal"))
-    _require_responses(x, y)
+    single = np.ndim(y) == 1
+    y = _responses(y, x.n)
     require_full_rank(x.matrix)
     q, r = np.linalg.qr(x.matrix)
     # trtrs is the LAPACK call solve_triangular(r, v) makes, minus its checks
@@ -161,10 +159,11 @@ def ols_fit(x: DesignMatrix, y) -> LinearFit:
     else:
         sigma2 = None
         r2_adj = np.full(len(y), np.nan)
-    return LinearFit(design=x, y=y, beta=beta, fitted=fitted, residuals=residuals,
-                     gram_inverse=r_inv @ r_inv.T, hat_diagonal=(q ** 2).sum(axis=1),
-                     ss_total=ss_total, ss_reg=ss_reg, ss_res=ss_res, r2=r2,
-                     r2_adj=r2_adj, sigma2_hat=sigma2)
+    fit = LinearFit(design=x, y=y, beta=beta, fitted=fitted, residuals=residuals,
+                    gram_inverse=r_inv @ r_inv.T, hat_diagonal=(q ** 2).sum(axis=1),
+                    ss_total=ss_total, ss_reg=ss_reg, ss_res=ss_res, r2=r2,
+                    r2_adj=r2_adj, sigma2_hat=sigma2)
+    return first_row(fit, shared=("design", "gram_inverse", "hat_diagonal")) if single else fit
 
 
 def _require_inference(fit) -> float:
@@ -196,7 +195,7 @@ def response_band(fit: LinearFit, x0, kind: str, delta: float) -> ConfidenceInte
     ``prediction`` covers a future response drawn at ``x0``.
     """
     sigma2 = _require_inference(fit)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _sample(x0, what="x0")
     if x0.shape != (fit.design.n_columns,):
         raise DomainError("x0 must include every design column, intercept first")
     q = float(x0 @ fit.gram_inverse @ x0)
@@ -261,9 +260,9 @@ def ridge_fit(x: DesignMatrix, y, penalty: float) -> RidgeFit:
     against ``0.5 ||y - X beta||^2``. Every coefficient is penalized,
     including the intercept.
     """
-    if penalty < 0:
+    if not penalty >= 0:
         raise DomainError("penalty must be nonnegative")
-    y = np.asarray(y, dtype=float)
+    y = _responses([y], x.n)[0]
     if penalty == 0.0:
         require_full_rank(x.matrix)
     gram = x.matrix.T @ x.matrix + 2.0 * penalty * np.eye(x.n_columns)
@@ -311,11 +310,9 @@ def lasso_fit(x: DesignMatrix, y, penalty: float, tol: float = 1e-10,
     as only the rows still iterating are written, and each row's results
     are bit-identical to its single fit.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        return first_row(lasso_fit(x, y[None], penalty, tol, max_sweeps))
-    _require_responses(x, y)
-    if penalty < 0:
+    single = np.ndim(y) == 1
+    y = _responses(y, x.n)
+    if not penalty >= 0:
         raise DomainError("penalty must be nonnegative")
     if penalty == 0.0:
         require_full_rank(x.matrix)
@@ -348,8 +345,9 @@ def lasso_fit(x: DesignMatrix, y, penalty: float, tol: float = 1e-10,
                      + (thresholds * np.abs(beta)).sum(axis=-1))
         active &= ~(change <= tol * (1.0 + np.abs(beta).max(axis=-1)))
         if not active.any():
-            return LassoFit(beta=beta, iterations=iterations,
-                            objective_trace=np.stack(trace, axis=-1))
+            fit = LassoFit(beta=beta, iterations=iterations,
+                           objective_trace=np.stack(trace, axis=-1))
+            return first_row(fit) if single else fit
     raise ConvergenceError("coordinate descent did not converge",
                            last_iterate=beta[np.argmax(active)])
 
@@ -358,7 +356,7 @@ def lasso_penalty_rule(n: int, p: int, sigma: float, t: float) -> float:
     """Penalty level that dominates the correlation of noise with any
     column normalized to ``||x_j||^2 / n = 1``, up to failure probability
     2 exp(-t^2 / 2)."""
-    if n < 1 or p < 1 or sigma <= 0 or t <= 0:
+    if not (n >= 1 and p >= 1 and sigma > 0 and t > 0):
         raise DomainError("all rule inputs must be positive")
     lam2 = 8.0 * sigma ** 2 * (math.log(p) / n + t * t / (2.0 * n))
     return math.sqrt(lam2)

@@ -1,6 +1,6 @@
 """Shared result containers (confidence intervals, test reports), row 0 of
-a stacked result, the row-by-row matrix product, interval multipliers, and
-file reading."""
+a stacked result, the row-by-row matrix product, interval multipliers, the
+intake of observed samples, and file reading."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DistributionSpec, dist_quantile
-from .errors import DomainError
+from .errors import DegenerateSampleError, DomainError
 
 
 def _read_text(path) -> str:
@@ -70,6 +70,18 @@ def _cell(path, n: int, j: int, kind: type, cell: str):
         pass
     noun = "a finite number" if kind is float else "an integer of 64 bits"
     raise DomainError(f"{path}, line {n}: column {j + 1} must be {noun}, got {cell!r}")
+
+
+def _sample(x, least: int = 1, what: str = "sample") -> np.ndarray:
+    """``x`` as a float array of at least one axis, each row (the last axis)
+    holding at least ``least`` values, or :class:`DegenerateSampleError`; a
+    NaN or an infinity raises :class:`DomainError` ``"<what> must be finite"``."""
+    a = np.atleast_1d(np.asarray(x, dtype=float))
+    if a.size == 0 or a.shape[-1] < least:
+        raise DegenerateSampleError(f"{what} needs n >= {least}")
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} must be finite")
+    return a
 
 
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:

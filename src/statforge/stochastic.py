@@ -15,6 +15,7 @@ from scipy import special as sp
 from .distributions import ChiSquared, _Parameters, dist_sample
 from .errors import DomainError
 from .estimation import MCEstimate, _chunked_mean
+from .results import _sample
 from .rng import RandomStream, replicate_chunks
 
 __all__ = [
@@ -120,7 +121,7 @@ def ito_integral(integrand, path: BrownianPath) -> float:
     point; adaptedness (value j computed from path history up to j) is the
     caller's contract.
     """
-    f = np.asarray(integrand, dtype=float)
+    f = _sample(integrand, what="integrand")
     if f.shape != (path.grid.n_steps,):
         raise DomainError("integrand needs one value per increment")
     steps = np.diff(path.values[:, 0])
@@ -144,9 +145,9 @@ def gbm_sample(mu: float, sigma: float, s0: float, grid: TimeGrid,
     exponent; ``euler`` applies the first-order scheme and flags any
     nonpositive value it produces.
     """
-    if s0 <= 0:
+    if not s0 > 0:
         raise DomainError("initial value must be positive")
-    if sigma < 0:
+    if not sigma >= 0:
         raise DomainError("volatility must be nonnegative")
     if method not in ("exact", "euler"):
         raise DomainError(f"unknown method {method!r}")
@@ -174,10 +175,10 @@ def feynman_kac_mc(potential: Callable, payoff: Callable, t: float, x0,
 
     The time integral uses the left-endpoint rule on the simulation grid,
     matching the adapted convention of the stochastic integral; its
-    discretization bias is O(mesh). Chunk ``c`` of ``max(1, 2**22 // (steps * dim))``
-    paths comes from ``stream.split(c)``, so the estimate is the same for any
-    number of ``workers``; with more than one, ``potential`` and ``payoff``
-    must pickle (module-level functions, not lambdas).
+    discretization bias is O(mesh). Paths come in the chunks of
+    :func:`statforge.rng.replicate_chunks` at ``width`` steps * dim, so the
+    estimate is the same for any number of ``workers``; with more than one,
+    ``potential`` and ``payoff`` must pickle (module-level functions, not lambdas).
     """
     if steps < 1:
         raise DomainError("need at least one step")
@@ -185,9 +186,9 @@ def feynman_kac_mc(potential: Callable, payoff: Callable, t: float, x0,
         raise DomainError("dimension must be >= 1")
     if n_paths < 1:
         raise DomainError("need at least one path")
-    if t <= 0:
+    if not t > 0:
         raise DomainError("time horizon must be positive")
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (dim,))
+    x0 = np.broadcast_to(_sample(x0, what="x0"), (dim,))
     sample = partial(_feynman_kac_values, potential, payoff, t, x0, dim, steps)
     return _chunked_mean(sample, n_paths, stream, workers, width=steps * dim)
 
@@ -283,7 +284,8 @@ def bs_mc_price(params: BSParams, n_paths: int, stream: RandomStream,
                 workers: int = 1) -> MCEstimate:
     """Discounted expected payoff under growth at the risk-free rate,
     sampling the terminal asset value exactly (one lognormal draw per
-    path); chunk ``c`` of ``2**22`` paths comes from ``stream.split(c)``."""
+    path); paths come in the chunks of :func:`statforge.rng.replicate_chunks`
+    at ``width`` 1."""
     if n_paths < 2:
         raise DomainError("need at least two paths")
     tau = params.time_left
@@ -373,8 +375,8 @@ def gaussian_concentration_experiment(func_tag: str, k: int, n_samples: int,
     Each value of the functional is drawn from its law, not from k normals:
     ``coordinate`` is one normal, ``norm`` the square root of a chi-squared
     draw with k degrees of freedom, ``max`` the inverse of its cdf
-    ``Phi(x)^k`` at a uniform, and ``constant`` zero. Chunk ``c`` of
-    ``max(1, 2**22 // 10)`` values comes from ``stream.split(c)``. Centering
+    ``Phi(x)^k`` at a uniform, and ``constant`` zero. Values come in the
+    chunks of :func:`statforge.rng.replicate_chunks` at ``width`` 10. Centering
     uses the empirical mean of the values, whose standard error is
     ``center_standard_error`` (NaN for one value); the ``norm`` centre has
     the exact value ``sqrt(2) Gamma((k + 1) / 2) / Gamma(k / 2)`` to compare

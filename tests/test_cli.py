@@ -870,32 +870,48 @@ class TestSmallRunsOfHeavyExperiments:
 
 
 # perfbench's tracer, installed as its traced runs install it, then the
-# experiments whose results feed its counters, at toy sizes
+# statements of argv[1], which read their data from argv[2]; prints the counts
 _TRACED_RUN = """
 import json, sys
+import numpy as np
 from tracer import Tracer
 tracer = Tracer()
 tracer.install()
 from statforge import experiments as xp
-for tag, params in json.loads(sys.argv[1]).items():
-    xp.run_experiment(xp.ExperimentConfig(experiment=tag, seed=20260810, params=params))
+from statforge import regression as reg
+exec(sys.argv[1])
 print(json.dumps(tracer.summary()["counts"]))
 """
+
+
+def _traced_counts(statements: str, data) -> dict:
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    done = subprocess.run([sys.executable, "-c", _TRACED_RUN, statements, json.dumps(data)],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 def test_perfbench_tracer_counts_traced_runs():
     # the tracer reads result fields that no package code reads
     # (ErdosRenyiGraph.n_vertices and edges, BrownianPath.values,
     # MCEstimate.n_paths, GLMFit.iterations): a traced run must still count
-    root = Path(__file__).resolve().parents[1]
     small = TestSmallRunsOfHeavyExperiments.SMALL
     tags = ["er", "jl", "brownian", "feynman-kac", "bs-price", "glm", "lasso-bound"]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
-    done = subprocess.run([sys.executable, "-c", _TRACED_RUN,
-                           json.dumps({tag: small[tag] for tag in tags})],
-                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    counts = json.loads(done.stdout)
+    counts = _traced_counts(
+        "for tag, params in json.loads(sys.argv[2]).items():\n"
+        "    xp.run_experiment(xp.ExperimentConfig(experiment=tag, seed=20260810, params=params))",
+        {tag: small[tag] for tag in tags})
     for name in ("concentration.graphs", "concentration.jl_trials", "stochastic.paths",
                  "glm.fits", "regression.fits"):
         assert counts.get(name, 0) > 0, name
+
+
+@pytest.mark.parametrize("call", ["reg.ols_fit(design, y)", "reg.lasso_fit(design, y, 0.1)"])
+def test_perfbench_tracer_counts_a_single_response_fit_once(call):
+    # a 1-d response is fitted as a stack of one row within the one call
+    counts = _traced_counts(
+        f"design, y = reg.design_matrix(np.arange(6.0)), np.array(json.loads(sys.argv[2]))\n{call}",
+        [0.1, 1.2, 1.9, 3.2, 3.8, 5.1])
+    assert counts["regression.fits"] == 1

@@ -1,6 +1,8 @@
 """Stream determinism, splitting, and basic output quality."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +231,11 @@ def test_batch_spans_draw_chunks():
 def test_batch_rejects_non_integer_ids():
     with pytest.raises(ValueError):
         RandomStream(1).batch([0.5, 1.5])
+
+
+def test_block_and_chunk_sizes_are_stated_only_in_rng():
+    # replicate's 2**16 and replicate_chunks' 2**22 are stated once; a
+    # caller's docstring names the primitive and its own width
+    for path in sorted(Path(rng.__file__).parent.glob("*.py")):
+        if path.name != "rng.py":
+            assert not re.search(r"2\s*\*\*\s*(22|16)\b", path.read_text()), path.name
