@@ -155,6 +155,8 @@ def empirical_tail(
     if not math.isfinite(center):
         raise DomainError("center must be finite")
     t_grid = np.asarray(t_grid, dtype=float)
+    if np.isnan(t_grid).any():  # an infinite t is taken at its limit
+        raise DomainError("t_grid must not hold NaN")
     specs = _spec_list(spec)
 
     def tail_counts(chunk_stream, take):

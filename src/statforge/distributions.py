@@ -56,14 +56,18 @@ def _maybe_scalar(values: np.ndarray, scalar: bool):
 
 class _Parameters:
     """Base of the parameter types, each a frozen dataclass: every field must
-    be finite, a number or an array of numbers, and then the type's own
-    ``_check`` runs."""
+    be finite, a number or an array of numbers, a number where it is
+    annotated ``float`` or ``int``, and then the type's own ``_check`` runs."""
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:  # no parameter type has a ClassVar
+        for name, declared in self.__dataclass_fields__.items():  # no type has a ClassVar
+            value = getattr(self, name)
+            if (declared.type in ("float", "int") and not isinstance(value, (float, int))
+                    and np.ndim(value) != 0):  # np.ndim costs a microsecond
+                raise DomainError(f"{type(self).__name__} requires a scalar {name}")
             # finite as a float: NaN and +-inf fail, and so does an int too
             # large to convert (the comparison of an int with a float is exact)
-            finite = abs(getattr(self, name)) <= _FLOAT_MAX
+            finite = abs(value) <= _FLOAT_MAX
             if finite is not True and not (
                     finite.all() if isinstance(finite, np.ndarray) else finite):
                 raise DomainError(f"{type(self).__name__} requires a finite {name}")

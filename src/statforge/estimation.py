@@ -213,6 +213,8 @@ def ci_mean_z(sample_mean: float, sigma: float, n: int, delta: float) -> Confide
     """Normal-mean interval with known noise scale."""
     if not sigma > 0 or n < 1:
         raise DomainError("need sigma > 0 and n >= 1")
+    if not np.all(np.isfinite(sample_mean)):
+        raise DomainError("sample_mean must be finite")
     half = interval_quantile(_STD_NORMAL, delta) * sigma / math.sqrt(n)
     return ConfidenceInterval(sample_mean - half, sample_mean + half,
                               1.0 - delta, "mean_z")
@@ -243,6 +245,8 @@ def ci_mle_asymptotic(theta_hat: float, fisher_total: float, delta: float) -> Co
     """Wald interval from the sample Fisher information at the estimate."""
     if not fisher_total > 0:
         raise DomainError("information must be positive")
+    if not np.all(np.isfinite(theta_hat)):
+        raise DomainError("theta_hat must be finite")
     half = interval_quantile(_STD_NORMAL, delta) / math.sqrt(fisher_total)
     return ConfidenceInterval(theta_hat - half, theta_hat + half,
                               1.0 - delta, "mle_asymptotic")
@@ -322,7 +326,7 @@ class BetaPosterior(_Parameters):
 
 @dataclass(frozen=True)
 class NormalPosterior(_Parameters):
-    mean: float
+    mean: float | np.ndarray  # one per replicate, updated on an array of sample means
     variance: float
 
     def _check(self):

@@ -35,11 +35,17 @@ class ExpFamilySpec(_Parameters):
     ``dispersion * mean_slope``. ``natural_ok`` and ``loglik`` reduce along
     the last axis, so a stack of rows gives one value per row. Each family
     names itself in ``name`` and sets ``separable`` when its responses can
-    be classified perfectly, so that the maximum likelihood can diverge.
+    be classified perfectly, so that the maximum likelihood can diverge. A
+    family whose mean at a zero natural parameter is the same constant for
+    every observation, and whose log-likelihood there does not depend on the
+    responses, names that mean in ``mean_at_zero``, so that scoring from
+    zero takes the first pass's means, weights and log-likelihoods as
+    constants.
     """
 
     dispersion: float
     separable = False
+    mean_at_zero = None
 
     def _check(self):
         if self.dispersion <= 0:
@@ -79,6 +85,7 @@ class ExpFamilySpec(_Parameters):
 class _BernoulliLogit(ExpFamilySpec):
     name = "bernoulli_logit"
     separable = True
+    mean_at_zero = 0.5  # each term of the log-likelihood at zero is -log 2
 
     def mean(self, xi):
         # expit's 1 / (1 + e^-xi), on numpy's vector exp and formed in place
@@ -266,7 +273,21 @@ def glm_fit_stack(spec: ExpFamilySpec, design, y) -> GLMFit:
     :class:`DesignMatrix` or one design per row, an ``(R, n, k)`` array.
 
     Each row follows the single fit's iterations, checks and errors exactly,
-    and its results are bit-identical to it."""
+    and its results are bit-identical to it. The scoring passes form the
+    Fisher information only to take a step; the returned ``fisher_info`` is
+    formed once, at the final iterate, with the same products."""
+    m, fit = _checked_scoring(spec, design, y)
+    columns = np.ascontiguousarray(np.swapaxes(m, -1, -2))
+    return GLMFit(beta=fit.beta, mu=fit.mu,
+                  fisher_info=_information(spec, m, columns, fit.eta, fit.mu),
+                  iterations=fit.iterations, log_likelihood=fit.log_likelihood,
+                  loglik_trace=fit.loglik_trace)
+
+
+def _checked_scoring(spec: ExpFamilySpec, design, y):
+    """:func:`glm_fit_stack`'s intake and checks of ``design`` and ``y``,
+    then :func:`_scoring` from the family's starts: returns the design as a
+    contiguous array and its :class:`_Scores`, which hold no information."""
     if isinstance(design, DesignMatrix):
         m = design.matrix
     else:
@@ -278,11 +299,34 @@ def glm_fit_stack(spec: ExpFamilySpec, design, y) -> GLMFit:
         raise DomainError("one design per response row required")
     spec.validate_y(y)
     require_full_rank(m)
-    return _scoring(spec, m, y, spec.start(m, y))
+    return m, _scoring(spec, m, y, spec.start(m, y))
+
+
+@dataclass(frozen=True)
+class _Scores:
+    """A scoring run's result: :class:`GLMFit`'s fields but the information,
+    and the final linear predictors ``eta`` ``(R, n)``, at which the
+    information is formed."""
+
+    beta: np.ndarray
+    eta: np.ndarray
+    mu: np.ndarray
+    iterations: np.ndarray
+    log_likelihood: np.ndarray
+    loglik_trace: np.ndarray
+
+
+def _information(spec, m, columns, eta, mu):
+    """The Fisher information ``mt @ (m * w[..., None])`` at the weights
+    ``w`` of ``eta`` and ``mu``, formed with ``w`` scaling ``columns``, the
+    contiguous ``swapaxes(m, -1, -2)``: the same products with the same
+    bits, without a strided ``(R, n, k)`` temporary."""
+    weighted = columns * spec.weights(eta, mu)[..., None, :]
+    return np.swapaxes(m, -1, -2) @ np.swapaxes(weighted, -1, -2)
 
 
 def _scoring(spec: ExpFamilySpec, m: np.ndarray, y: np.ndarray,
-             start: np.ndarray) -> GLMFit:
+             start: np.ndarray) -> _Scores:
     """:func:`glm_fit_stack`'s scoring, on a contiguous ``m`` whose rank and
     responses ``y`` have already been checked, from ``start``, an ``(R, k)``
     array of coefficients: the family's starts, or a larger model's fit
@@ -290,26 +334,33 @@ def _scoring(spec: ExpFamilySpec, m: np.ndarray, y: np.ndarray,
 
     Every pass evaluates all rows; rows that have converged are frozen, as
     only the rows still iterating are written, so a row's result does not
-    depend on the other rows. The information ``mt @ (m * w[..., None])``
-    is formed with the weights ``w`` scaling the contiguous ``columns`` of
-    ``m``: the same products with the same bits, without a strided
-    ``(R, n, k)`` temporary."""
+    depend on the other rows. A pass forms the information only when a row
+    is still iterating, as only the step reads it. From an all-zero start, a
+    family with a ``mean_at_zero`` takes its first pass's means, weights and
+    log-likelihoods as constants: one row's log-likelihood serves every row,
+    and a shared design's information is one ``(k, k)`` product."""
     mt = np.swapaxes(m, -1, -2)
     columns = np.ascontiguousarray(mt)
     beta = start
-    eta = _matvec(m, beta)
-    ll = spec.loglik(y, eta)
+    if spec.mean_at_zero is not None and not beta.any():
+        eta = np.zeros(y.shape)
+        mu = np.full(y.shape, spec.mean_at_zero)
+        ll = np.full(len(y), spec.loglik(y[:1], eta[:1])[0])
+        # one weight for every observation
+        info = _information(spec, m, columns, eta[:1, :1], mu[:1, :1])
+    else:
+        eta = _matvec(m, beta)
+        mu = spec.mean(eta)
+        ll = spec.loglik(y, eta)
+        info = None
     trace = [ll]
     tol = 1e-10 * (1.0 + np.abs(_matvec(mt, y)).max(axis=-1) / spec.dispersion)
     active = np.ones(len(y), dtype=bool)
     iterations = np.zeros(len(y), dtype=int)
     for _ in range(_MAX_ITER):
         iterations += active
-        mu = spec.mean(eta)
         residual = y - mu
         score = _matvec(mt, residual) / spec.dispersion
-        weighted = columns * spec.weights(eta, mu)[..., None, :]
-        info = mt @ np.swapaxes(weighted, -1, -2)
         done = active & (np.abs(score).max(axis=-1) <= tol)
         if spec.separable and done.any() and np.any(
                 done & (np.abs(residual).max(axis=-1) < 1e-6)):
@@ -321,6 +372,8 @@ def _scoring(spec: ExpFamilySpec, m: np.ndarray, y: np.ndarray,
         active &= ~done
         if not active.any():
             break
+        if info is None:
+            info = _information(spec, m, columns, eta, mu)
         # frozen rows solve against the identity, so only iterating rows can fail
         step = np.linalg.solve(np.where(active[:, None, None], info, np.eye(beta.shape[1])),
                                score[..., None])[..., 0]
@@ -338,11 +391,12 @@ def _scoring(spec: ExpFamilySpec, m: np.ndarray, y: np.ndarray,
             raise SeparationError(
                 "separation detected: coefficient norm exceeded "
                 f"{_SEPARATION_NORM:g} before the score vanished")
+        mu, info = spec.mean(eta), None
     else:
         raise ConvergenceError("scoring iterations exhausted",
                                last_iterate=beta[np.argmax(active)])
-    return GLMFit(beta=beta, mu=mu, fisher_info=info, iterations=iterations,
-                  log_likelihood=ll, loglik_trace=np.stack(trace, axis=-1))
+    return _Scores(beta=beta, eta=eta, mu=mu, iterations=iterations,
+                   log_likelihood=ll, loglik_trace=np.stack(trace, axis=-1))
 
 
 def _halved_steps(spec, m, y, beta, eta, ll, step, pending):
@@ -433,6 +487,7 @@ class _OffsetLogit(_BernoulliLogit):
 
     offset: np.ndarray
     separable = False
+    mean_at_zero = None  # the offset moves each observation's mean
 
     def mean(self, xi):
         return super().mean(xi + self.offset)

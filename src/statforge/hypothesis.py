@@ -13,7 +13,7 @@ import numpy as np
 
 from .distributions import ChiSquared, DistributionSpec, FisherF, dist_cdf, dist_quantile
 from .errors import DegenerateSampleError, DomainError, NestingError
-from .glm import _scoring, bernoulli_logit, glm_fit_stack
+from .glm import _checked_scoring, _scoring, bernoulli_logit
 from .results import TestReport, _read_csv, _sample
 from .rng import RandomStream, replicate, replicate_chunks
 
@@ -153,10 +153,11 @@ def wilks_null_simulation(scenario: str, n: int, replicates: int,
     Every scenario runs through :func:`statforge.rng.replicate`, with the
     same result for any number of ``workers``. The logistic scenario draws
     replicate ``r`` from ``stream.split(r)`` and fits each block's full and
-    null models as stacks through :func:`statforge.glm.glm_fit_stack`, the
-    null fit of each row starting from its full fit's intercept and first
-    slope (at n = 2000, 3 scoring passes where a start from zero takes 5); ``z``
-    and ``t`` draw their samples in the chunks of
+    null models as stacks by the Fisher scoring of
+    :func:`statforge.glm.glm_fit_stack`, reading only their log-likelihoods:
+    the full fit from zero, the null fit of each row from its full fit's
+    intercept and first slope (at n = 2000, 3 scoring passes where a start
+    from zero takes 5); ``z`` and ``t`` draw their samples in the chunks of
     :func:`statforge.rng.replicate_chunks` at ``width`` n, and test each chunk
     as one stack through :func:`lrt_mean`.
     """
@@ -192,7 +193,9 @@ def _normal_lrts(n, known, stream, take):
 
 def _logistic_gaps(n: int, batch) -> np.ndarray:
     """Log-likelihood-ratio statistics of two true-zero slopes, one per row
-    of ``batch``; the block's full and null fits run as stacks. The null
+    of ``batch``; the block's full and null fits run as stacks and form no
+    information past their last step. The full fit keeps
+    :func:`statforge.glm.glm_fit_stack`'s intake and checks. The null
     fit starts from the full fit's first two coefficients, which lie
     O(1/sqrt(n)) from the null MLE, so Newton's quadratic convergence
     saves the passes a start from zero spends on getting close; each row
@@ -204,7 +207,7 @@ def _logistic_gaps(n: int, batch) -> np.ndarray:
     design = np.concatenate([np.ones((len(covariates), n, 1)), covariates], axis=-1)
     prob = spec.mean(design @ beta_true)
     y = (batch.uniforms(n) < prob).astype(float)
-    full = glm_fit_stack(spec, design, y)
+    _, full = _checked_scoring(spec, design, y)
     # The null design's columns are a subset of the full one's, so by Cauchy
     # interlacing its singular values pass the rank test that the full
     # design's passed: no second SVD.

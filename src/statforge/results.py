@@ -113,7 +113,10 @@ def interval_quantile(law: DistributionSpec, delta: float, sides: int = 2) -> fl
     interval at level ``1 - delta``, two-sided by default."""
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
-    return float(dist_quantile(law, 1.0 - delta / sides))
+    level = 1.0 - delta / sides
+    if level == 1.0:
+        raise DomainError(f"delta {delta:g} is too small: 1 - delta / {sides} rounds to 1")
+    return float(dist_quantile(law, level))
 
 
 @dataclass(frozen=True)

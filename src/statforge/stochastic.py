@@ -147,6 +147,8 @@ def gbm_sample(mu: float, sigma: float, s0: float, grid: TimeGrid,
     """
     if not s0 > 0:
         raise DomainError("initial value must be positive")
+    if not math.isfinite(mu):
+        raise DomainError("drift mu must be finite")
     if not sigma >= 0:
         raise DomainError("volatility must be nonnegative")
     if method not in ("exact", "euler"):
@@ -388,6 +390,8 @@ def gaussian_concentration_experiment(func_tag: str, k: int, n_samples: int,
         raise DomainError("need k >= 1 and n_samples >= 1")
     lipschitz = _LIPSCHITZ[func_tag]
     tau_grid = np.asarray(tau_grid, dtype=float)
+    if np.isnan(tau_grid).any():  # an infinite tau is taken at its limit
+        raise DomainError("tau_grid must not hold NaN")
     values = replicate_chunks(partial(_functional_values, func_tag, k), n_samples, stream,
                               workers, width=_DRAW_WIDTH)
     center = float(values.mean())

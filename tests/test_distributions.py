@@ -479,3 +479,35 @@ def test_parameter_types_refuse_non_finite_fields():
                 message = f"{cls.__name__} requires a finite {field.name}"
                 with pytest.raises(DomainError, match=message):
                     dataclasses.replace(example, **{field.name: value if value.ndim else bad})
+
+
+# one valid build of each distribution family that has parameters
+FAMILY_EXAMPLES = [
+    d.Normal(0.0, 1.0), d.LogNormal(0.0, 1.0), d.Gamma(2.0, 1.0), d.ChiSquared(3),
+    d.StudentT(5), d.FisherF(3, 4), d.Beta(2.0, 3.0), d.Exponential(1.0), d.Bernoulli(0.3),
+    d.Binomial(0.3, 10), d.Poisson(2.0), d.Geometric(0.3),
+]
+
+
+def test_scalar_fields_refuse_arrays():
+    # a 2-vector in a float or int field is refused by name (Gamma, Poisson
+    # and BSParams ended in numpy's bare ValueError, and Normal took it);
+    # the array fields of IRTItemBank, _OffsetLogit and NormalPosterior's
+    # updated mean stay arrays
+    families = {cls for cls in d.DistributionSpec.__subclasses__()
+                if dataclasses.fields(cls)}
+    assert {type(spec) for spec in FAMILY_EXAMPLES} == families
+    examples = FAMILY_EXAMPLES + [cls(**kw) for cls, kw in PARAMETER_EXAMPLES.items()]
+    arrays = []
+    for example in examples:
+        for field in dataclasses.fields(example):
+            value = getattr(example, field.name)
+            if field.type in ("float", "int"):
+                message = f"{type(example).__name__} requires a scalar {field.name}"
+                with pytest.raises(DomainError, match=message):
+                    dataclasses.replace(example, **{field.name: np.full(2, value)})
+            else:
+                dataclasses.replace(example, **{field.name: value})
+                arrays.append(f"{type(example).__name__}.{field.name}")
+    assert sorted(arrays) == ["IRTItemBank.a", "IRTItemBank.b", "NormalPosterior.mean",
+                              "_OffsetLogit.offset"]

@@ -292,6 +292,13 @@ def test_every_interval_checks_delta(kind):
             build(delta)
 
 
+@pytest.mark.parametrize("kind", sorted(_INTERVALS))
+def test_every_interval_refuses_a_delta_lost_in_its_level(kind):
+    # 1 - 1e-17 / sides rounds to 1, which no quantile function takes
+    with pytest.raises(DomainError, match=r"delta 1e-17 is too small: 1 - delta / [12] rounds"):
+        _INTERVALS[kind](1e-17)
+
+
 class TestCramerRao:
     @pytest.mark.parametrize("spec,family,theta", [
         (d.Bernoulli(0.3), "bernoulli", [0.3]),

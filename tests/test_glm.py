@@ -289,13 +289,13 @@ def _family_rows(family, n, rows, root, shared=False):
 
 
 def _assert_row_equals_single(stack, r, single):
-    assert stack.beta[r].tobytes() == single.beta.tobytes()
-    assert stack.mu[r].tobytes() == single.mu.tobytes()
-    assert stack.fisher_info[r].tobytes() == single.fisher_info.tobytes()
-    assert stack.log_likelihood[r] == single.log_likelihood
-    assert stack.iterations[r] == single.iterations
-    trace = stack.loglik_trace[r, :stack.iterations[r]]
-    assert trace.tobytes() == single.loglik_trace.tobytes()
+    """Row ``r`` of each field of a stacked fit, or of a stacked scoring run,
+    has the bytes of the single one's field."""
+    for field in dataclasses.fields(single):
+        row = getattr(stack, field.name)[r]
+        if field.name == "loglik_trace":
+            row = row[:stack.iterations[r]]
+        assert row.tobytes() == np.asarray(getattr(single, field.name)).tobytes(), field.name
 
 
 class TestGLMFitStack:
@@ -432,9 +432,9 @@ class TestScoringPass:
     @pytest.mark.parametrize("rows", [1, 7, 32])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_information_is_the_weighted_gram(self, k, rows, shared, monkeypatch):
-        # the last pass's information against mt @ (m * w[..., None]) at the
-        # weights that pass used, and those weights against c (1 - c) of the
-        # clamped means c
+        # the returned information against mt @ (m * w[..., None]) at the
+        # weights of the final iterate, the last weights formed, and those
+        # weights against c (1 - c) of the clamped means c
         n = 2000
         root = RandomStream(520 + k)
         count = 1 if shared else rows
@@ -451,7 +451,7 @@ class TestScoringPass:
             seen.append((mu.copy(), weights(self, eta, mu)))
             return seen[-1][1]
         monkeypatch.setattr(glm._BernoulliLogit, "weights", recorded)
-        info = glm._scoring(spec, m, y, spec.start(m, y)).fisher_info
+        info = glm.glm_fit_stack(spec, reg.DesignMatrix(m) if shared else m, y).fisher_info
         mu, w = seen[-1]
         clamped = np.clip(mu, glm._PROB_CLAMP, 1.0 - glm._PROB_CLAMP)
         assert w.tobytes() == (clamped * (1.0 - clamped)).tobytes()
@@ -481,6 +481,88 @@ class TestScoringPass:
             assert one.tobytes() == other.tobytes()
         assert got[3].tolist() == [True, False, False, False, False, False]
         assert got[1][~pending].tobytes() == eta[~pending].tobytes()
+
+
+def _steep_weights(self, eta, mu, weights=glm._BernoulliLogit.weights):
+    """The logistic weights understated eightfold where the mean is 1/2, as
+    it is everywhere at a zero start, so that the first steps are eight
+    times as long."""
+    w = weights(self, eta, mu)
+    return np.where(mu == 0.5, w / 8.0, w)
+
+
+class TestZeroStart:
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("steep", [False, True], ids=["logit", "steep"])
+    def test_shortcut_equals_the_general_pass(self, steep, shared, monkeypatch):
+        rows, n = 9, 300
+        spec, designs, y = _family_rows("bernoulli", n, rows, RandomStream(530), shared)
+        if steep:
+            monkeypatch.setattr(glm._BernoulliLogit, "weights", _steep_weights)
+        # A logistic step from zero never lowers the log-likelihood, as the
+        # information there, Xᵀ X / 4, bounds the curvature everywhere; the
+        # steep weights' first steps overshoot on some rows and are halved.
+        mt = np.swapaxes(designs, -1, -2)
+        w = spec.weights(np.zeros((1, 1)), np.full((1, 1), 0.5))
+        first = np.linalg.solve(w * mt @ designs, mt @ (y - 0.5)[..., None])
+        lowered = spec.loglik(y, (designs @ first)[..., 0]) < spec.loglik(y, np.zeros((rows, n)))
+        assert lowered.any() == steep
+        design = reg.DesignMatrix(designs[0]) if shared else designs
+        heights = []
+        loglik = glm._BernoulliLogit.loglik
+
+        def recorded(self, y, xi):
+            heights.append(len(y))
+            return loglik(self, y, xi)
+        monkeypatch.setattr(glm._BernoulliLogit, "loglik", recorded)
+        shortcut = glm.glm_fit_stack(spec, design, y)
+        assert heights[0] == 1  # one row's log-likelihood at zero serves every row
+        monkeypatch.setattr(glm._BernoulliLogit, "mean_at_zero", None)
+        heights.clear()
+        general = glm.glm_fit_stack(spec, design, y)
+        assert heights[0] == rows
+        for field in dataclasses.fields(general):
+            assert getattr(shortcut, field.name).tobytes() == \
+                getattr(general, field.name).tobytes(), field.name
+
+    def test_offset_logit_never_takes_the_shortcut(self):
+        # its mean at zero is expit(offset), which differs by observation
+        assert glm.bernoulli_logit().mean_at_zero == 0.5
+        assert glm._OffsetLogit.mean_at_zero is None
+        bank = glm.IRTItemBank(a=np.array([0.8, 1.2, 1.5, 0.6]), b=np.array([-1.0, 0.0, 0.5, 1.0]))
+        y = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+        spec = glm._OffsetLogit(dispersion=1.0, offset=-bank.a * bank.b)
+        fit = glm.glm_fit_stack(spec, reg.DesignMatrix(bank.a[:, None], has_intercept=False), y)
+        at_zero = spec.loglik(y, np.zeros_like(y))
+        assert len(set(at_zero.tolist())) == 3
+        assert fit.loglik_trace[:, 0].tobytes() == at_zero.tobytes()
+
+
+class TestFinalInformation:
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson", "normal", "gamma"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_information_is_the_weighted_gram_at_the_final_iterate(self, family, shared):
+        spec, designs, y = _family_rows(family, 200, 7, RandomStream(531), shared)
+        m = designs[0] if shared else designs
+        fit = glm.glm_fit_stack(spec, reg.DesignMatrix(m) if shared else m, y)
+        w = spec.weights((m @ fit.beta[..., None])[..., 0], fit.mu)
+        expected = np.swapaxes(m, -1, -2) @ (m * w[..., None])
+        assert fit.fisher_info.tobytes() == expected.tobytes()
+
+    def test_wilks_full_fit_core_keeps_the_checks(self):
+        spec, designs, y = _family_rows("bernoulli", 60, 4, RandomStream(532))
+        m, scores = glm._checked_scoring(spec, designs, y)
+        assert m is designs and not hasattr(scores, "fisher_info")
+        assert scores.log_likelihood.tobytes() == \
+            glm.glm_fit_stack(spec, designs, y).log_likelihood.tobytes()
+        bad = y.copy()
+        bad[2, 7] = 2.0
+        with pytest.raises(DomainError, match="0/1"):
+            glm._checked_scoring(spec, designs, bad)
+        singular = designs.copy()
+        singular[3, :, 2] = -singular[3, :, 1]
+        with pytest.raises(SingularDesignError):
+            glm._checked_scoring(spec, singular, y)
 
 
 class TestWald:

@@ -172,6 +172,17 @@ NAN_SCALARS = {
     "empirical_tail-center": (
         lambda: con.empirical_tail(d.Normal(0.0, 1.0), math.nan, [0.5], 10, RandomStream(548)),
         "center"),
+    "empirical_tail-t_grid": (
+        lambda: con.empirical_tail(d.Normal(0.0, 1.0), 0.0, [math.nan, 0.5], 10,
+                                   RandomStream(549)), "t_grid"),
+    "gaussian_concentration_experiment-tau_grid": (
+        lambda: sto.gaussian_concentration_experiment("norm", 3, 100, [math.nan, 0.5],
+                                                      RandomStream(550)), "tau_grid"),
+    "gbm_sample-mu": (lambda: sto.gbm_sample(math.nan, 0.2, 1.0, _PATH.grid, RandomStream(551)),
+                      "drift mu"),
+    "ci_mean_z-sample_mean": (lambda: est.ci_mean_z(math.nan, 1.0, 10, 0.05), "sample_mean"),
+    "ci_mle_asymptotic-theta_hat": (lambda: est.ci_mle_asymptotic(math.nan, 1.0, 0.05),
+                                    "theta_hat"),
 }
 
 
