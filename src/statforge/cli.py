@@ -3,7 +3,7 @@
 Subcommands: ``run`` executes one experiment from a flat key=value config
 file, ``list-experiments`` prints the registry, ``dist`` evaluates a
 distribution function at a point. Exit codes: 0 all tolerances met,
-2 a tolerance failed, 1 error.
+2 a tolerance failed, 1 error (a malformed command line included).
 """
 
 from __future__ import annotations
@@ -32,16 +32,26 @@ _DISTRIBUTIONS = {cls.__name__.lower(): cls for cls in (
     Bernoulli, Binomial, Poisson, Geometric, Uniform01)}
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad flag is an error like any other: one ``error:`` line and exit 1
+    (argparse would print its usage and exit 2, the tolerance-failure code).
+    Subparsers are built from this class too."""
+
+    def error(self, message):
+        raise StatforgeError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="statforge")
+    parser = _Parser(prog="statforge")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment from a config file")
     run.add_argument("config", help="path to a key = value config file")
-    run.add_argument("--seed", type=int, default=None,
-                     help="override the config seed")
-    run.add_argument("--fresh-seed", action="store_true",
-                     help="draw a new seed from the OS and record it")
+    seed = run.add_mutually_exclusive_group()
+    seed.add_argument("--seed", type=int, default=None,
+                      help="override the config seed")
+    seed.add_argument("--fresh-seed", action="store_true",
+                      help="draw a new seed from the OS and record it")
     run.add_argument("--workers", type=int, default=1)
     run.add_argument("--out", default=None, help="directory for report files")
     run.add_argument("--format", choices=["json", "csv"], default="json")
@@ -124,7 +134,7 @@ def _cmd_run(args) -> int:
     overrides = dict(_parse_assignment(a) for a in args.assignments)
     if args.fresh_seed:
         overrides["seed"] = secrets.randbits(63)
-    if args.seed is not None:
+    elif args.seed is not None:
         overrides["seed"] = args.seed
     if args.workers < 1:
         raise StatforgeError(f"--workers must be at least 1, got {args.workers}")
@@ -140,8 +150,8 @@ def _cmd_run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "list-experiments":

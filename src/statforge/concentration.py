@@ -12,7 +12,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, _Parameters, _spec_list, dist_sample
 from .errors import DomainError
-from .results import _read_csv, _require_rows, _sample
+from .results import _sample
 from .rng import RandomStream, replicate_chunks
 
 __all__ = [
@@ -21,7 +21,7 @@ __all__ = [
     "EmpiricalTail", "empirical_tail",
     "JLConfig", "jl_target_dim", "jl_project", "JLTrialResult", "jl_trial",
     "ErdosRenyiGraph", "er_sample", "ErMetrics", "er_metrics",
-    "regular_degree_constant", "load_points_csv", "write_graph_csv", "read_graph_csv",
+    "regular_degree_constant",
 ]
 
 
@@ -292,13 +292,6 @@ def jl_trial(config: JLConfig, stream: RandomStream, points: np.ndarray | None =
 
 # -- Erdos-Renyi graphs ---------------------------------------------------------
 
-_EDGE_ORDER = "edge list must hold ordered pairs of distinct vertices"
-
-
-def _ordered_pairs(edges: np.ndarray, n_vertices: int) -> np.ndarray:
-    """Which rows ``(i, j)`` of ``edges`` have ``0 <= i < j < n_vertices``."""
-    return (0 <= edges[:, 0]) & (edges[:, 0] < edges[:, 1]) & (edges[:, 1] < n_vertices)
-
 
 @dataclass(frozen=True)
 class ErdosRenyiGraph:
@@ -307,8 +300,10 @@ class ErdosRenyiGraph:
     edges: np.ndarray  # (m, 2) int array, each row i < j
 
     def __post_init__(self):
-        if self.edges.size and not np.all(_ordered_pairs(self.edges, self.n_vertices)):
-            raise DomainError(_EDGE_ORDER)
+        e = self.edges
+        if e.size and not np.all((0 <= e[:, 0]) & (e[:, 0] < e[:, 1])
+                                 & (e[:, 1] < self.n_vertices)):
+            raise DomainError("edge list must hold ordered pairs of distinct vertices")
 
 
 def _skip_positions(pairs: int, q: float, stream: RandomStream) -> np.ndarray:
@@ -416,24 +411,3 @@ def regular_degree_constant(epsilon: float, delta: float) -> float:
         raise DomainError("epsilon and delta must lie in (0, 1)")
     return 3.0 * math.log(4.0 / delta) / (epsilon ** 2 * math.log(2.0))
 
-
-# -- CSV interfaces --------------------------------------------------------------
-
-
-def load_points_csv(path) -> np.ndarray:
-    """Point cloud with one row per point, comma separated."""
-    return np.array(_read_csv(path))
-
-
-def write_graph_csv(graph: ErdosRenyiGraph, path) -> None:
-    """Edge list preceded by a single ``N,p`` header line."""
-    np.savetxt(path, graph.edges, fmt="%d", delimiter=",",
-               header=f"{graph.n_vertices},{graph.p}", comments="")
-
-
-def read_graph_csv(path) -> ErdosRenyiGraph:
-    """A graph as :func:`write_graph_csv` writes it."""
-    (n_vertices, p), *edges = _read_csv(path, kinds=(int, int), width=2, first=(int, float))
-    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    _require_rows(path, _ordered_pairs(edges, n_vertices), _EDGE_ORDER, first=1)
-    return ErdosRenyiGraph(n_vertices, p, edges)

@@ -13,7 +13,7 @@ from scipy import special as sp
 
 from .distributions import DistributionSpec, Normal, StudentT, _Parameters, _spec_list, dist_sample
 from .errors import ConvergenceError, DegenerateSampleError, DomainError
-from .results import ConfidenceInterval, _number, _read_csv, _sample, interval_quantile
+from .results import ConfidenceInterval, _number, _sample, interval_quantile
 from .rng import RandomStream, replicate_chunks
 
 __all__ = [
@@ -22,15 +22,10 @@ __all__ = [
     "ci_mean_z", "ci_mean_t", "ci_variance_asymptotic", "ci_mle_asymptotic",
     "ci_two_sample_t", "ci_delta_method",
     "james_stein", "BetaPosterior", "NormalPosterior", "conjugate_update",
-    "MonteCarloMean", "monte_carlo_mean", "load_sample_csv",
+    "MonteCarloMean", "monte_carlo_mean",
 ]
 
 _STD_NORMAL = Normal(0.0, 1.0)
-
-
-def load_sample_csv(path) -> np.ndarray:
-    """Single-column CSV of observations, no header."""
-    return np.array(_read_csv(path, width=1))[:, 0]
 
 
 # -- the c * sum of squared deviations family ---------------------------------

@@ -36,7 +36,7 @@ from . import hypothesis as hyp
 from . import regression as reg
 from . import stochastic as sto
 from .errors import DomainError
-from .results import _matvec, _read_text
+from .results import _matvec
 from .rng import RandomStream, _each_row, replicate, replicate_chunks
 
 __all__ = ["ExperimentConfig", "Metric", "ReportEnvelope", "run_experiment",
@@ -147,7 +147,15 @@ def parse_config_text(text: str, overrides: Optional[dict] = None) -> Experiment
 
 
 def parse_config_file(path, overrides: Optional[dict] = None) -> ExperimentConfig:
-    return parse_config_text(_read_text(path), overrides)
+    """The config in a UTF-8 file; other bytes raise :class:`DomainError` naming the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise DomainError(f"{path}, line {line}: not UTF-8 text") from None
+    return parse_config_text(text, overrides)
 
 
 # -- reports --------------------------------------------------------------------

@@ -12,15 +12,13 @@ from .distributions import Moments, Normal, _Parameters
 from .errors import (ConvergenceError, DomainError, NoFiniteMLEError,
                      SeparationError)
 from .regression import DesignMatrix, _responses, require_full_rank
-from .results import (ConfidenceInterval, _matvec, _read_csv, _require_rows,
-                      first_row, interval_quantile)
+from .results import ConfidenceInterval, _matvec, first_row, interval_quantile
 
 __all__ = [
     "ExpFamilySpec", "bernoulli_logit", "poisson_log", "normal_identity",
     "gamma_neglog", "expfam_moments", "GLMFit", "glm_fit",
     "glm_fit_stack", "glm_wald_ci",
     "IRTItemBank", "IRTAbilityFit", "irt_ability_fit",
-    "load_item_bank_csv", "load_responses_csv",
 ]
 
 _PROB_CLAMP = 1e-12
@@ -516,19 +514,3 @@ def irt_ability_fit(bank: IRTItemBank, responses) -> IRTAbilityFit:
                           iterations=fit.iterations)
     return first_row(stack) if y.ndim == 1 else stack
 
-
-# -- CSV interfaces ---------------------------------------------------------------
-
-
-def load_item_bank_csv(path) -> IRTItemBank:
-    """Items as rows of an ``a,b`` CSV with header."""
-    data = np.array(_read_csv(path, header=("a", "b"))[1:])
-    _require_rows(path, data[:, 0] > 0, "discriminations must be positive", first=1)
-    return IRTItemBank(a=data[:, 0], b=data[:, 1])
-
-
-def load_responses_csv(path) -> np.ndarray:
-    """0/1 response matrix, one row per examinee."""
-    data = np.array(_read_csv(path))
-    _require_rows(path, np.all((data == 0.0) | (data == 1.0), axis=1), "responses must be 0/1")
-    return data

@@ -14,23 +14,13 @@ import numpy as np
 from .distributions import ChiSquared, DistributionSpec, FisherF, dist_cdf, dist_quantile
 from .errors import DegenerateSampleError, DomainError, NestingError
 from .glm import _checked_scoring, _scoring, bernoulli_logit
-from .results import TestReport, _read_csv, _sample
+from .results import TestReport, _sample
 from .rng import RandomStream, replicate, replicate_chunks
 
 __all__ = [
     "TestReport", "ks_statistic", "lrt_mean", "f_test_variances",
     "anova_one_way", "lrt_generic", "wilks_null_simulation", "WilksSimulation",
-    "load_groups_csv",
 ]
-
-
-def load_groups_csv(path) -> list:
-    """Observations as ``group,value`` rows with a header line; returns one
-    array per group, ordered by first appearance."""
-    groups: dict = {}
-    for label, value in _read_csv(path, header=("group",), kinds=(str,), width=2)[1:]:
-        groups.setdefault(label, []).append(value)
-    return [np.asarray(v) for v in groups.values()]
 
 
 def ks_statistic(sample, law: DistributionSpec) -> float:

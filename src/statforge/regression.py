@@ -14,7 +14,7 @@ from scipy.linalg import get_lapack_funcs, solve_triangular
 from .distributions import FisherF, StudentT
 from .errors import (ConvergenceError, DegenerateSampleError, DomainError,
                      NestingError, SingularDesignError)
-from .results import (ConfidenceInterval, TestReport, _matvec, _read_csv, _sample,
+from .results import (ConfidenceInterval, TestReport, _matvec, _sample,
                       first_row, interval_quantile)
 from .rng import RandomStream, replicate
 
@@ -23,7 +23,6 @@ __all__ = [
     "coef_interval", "response_band", "f_test_nested",
     "RidgeFit", "ridge_fit", "LassoFit", "lasso_fit", "soft_threshold",
     "estimate_restricted_eigenvalue", "lasso_penalty_rule",
-    "load_regression_csv",
 ]
 
 _RANK_RTOL = 1e-10
@@ -396,13 +395,3 @@ def _cone_ratios(m, mask, batch):
     image = _matvec(m, v)
     return (image ** 2).sum(axis=-1) / (m.shape[0] * (v ** 2).sum(axis=-1))
 
-
-# -- CSV ingestion -------------------------------------------------------------------
-
-
-def load_regression_csv(path, intercept: bool = True):
-    """Header CSV whose first column is named ``y``; remaining columns are
-    regressors. Returns ``(DesignMatrix, y, names)``."""
-    header, *rows = _read_csv(path, header=("y",))
-    data = np.array(rows)
-    return design_matrix(data[:, 1:], intercept=intercept), data[:, 0], header[1:]

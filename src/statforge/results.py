@@ -1,75 +1,16 @@
 """Shared result containers (confidence intervals, test reports), row 0 of
-a stacked result, the row-by-row matrix product, interval multipliers, the
-intake of observed samples, and file reading."""
+a stacked result, the row-by-row matrix product, interval multipliers and
+the intake of observed samples."""
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import DistributionSpec, dist_quantile
 from .errors import DegenerateSampleError, DomainError
-
-
-def _read_text(path) -> str:
-    """A UTF-8 file's text; other bytes raise :class:`DomainError` naming the line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line = data.count(b"\n", 0, err.start) + 1
-        raise DomainError(f"{path}, line {line}: not UTF-8 text") from None
-
-
-def _read_csv(path, header=None, kinds=(), width=None, first=None) -> list:
-    """The rows of a comma-separated UTF-8 file, blank lines skipped. With a
-    ``header``, line 1 starts with those names and is the first row. Column
-    ``j`` holds ``kinds[j]`` (``first[j]`` in the first data row): a finite
-    ``float`` (the default), a 64-bit ``int`` or a ``str``. Every line has
-    ``width`` fields, by default the first's. A bad file raises
-    :class:`DomainError` starting ``"<path>, line <n>:"``."""
-    lines = _read_text(path).splitlines()
-    rows: list = []
-    for n, line in enumerate(lines, start=1):
-        cells = [cell.strip() for cell in line.split(",")]
-        headed = n == 1 and header is not None
-        if headed and cells[:len(header)] != list(header):
-            raise DomainError(f"{path}, line 1: expected a header starting {','.join(header)}")
-        if line.strip() or headed:
-            width = width or len(cells)
-            if len(cells) != width:
-                raise DomainError(f"{path}, line {n}: expected {width} fields, got {len(cells)}")
-            row_kinds = [*(first if first and not rows else kinds), *[float] * width]
-            rows.append(cells if headed else [_cell(path, n, j, kind, cell) for j, (kind, cell)
-                                              in enumerate(zip(row_kinds, cells))])
-    if len(rows) <= (header is not None):
-        raise DomainError(f"{path}, line {len(lines) + 1}: no data rows")
-    return rows
-
-
-def _require_rows(path, ok, message: str, first: int = 0) -> None:
-    """Raise :class:`DomainError` ``"<path>, line <n>: <message>"`` at the
-    first false ``ok[i]``, the flag of row ``first + i`` of what
-    :func:`_read_csv` read from ``path``."""
-    if not np.all(ok):
-        lines = [n for n, line in enumerate(_read_text(path).splitlines(), start=1)
-                 if line.strip()]
-        raise DomainError(f"{path}, line {lines[first + int(np.argmin(ok))]}: {message}")
-
-
-def _cell(path, n: int, j: int, kind: type, cell: str):
-    try:
-        value = kind(cell)
-        if kind is str or (math.isfinite(value) if kind is float else value.bit_length() < 64):
-            return value
-    except ValueError:
-        pass
-    noun = "a finite number" if kind is float else "an integer of 64 bits"
-    raise DomainError(f"{path}, line {n}: column {j + 1} must be {noun}, got {cell!r}")
 
 
 def _sample(x, least: int = 1, what: str = "sample") -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "MCEstimate", "feynman_kac_mc", "BSParams", "BSPrice",
     "black_scholes_price", "bs_mc_price", "bs_pde_residual",
     "GaussianConcentrationResult", "gaussian_concentration_experiment",
-    "write_path_csv",
 ]
 
 
@@ -407,10 +406,3 @@ def gaussian_concentration_experiment(func_tag: str, k: int, n_samples: int,
     return GaussianConcentrationResult(empirical=empirical, standard_error=se, bound=bound,
                                        center=center, center_standard_error=center_se)
 
-
-def write_path_csv(path_obj, file) -> None:
-    """Time column followed by one column per dimension."""
-    values = np.reshape(path_obj.values, (path_obj.grid.times.size, -1))
-    table = np.column_stack([path_obj.grid.times, values])
-    header = "t," + ",".join(f"x{i}" for i in range(values.shape[1]))
-    np.savetxt(file, table, delimiter=",", header=header, comments="")

@@ -1,10 +1,12 @@
 """Config parsing, experiment envelopes, CLI behavior, determinism."""
 
+import contextlib
 import ctypes
 import dataclasses
 import hashlib
 import importlib
 import inspect
+import io
 import json
 import math
 import os
@@ -33,8 +35,13 @@ from statforge import hypothesis as hyp
 from statforge import regression as reg
 from statforge import rng
 from statforge import stochastic as sto
-from statforge.errors import DomainError
+from statforge.errors import DomainError, StatforgeError
 from statforge.rng import RandomStream
+
+
+@pytest.fixture(scope="module")
+def config_scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("config")
 
 
 class TestConfigParsing:
@@ -122,6 +129,34 @@ class TestConfigParsing:
         fields = [field.name for field in dataclasses.fields(spec)]
         tag = f"{family}:" + ",".join(repr(getattr(spec, field)) for field in fields)
         assert cli._parse_dist_tag(tag) == spec
+
+    @pytest.mark.parametrize("data,line", [
+        (b"\xff", 1),
+        (b'experiment = "bayes"\n\x80\n', 2),
+        (b'experiment = "bayes"\nseed = 4\n# caf\xc3(\n', 3),
+        (b"\xed\xa0\x80", 1),
+        (b"\n\n\n# \xfe\n", 4),
+        (b"seed = 1\n# \xe2\x82", 2),
+    ], ids=["first-byte", "continuation-byte", "bad-continuation", "surrogate", "after-blank-lines",
+            "truncated"])
+    def test_not_utf8_file_names_the_line(self, tmp_path, data, line):
+        path = tmp_path / "config.txt"
+        path.write_bytes(data)
+        message = f"^{re.escape(str(path))}, line {line}: not UTF-8 text$"
+        with pytest.raises(DomainError, match=message):
+            xp.parse_config_file(path)
+
+    @PROPERTY
+    @given(data=st.one_of(st.binary(max_size=60), st.text().map(str.encode),
+                          st.text(alphabet='experimntsd= "#.0123456789\nbayesjl-', max_size=80)
+                          .map(str.encode)))
+    def test_any_config_file_parses_or_raises_statforge_error(self, config_scratch, data):
+        path = config_scratch / "config.txt"
+        path.write_bytes(data)
+        try:
+            xp.parse_config_file(path)
+        except StatforgeError:
+            pass
 
     def test_out_is_an_unknown_key(self):
         with pytest.raises(DomainError, match="unknown key 'out'"):
@@ -262,6 +297,75 @@ def test_chunked_worker_cases_span_two_chunks(monkeypatch, tag):
                                           params=dict(_WORKER_CASES)[tag]))
     total, chunk = max(seen)
     assert chunk < total < 2 * chunk
+
+
+# Every public function that no CLI command reaches (``run`` of each
+# ``_WORKER_CASES`` config, ``list-experiments`` and ``dist``), with the
+# reason it stays. A function that drops off every report path must be
+# entered here with its reason, or deleted.
+_PAPER_TOOL = "kept: paper tool, unit-tested, awaiting a metric"
+_UNREACHED = dict.fromkeys([
+    "concentration.tail_bound", "concentration.empirical_tail", "concentration.jl_project",
+    "concentration.regular_degree_constant",
+    "estimation.ci_mean_z", "estimation.ci_variance_asymptotic", "estimation.ci_mle_asymptotic",
+    "estimation.ci_two_sample_t", "estimation.ci_delta_method", "estimation.variance_bias",
+    "estimation.monte_carlo_mean",
+    "distributions.dist_moments",
+    "regression.ridge_fit", "regression.response_band",
+    "glm.expfam_moments", "glm.poisson_log", "glm.normal_identity", "glm.gamma_neglog",
+    "stochastic.gbm_sample",
+], _PAPER_TOOL)
+
+
+def _public_functions():
+    """Every function a module of the package exports, keyed ``module.name``."""
+    return {f"{info.name}.{name}": getattr(module, name)
+            for info in pkgutil.iter_modules(statforge.__path__)
+            for module in [importlib.import_module(f"statforge.{info.name}")]
+            for name in getattr(module, "__all__", ())
+            if inspect.isfunction(getattr(module, name))
+            and getattr(module, name).__module__ == module.__name__}
+
+
+@pytest.fixture(scope="module")
+def reached_codes(tmp_path_factory):
+    """The code objects called while the CLI runs every report path once."""
+    tmp_path = tmp_path_factory.mktemp("reach")
+    argvs = [["list-experiments"]] + [["dist", "normal:0,1", flag, "0.5"]
+                                      for flag in ("--pdf", "--cdf", "--quantile")]
+    for tag, params in _WORKER_CASES:
+        body = "".join(f"{key} = {value!r}\n" for key, value in params.items())
+        (tmp_path / tag).write_text(f'experiment = "{tag}"\nseed = 9\n' + body)
+        argvs.append(["run", str(tmp_path / tag)])
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+    out, err = io.StringIO(), io.StringIO()
+    sys.setprofile(record)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes = [cli.main(argv) for argv in argvs]
+    finally:
+        sys.setprofile(None)
+    assert set(codes) <= {0, 2}, err.getvalue()
+    return called
+
+
+@pytest.mark.parametrize("name", sorted(_public_functions()))
+def test_public_function_is_reached_or_listed(reached_codes, name):
+    reached = _public_functions()[name].__code__ in reached_codes
+    if name in _UNREACHED:
+        assert not reached, f"{name} is reached now: take it off _UNREACHED"
+    else:
+        assert reached, (f"no CLI path reaches {name}: "
+                         "list it in _UNREACHED with a reason, or delete it")
+
+
+def test_unreached_table_names_public_functions():
+    assert set(_UNREACHED) <= set(_public_functions())
+    assert all(_UNREACHED.values())
 
 
 class TestEnvelope:
@@ -754,6 +858,35 @@ class TestCLI:
 
     def test_missing_file_is_error(self):
         assert cli.main(["run", "/nonexistent/path.cfg"]) == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["list-experiments", "extra"], "unrecognized arguments: extra"),
+        (["run", "config.txt", "--workers", "abc"], "argument --workers: invalid int value: 'abc'"),
+        (["run", "config.txt", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["run", "config.txt", "--seed", "3", "--fresh-seed"],
+         "argument --fresh-seed: not allowed with argument --seed"),
+        (["run"], "the following arguments are required: config"),
+        (["dist", "normal:0,1", "--pdf", "nope"], "argument --pdf: invalid float value: 'nope'"),
+        (["dist", "normal:0,1"], "one of the arguments --pdf --cdf --quantile is required"),
+        (["dist", "normal:0,1", "--pdf", "0", "--cdf", "0"],
+         "argument --cdf: not allowed with argument --pdf"),
+    ])
+    def test_bad_flag_is_error(self, capsys, argv, message):
+        # exit 1 like every other error; exit 2 means a tolerance failed.
+        # The command line is refused before the config file is read.
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: statforge") and message in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_help_exits_0(self, capsys):
+        for argv in (["--help"], ["run", "--help"], ["dist", "--help"]):
+            with pytest.raises(SystemExit) as done:
+                cli.main(argv)
+            assert done.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: statforge")
 
     def test_csv_format(self, tmp_path, capsys):
         cfg = self._write_config(

@@ -371,43 +371,23 @@ class TestErdosRenyi:
             hits += bool(np.all(np.abs(degs - d_target) <= eps * d_target))
         assert hits / graphs >= 1.0 - delta
 
-    def test_csv_round_trip(self, tmp_path, stream):
-        g = con.er_sample(25, 0.2, stream)
-        path = tmp_path / "graph.csv"
-        con.write_graph_csv(g, path)
-        back = con.read_graph_csv(path)
-        assert back.n_vertices == g.n_vertices
-        assert back.p == g.p
-        assert np.array_equal(back.edges, g.edges)
+    @pytest.mark.parametrize("edges", [[[1, 1]], [[0, 1], [1, 1]], [[0, 1], [2, 1]],
+                                       [[0, 1], [-1, 1]], [[0, 1], [1, 3]]],
+                             ids=["only-row", "self-loop", "reversed", "negative-vertex",
+                                  "vertex-past-n"])
+    def test_edge_list_must_hold_ordered_pairs(self, edges):
+        message = "^edge list must hold ordered pairs of distinct vertices$"
+        with pytest.raises(DomainError, match=message):
+            con.ErdosRenyiGraph(3, 0.1, np.array(edges))
 
-    @pytest.mark.parametrize("text,line", [
-        ("", 1),
-        ("5.5,0.2\n0,1\n", 1),
-        ("5,p\n0,1\n", 1),
-        ("5\n0,1\n", 1),
-        ("5,0.2\n0,1\n1,x\n", 3),
-        ("5,0.2\n0,1\n\n1,2,3\n", 4),
-        ("5,0.2\n0\n", 2),
-    ], ids=["empty", "vertex-count", "probability", "no-p", "edge-end", "three-fields",
-            "one-field"])
-    def test_csv_names_the_bad_line(self, tmp_path, text, line):
-        path = tmp_path / "graph.csv"
-        path.write_text(text)
-        with pytest.raises(DomainError, match=f"graph.csv, line {line}:"):
-            con.read_graph_csv(path)
+    @pytest.mark.parametrize("edges", [np.zeros((0, 2), dtype=np.int64),
+                                       np.array([[0, 1], [0, 2], [1, 2]])],
+                             ids=["edgeless", "complete"])
+    def test_ordered_edge_list_is_accepted(self, edges):
+        assert np.array_equal(con.ErdosRenyiGraph(3, 0.1, edges).edges, edges)
 
     def test_validation(self, stream):
         with pytest.raises(DomainError):
             con.er_sample(1, 0.5, stream)
         with pytest.raises(DomainError):
             con.er_sample(5, 1.5, stream)
-        with pytest.raises(DomainError):
-            con.ErdosRenyiGraph(3, 0.1, np.array([[1, 1]]))
-
-
-def test_point_cloud_csv(tmp_path):
-    pts = RandomStream(8).normals(12).reshape(4, 3)
-    path = tmp_path / "points.csv"
-    np.savetxt(path, pts, delimiter=",")
-    loaded = con.load_points_csv(path)
-    assert np.allclose(loaded, pts)

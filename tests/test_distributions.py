@@ -458,10 +458,11 @@ PARAMETER_EXAMPLES = {
 
 
 def _parameter_types(base=d._Parameters):
-    """Every dataclass below ``base`` outside the distribution families."""
+    """Every statforge dataclass below ``base`` outside the distribution
+    families; a subclass that a test defines is not one."""
     for cls in base.__subclasses__():
         if not issubclass(cls, d.DistributionSpec):
-            if dataclasses.is_dataclass(cls):
+            if dataclasses.is_dataclass(cls) and cls.__module__.startswith("statforge."):
                 yield cls
             yield from _parameter_types(cls)
 

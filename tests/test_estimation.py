@@ -442,11 +442,8 @@ class TestMonteCarloMean:
         assert res.n_clt == pytest.approx(14_979, rel=0.01)
 
 
-def test_sample_csv_and_fit(tmp_path):
-    path = tmp_path / "sample.csv"
-    path.write_text("1.5\n2.5\n0.5\n3.0\n")
-    sample = est.load_sample_csv(path)
-    assert sample.shape == (4,)
+def test_normal_fit_of_a_sample():
+    sample = np.array([1.5, 2.5, 0.5, 3.0])
     fit = est.mle_fit("normal", sample)
     assert fit.family == "normal"
     assert fit.param_names == ("mu", "sigma2")

@@ -708,15 +708,3 @@ class TestIRT:
             stack[r] = float(r % 2)
             with pytest.raises(NoFiniteMLEError):
                 glm.irt_ability_fit(bank, stack)
-
-
-def test_item_bank_csv(tmp_path):
-    path = tmp_path / "bank.csv"
-    path.write_text("a,b\n1.0,-0.5\n2.0,0.25\n")
-    bank = glm.load_item_bank_csv(path)
-    assert bank.n_items == 2
-    assert bank.a[1] == 2.0
-    resp = tmp_path / "resp.csv"
-    resp.write_text("1,0\n0,1\n")
-    data = glm.load_responses_csv(resp)
-    assert data.shape == (2, 2)

@@ -390,24 +390,6 @@ class TestWilksSimulation:
                                       stream=RandomStream(17))
 
 
-def test_grouped_csv_loader(tmp_path):
-    path = tmp_path / "groups.csv"
-    path.write_text("group,value\na,1.0\nb,2.0\na,3.0\nb,4.5\nc,0.5\n")
-    groups = hyp.load_groups_csv(path)
-    assert len(groups) == 3
-    assert np.allclose(groups[0], [1.0, 3.0])
-    assert np.allclose(groups[1], [2.0, 4.5])
-    report = hyp.anova_one_way(groups[:2])
+def test_anova_on_two_groups():
+    report = hyp.anova_one_way([np.array([1.0, 3.0]), np.array([2.0, 4.5])])
     assert 0.0 <= report.p_value <= 1.0
-
-
-@pytest.mark.parametrize("text,line", [
-    ("group,value\na,1.0\nb\n", 3),
-    ("group,value\na,1.0\na,x\n", 3),
-    ("group,value\n\na,1.0,2.0\n", 3),
-], ids=["no-comma", "not-a-number", "two-values"])
-def test_grouped_csv_loader_names_the_bad_line(tmp_path, text, line):
-    path = tmp_path / "groups.csv"
-    path.write_text(text)
-    with pytest.raises(DomainError, match=f"groups.csv, line {line}:"):
-        hyp.load_groups_csv(path)

@@ -678,19 +678,10 @@ class TestPredictionError:
         assert violation <= 2.0 * math.exp(-2.0) + 3.0 * math.sqrt(0.27 * 0.73 / 30)
 
 
-def test_csv_round_trip(tmp_path):
-    path = tmp_path / "data.csv"
-    rng = RandomStream(123)
-    x = rng.normals(15).reshape(5, 3)
-    y = rng.normals(5)
-    with open(path, "w") as fh:
-        fh.write("y,a,b,c\n")
-        for yi, row in zip(y, x):
-            fh.write(",".join(str(v) for v in [yi, *row]) + "\n")
-    design, y_back, names = reg.load_regression_csv(path)
-    assert names == ["a", "b", "c"]
-    assert np.allclose(y_back, y)
+def test_design_matrix_intercept():
+    x = RandomStream(123).normals(15).reshape(5, 3)
+    design = reg.design_matrix(x)
     assert design.has_intercept
-    assert np.allclose(design.matrix[:, 1:], x)
-    design2, _, _ = reg.load_regression_csv(path, intercept=False)
-    assert design2.matrix.shape == (5, 3)
+    assert np.array_equal(design.matrix[:, 0], np.ones(5))
+    assert np.array_equal(design.matrix[:, 1:], x)
+    assert reg.design_matrix(x, intercept=False).matrix.shape == (5, 3)

@@ -1,6 +1,5 @@
 """Brownian paths, stochastic integrals, pricing, concentration."""
 
-import io
 import math
 
 import numpy as np
@@ -477,12 +476,3 @@ class TestGaussianConcentration:
     def test_unknown_tag(self, stream):
         with pytest.raises(DomainError):
             sto.gaussian_concentration_experiment("median", 5, 100, [1.0], stream)
-
-
-def test_path_csv_export(stream):
-    path = sto.brownian_sample(sto.uniform_grid(1.0, 4), 2, stream)
-    buffer = io.StringIO()
-    sto.write_path_csv(path, buffer)
-    lines = buffer.getvalue().strip().splitlines()
-    assert lines[0] == "t,x0,x1"
-    assert len(lines) == 6
