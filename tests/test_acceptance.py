@@ -170,7 +170,7 @@ def test_c14_ito_isometry_martingale():
 
 
 def test_c15_feynman_kac():
-    env, detail = _run("feynman-kac")  # 1e6 paths x 100 steps
+    env, detail = _run("feynman-kac")  # 1e6 + 1e5 paths x 1 step, 1e5 x 100 steps
     _line("15 feynman-kac", env.passed, detail)
 
 

@@ -14,6 +14,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -241,7 +242,8 @@ _WORKER_CASES = [
     ("er", {"n_vertices": 60, "graphs": 8, "c_low": 0.3, "c_high": 3.0}),
     ("lasso-bound", {"replicates": 8, "re_probes": 100}),
     # two chunks each, the second partial, so that it lands on the second worker
-    ("feynman-kac", {"paths": _two_chunks(3), "paths_control": 500, "steps": 3}),
+    # (feynman-kac: the one-step interval scenario and the harmonic one)
+    ("feynman-kac", {"paths": _two_chunks(1), "paths_control": _two_chunks(3), "steps": 3}),
     ("bs-price", {"paths": _two_chunks(1)}),
     ("gauss-conc", {"k": 100, "samples": _two_chunks(sto._DRAW_WIDTH)}),
     ("mse-variance", {"replicates": _two_chunks(10)}),
@@ -272,7 +274,7 @@ _DIGEST_PINS = {
     "jl": "8fe1b5c25fc5",
     "er": "51a84e00bac5",
     "lasso-bound": "30fee58d80cf",
-    "feynman-kac": "d50b8fefec4c",
+    "feynman-kac": "c6e5d010e70b",
     "bs-price": "aa88995452c8",
     "gauss-conc": "7743c89068e6",
     "mse-variance": "e356cdac1ac2",
@@ -413,6 +415,27 @@ class TestEnvelope:
         assert not gate.passed
         assert (gate.value - gate.target) / gate.se > 15.0
 
+    def test_feynman_kac_harmonic_mass_fails_on_straight_line_paths(self, monkeypatch):
+        # paths that run straight to a right endpoint, B_{t_j} = (j / n) B_t:
+        # the constant-potential gates read only the endpoint, the harmonic
+        # one reads the path (about 0.05 above its target here)
+        def straight_line_values(potential, payoff, t, x0, dim, steps, stream, take):
+            end = stream.normals(take * dim).reshape(take, 1, dim) * math.sqrt(t)
+            paths = x0 + end * (np.arange(1, steps + 1) / steps)[:, None]
+            integral = potential(np.broadcast_to(x0, (take, dim))).copy()
+            for j in range(steps - 1):
+                integral += potential(paths[:, j, :])
+            return np.exp(-integral * (t / steps)) * payoff(paths[:, -1, :])
+        config = xp.ExperimentConfig(experiment="feynman-kac", seed=20260810, params={
+            "paths": 20_000, "paths_control": 20_000, "steps": 20})
+        assert xp.run_experiment(config).passed
+        monkeypatch.setattr(sto, "_feynman_kac_values", straight_line_values)
+        metrics = {m.name: m for m in xp.run_experiment(config).metrics}
+        assert metrics["interval_mass"].passed and metrics["exponential_control"].passed
+        gate = metrics["harmonic_mass"]
+        assert not gate.passed
+        assert (gate.value - gate.target) / gate.se > 8.0
+
     def test_report_keys(self):
         # to_dict follows the dataclass fields, so a new field would enter
         # report.json unseen but for this check
@@ -440,6 +463,46 @@ class TestEnvelope:
                 json.dumps(report, sort_keys=True).encode()).hexdigest())
         assert digests[0] == digests[1]
         assert digests[0][:12] == _DIGEST_PINS[tag]
+
+
+def _dense_harmonic_mass(steps):
+    """det(I + S D)^(-1/2) (2 Phi(1/s) - 1) from the dense matrices."""
+    dt = 1.0 / steps
+    i = np.arange(1, steps + 1)
+    cov = dt * np.minimum.outer(i, i)
+    damping = dt * np.diag(np.r_[np.ones(steps - 1), 0.0])
+    s2 = np.linalg.inv(np.linalg.inv(cov) + damping)[-1, -1]
+    return (np.linalg.det(np.eye(steps) + cov @ damping) ** -0.5
+            * (2.0 * d.dist_cdf(d.Normal(0.0, 1.0), 1.0 / math.sqrt(s2)) - 1.0))
+
+
+class TestHarmonicMassTarget:
+    # Mehler's continuum value cosh(1)^(-1/2) (2 Phi(1 / sqrt(tanh 1)) - 1)
+    MEHLER = (math.cosh(1.0) ** -0.5
+              * (2.0 * d.dist_cdf(d.Normal(0.0, 1.0), 1.0 / math.sqrt(math.tanh(1.0))) - 1.0))
+
+    @pytest.mark.parametrize("steps,value", [
+        (1, 0.6826895), (2, 0.6333971), (10, 0.6068851), (100, 0.6027017)])
+    def test_equals_the_dense_formula(self, steps, value):
+        target = xp._harmonic_mass_target(steps)
+        assert target == pytest.approx(_dense_harmonic_mass(steps), rel=1e-12)
+        assert target == pytest.approx(value, abs=5e-8)
+
+    @pytest.mark.parametrize("steps", [10, 100, 1000, 10_000])
+    def test_approaches_mehler_at_rate_one_over_steps(self, steps):
+        assert 0.0 < xp._harmonic_mass_target(steps) - self.MEHLER < 0.05 / steps
+
+    def test_a_million_steps_stay_banded(self):
+        # a dense steps x steps matrix would be 8 TB; the bands are 16 MB
+        tracemalloc.start()
+        try:
+            value = xp._harmonic_mass_target(10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert self.MEHLER == pytest.approx(0.6022777, abs=5e-8)
+        assert value == pytest.approx(self.MEHLER, abs=1e-5)
 
 
 def _src_env(**extra):

@@ -251,6 +251,16 @@ class TestFeynmanKac:
         target = d.dist_cdf(d.Normal(0.0, 1.0), 1.0) - d.dist_cdf(d.Normal(0.0, 1.0), -1.0)
         assert res.estimate == pytest.approx(target, abs=4.0 * res.standard_error)
 
+    @pytest.mark.parametrize("steps", [1, 100])
+    def test_constant_potential_reads_only_the_endpoint(self, steps):
+        # the left-endpoint integral of V = 0.5 is 0.5 t at any step count,
+        # so one step a path has the law of many
+        res = sto.feynman_kac_mc(lambda x: np.full(len(x), 0.5),
+                                 lambda x: (np.abs(x[:, 0]) <= 1.0).astype(float),
+                                 1.0, 0.0, 1, 20_000, steps, RandomStream(15))
+        mass = d.dist_cdf(d.Normal(0.0, 1.0), 1.0) - d.dist_cdf(d.Normal(0.0, 1.0), -1.0)
+        assert res.estimate == pytest.approx(math.exp(-0.5) * mass, abs=4.0 * res.standard_error)
+
     def test_exponential_control(self):
         res = sto.feynman_kac_mc(lambda x: 0.3 + x[:, 0] ** 2,
                                  lambda x: np.sin(x[:, 0]),
