@@ -48,12 +48,21 @@ def variance_family(sample, c: float) -> VarianceFamilyEstimate:
     return VarianceFamilyEstimate(estimate=_number(estimate), n=n)
 
 
+def _check_scaled_variance(n, c, sigma2):
+    if not n >= 2:
+        raise DomainError("sample size n must be >= 2")
+    if not (0.0 < c < math.inf and 0.0 < sigma2 < math.inf):
+        raise DomainError("c and sigma2 must be finite and positive")
+
+
 def variance_bias(n: int, c: float, sigma2: float) -> float:
+    _check_scaled_variance(n, c, sigma2)
     return (c * (n - 1) - 1.0) * sigma2
 
 
 def variance_mse(n: int, c: float, sigma2: float) -> float:
     """Exact mean squared error under a normal population."""
+    _check_scaled_variance(n, c, sigma2)
     return ((n - 1.0) * (n + 1.0) * c * c - 2.0 * (n - 1.0) * c + 1.0) * sigma2 ** 2
 
 
@@ -170,6 +179,8 @@ def fisher_information(family: str, theta, n: int) -> np.ndarray:
     if n < 1:
         raise DomainError("sample size must be >= 1")
     t = np.atleast_1d(np.asarray(theta, dtype=float))
+    if not np.all(np.isfinite(t)):
+        raise DomainError("theta must be finite")
     if family == "normal":
         mu, s2 = t
         if s2 <= 0:

@@ -1,22 +1,20 @@
-"""One-parameter exponential families with canonical links, Newton/Fisher
-scoring fits, Wald intervals, and two-parameter logistic ability scoring."""
+"""Logistic regression by Newton/Fisher scoring, Wald intervals, and
+two-parameter logistic ability scoring."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .distributions import Moments, Normal, _Parameters
+from .distributions import Normal, _Parameters
 from .errors import (ConvergenceError, DomainError, NoFiniteMLEError,
                      SeparationError)
 from .regression import DesignMatrix, _responses, require_full_rank
 from .results import ConfidenceInterval, _matvec, first_row, interval_quantile
 
 __all__ = [
-    "ExpFamilySpec", "bernoulli_logit", "poisson_log", "normal_identity",
-    "gamma_neglog", "expfam_moments", "GLMFit", "glm_fit",
+    "LogisticSpec", "bernoulli_logit", "GLMFit", "glm_fit",
     "glm_fit_stack", "glm_wald_ci",
     "IRTItemBank", "IRTAbilityFit", "irt_ability_fit",
 ]
@@ -25,63 +23,16 @@ _PROB_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
-class ExpFamilySpec(_Parameters):
-    """Canonical-link exponential family described by its cumulant function.
+class LogisticSpec(_Parameters):
+    """0/1 responses whose log-odds are the natural parameter, the linear
+    predictor. ``loglik`` reduces along the last axis, so a stack of rows
+    gives one value per row. ``separable`` turns on the separation checks,
+    as responses classified perfectly leave the maximum likelihood
+    infinite. ``mean_at_zero`` is the mean of every observation at a zero
+    natural parameter, where the log-likelihood does not depend on the
+    responses, so that scoring from zero takes the first pass's means,
+    weights and log-likelihoods as constants."""
 
-    ``mean``/``mean_slope`` are the first two derivatives of the cumulant
-    with respect to the natural parameter; the response variance is
-    ``dispersion * mean_slope``. ``natural_ok`` and ``loglik`` reduce along
-    the last axis, so a stack of rows gives one value per row. Each family
-    names itself in ``name`` and sets ``separable`` when its responses can
-    be classified perfectly, so that the maximum likelihood can diverge. A
-    family whose mean at a zero natural parameter is the same constant for
-    every observation, and whose log-likelihood there does not depend on the
-    responses, names that mean in ``mean_at_zero``, so that scoring from
-    zero takes the first pass's means, weights and log-likelihoods as
-    constants.
-    """
-
-    dispersion: float
-    separable = False
-    mean_at_zero = None
-
-    def _check(self):
-        if self.dispersion <= 0:
-            raise DomainError("dispersion must be positive")
-
-    # natural-parameter side -------------------------------------------------
-
-    def natural_ok(self, xi: np.ndarray) -> np.ndarray:
-        return np.all(np.isfinite(xi), axis=-1)
-
-    def mean(self, xi: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def mean_slope(self, xi: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    # response side ------------------------------------------------------------
-
-    def validate_y(self, y: np.ndarray) -> None:
-        """Raise :class:`DomainError` on finite responses outside the family's support."""
-
-    def loglik(self, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    # scoring ----------------------------------------------------------------
-
-    def weights(self, eta: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """Working weights of the Fisher information at ``eta``, whose means are ``mu``."""
-        return self.mean_slope(eta) / self.dispersion
-
-    def start(self, m: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Starting coefficients, one row per response row."""
-        return np.zeros((len(y), m.shape[-1]))
-
-
-@dataclass(frozen=True)
-class _BernoulliLogit(ExpFamilySpec):
-    name = "bernoulli_logit"
     separable = True
     mean_at_zero = 0.5  # each term of the log-likelihood at zero is -log 2
 
@@ -95,10 +46,6 @@ class _BernoulliLogit(ExpFamilySpec):
         mu += 1.0
         np.reciprocal(mu, out=mu)
         return mu
-
-    def mean_slope(self, xi):
-        mu = self.mean(xi)
-        return mu * (1.0 - mu)
 
     def validate_y(self, y):
         if not np.all((y == 0.0) | (y == 1.0)):
@@ -119,121 +66,15 @@ class _BernoulliLogit(ExpFamilySpec):
         return np.sum(out, axis=-1)
 
     def weights(self, eta, mu):
+        """Working weights of the Fisher information at ``eta``, whose means are ``mu``."""
         # clamp only inside the weights; reported means are untouched
         w = np.clip(mu, _PROB_CLAMP, 1.0 - _PROB_CLAMP)
         w *= 1.0 - w
-        w /= self.dispersion
         return w
 
 
-@dataclass(frozen=True)
-class _PoissonLog(ExpFamilySpec):
-    name = "poisson_log"
-
-    def mean(self, xi):
-        return np.exp(xi)
-
-    def mean_slope(self, xi):
-        return np.exp(xi)
-
-    def validate_y(self, y):
-        if np.any(y < 0) or np.any(y != np.floor(y)):
-            raise DomainError("count family needs nonnegative integer responses")
-
-    def loglik(self, y, xi):
-        return np.sum(y * xi - np.exp(xi) - sp.gammaln(y + 1.0), axis=-1)
-
-
-@dataclass(frozen=True)
-class _NormalIdentity(ExpFamilySpec):
-    name = "normal_identity"
-
-    def mean(self, xi):
-        return xi
-
-    def mean_slope(self, xi):
-        return np.ones_like(xi)
-
-    def loglik(self, y, xi):
-        s2 = self.dispersion
-        return np.sum(-0.5 * np.log(2.0 * math.pi * s2) - (y - xi) ** 2 / (2.0 * s2),
-                      axis=-1)
-
-
-@dataclass(frozen=True)
-class _GammaNegLog(ExpFamilySpec):
-    name = "gamma_neglog"
-    shape: float = 1.0
-
-    def _check(self):
-        super()._check()
-        if self.shape <= 0:
-            raise DomainError("gamma shape must be positive")
-
-    def natural_ok(self, xi):
-        return np.all(np.isfinite(xi) & (xi < 0.0), axis=-1)
-
-    def mean(self, xi):
-        return -self.shape / xi
-
-    def mean_slope(self, xi):
-        return self.shape / xi ** 2
-
-    def link(self, mu):
-        return -self.shape / mu
-
-    def validate_y(self, y):
-        if np.any(y <= 0):
-            raise DomainError("gamma family needs strictly positive responses")
-
-    def loglik(self, y, xi):
-        lam = self.shape
-        alpha = -xi  # rate implied by the natural parameter
-        return np.sum(lam * np.log(alpha) - sp.gammaln(lam)
-                      + (lam - 1.0) * np.log(y) - alpha * y, axis=-1)
-
-    def start(self, m, y):
-        beta = super().start(m, y)
-        for r, row in enumerate(y):
-            design = m if m.ndim == 2 else m[r]
-            # start from a response-driven predictor to keep eta negative
-            eta0 = self.link(np.maximum(row, np.percentile(row, 5)))
-            guess, *_ = np.linalg.lstsq(design, eta0, rcond=None)
-            if not self.natural_ok(design @ guess):
-                # fall back to the design's fit of a constant negative predictor
-                eta0 = np.full(len(row), self.link(row.mean()))
-                guess, *_ = np.linalg.lstsq(design, eta0, rcond=None)
-            if self.natural_ok(design @ guess):
-                beta[r] = guess
-        return beta
-
-
-def bernoulli_logit() -> ExpFamilySpec:
-    return _BernoulliLogit(dispersion=1.0)
-
-
-def poisson_log() -> ExpFamilySpec:
-    return _PoissonLog(dispersion=1.0)
-
-
-def normal_identity(dispersion: float = 1.0) -> ExpFamilySpec:
-    return _NormalIdentity(dispersion=dispersion)
-
-
-def gamma_neglog(shape: float) -> ExpFamilySpec:
-    """Gamma responses with known shape; the natural parameter is minus the
-    rate, so linear predictors must stay negative."""
-    return _GammaNegLog(dispersion=1.0, shape=shape)
-
-
-def expfam_moments(spec: ExpFamilySpec, theta: float) -> Moments:
-    """Mean and variance at an interior natural parameter value."""
-    xi = np.asarray([theta], dtype=float)
-    if not spec.natural_ok(xi):
-        raise DomainError(f"{theta} is outside the natural domain of {spec.name}")
-    mean = float(spec.mean(xi)[0])
-    variance = float(spec.dispersion * spec.mean_slope(xi)[0])
-    return Moments(mean, variance)
+def bernoulli_logit() -> LogisticSpec:
+    return LogisticSpec()
 
 
 # -- fitting ------------------------------------------------------------------
@@ -259,14 +100,14 @@ _MAX_HALVINGS = 30
 _SEPARATION_NORM = 1e3
 
 
-def glm_fit(spec: ExpFamilySpec, x: DesignMatrix, y) -> GLMFit:
+def glm_fit(spec: LogisticSpec, x: DesignMatrix, y) -> GLMFit:
     """Newton/Fisher scoring on the canonical score equations, with
     step-halving whenever a full step would lower the log-likelihood. A fit
     that does not converge raises."""
     return first_row(glm_fit_stack(spec, x, [y]))
 
 
-def glm_fit_stack(spec: ExpFamilySpec, design, y) -> GLMFit:
+def glm_fit_stack(spec: LogisticSpec, design, y) -> GLMFit:
     """:func:`glm_fit` on each row of ``y`` ``(R, n)``, against one shared
     :class:`DesignMatrix` or one design per row, an ``(R, n, k)`` array.
 
@@ -282,10 +123,10 @@ def glm_fit_stack(spec: ExpFamilySpec, design, y) -> GLMFit:
                   loglik_trace=fit.loglik_trace)
 
 
-def _checked_scoring(spec: ExpFamilySpec, design, y):
+def _checked_scoring(spec: LogisticSpec, design, y):
     """:func:`glm_fit_stack`'s intake and checks of ``design`` and ``y``,
-    then :func:`_scoring` from the family's starts: returns the design as a
-    contiguous array and its :class:`_Scores`, which hold no information."""
+    then :func:`_scoring` from zero: returns the design as a contiguous
+    array and its :class:`_Scores`, which hold no information."""
     if isinstance(design, DesignMatrix):
         m = design.matrix
     else:
@@ -297,7 +138,7 @@ def _checked_scoring(spec: ExpFamilySpec, design, y):
         raise DomainError("one design per response row required")
     spec.validate_y(y)
     require_full_rank(m)
-    return m, _scoring(spec, m, y, spec.start(m, y))
+    return m, _scoring(spec, m, y, np.zeros((len(y), m.shape[-1])))
 
 
 @dataclass(frozen=True)
@@ -323,20 +164,21 @@ def _information(spec, m, columns, eta, mu):
     return np.swapaxes(m, -1, -2) @ np.swapaxes(weighted, -1, -2)
 
 
-def _scoring(spec: ExpFamilySpec, m: np.ndarray, y: np.ndarray,
+def _scoring(spec: LogisticSpec, m: np.ndarray, y: np.ndarray,
              start: np.ndarray) -> _Scores:
     """:func:`glm_fit_stack`'s scoring, on a contiguous ``m`` whose rank and
     responses ``y`` have already been checked, from ``start``, an ``(R, k)``
-    array of coefficients: the family's starts, or a larger model's fit
-    restricted to ``m``'s columns.
+    array of coefficients: zeros, or a larger model's fit restricted to
+    ``m``'s columns.
 
     Every pass evaluates all rows; rows that have converged are frozen, as
     only the rows still iterating are written, so a row's result does not
     depend on the other rows. A pass forms the information only when a row
     is still iterating, as only the step reads it. From an all-zero start, a
-    family with a ``mean_at_zero`` takes its first pass's means, weights and
-    log-likelihoods as constants: one row's log-likelihood serves every row,
-    and a shared design's information is one ``(k, k)`` product."""
+    spec with a ``mean_at_zero`` (the plain logistic, not irt's offset one)
+    takes its first pass's means, weights and log-likelihoods as constants:
+    one row's log-likelihood serves every row, and a shared design's
+    information is one ``(k, k)`` product."""
     mt = np.swapaxes(m, -1, -2)
     columns = np.ascontiguousarray(mt)
     beta = start
@@ -352,13 +194,13 @@ def _scoring(spec: ExpFamilySpec, m: np.ndarray, y: np.ndarray,
         ll = spec.loglik(y, eta)
         info = None
     trace = [ll]
-    tol = 1e-10 * (1.0 + np.abs(_matvec(mt, y)).max(axis=-1) / spec.dispersion)
+    tol = 1e-10 * (1.0 + np.abs(_matvec(mt, y)).max(axis=-1))
     active = np.ones(len(y), dtype=bool)
     iterations = np.zeros(len(y), dtype=int)
     for _ in range(_MAX_ITER):
         iterations += active
         residual = y - mu
-        score = _matvec(mt, residual) / spec.dispersion
+        score = _matvec(mt, residual)
         done = active & (np.abs(score).max(axis=-1) <= tol)
         if spec.separable and done.any() and np.any(
                 done & (np.abs(residual).max(axis=-1) < 1e-6)):
@@ -399,7 +241,8 @@ def _scoring(spec: ExpFamilySpec, m: np.ndarray, y: np.ndarray,
 
 def _halved_steps(spec, m, y, beta, eta, ll, step, pending):
     """Move each ``pending`` row by the first of ``step``, ``step / 2``, ...
-    that stays in the natural domain and does not lower its log-likelihood;
+    that keeps the linear predictors finite and does not lower its
+    log-likelihood;
     returns the new ``beta``, ``eta``, ``ll`` and the rows that found none.
     Accepted rows are written into the caller's ``eta``, which is returned."""
     new_beta, new_ll = beta.copy(), ll.copy()
@@ -409,9 +252,9 @@ def _halved_steps(spec, m, y, beta, eta, ll, step, pending):
     for _ in range(_MAX_HALVINGS):
         candidate = beta + scale * step
         candidate_eta = _matvec(m, candidate)
-        with np.errstate(all="ignore"):  # rows outside the domain are discarded
+        with np.errstate(all="ignore"):  # rows with a non-finite predictor are discarded
             candidate_ll = spec.loglik(y, candidate_eta)
-        accept = pending & spec.natural_ok(candidate_eta) & (candidate_ll >= floor)
+        accept = pending & np.all(np.isfinite(candidate_eta), axis=-1) & (candidate_ll >= floor)
         new_beta[accept] = candidate[accept]
         np.copyto(eta, candidate_eta, where=accept[:, None])
         new_ll[accept] = candidate_ll[accept]
@@ -478,7 +321,7 @@ class IRTAbilityFit:
 
 
 @dataclass(frozen=True)
-class _OffsetLogit(_BernoulliLogit):
+class _OffsetLogit(LogisticSpec):
     """Logistic responses whose natural parameter is the linear predictor
     plus a known ``offset`` per observation. A one-parameter score changes
     sign on mixed responses, so the maximum likelihood is finite."""
@@ -508,7 +351,7 @@ def irt_ability_fit(bank: IRTItemBank, responses) -> IRTAbilityFit:
     if np.any(rows.min(axis=-1) == rows.max(axis=-1)):
         raise NoFiniteMLEError(
             "all-correct or all-incorrect responses admit no finite ability")
-    fit = glm_fit_stack(_OffsetLogit(dispersion=1.0, offset=-bank.a * bank.b),
+    fit = glm_fit_stack(_OffsetLogit(offset=-bank.a * bank.b),
                         DesignMatrix(bank.a[:, None], has_intercept=False), rows)
     stack = IRTAbilityFit(gamma_hat=fit.beta[:, 0], se=1.0 / np.sqrt(fit.fisher_info[:, 0, 0]),
                           iterations=fit.iterations)

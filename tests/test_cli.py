@@ -314,7 +314,6 @@ _UNREACHED = dict.fromkeys([
     "estimation.monte_carlo_mean",
     "distributions.dist_moments",
     "regression.ridge_fit", "regression.response_band",
-    "glm.expfam_moments", "glm.poisson_log", "glm.normal_identity", "glm.gamma_neglog",
     "stochastic.gbm_sample",
 ], _PAPER_TOOL)
 

@@ -447,12 +447,8 @@ PARAMETER_EXAMPLES = {
     est.NormalPosterior: dict(mean=np.array([0.0, 1.5]), variance=0.5),
     sto.BSParams: dict(spot=100.0, strike=90.0, rate=0.05, volatility=0.2, maturity=1.0,
                        valuation_time=0.25),
-    glm.ExpFamilySpec: dict(dispersion=1.0),
-    glm._BernoulliLogit: dict(dispersion=1.0),
-    glm._OffsetLogit: dict(dispersion=1.0, offset=np.array([0.5, -0.5])),
-    glm._PoissonLog: dict(dispersion=1.0),
-    glm._NormalIdentity: dict(dispersion=2.0),
-    glm._GammaNegLog: dict(dispersion=1.0, shape=3.0),
+    glm.LogisticSpec: dict(),
+    glm._OffsetLogit: dict(offset=np.array([0.5, -0.5])),
     glm.IRTItemBank: dict(a=np.array([1.0, 2.0]), b=np.array([0.0, -1.0])),
 }
 

@@ -24,6 +24,15 @@ class TestVarianceFamily:
         n = 7
         assert est.variance_bias(n, 1.0 / (n - 1), sigma2=2.3) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("n, c, sigma2", [
+        (0, 1.0, 1.0), (1, 1.0, 1.0), (math.nan, 1.0, 1.0), (5, -1.0, 1.0), (5, 0.0, 1.0),
+        (5, math.nan, 1.0), (5, math.inf, 1.0), (5, 1.0, -1.0), (5, 1.0, 0.0),
+        (5, 1.0, math.nan), (5, 1.0, math.inf)])
+    def test_bias_and_mse_refuse_bad_inputs(self, n, c, sigma2):
+        for fn in (est.variance_bias, est.variance_mse):
+            with pytest.raises(DomainError, match="n must be >= 2|finite and positive"):
+                fn(n, c, sigma2)
+
     def test_mse_two_point(self):
         assert est.variance_mse(2, 1.0 / 3.0, 1.0) == pytest.approx(2.0 / 3.0)
 
@@ -131,6 +140,13 @@ class TestFisherInformation:
             est.fisher_information("bernoulli", [0.0], 10)
         with pytest.raises(DomainError):
             est.fisher_information("poisson", [0.0], 10)
+
+    @pytest.mark.parametrize("family, theta", [
+        ("normal", [math.nan, 1.0]), ("normal", [0.0, math.inf]), ("poisson", [math.nan]),
+        ("exponential", [math.inf]), ("gamma", [2.0, math.nan])])
+    def test_non_finite_theta_rejected(self, family, theta):
+        with pytest.raises(DomainError, match="theta must be finite"):
+            est.fisher_information(family, theta, 5)
 
     @pytest.mark.parametrize("family,theta,spec", [
         ("bernoulli", np.array([0.3]), d.Bernoulli(0.3)),
