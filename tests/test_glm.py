@@ -8,13 +8,14 @@ import warnings
 import numpy as np
 import pytest
 from scipy import special as sp
+from scipy import stats
 
 from statforge import experiments as xp
 from statforge import glm
 from statforge import regression as reg
 from statforge import rng
-from statforge.errors import (DomainError, NoFiniteMLEError, SeparationError,
-                              SingularDesignError)
+from statforge.errors import (ConvergenceError, DomainError, NoFiniteMLEError,
+                              SeparationError, SingularDesignError)
 from statforge.results import first_row
 from statforge.rng import RandomStream
 
@@ -27,6 +28,43 @@ class TestLogisticSpec:
         assert (offset.separable, offset.mean_at_zero) == (False, None)
         assert [[f.name for f in dataclasses.fields(s)] for s in (plain, offset)] == [
             [], ["offset"]]
+
+    def test_logistic_symmetry_point(self):
+        # at a zero natural parameter the mean is 1/2, the weight 1/4, and
+        # each term of the log-likelihood is -log 2 whatever the response
+        spec = glm.bernoulli_logit()
+        assert spec.mean(0.0) == spec.mean_at_zero == 0.5
+        assert spec.weights(np.zeros(1), np.full(1, 0.5)).tolist() == [0.25]
+        y = np.array([[0.0, 1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0]])
+        ll = spec.loglik(y, np.zeros_like(y))
+        np.testing.assert_allclose(ll, -5.0 * math.log(2.0), rtol=1e-15, atol=0.0)
+
+    def test_weights_clamp_saturated_means(self):
+        # a mean rounded to 0 or 1 keeps a positive weight, and the means
+        # themselves are left as they were
+        spec = glm.bernoulli_logit()
+        xi = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
+        mu = spec.mean(xi)
+        given = mu.copy()
+        w = spec.weights(xi, mu)
+        assert mu.tobytes() == given.tobytes()
+        assert mu[[0, 4]].tolist() == [0.0, 1.0]
+        assert w[2] == 0.25
+        floor = glm._PROB_CLAMP * (1.0 - glm._PROB_CLAMP)
+        np.testing.assert_allclose(w[[0, 1, 3, 4]], floor, rtol=1e-4, atol=0.0)
+
+    def test_offset_logit_mean_and_loglik_take_the_offset(self):
+        offset = np.array([-1.5, 0.0, 2.0])
+        xi = np.array([0.5, -0.3, 1.0])
+        y = np.array([1.0, 0.0, 1.0])
+        plain, spec = glm.bernoulli_logit(), glm._OffsetLogit(offset=offset)
+        assert spec.mean(xi).tobytes() == plain.mean(xi + offset).tobytes()
+        assert spec.loglik(y, xi) == plain.loglik(y, xi + offset)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_offset_must_be_finite(self, bad):
+        with pytest.raises(DomainError, match="finite offset"):
+            glm._OffsetLogit(offset=np.array([0.0, bad, 1.0]))
 
 
 @pytest.fixture
@@ -47,6 +85,44 @@ class TestGLMFit:
         design = reg.design_matrix(np.empty((4, 0)))
         fit = glm.glm_fit(glm.bernoulli_logit(), design, y)
         assert fit.beta[0] == pytest.approx(math.log(3.0), abs=1e-9)
+
+    def test_intercept_only_rows_are_the_logit_of_their_means(self):
+        # row r holds r + 1 successes in 8 trials, so its intercept is
+        # log((r + 1) / (7 - r))
+        y = (np.arange(8)[None, :] <= np.arange(7)[:, None]).astype(float)
+        fit = glm.glm_fit_stack(glm.bernoulli_logit(), reg.design_matrix(np.empty((8, 0))), y)
+        counts = np.arange(1.0, 8.0)
+        np.testing.assert_allclose(fit.beta[:, 0], np.log(counts / (8.0 - counts)),
+                                   rtol=0.0, atol=1e-9)
+
+    def test_logistic_recovers_coefficients(self, logistic_data):
+        design, y, beta = logistic_data
+        fit = glm.glm_fit(glm.bernoulli_logit(), design, y)
+        cov = np.linalg.inv(fit.fisher_info)
+        assert np.all(np.abs(fit.beta - beta) <= 4.0 * np.sqrt(np.diag(cov)))
+
+    def test_exhausted_iterations_raise(self, logistic_data, monkeypatch):
+        design, y, _ = logistic_data
+        fit = glm.glm_fit(glm.bernoulli_logit(), design, y)
+        assert fit.iterations > 2
+        monkeypatch.setattr(glm, "_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match="iterations exhausted") as err:
+            glm.glm_fit(glm.bernoulli_logit(), design, y)
+        # the last iterate is the second step's, on its way to the fit
+        last = err.value.last_iterate
+        assert last.shape == (3,) and not np.array_equal(last, fit.beta)
+        assert np.linalg.norm(last - fit.beta) < 0.1 * np.linalg.norm(fit.beta)
+
+    def test_downhill_steps_raise_no_ascent(self, logistic_data, monkeypatch):
+        # negated weights turn each Newton step downhill, where no halving
+        # finds a higher log-likelihood
+        design, y, _ = logistic_data
+        weights = glm.LogisticSpec.weights
+        monkeypatch.setattr(glm.LogisticSpec, "weights",
+                            lambda self, eta, mu: -weights(self, eta, mu))
+        with pytest.raises(ConvergenceError, match="no ascent direction") as err:
+            glm.glm_fit(glm.bernoulli_logit(), design, y)
+        assert err.value.last_iterate.tolist() == [0.0, 0.0, 0.0]
 
     def test_canonical_score_residual(self, logistic_data):
         design, y, _ = logistic_data
@@ -442,6 +518,24 @@ class TestFinalInformation:
 
 
 class TestWald:
+    def test_interval_is_beta_plus_minus_z_se(self, logistic_data):
+        design, y, _ = logistic_data
+        fit = glm.glm_fit(glm.bernoulli_logit(), design, y)
+        se = np.sqrt(np.diag(np.linalg.inv(fit.fisher_info)))
+        z = float(stats.norm.ppf(0.975))
+        for j in range(3):
+            ci = glm.glm_wald_ci(fit, j, 0.05)
+            assert (ci.level, ci.kind) == (0.95, "glm_wald")
+            assert ci.lo == pytest.approx(fit.beta[j] - z * se[j], rel=1e-12)
+            assert ci.hi == pytest.approx(fit.beta[j] + z * se[j], rel=1e-12)
+
+    def test_coefficient_index_out_of_range(self, logistic_data):
+        design, y, _ = logistic_data
+        fit = glm.glm_fit(glm.bernoulli_logit(), design, y)
+        for j in (-1, 3):
+            with pytest.raises(DomainError, match="coefficient index"):
+                glm.glm_wald_ci(fit, j, 0.05)
+
     def test_logistic_coverage(self):
         root = RandomStream(91)
         n, reps = 500, 800

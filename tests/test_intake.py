@@ -5,6 +5,7 @@ refuses a NaN."""
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,15 @@ def test_too_few_values_are_degenerate(call):
 def test_ridge_response_of_the_wrong_length():
     with pytest.raises(DomainError, match="response length"):
         reg.ridge_fit(_DESIGN, _SAMPLE[:5], 0.5)
+
+
+def test_logistic_fit_refuses_a_nan_response_without_warnings():
+    y = _BINARY.copy()
+    y[2] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="response must be finite"):
+            glm.glm_fit(glm.bernoulli_logit(), _DESIGN, y)
 
 
 # a NaN in each scalar range check, with the start of its message
